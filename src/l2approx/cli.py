@@ -2,7 +2,7 @@
 
     l2approx density  problem.json  [--level N | --grid G] [--output F] [--json]
     l2approx approx   problem.json  [--levels ...] [--boxes ...] [--lambda-grid ...]
-                                    [--grid G] [--tol T] [--eps-ker E] [--jobs J]
+                                    [--grid G] [--tol T] [--eps-ker E]
                                     [--timings] [--output F]
     l2approx cw       complex.json  [--grid G | --levels ...] [--tol T] [--output F]
     l2approx verify   SUITE         [--seed S]
@@ -169,8 +169,6 @@ def cmd_approx(args) -> int:
             "matrix_shape": list(problem.matrix.shape),
             "k_bound": k_bound(problem.matrix),
         },
-        # --jobs and --timings are execution details: reports must not
-        # depend on the parallelism level
         "defaults": {
             "tol": tol,
             "oracle_grid": grid,
@@ -200,14 +198,12 @@ def cmd_approx(args) -> int:
             failed = failed or not verdict["ok"]
         elif "complex" in checks:
             reports, verdict = complex_tower_run(
-                problem.matrix, scheme, oracle_grid=grid, tol=tol, jobs=args.jobs
+                problem.matrix, scheme, oracle_grid=grid, tol=tol
             )
             verdicts["complex"] = verdict
             failed = failed or not verdict["ok"]
         else:
-            reports = run_tower(
-                problem.matrix, scheme, kernel_threshold=eps, jobs=args.jobs
-            )
+            reports = run_tower(problem.matrix, scheme, kernel_threshold=eps)
         oracle_available = (
             isinstance(problem.group, FreeAbelianGroup)
             and problem.matrix.is_self_adjoint()
@@ -232,16 +228,17 @@ def cmd_approx(args) -> int:
             failed = failed or not verdict["ok"]
     elif isinstance(scheme, FolnerExhaustion):
         report["scheme"] = {"type": "folner", "boxes": scheme.labels}
-        reports = run_folner(problem.matrix, scheme, kernel_threshold=eps, jobs=args.jobs)
+        reports = run_folner(problem.matrix, scheme, kernel_threshold=eps)
         if "traces" in checks:
+            powers = reports[0].exact_traces if reports else ()
+            upstairs = {m: trace_poly(problem.matrix, [0] * m + [1]) for m in powers}
             rows = []
             ok = True
             prev = None
             for rep in reports:
                 diffs = {}
                 for m, exact in rep.exact_traces.items():
-                    global_tr = trace_poly(problem.matrix, [0] * m + [1])
-                    diffs[str(m)] = abs(float(exact.re) - float(global_tr.re))
+                    diffs[str(m)] = abs(float(exact.re) - float(upstairs[m].re))
                 worst = max(diffs.values())
                 if prev is not None:
                     ok = ok and worst <= prev + 1e-12
@@ -338,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, help="oracle grid per dimension")
     p.add_argument("--tol", type=float, default=0.02)
     p.add_argument("--eps-ker", type=float, help="kernel threshold override")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timings", action="store_true", help="include wall times (non-reproducible)")
     p.add_argument("--densities", action="store_true", help="include full densities per level")
     p.add_argument("--output")

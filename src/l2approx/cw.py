@@ -10,13 +10,13 @@ L2-acyclic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import NotAComplex, SchemeError, TorsionUndefined, WrongGroup
 from .groups import FreeAbelianGroup, Group
 from .matrices import RingMatrix, laplacian
-from .oracles import torus_density, torus_logdet
+from .oracles import torus_eigen_result
 from .schemes import QuotientTower, run_tower, sintapr_check
 from .spectral import betti, density_from_eigs, finite_spectrum, log_det
 
@@ -109,13 +109,14 @@ class L2Report:
 def _oracle_degree(delta: RingMatrix, grid: int):
     group = delta.group
     if isinstance(group, FreeAbelianGroup) and group.rank > 0:
-        dens = torus_density(delta, grid)
-        return betti(dens), torus_logdet(delta, grid), True
-    if group.is_finite:
-        eig = finite_spectrum(delta)
-        dens = density_from_eigs(eig)
-        return betti(dens), log_det(eig), True
-    raise WrongGroup(f"no oracle available for {group}")
+        eig = torus_eigen_result(delta, grid)
+        # the torus logdet keeps every positive eigenvalue (see torus_logdet)
+        logdet_eig = replace(eig, kernel_threshold=0.0)
+    elif group.is_finite:
+        eig = logdet_eig = finite_spectrum(delta)
+    else:
+        raise WrongGroup(f"no oracle available for {group}")
+    return betti(density_from_eigs(eig)), log_det(logdet_eig), True
 
 
 def _tower_degree(delta: RingMatrix, tower: QuotientTower, tol: float):

@@ -18,7 +18,13 @@ from .errors import NotPSD, RootFindFailure, WrongGroup
 from .groupring import RingElement
 from .groups import FreeAbelianGroup, TrivialGroup
 from .matrices import RingMatrix
-from .spectral import EigenResult, SpectralDensity, default_kernel_threshold, density_from_eigs
+from .spectral import (
+    EigenResult,
+    SpectralDensity,
+    default_kernel_threshold,
+    density_from_eigs,
+    log_det,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +206,8 @@ def torus_logdet(
     the midpoint grid avoids) are skipped; pass kernel_threshold to restore
     an explicit cutoff.
     """
-    n = _require_free_abelian(delta)
-    w = torus_symbol_eigenvalues(delta, grid_per_dim)
     cutoff = 0.0 if kernel_threshold is None else kernel_threshold
-    positive = w[w > cutoff]
-    if len(positive) == 0:
-        return 0.0
-    return float(np.sum(np.log(positive))) / int(grid_per_dim) ** n
+    return log_det(torus_eigen_result(delta, grid_per_dim, cutoff))
 
 
 def torus_logdet_report(delta: RingMatrix, grid_per_dim: int) -> dict:

@@ -16,7 +16,6 @@ import itertools
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -238,6 +237,40 @@ class LevelReport:
     defects: dict = field(default_factory=dict)
 
 
+def _level_report(
+    level,
+    eig: EigenResult,
+    norm_bound: float,
+    t0: float,
+    exact_traces: dict,
+    trace_certified: dict,
+    defects: Optional[dict] = None,
+) -> LevelReport:
+    """Assemble one level's report from its spectrum and exact traces; the
+    moments are taken at the powers of exact_traces and wall_time runs from
+    t0 to the end of the assembly."""
+    dens = density_from_eigs(eig)
+    f0 = betti(dens)
+    logdet = log_det(eig)
+    moments = {m: eig.moment(m) for m in exact_traces}
+    return LevelReport(
+        level=level,
+        f0=f0,
+        logdet=logdet,
+        density=dens,
+        matrix_size=len(eig.eigenvalues),
+        wall_time=time.perf_counter() - t0,
+        max_eigenvalue=eig.max_eigenvalue,
+        norm_bound=norm_bound,
+        norm_bound_ok=eig.max_eigenvalue <= norm_bound + NORM_SLACK,
+        eigen=eig,
+        moments=moments,
+        exact_traces=exact_traces,
+        trace_certified=trace_certified,
+        defects=defects or {},
+    )
+
+
 def _diag_support(delta: RingMatrix) -> set:
     s: set = set()
     for i in range(delta.rows):
@@ -270,7 +303,6 @@ def run_tower(
     kernel_threshold: Optional[float] = None,
     exact_powers: Sequence[int] = (1, 2, 3),
     method: str = "auto",
-    jobs: int = 1,
 ) -> list:
     """Push a self-adjoint matrix down a tower and report every level.
 
@@ -288,12 +320,11 @@ def run_tower(
     powers = tuple(sorted(set(int(m) for m in exact_powers)))
     ref_traces, ref_supports = _reference_traces(delta, powers)
 
-    def level_report(i: int) -> LevelReport:
-        phi = tower.levels[i]
+    reports = []
+    for phi, label in zip(tower.levels, tower.labels):
         t0 = time.perf_counter()
         delta_i = delta.push_forward(phi)
         eig = finite_spectrum(delta_i, kernel_threshold=thr, method=method)
-        dens = density_from_eigs(eig)
         exact_traces = {}
         certified = {}
         for m in powers:
@@ -304,36 +335,16 @@ def run_tower(
             if ok:
                 if level_tr != ref_traces[m]:
                     raise SchemeError(
-                        f"certified level {tower.labels[i]} trace of power {m} "
+                        f"certified level {label} trace of power {m} "
                         f"({level_tr}) differs from the exact value {ref_traces[m]}"
                     )
             else:
                 warnings.warn(
-                    f"level {tower.labels[i]} does not certify injectivity for power {m}",
+                    f"level {label} does not certify injectivity for power {m}",
                     InjectivityUncertified,
                 )
-        wall = time.perf_counter() - t0
-        return LevelReport(
-            level=tower.labels[i],
-            f0=betti(dens),
-            logdet=log_det(eig),
-            density=dens,
-            matrix_size=delta.rows * phi.target.order,
-            wall_time=wall,
-            max_eigenvalue=eig.max_eigenvalue,
-            norm_bound=kb,
-            norm_bound_ok=eig.max_eigenvalue <= kb + NORM_SLACK,
-            eigen=eig,
-            moments={m: eig.moment(m) for m in powers},
-            exact_traces=exact_traces,
-            trace_certified=certified,
-        )
-
-    indices = range(len(tower))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(level_report, indices))
-    return [level_report(i) for i in indices]
+        reports.append(_level_report(label, eig, kb, t0, exact_traces, certified))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -368,51 +379,53 @@ def compress(delta: RingMatrix, window: Sequence) -> tuple:
     return h, nw
 
 
-def _compressed_sparse(delta: RingMatrix, window: Sequence) -> dict:
-    """Exact sparse form of the compression: row -> {col: coefficient}."""
-    index = {x: i for i, x in enumerate(window)}
-    nw = len(window)
-    rows: dict = {}
-    for k in range(delta.rows):
-        for l in range(delta.cols):
-            for g, c in delta.entries[k][l].terms.items():
-                for v, y in enumerate(window):
-                    x = tuple(a + b for a, b in zip(y, g))
-                    u = index.get(x)
-                    if u is None:
-                        continue
-                    row = rows.setdefault(k * nw + u, {})
-                    col = l * nw + v
-                    row[col] = row.get(col, GaussianRational.of(0)) + c
-    return rows
+def _support_radius(delta: RingMatrix) -> int:
+    """Largest sup-norm of a group element in the support of a Z^n matrix."""
+    return max((max(map(abs, g), default=0) for g in delta.support()), default=0)
 
 
 def compressed_trace_powers(delta: RingMatrix, window: Sequence, powers) -> dict:
-    """Exact traces of (P Delta P)^m for the requested powers."""
-    base = _compressed_sparse(delta, list(window))
-    out = {}
-    current = base
-    for m in range(1, max(powers) + 1):
-        if m in powers:
-            total = GaussianRational.of(0)
-            for r, row in current.items():
-                c = row.get(r)
-                if c is not None:
-                    total = total + c
-            out[m] = total
-        if m < max(powers):
-            nxt: dict = {}
-            for r, row in current.items():
-                acc = nxt.setdefault(r, {})
-                for mid, c1 in row.items():
-                    brow = base.get(mid)
-                    if not brow:
-                        continue
-                    for col, c2 in brow.items():
-                        prod = c1 * c2
-                        prev = acc.get(col)
-                        acc[col] = prod if prev is None else prev + prod
-            current = nxt
+    """Exact traces of (P Delta P)^m for the requested powers.
+
+    tr((P Delta P)^m) is a sum over closed walks k_0 -> k_1 -> ... -> k_m = k_0
+    of m support steps whose group elements g_1, ..., g_m sum to 0.  A walk
+    contributes the product of its coefficients times the number of window
+    points y with y - s in the window for every prefix sum s, that is
+    |X ∩ (X + s_1) ∩ ... ∩ (X + s_{m-1})|.
+    """
+    powers = {int(m) for m in powers}
+    top = max(powers, default=0)
+    points = set(window)
+    translates = {}
+
+    def walk_count(prefixes) -> int:
+        for s in prefixes:
+            if s not in translates:
+                translates[s] = {tuple(a + b for a, b in zip(x, s)) for x in points}
+        return len(points.intersection(*(translates[s] for s in prefixes)))
+
+    steps = [
+        [(l, g, c) for l in range(delta.cols) for g, c in delta.entries[k][l].terms.items()]
+        for k in range(delta.rows)
+    ]
+    radius = _support_radius(delta)
+    origin = (0,) * delta.group.rank
+    out = {m: GaussianRational.of(0) for m in powers}
+
+    def extend(start, k, total, coef, prefixes):
+        length = len(prefixes)
+        if length in powers and k == start and total == origin:
+            out[length] = out[length] + coef * walk_count(prefixes)
+        if length == top:
+            return
+        reach = (top - length - 1) * radius  # the walk must still get back to 0
+        for l, g, c in steps[k]:
+            nxt = tuple(a + b for a, b in zip(total, g))
+            if all(abs(v) <= reach for v in nxt):
+                extend(start, l, nxt, coef * c, prefixes + (total,))
+
+    for k in range(delta.rows):
+        extend(k, k, origin, GaussianRational.of(1), ())
     return out
 
 
@@ -422,7 +435,6 @@ def run_folner(
     *,
     kernel_threshold: Optional[float] = None,
     trace_powers: Sequence[int] = (1, 2, 3),
-    jobs: int = 1,
 ) -> list:
     """Compress a self-adjoint matrix over Z^n to each Folner set.
 
@@ -437,45 +449,25 @@ def run_folner(
     kb = k_bound(delta)
     thr = kernel_threshold if kernel_threshold is not None else 1e-9 * max(1.0, kb)
     powers = tuple(sorted(set(int(m) for m in trace_powers)))
-    support_radius = max(
-        (max(abs(v) for v in g) if g else 0 for g in delta.support()), default=0
-    )
+    support_radius = _support_radius(delta)
 
-    def level_report(i: int) -> LevelReport:
+    reports = []
+    for i, label in enumerate(exhaustion.labels):
         window = exhaustion.set_at(i)
         t0 = time.perf_counter()
         h, nw = compress(delta, window)
-        w = hermitian_eigenvalues(h)
-        eig = EigenResult(w, nw, thr)
-        dens = density_from_eigs(eig)
+        eig = EigenResult(hermitian_eigenvalues(h), nw, thr)
         exact = compressed_trace_powers(delta, window, powers)
         exact_traces = {m: GaussianRational.of(Fraction(1, nw)) * exact[m] for m in powers}
         defects = {
             m: exhaustion.defect(i, max(1, m * support_radius)) for m in powers
         }
-        wall = time.perf_counter() - t0
-        return LevelReport(
-            level=exhaustion.labels[i],
-            f0=betti(dens),
-            logdet=log_det(eig),
-            density=dens,
-            matrix_size=delta.rows * nw,
-            wall_time=wall,
-            max_eigenvalue=eig.max_eigenvalue,
-            norm_bound=kb,
-            norm_bound_ok=eig.max_eigenvalue <= kb + NORM_SLACK,
-            eigen=eig,
-            moments={m: eig.moment(m) for m in powers},
-            exact_traces=exact_traces,
-            trace_certified={m: True for m in powers},
-            defects=defects,
+        reports.append(
+            _level_report(
+                label, eig, kb, t0, exact_traces, {m: True for m in powers}, defects
+            )
         )
-
-    indices = range(len(exhaustion))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(level_report, indices))
-    return [level_report(i) for i in indices]
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +743,6 @@ def whitehead_check(
     tower: QuotientTower,
     tol: float = 0.02,
     oracle_grid: int = 2048,
-    jobs: int = 1,
 ) -> dict:
     """Vanishing of the determinant on invertible matrices.
 
@@ -765,7 +756,7 @@ def whitehead_check(
         raise NotInverse("A and B are not exact two-sided inverses")
     integral = a.is_integral() and b.is_integral()
     delta = positive_square(a)
-    reports = run_tower(delta, tower, jobs=jobs)
+    reports = run_tower(delta, tower)
     levels_ok = all(abs(rep.logdet) <= tol for rep in reports)
     oracle = None
     oracle_ok = True
@@ -790,7 +781,6 @@ def complex_tower_run(
     *,
     oracle_grid: int = 1024,
     tol: float = 0.02,
-    jobs: int = 1,
 ) -> tuple:
     """Tower pipeline for complex-coefficient matrices over Z^n.
 
@@ -800,7 +790,7 @@ def complex_tower_run(
     """
     if not isinstance(delta.group, FreeAbelianGroup):
         raise WrongGroup(f"complex approximation is certified over Z^n, got {delta.group}")
-    reports = run_tower(delta, tower, jobs=jobs)
+    reports = run_tower(delta, tower)
     oracle_f0 = betti(torus_density(delta, oracle_grid))
     tail_f0 = reports[-1].f0
     verdict = {

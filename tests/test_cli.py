@@ -1,12 +1,14 @@
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from l2approx.cli import main
 
 FIXTURES = resources.files("l2approx") / "fixtures"
+SEED_REPORTS = Path(__file__).resolve().parent.parent / "benchmarks" / "seed_reports"
 
 
 def fixture_path(name):
@@ -197,3 +199,23 @@ def test_density_json_mode(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["total_mass"] == 1
     assert math.isclose(sum(j["mass"] for j in payload["jumps"]), 1.0)
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("cw", name) for name in ("circle", "torus", "point")]
+    + [
+        ("approx", name)
+        for name in (
+            "complex_shift",
+            "subgroup_z2_z4",
+            "whitehead_elementary",
+            "zd_folner",
+            "zd_laplacian",
+        )
+    ],
+)
+def test_fixture_report_matches_seed(command, name, capsys):
+    # default reports of the bundled fixtures are fixed byte for byte
+    assert main([command, fixture_path(f"{name}.json")]) == 0
+    assert capsys.readouterr().out.encode() == (SEED_REPORTS / f"{name}.out").read_bytes()
