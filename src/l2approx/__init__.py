@@ -67,7 +67,6 @@ from .spectral import (
     density_from_eigs,
     finite_spectrum,
     hermitian_eigenvalues,
-    jacobi_eigenvalues,
     log_det,
     regular_representation,
     subgroup_invariance_check,

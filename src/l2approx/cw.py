@@ -11,6 +11,7 @@ L2-acyclic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 from .errors import NotAComplex, SchemeError, TorsionUndefined, WrongGroup
@@ -150,27 +151,18 @@ def l2_invariants(
     if tower is not None and oracle_grid is not None:
         raise SchemeError("pick one of oracle_grid / tower, not both")
     deltas = laplacians(spec)
-    bettis = []
-    logdets = []
-    det_class = []
-    per_degree = []
     if tower is None:
         grid = int(oracle_grid) if oracle_grid is not None else 1024
         method = f"oracle(grid={grid})"
-        for delta in deltas:
-            b, ld, ok = _oracle_degree(delta, grid)
-            bettis.append(b)
-            logdets.append(ld)
-            det_class.append(ok)
-            per_degree.append({"betti": b, "logdet": ld})
+        degree = partial(_oracle_degree, grid=grid)
     else:
         method = f"tower(levels={tower.labels})"
-        for delta in deltas:
-            b, ld, ok = _tower_degree(delta, tower, tol)
-            bettis.append(b)
-            logdets.append(ld)
-            det_class.append(ok)
-            per_degree.append({"betti": b, "logdet": ld})
+        degree = partial(_tower_degree, tower=tower, tol=tol)
+    results = [degree(delta) for delta in deltas]
+    bettis = [b for b, _, _ in results]
+    logdets = [ld for _, ld, _ in results]
+    det_class = [ok for _, _, ok in results]
+    per_degree = [{"betti": b, "logdet": ld} for b, ld, _ in results]
     acyclic = all(b <= acyclicity_tol for b in bettis)
     torsion = None
     if acyclic:

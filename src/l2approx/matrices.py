@@ -114,8 +114,6 @@ class RingMatrix:
             out.append(row)
         return RingMatrix(self.group, out)
 
-    mat_mul = __matmul__
-
     @property
     def shape(self):
         return (self.rows, self.cols)

@@ -9,18 +9,20 @@ by root finding for single-variable integer Laurent polynomials.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import NotPSD, RootFindFailure, WrongGroup
 from .groupring import RingElement
-from .groups import FreeAbelianGroup, TrivialGroup
+from .groups import FreeAbelianGroup
 from .matrices import RingMatrix
 from .spectral import (
     EigenResult,
     SpectralDensity,
+    _symbol_eigenvalues,
     default_kernel_threshold,
     density_from_eigs,
     log_det,
@@ -117,22 +119,6 @@ def trivial_group_logdet_exact(rows: Sequence[Sequence]) -> float:
     return _log_int(nonzero_eigenvalue_product_exact(rows))
 
 
-def integer_rows_from_ring_matrix(delta: RingMatrix) -> list:
-    """Extract the integer coefficient matrix of a trivial-group matrix."""
-    if not isinstance(delta.group, TrivialGroup):
-        raise WrongGroup(f"expected the trivial group, got {delta.group}")
-    out = []
-    for row in delta.entries:
-        r = []
-        for e in row:
-            c = e.trace_coeff()
-            if c.im != 0:
-                raise ValueError("complex entry in integer-matrix oracle")
-            r.append(c.re)
-        out.append(r)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # free abelian groups: torus symbol quadrature
 # ---------------------------------------------------------------------------
@@ -143,12 +129,10 @@ def _require_free_abelian(delta: RingMatrix) -> int:
     return delta.group.rank
 
 
-def torus_symbol_eigenvalues(
-    delta: RingMatrix, grid_per_dim: int, offset: float = 0.5
-) -> np.ndarray:
-    """Eigenvalues of the Fourier symbol on a midpoint-offset torus grid.
+def torus_symbol_eigenvalues(delta: RingMatrix, grid_per_dim: int) -> np.ndarray:
+    """Eigenvalues of the Fourier symbol on the midpoint torus grid.
 
-    Substitutes generator k -> z_k = exp(2*pi*i*(j_k + offset)/m) for every
+    Substitutes generator k -> z_k = exp(2*pi*i*(j_k + 1/2)/m) for every
     grid multi-index j and stacks the eigenvalues of the resulting d x d
     Hermitian values; shape (m^n * d,), sorted ascending.
     """
@@ -157,57 +141,43 @@ def torus_symbol_eigenvalues(
     if m < 1:
         raise ValueError("grid_per_dim must be >= 1")
     points = m ** n
-    theta_1d = 2.0 * np.pi * (np.arange(m) + offset) / m
+    theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
     if n:
         mesh = np.meshgrid(*([theta_1d] * n), indexing="ij")
         theta = np.stack(mesh, axis=-1).reshape(points, n)
     else:
         theta = np.zeros((1, 0))
-    d = delta.rows
-    symbol = np.zeros((points, d, d), dtype=np.complex128)
-    for k in range(d):
-        for l in range(d):
-            for g, c in delta.entries[k][l].terms.items():
-                exps = np.asarray(g, dtype=np.float64)
-                phase = np.exp(1j * (theta @ exps)) if n else np.ones(1)
-                symbol[:, k, l] += complex(c) * phase
-    w = np.linalg.eigvalsh(symbol)
-    return np.sort(w.ravel())
+
+    def phase(g):
+        exps = np.asarray(g, dtype=np.float64)
+        return np.exp(1j * (theta @ exps)) if n else np.ones(1)
+
+    return _symbol_eigenvalues(delta, points, phase)
 
 
-def torus_eigen_result(
-    delta: RingMatrix, grid_per_dim: int, kernel_threshold: Optional[float] = None
-) -> EigenResult:
+def torus_eigen_result(delta: RingMatrix, grid_per_dim: int) -> EigenResult:
     n = _require_free_abelian(delta)
-    if kernel_threshold is None:
-        kernel_threshold = default_kernel_threshold(delta)
     w = torus_symbol_eigenvalues(delta, grid_per_dim)
-    return EigenResult(w, int(grid_per_dim) ** n, kernel_threshold)
+    return EigenResult(w, int(grid_per_dim) ** n, default_kernel_threshold(delta))
 
 
-def torus_density(
-    delta: RingMatrix, grid_per_dim: int, kernel_threshold: Optional[float] = None
-) -> SpectralDensity:
+def torus_density(delta: RingMatrix, grid_per_dim: int) -> SpectralDensity:
     """Quadrature approximation of the spectral density over Z^n."""
-    return density_from_eigs(torus_eigen_result(delta, grid_per_dim, kernel_threshold))
+    return density_from_eigs(torus_eigen_result(delta, grid_per_dim))
 
 
-def torus_logdet(
-    delta: RingMatrix, grid_per_dim: int, kernel_threshold: Optional[float] = None
-) -> float:
+def torus_logdet(delta: RingMatrix, grid_per_dim: int) -> float:
     """Quadrature approximation of the log Fuglede-Kadison determinant.
 
     Sums log of the strictly positive symbol eigenvalues.  No magnitude
-    cutoff is applied by default: genuinely small eigenvalues near a
-    high-order zero of the symbol carry a real contribution to the integral,
-    and masking them by the density's kernel threshold would bias the value
-    upward by an amount that does not vanish with the grid.  Values that
-    round to zero or below (only possible at an exact symbol kernel, which
-    the midpoint grid avoids) are skipped; pass kernel_threshold to restore
-    an explicit cutoff.
+    cutoff is applied: genuinely small eigenvalues near a high-order zero of
+    the symbol carry a real contribution to the integral, and masking them
+    by the density's kernel threshold would bias the value upward by an
+    amount that does not vanish with the grid.  Values that round to zero or
+    below (only possible at an exact symbol kernel, which the midpoint grid
+    avoids) are skipped.
     """
-    cutoff = 0.0 if kernel_threshold is None else kernel_threshold
-    return log_det(torus_eigen_result(delta, grid_per_dim, cutoff))
+    return log_det(replace(torus_eigen_result(delta, grid_per_dim), kernel_threshold=0.0))
 
 
 def torus_logdet_report(delta: RingMatrix, grid_per_dim: int) -> dict:

@@ -35,12 +35,14 @@ from .errors import (
 )
 from .groupring import GaussianRational
 from .groups import FreeAbelianGroup, Group, Homomorphism, free_abelian_quotient
-from .matrices import RingMatrix, k_bound, matrix_power, positive_square, trace
+from .matrices import RingMatrix, k_bound, positive_square, trace
 from .oracles import torus_density, torus_logdet_report
 from .spectral import (
     EigenResult,
     SpectralDensity,
+    _translation_matrix,
     betti,
+    default_kernel_threshold,
     density_from_eigs,
     finite_spectrum,
     hermitian_eigenvalues,
@@ -139,11 +141,6 @@ class FolnerExhaustion:
             m = self.box_sizes[index]
             return list(itertools.product(range(-m, m + 1), repeat=self.group.rank))
         return list(self.explicit_sets[index])
-
-    def size_at(self, index: int) -> int:
-        if self.box_sizes is not None:
-            return (2 * self.box_sizes[index] + 1) ** self.group.rank
-        return len(self.explicit_sets[index])
 
     def defect(self, index: int, k: int) -> float:
         """|N_k(X)| / |X| where N_k(X) is the two-sided k-collar of the
@@ -302,7 +299,6 @@ def run_tower(
     *,
     kernel_threshold: Optional[float] = None,
     exact_powers: Sequence[int] = (1, 2, 3),
-    method: str = "auto",
 ) -> list:
     """Push a self-adjoint matrix down a tower and report every level.
 
@@ -316,7 +312,7 @@ def run_tower(
     if not delta.is_self_adjoint():
         raise SchemeError("run_tower expects a self-adjoint (A*A) matrix")
     kb = k_bound(delta)
-    thr = kernel_threshold if kernel_threshold is not None else 1e-9 * max(1.0, kb)
+    thr = kernel_threshold if kernel_threshold is not None else default_kernel_threshold(delta)
     powers = tuple(sorted(set(int(m) for m in exact_powers)))
     ref_traces, ref_supports = _reference_traces(delta, powers)
 
@@ -324,24 +320,21 @@ def run_tower(
     for phi, label in zip(tower.levels, tower.labels):
         t0 = time.perf_counter()
         delta_i = delta.push_forward(phi)
-        eig = finite_spectrum(delta_i, kernel_threshold=thr, method=method)
-        exact_traces = {}
+        eig = finite_spectrum(delta_i, kernel_threshold=thr)
+        exact_traces, _ = _reference_traces(delta_i, powers)
         certified = {}
         for m in powers:
             ok = phi.kernel_avoids(ref_supports[m])
             certified[m] = ok
-            level_tr = trace(matrix_power(delta_i, m))
-            exact_traces[m] = level_tr
-            if ok:
-                if level_tr != ref_traces[m]:
-                    raise SchemeError(
-                        f"certified level {label} trace of power {m} "
-                        f"({level_tr}) differs from the exact value {ref_traces[m]}"
-                    )
-            else:
+            if not ok:
                 warnings.warn(
                     f"level {label} does not certify injectivity for power {m}",
                     InjectivityUncertified,
+                )
+            elif exact_traces[m] != ref_traces[m]:
+                raise SchemeError(
+                    f"certified level {label} trace of power {m} "
+                    f"({exact_traces[m]}) differs from the exact value {ref_traces[m]}"
                 )
         reports.append(_level_report(label, eig, kb, t0, exact_traces, certified))
     return reports
@@ -362,21 +355,7 @@ def compress(delta: RingMatrix, window: Sequence) -> tuple:
     if not isinstance(group, FreeAbelianGroup):
         raise WrongGroup(f"compress needs a matrix over Z^n, got {group}")
     window = list(window)
-    index = {x: i for i, x in enumerate(window)}
-    nw = len(window)
-    real = all(e.is_real() for row in delta.entries for e in row)
-    dtype = np.float64 if real else np.complex128
-    h = np.zeros((delta.rows * nw, delta.cols * nw), dtype=dtype)
-    for k in range(delta.rows):
-        for l in range(delta.cols):
-            for g, c in delta.entries[k][l].terms.items():
-                cval = float(c.re) if real else complex(c)
-                for v, y in enumerate(window):
-                    x = tuple(a + b for a, b in zip(y, g))
-                    u = index.get(x)
-                    if u is not None:
-                        h[k * nw + u, l * nw + v] += cval
-    return h, nw
+    return _translation_matrix(delta, window), len(window)
 
 
 def _support_radius(delta: RingMatrix) -> int:
@@ -447,7 +426,7 @@ def run_folner(
     if not delta.is_self_adjoint():
         raise SchemeError("run_folner expects a self-adjoint matrix")
     kb = k_bound(delta)
-    thr = kernel_threshold if kernel_threshold is not None else 1e-9 * max(1.0, kb)
+    thr = kernel_threshold if kernel_threshold is not None else default_kernel_threshold(delta)
     powers = tuple(sorted(set(int(m) for m in trace_powers)))
     support_radius = _support_radius(delta)
 

@@ -8,14 +8,13 @@ right-continuous spectral step functions with normalized total mass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InfiniteGroup, MalformedGroup, NotHermitian
-from .groups import Group, Homomorphism
+from .groups import Homomorphism
 from .matrices import RingMatrix, k_bound
 
 DEFAULT_EIG_TOL = 1e-12
@@ -25,6 +24,31 @@ KERNEL_THRESHOLD_FACTOR = 1e-9
 def default_kernel_threshold(delta: RingMatrix) -> float:
     """Relative zero-eigenvalue cutoff: 1e-9 times the a-priori norm bound."""
     return KERNEL_THRESHOLD_FACTOR * max(1.0, k_bound(delta))
+
+
+def _translation_matrix(delta: RingMatrix, points: Sequence) -> np.ndarray:
+    """Left multiplication by a group-ring matrix, restricted to a point list.
+
+    Entry ((k, u), (l, v)) sums the coefficients c of the terms c*g of
+    entry (k, l) with ``g * points[v] == points[u]``; products that leave the
+    list are dropped.  Real float64 when every coefficient is real,
+    complex128 otherwise.
+    """
+    index = {x: i for i, x in enumerate(points)}
+    n = len(points)
+    real = all(e.is_real() for row in delta.entries for e in row)
+    dtype = np.float64 if real else np.complex128
+    h = np.zeros((delta.rows * n, delta.cols * n), dtype=dtype)
+    mul = delta.group.multiply
+    for k in range(delta.rows):
+        for l in range(delta.cols):
+            for g, c in delta.entries[k][l].terms.items():
+                cval = float(c.re) if real else complex(c)
+                for v, y in enumerate(points):
+                    u = index.get(mul(g, y))
+                    if u is not None:
+                        h[k * n + u, l * n + v] += cval
+    return h
 
 
 def regular_representation(delta: RingMatrix) -> np.ndarray:
@@ -38,20 +62,7 @@ def regular_representation(delta: RingMatrix) -> np.ndarray:
     group = delta.group
     if not group.is_finite:
         raise InfiniteGroup(f"regular representation needs a finite group, got {group}")
-    elems = group.elements()
-    n = len(elems)
-    index = {g: i for i, g in enumerate(elems)}
-    real = all(e.is_real() for row in delta.entries for e in row)
-    dtype = np.float64 if real else np.complex128
-    h = np.zeros((delta.rows * n, delta.cols * n), dtype=dtype)
-    mul = group.multiply
-    for k in range(delta.rows):
-        for l in range(delta.cols):
-            for g, c in delta.entries[k][l].terms.items():
-                cval = float(c.re) if real else complex(c)
-                for v, gv in enumerate(elems):
-                    h[k * n + index[mul(g, gv)], l * n + v] += cval
-    return h
+    return _translation_matrix(delta, group.elements())
 
 
 def _require_hermitian(h: np.ndarray, tol: float) -> np.ndarray:
@@ -71,54 +82,6 @@ def hermitian_eigenvalues(h: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> np.nda
     if h.size == 0:
         return np.zeros(0)
     return np.linalg.eigvalsh(h)
-
-
-def jacobi_eigenvalues(h: np.ndarray, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = 100) -> np.ndarray:
-    """Cyclic Jacobi eigenvalues of a Hermitian matrix.
-
-    Self-contained cross-check for the LAPACK backend; complex input is
-    handled through the 2n real embedding [[Re, -Im], [Im, Re]], whose
-    spectrum is that of the input with every eigenvalue doubled.  Converges
-    when the off-diagonal Frobenius norm drops below tol times the Frobenius
-    norm of the input.  Intended for modest sizes (n up to a few hundred).
-    """
-    h = _require_hermitian(h, tol)
-    if h.size == 0:
-        return np.zeros(0)
-    if np.iscomplexobj(h):
-        a = np.block([[h.real, -h.imag], [h.imag, h.real]])
-        w = jacobi_eigenvalues(a, tol=tol, max_sweeps=max_sweeps)
-        return w[::2]
-    a = np.array(h, dtype=np.float64)
-    n = a.shape[0]
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0 or n == 1:
-        return np.sort(np.diag(a))
-    threshold = tol * norm
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off < threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-    else:
-        raise ArithmeticError(f"Jacobi sweep limit {max_sweeps} reached before convergence")
-    return np.sort(np.diag(a))
 
 
 @dataclass(frozen=True)
@@ -173,12 +136,6 @@ class SpectralDensity:
             else:
                 break
         return acc / self.denom
-
-    def jump_points(self) -> list:
-        return [pos for pos, _ in self.jumps]
-
-    def masses(self) -> list:
-        return [count / self.denom for _, count in self.jumps]
 
     def rows(self) -> list:
         """(lambda, F(lambda)) pairs at the jump points, cumulative."""
@@ -241,8 +198,24 @@ def log_det(e: EigenResult) -> float:
     return float(np.sum(np.log(positive))) / e.denom
 
 
-def character_spectrum_available(group: Group) -> bool:
-    return group.cyclic_factors() is not None
+def _symbol_eigenvalues(delta: RingMatrix, points: int, phase) -> np.ndarray:
+    """Sorted eigenvalues of a Fourier symbol sampled at ``points`` characters.
+
+    ``phase(g)`` is the array of values of the characters at group element
+    g; the symbol at each character is the d x d matrix of sums of
+    c * phase(g) over the terms c*g of each entry.
+    """
+    d = delta.rows
+    symbol = np.zeros((points, d, d), dtype=np.complex128)
+    for k in range(d):
+        for l in range(d):
+            for g, c in delta.entries[k][l].terms.items():
+                # z lives until the next phase exists; freed inside the update,
+                # its block would go back to the OS and be faulted in again
+                z = phase(g)
+                symbol[:, k, l] += complex(c) * z
+    w = np.linalg.eigvalsh(symbol)
+    return np.sort(w.ravel())
 
 
 def character_spectrum(delta: RingMatrix) -> np.ndarray:
@@ -257,53 +230,37 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
     factors = group.cyclic_factors()
     if factors is None:
         raise MalformedGroup(f"{group} is not a product of cyclic groups")
-    total = 1
-    for n in factors:
-        total *= n
+    total = group.order
     r = len(factors)
     if r:
         grids = np.meshgrid(*[np.arange(n) for n in factors], indexing="ij")
         kmesh = np.stack(grids, axis=-1).reshape(total, r).astype(np.float64)
     else:
         kmesh = np.zeros((1, 0))
-    d = delta.rows
-    symbol = np.zeros((total, d, d), dtype=np.complex128)
-    for k in range(d):
-        for l in range(d):
-            for g, c in delta.entries[k][l].terms.items():
-                exps = np.asarray(group.exponents(g), dtype=np.float64)
-                phase = np.exp(
-                    -2j * np.pi * (kmesh @ (exps / np.asarray(factors, dtype=np.float64)))
-                ) if r else np.ones(1)
-                symbol[:, k, l] += complex(c) * phase
-    w = np.linalg.eigvalsh(symbol)
-    return np.sort(w.ravel())
+    orders = np.asarray(factors, dtype=np.float64)
+
+    def phase(g):
+        exps = np.asarray(group.exponents(g), dtype=np.float64)
+        return np.exp(-2j * np.pi * (kmesh @ (exps / orders))) if r else np.ones(1)
+
+    return _symbol_eigenvalues(delta, total, phase)
 
 
-def finite_spectrum(
-    delta: RingMatrix,
-    kernel_threshold: Optional[float] = None,
-    method: str = "auto",
-    eig_tol: float = DEFAULT_EIG_TOL,
-) -> EigenResult:
+def finite_spectrum(delta: RingMatrix, kernel_threshold: Optional[float] = None) -> EigenResult:
     """Spectrum of a self-adjoint matrix over a finite group.
 
-    method: "dense" assembles the regular representation, "character" uses
-    the cyclic-product shortcut, "auto" picks character when available.
+    Products of cyclic groups take the character path, every other finite
+    group the dense regular representation.
     """
     group = delta.group
     if not group.is_finite:
         raise InfiniteGroup(f"finite_spectrum needs a finite group, got {group}")
     if kernel_threshold is None:
         kernel_threshold = default_kernel_threshold(delta)
-    if method == "auto":
-        method = "character" if character_spectrum_available(group) else "dense"
-    if method == "character":
+    if group.cyclic_factors() is not None:
         w = character_spectrum(delta)
-    elif method == "dense":
-        w = hermitian_eigenvalues(regular_representation(delta), tol=eig_tol)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        w = hermitian_eigenvalues(regular_representation(delta))
     return EigenResult(np.asarray(w), group.order, kernel_threshold)
 
 

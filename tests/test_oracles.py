@@ -11,9 +11,12 @@ from l2approx import (
     RingMatrix,
     betti,
     char_poly_exact,
+    cyclic_quotient,
+    hermitian_eigenvalues,
     mahler_1x1,
     nonzero_eigenvalue_product_exact,
     positive_square,
+    regular_representation,
     torus_density,
     torus_logdet,
     trivial_group_logdet_exact,
@@ -105,6 +108,25 @@ def test_torus_two_variables():
     w = torus_symbol_eigenvalues(delta, 32)
     assert len(w) == 32 * 32
     assert w.min() > 0 and w.max() <= 8 + 1e-9
+
+
+def test_torus_symbol_matches_dense_regular_representation():
+    # the characters of Z/2m are those of Z/m (even) and the midpoint grid
+    # of the torus oracle (odd), so the dense spectrum over Z/2m is the
+    # union of the dense spectrum over Z/m and the torus symbol spectrum
+    z = FreeAbelianGroup(1)
+    t = RingElement.delta(z, (1,))
+    i = RingElement.scalar(z, 1j)
+    a = RingMatrix(z, [[1 - t, i * t], [2 + t.star(), 1j - t * t]])
+    delta = positive_square(a)
+
+    def dense(n):
+        return hermitian_eigenvalues(regular_representation(delta.push_forward(cyclic_quotient(n))))
+
+    for m in (4, 8, 16):
+        fine = dense(2 * m)
+        union = np.sort(np.concatenate([dense(m), torus_symbol_eigenvalues(delta, m)]))
+        assert np.allclose(fine, union, rtol=0, atol=1e-12)
 
 
 def test_torus_logdet_2d_lattice_laplacian_closed_form():

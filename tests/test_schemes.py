@@ -99,6 +99,24 @@ def test_compress_examples(z_laplacian, z_group):
     shift = RingMatrix.from_element(RingElement.delta(z_group, (1,)))
     h_shift, _ = compress(shift, [(-1,), (0,), (1,)])
     assert np.allclose(h_shift, np.diag([1.0, 1.0], -1))
+    # complex, non-diagonal 2x2 over Z^2 on an l1-ball: entry ((k,x),(l,y))
+    # is the coefficient of x - y in Delta_kl
+    z2 = FreeAbelianGroup(2)
+    a = RingElement.delta(z2, (1, 0))
+    b = RingElement.delta(z2, (0, 1))
+    alpha = RingElement.scalar(z2, complex(0.5, -1.5))
+    delta = RingMatrix(z2, [[alpha * a + 2, b * b - a.star()], [a * b, alpha * b.star()]])
+    ball = [(i, j) for i in range(-2, 3) for j in range(-2, 3) if abs(i) + abs(j) <= 2]
+    h, nw = compress(delta, ball)
+    assert nw == len(ball) and h.dtype == np.complex128
+    for k in range(2):
+        for l in range(2):
+            terms = delta.entries[k][l].terms
+            for u, x in enumerate(ball):
+                for v, y in enumerate(ball):
+                    diff = (x[0] - y[0], x[1] - y[1])
+                    coeff = complex(terms[diff]) if diff in terms else 0j
+                    assert h[k * nw + u, l * nw + v] == coeff
 
 
 def test_box_defect_examples():

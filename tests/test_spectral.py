@@ -16,7 +16,6 @@ from l2approx import (
     density_from_eigs,
     finite_spectrum,
     hermitian_eigenvalues,
-    jacobi_eigenvalues,
     log_det,
     product_group,
     regular_representation,
@@ -24,7 +23,12 @@ from l2approx import (
     trace_poly_exact,
 )
 from l2approx.errors import InfiniteGroup, NotHermitian
-from l2approx.spectral import character_spectrum, densities_match
+from l2approx.spectral import (
+    DEFAULT_EIG_TOL,
+    _require_hermitian,
+    character_spectrum,
+    densities_match,
+)
 
 from conftest import SEED, random_self_adjoint
 
@@ -42,7 +46,7 @@ def test_regular_representation_circulant(z4_circulant):
     assert np.allclose(h, h.T)
 
 
-def test_regular_representation_identity_and_shift():
+def test_regular_representation_identity_and_shift(s3):
     group = CyclicGroup(5)
     ident = RingMatrix.identity(group, 3)
     assert np.allclose(regular_representation(ident), np.eye(15))
@@ -51,6 +55,21 @@ def test_regular_representation_identity_and_shift():
     assert h.shape == (5, 5)
     assert np.allclose(h @ h.T, np.eye(5))  # permutation matrix
     assert np.allclose(h.sum(axis=0), 1)
+    # a non-central element of S3 tells left from right multiplication
+    elems = s3.elements()
+    idx = {x: i for i, x in enumerate(elems)}
+    g = next(
+        x for x in elems if any(s3.multiply(x, y) != s3.multiply(y, x) for y in elems)
+    )
+    h = regular_representation(RingMatrix.from_element(RingElement.delta(s3, g)))
+    expected = np.zeros((len(elems), len(elems)))
+    for y in elems:
+        expected[idx[s3.multiply(g, y)], idx[y]] = 1.0
+    assert np.array_equal(h, expected)
+    right = np.zeros_like(expected)
+    for y in elems:
+        right[idx[s3.multiply(y, g)], idx[y]] = 1.0
+    assert not np.array_equal(h, right)
 
 
 def test_regular_representation_infinite_raises(z_laplacian):
@@ -65,6 +84,54 @@ def test_hermitian_eigenvalues_examples(z4_circulant):
     assert np.allclose(hermitian_eigenvalues(np.zeros((4, 4))), np.zeros(4))
     with pytest.raises(NotHermitian):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def jacobi_eigenvalues(h: np.ndarray, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = 100) -> np.ndarray:
+    """Cyclic Jacobi eigenvalues of a Hermitian matrix.
+
+    Self-contained cross-check for the LAPACK backend; complex input is
+    handled through the 2n real embedding [[Re, -Im], [Im, Re]], whose
+    spectrum is that of the input with every eigenvalue doubled.  Converges
+    when the off-diagonal Frobenius norm drops below tol times the Frobenius
+    norm of the input.  Intended for modest sizes (n up to a few hundred).
+    """
+    h = _require_hermitian(h, tol)
+    if h.size == 0:
+        return np.zeros(0)
+    if np.iscomplexobj(h):
+        a = np.block([[h.real, -h.imag], [h.imag, h.real]])
+        w = jacobi_eigenvalues(a, tol=tol, max_sweeps=max_sweeps)
+        return w[::2]
+    a = np.array(h, dtype=np.float64)
+    n = a.shape[0]
+    norm = float(np.linalg.norm(a))
+    if norm == 0.0 or n == 1:
+        return np.sort(np.diag(a))
+    threshold = tol * norm
+    for _ in range(max_sweeps):
+        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
+        if off < threshold:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) < 1e-300:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+    else:
+        raise ArithmeticError(f"Jacobi sweep limit {max_sweeps} reached before convergence")
+    return np.sort(np.diag(a))
 
 
 def test_jacobi_matches_lapack():
