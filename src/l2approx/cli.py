@@ -37,7 +37,7 @@ from .jsonio import (
     parse_problem,
 )
 from .matrices import k_bound, trace_poly
-from .oracles import torus_density, torus_logdet_report
+from .oracles import torus_density, torus_eigen_result, torus_logdet_report
 from .schemes import (
     FolnerExhaustion,
     QuotientTower,
@@ -209,13 +209,15 @@ def cmd_approx(args) -> int:
             and problem.matrix.is_self_adjoint()
         )
         if oracle_available:
-            report["oracle"] = torus_logdet_report(problem.matrix, grid)
+            # one fine-grid solve serves the oracle logdet and the squeeze density
+            oracle_eig = torus_eigen_result(problem.matrix, grid)
+            report["oracle"] = torus_logdet_report(problem.matrix, grid, oracle_eig)
         if "squeeze" in checks:
             if not oracle_available:
                 raise ProblemFormatError(
                     "squeeze needs a self-adjoint matrix over a free abelian group"
                 )
-            oracle_density = torus_density(problem.matrix, grid)
+            oracle_density = density_from_eigs(oracle_eig)
             verdicts["squeeze"] = squeeze_check(reports, oracle_density, lam_grid, tol=tol)
             failed = failed or not verdicts["squeeze"]["ok"]
         if "sintapr" in checks:

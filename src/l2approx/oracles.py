@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -180,9 +180,17 @@ def torus_logdet(delta: RingMatrix, grid_per_dim: int) -> float:
     return log_det(replace(torus_eigen_result(delta, grid_per_dim), kernel_threshold=0.0))
 
 
-def torus_logdet_report(delta: RingMatrix, grid_per_dim: int) -> dict:
-    """Log determinant with a two-grid Richardson-style error estimate."""
-    value = torus_logdet(delta, grid_per_dim)
+def torus_logdet_report(
+    delta: RingMatrix, grid_per_dim: int, fine: Optional[EigenResult] = None
+) -> dict:
+    """Log determinant with a two-grid Richardson-style error estimate.
+
+    ``fine`` is ``torus_eigen_result(delta, grid_per_dim)`` when the caller
+    already has it; it is solved here otherwise.
+    """
+    if fine is None:
+        fine = torus_eigen_result(delta, grid_per_dim)
+    value = log_det(replace(fine, kernel_threshold=0.0))
     coarse_grid = max(1, grid_per_dim // 2)
     coarse = torus_logdet(delta, coarse_grid)
     return {

@@ -147,37 +147,35 @@ class SpectralDensity:
         return out
 
 
+def _cluster_jumps(seg: np.ndarray, thr: float) -> list:
+    """(mean, count) jumps of a sorted segment, split where a gap exceeds thr."""
+    if not len(seg):
+        return []
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(seg) > thr) + 1))
+    counts = np.diff(np.append(starts, len(seg)))
+    means = np.add.reduceat(seg, starts) / counts
+    return list(zip(means.tolist(), counts.tolist()))
+
+
 def density_from_eigs(e: EigenResult) -> SpectralDensity:
     """Cluster an eigenvalue list into spectral jumps.
 
-    Eigenvalues within the kernel threshold of zero form a jump at exactly
-    0; the rest merge whenever the gap to the running cluster is at most the
-    threshold, and the cluster is placed at its mean.
+    Eigenvalues in the kernel window [-thr, thr] (thr the kernel threshold)
+    form one jump at exactly 0.  Outside it, a new jump starts wherever the
+    gap to the previous eigenvalue exceeds thr, so one jump can span more
+    than thr; the kernel window cuts such chains.  Each jump sits at the
+    mean of its eigenvalues, summed in ascending order.
     """
     w = np.sort(np.asarray(e.eigenvalues, dtype=np.float64))
     thr = e.kernel_threshold
-    jumps = []
     below = int(np.searchsorted(w, -thr, side="left"))
     kernel = int(np.searchsorted(w, thr, side="right")) - below
-    i = 0
-    while i < below:
-        # genuinely negative spectrum (non-positive input); cluster as usual
-        j = i + 1
-        while j < below and w[j] - w[j - 1] <= thr:
-            j += 1
-        jumps.append((float(np.mean(w[i:j])), j - i))
-        i = j
-    # eigenvalues within the threshold of zero are the kernel; A*A spectra
-    # may round slightly negative
+    # below the window: genuinely negative spectrum (non-positive input);
+    # inside it: the kernel, since A*A spectra may round slightly negative
+    jumps = _cluster_jumps(w[:below], thr)
     if kernel:
         jumps.append((0.0, kernel))
-    i = below + kernel
-    while i < len(w):
-        j = i + 1
-        while j < len(w) and w[j] - w[j - 1] <= thr:
-            j += 1
-        jumps.append((float(np.mean(w[i:j])), j - i))
-        i = j
+    jumps += _cluster_jumps(w[below + kernel:], thr)
     return SpectralDensity(tuple(jumps), e.denom)
 
 

@@ -219,3 +219,15 @@ def test_fixture_report_matches_seed(command, name, capsys):
     # default reports of the bundled fixtures are fixed byte for byte
     assert main([command, fixture_path(f"{name}.json")]) == 0
     assert capsys.readouterr().out.encode() == (SEED_REPORTS / f"{name}.out").read_bytes()
+
+
+DENSITY_SEED = Path(__file__).resolve().parent / "data" / "density_seed"
+
+
+@pytest.mark.parametrize("mode", ["csv", "json"])
+@pytest.mark.parametrize("name", ["complex_shift", "subgroup_z2_z4", "zd_folner", "zd_laplacian"])
+def test_fixture_density_matches_seed(name, mode, capsys):
+    # the density command prints jump positions, so its output is fixed byte for byte
+    argv = ["density", fixture_path(f"{name}.json")] + (["--json"] if mode == "json" else [])
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (DENSITY_SEED / f"{name}.{mode}").read_bytes()

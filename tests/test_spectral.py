@@ -185,6 +185,99 @@ def test_density_examples(z4_circulant):
     assert log_det(finite_spectrum(zero)) == 0.0
 
 
+def _density_jumps_loop(e: EigenResult) -> tuple:
+    """Per-cluster loop that density_from_eigs replaced; the reference below."""
+    w = np.sort(np.asarray(e.eigenvalues, dtype=np.float64))
+    thr = e.kernel_threshold
+    jumps = []
+    below = int(np.searchsorted(w, -thr, side="left"))
+    kernel = int(np.searchsorted(w, thr, side="right")) - below
+    i = 0
+    while i < below:
+        # genuinely negative spectrum (non-positive input); cluster as usual
+        j = i + 1
+        while j < below and w[j] - w[j - 1] <= thr:
+            j += 1
+        jumps.append((float(np.mean(w[i:j])), j - i))
+        i = j
+    # eigenvalues within the threshold of zero are the kernel; A*A spectra
+    # may round slightly negative
+    if kernel:
+        jumps.append((0.0, kernel))
+    i = below + kernel
+    while i < len(w):
+        j = i + 1
+        while j < len(w) and w[j] - w[j - 1] <= thr:
+            j += 1
+        jumps.append((float(np.mean(w[i:j])), j - i))
+        i = j
+    return tuple(jumps)
+
+
+def _assert_density_matches_loop(values, thr, denom=1):
+    eig = EigenResult(np.asarray(values, dtype=np.float64), denom, thr)
+    got = density_from_eigs(eig).jumps
+    want = _density_jumps_loop(eig)
+    assert [c for _, c in got] == [c for _, c in want]
+    assert all(type(c) is int for _, c in got)
+    for (pos, count), (ref, _) in zip(got, want):
+        assert type(pos) is float
+        if count <= 2:
+            assert pos == ref
+        else:
+            assert math.isclose(pos, ref, rel_tol=1e-13, abs_tol=0.0)
+    return got
+
+
+def test_density_clustering_edge_cases():
+    thr = 0.25
+    assert _assert_density_matches_loop([], thr) == ()
+    assert _assert_density_matches_loop([0.0, -0.1, 0.2, 1e-17], thr) == ((0.0, 4),)
+    assert _assert_density_matches_loop([3.5], thr) == ((3.5, 1),)
+    # a gap of exactly thr merges, the next float above it splits
+    w0, w1 = 1.0, 1.3
+    gap = w1 - w0
+    assert _assert_density_matches_loop([w0, w1], gap) == (((w0 + w1) / 2, 2),)
+    below_gap = float(np.nextafter(gap, -np.inf))
+    assert np.nextafter(below_gap, np.inf) == gap
+    assert _assert_density_matches_loop([w0, w1], below_gap) == ((w0, 1), (w1, 1))
+    # a chain spaced thr/2 is one jump however far it reaches
+    chain = 1.0 + np.arange(400) * (thr / 2)
+    (jump,) = _assert_density_matches_loop(chain, thr)
+    assert jump[1] == 400 and chain[-1] - chain[0] > 100 * thr
+    # the kernel window cuts a chain that runs through it
+    through = np.arange(-0.6, 0.61, 0.12)
+    jumps = _assert_density_matches_loop(through, thr)
+    assert [c for _, c in jumps] == [3, 5, 3]
+    assert jumps[0][0] < -thr and jumps[1][0] == 0.0 and jumps[2][0] > thr
+    # values at exactly -thr and thr belong to the kernel, their neighbours do not
+    edges = [float(np.nextafter(-thr, -np.inf)), -thr, thr, float(np.nextafter(thr, np.inf))]
+    jumps = _assert_density_matches_loop(edges, thr)
+    assert jumps == ((edges[0], 1), (0.0, 2), (edges[3], 1))
+    # clusters of 1, 2, 3, 9 and 200 values, far apart
+    rng = np.random.default_rng(SEED)
+    sizes = (1, 2, 3, 9, 200)
+    values = np.concatenate(
+        [5.0 * (k + 1) + rng.uniform(0.0, 1.0, size) for k, size in enumerate(sizes)]
+    )
+    jumps = _assert_density_matches_loop(values, 1.0)
+    assert [c for _, c in jumps] == list(sizes)
+
+
+def test_density_clustering_matches_loop_on_random_lists():
+    rng = np.random.default_rng(SEED + 2)
+    for _ in range(40):
+        thr = float(10.0 ** rng.uniform(-9, -1))
+        centres = rng.uniform(-3.0, 6.0, rng.integers(1, 30))
+        sizes = rng.integers(1, 60, len(centres))
+        spreads = thr * rng.uniform(0.0, 3.0, len(centres))
+        values = np.concatenate(
+            [c + s * rng.standard_normal(n) for c, n, s in zip(centres, sizes, spreads)]
+            + [thr * rng.uniform(-1.0, 1.0, rng.integers(0, 5))]
+        )
+        _assert_density_matches_loop(rng.permutation(values), thr, denom=int(rng.integers(1, 9)))
+
+
 def test_total_mass_is_exact(s3):
     rng = random.Random(SEED + 1)
     for group in (CyclicGroup(3), CyclicGroup(7), s3):
