@@ -187,6 +187,13 @@ def cmd_approx(args) -> int:
         failed = failed or not ok
     if isinstance(scheme, QuotientTower):
         report["scheme"] = {"type": "tower", "levels": scheme.labels}
+        oracle_available = (
+            isinstance(problem.group, FreeAbelianGroup)
+            and problem.matrix.is_self_adjoint()
+        )
+        # one fine-grid solve serves the oracle logdet, the squeeze density
+        # and the complex verdict
+        oracle_eig = torus_eigen_result(problem.matrix, grid) if oracle_available else None
         if "whitehead" in checks:
             if problem.inverse is None:
                 raise ProblemFormatError("whitehead check needs an 'inverse' matrix")
@@ -198,19 +205,13 @@ def cmd_approx(args) -> int:
             failed = failed or not verdict["ok"]
         elif "complex" in checks:
             reports, verdict = complex_tower_run(
-                problem.matrix, scheme, oracle_grid=grid, tol=tol
+                problem.matrix, scheme, oracle_grid=grid, tol=tol, oracle=oracle_eig
             )
             verdicts["complex"] = verdict
             failed = failed or not verdict["ok"]
         else:
             reports = run_tower(problem.matrix, scheme, kernel_threshold=eps)
-        oracle_available = (
-            isinstance(problem.group, FreeAbelianGroup)
-            and problem.matrix.is_self_adjoint()
-        )
         if oracle_available:
-            # one fine-grid solve serves the oracle logdet and the squeeze density
-            oracle_eig = torus_eigen_result(problem.matrix, grid)
             report["oracle"] = torus_logdet_report(problem.matrix, grid, oracle_eig)
         if "squeeze" in checks:
             if not oracle_available:

@@ -26,7 +26,8 @@ class DimensionMismatch(L2ApproxError):
 
 
 class NotHermitian(L2ApproxError):
-    """A numeric matrix deviates from Hermitian symmetry beyond tolerance."""
+    """A ring matrix is not exactly self-adjoint, or a numeric matrix deviates
+    from Hermitian symmetry beyond tolerance."""
 
 
 class WrongGroup(L2ApproxError):

@@ -21,6 +21,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     InfiniteGroup,
     MalformedGroup,
@@ -275,11 +277,46 @@ class FreeGroup(Group):
         return f"F_{self.rank}"
 
 
+def _light_associativity(t: np.ndarray, ident: int) -> None:
+    """Light's associativity test on a Latin square t with identity ident.
+
+    The elements a with (x a) y == x (a y) for all x, y are closed under
+    multiplication, so checking a generating set suffices.  Raises
+    MalformedGroup with a witness (x, a, y) on failure.
+    """
+    n = len(t)
+    inside = np.zeros(n, dtype=bool)
+    inside[ident] = True
+    members = np.array([ident])
+    while not inside.all():
+        a = int(np.argmin(inside))
+        bad = np.argwhere(t[t[:, a]] != t[:, t[a]])
+        if len(bad):
+            x, y = bad[0].tolist()
+            raise MalformedGroup(f"table is not associative at ({x},{a},{y})")
+        # close members + {a} under multiplication, one frontier at a time
+        frontier = np.array([a])
+        inside[a] = True
+        while len(frontier):
+            members = np.concatenate((members, frontier))
+            products = np.concatenate(
+                (t[np.ix_(frontier, members)].ravel(), t[np.ix_(members, frontier)].ravel())
+            )
+            frontier = np.unique(products[~inside[products]])
+            inside[frontier] = True
+
+
 class FiniteTableGroup(Group):
     """Finite group given by a full multiplication table over indices 0..n-1.
 
     The table is validated at construction: Latin square, two-sided identity,
     two-sided inverses, and associativity (fail fast on malformed input).
+    Associativity is Light's test: if (x a) y == x (a y) for every x, y and
+    every a in a generating set, the operation is associative.  Generators
+    are chosen greedily, each the smallest element outside the sub-table
+    the previous ones generate; a proper sub-table of a Latin square has at
+    most half its order, so at most log2(n) generators are checked and the
+    whole validation is O(n^2 log n).
     """
 
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None):
@@ -287,37 +324,33 @@ class FiniteTableGroup(Group):
         rows = tuple(tuple(int(x) for x in row) for row in table)
         if any(len(row) != n for row in rows):
             raise MalformedGroup("multiplication table is not square")
-        full = frozenset(range(n))
-        for i, row in enumerate(rows):
-            if frozenset(row) != full:
-                raise MalformedGroup(f"row {i} is not a permutation")
-        for j in range(n):
-            if frozenset(rows[i][j] for i in range(n)) != full:
-                raise MalformedGroup(f"column {j} is not a permutation")
-        ident = None
-        for e in range(n):
-            if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-                ident = e
-                break
-        if ident is None:
+        try:
+            t = np.array(rows, dtype=np.int64).reshape(n, n)
+        except OverflowError:
+            # beyond int64 is out of range anyway; -1 keeps such entries out
+            t = np.array([[x if 0 <= x < n else -1 for x in row] for row in rows])
+        full = np.arange(n)
+        bad = np.flatnonzero((np.sort(t, axis=1) != full).any(axis=1))
+        if len(bad):
+            raise MalformedGroup(f"row {bad[0]} is not a permutation")
+        bad = np.flatnonzero((np.sort(t, axis=0) != full[:, None]).any(axis=0))
+        if len(bad):
+            raise MalformedGroup(f"column {bad[0]} is not a permutation")
+        two_sided = (t == full).all(axis=1) & (t == full[:, None]).all(axis=0)
+        if not two_sided.any():
             raise MalformedGroup("table has no two-sided identity")
-        inv = [None] * n
-        for a in range(n):
-            right = rows[a].index(ident)
-            if rows[right][a] != ident:
-                raise MalformedGroup(f"element {a} has no two-sided inverse")
-            inv[a] = right
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                        raise MalformedGroup(f"table is not associative at ({a},{b},{c})")
+        ident = int(np.argmax(two_sided))
+        inv = np.argmax(t == ident, axis=1)
+        bad = np.flatnonzero(t[inv, full] != ident)
+        if len(bad):
+            raise MalformedGroup(f"element {bad[0]} has no two-sided inverse")
+        _light_associativity(t, ident)
         if names is not None and len(names) != n:
             raise MalformedGroup("names length does not match table order")
         self.table = rows
         self.names = tuple(names) if names is not None else None
         self._identity = ident
-        self._inverse = tuple(inv)
+        self._inverse = tuple(inv.tolist())
 
     def contains(self, g):
         return isinstance(g, int) and not isinstance(g, bool) and 0 <= g < len(self.table)
@@ -414,11 +447,12 @@ def symmetric_group(n: int) -> FiniteTableGroup:
     """S_n as a table group; element i is the i-th permutation of range(n)
     in lexicographic order (so the identity is element 0)."""
     perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[k]] for k in range(n))] for q in perms]
-        for p in perms
-    ]
+    a = np.array(perms, dtype=np.int64).reshape(len(perms), n)
+    # a permutation read as a base-n numeral ranks it lexicographically
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # product p*q is k -> p[q[k]]
+    products = a[:, a] @ weights
+    table = np.searchsorted(a @ weights, products).tolist()
     names = ["".join(str(x) for x in p) for p in perms]
     return FiniteTableGroup(table, names=names)
 

@@ -36,7 +36,7 @@ from .errors import (
 from .groupring import GaussianRational
 from .groups import FreeAbelianGroup, Group, Homomorphism, free_abelian_quotient
 from .matrices import RingMatrix, k_bound, positive_square, trace
-from .oracles import torus_density, torus_logdet_report
+from .oracles import torus_eigen_result, torus_logdet_report
 from .spectral import (
     EigenResult,
     SpectralDensity,
@@ -760,17 +760,22 @@ def complex_tower_run(
     *,
     oracle_grid: int = 1024,
     tol: float = 0.02,
+    oracle: Optional[EigenResult] = None,
 ) -> tuple:
     """Tower pipeline for complex-coefficient matrices over Z^n.
 
     Same per-level computation as run_tower; the verdict compares the tail
     F(0) against the torus-density oracle, which is valid without any
-    integrality assumption over free abelian groups.
+    integrality assumption over free abelian groups.  ``oracle`` is
+    ``torus_eigen_result(delta, oracle_grid)`` when the caller already has
+    it; it is solved here otherwise.
     """
     if not isinstance(delta.group, FreeAbelianGroup):
         raise WrongGroup(f"complex approximation is certified over Z^n, got {delta.group}")
     reports = run_tower(delta, tower)
-    oracle_f0 = betti(torus_density(delta, oracle_grid))
+    if oracle is None:
+        oracle = torus_eigen_result(delta, oracle_grid)
+    oracle_f0 = betti(density_from_eigs(oracle))
     tail_f0 = reports[-1].f0
     verdict = {
         "ok": abs(tail_f0 - oracle_f0) <= tol,

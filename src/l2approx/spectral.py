@@ -1,8 +1,8 @@
 """Finite-level spectral computation.
 
 Converts group-ring matrices over finite groups into Hermitian matrices via
-the left regular representation (or a character-basis shortcut for products
-of cyclic groups), extracts eigenvalue lists, and packages them as
+the left regular representation, block-diagonalised by the characters of
+the group's cyclic factors, extracts eigenvalue lists, and packages them as
 right-continuous spectral step functions with normalized total mass.
 """
 
@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InfiniteGroup, MalformedGroup, NotHermitian
-from .groups import Homomorphism
+from .groups import DirectProductGroup, Group, Homomorphism, TrivialGroup
 from .matrices import RingMatrix, k_bound
 
 DEFAULT_EIG_TOL = 1e-12
@@ -196,39 +196,97 @@ def log_det(e: EigenResult) -> float:
     return float(np.sum(np.log(positive))) / e.denom
 
 
-def _symbol_eigenvalues(delta: RingMatrix, points: int, phase) -> np.ndarray:
-    """Sorted eigenvalues of a Fourier symbol sampled at ``points`` characters.
+def _symbol_eigenvalues(
+    delta: RingMatrix,
+    points: int,
+    phase,
+    h_group: Group = TrivialGroup(),
+    h_part=None,
+    real: bool = False,
+) -> np.ndarray:
+    """Sorted eigenvalues of a stack of ``points`` Fourier-symbol blocks.
 
     ``phase(g)`` is the array of values of the characters at group element
-    g; the symbol at each character is the d x d matrix of sums of
-    c * phase(g) over the terms c*g of each entry.
+    g.  Over G = H x C, with ``h_part(g)`` the H-component of g, block entry
+    ((k, u), (l, v)) sums c * phase(g) over the terms c*g of entry (k, l)
+    whose H-component h has h * H[v] == H[u], H listed by
+    ``h_group.elements()``; with H trivial each block is the d x d value of
+    the symbol.  Real float64 blocks when ``real`` (``phase`` must then be
+    real), complex128 otherwise.
     """
     d = delta.rows
-    symbol = np.zeros((points, d, d), dtype=np.complex128)
+    hs = h_group.elements()
+    n = len(hs)
+    index = {h: i for i, h in enumerate(hs)}
+    # symbol[:, k, l, i]: the part of entry (k, l) supported on H-element i
+    symbol = np.zeros((points, d, d, n), dtype=np.float64 if real else np.complex128)
     for k in range(d):
         for l in range(d):
             for g, c in delta.entries[k][l].terms.items():
+                i = index[h_part(g)] if h_part else 0
                 # z lives until the next phase exists; freed inside the update,
                 # its block would go back to the OS and be faulted in again
                 z = phase(g)
-                symbol[:, k, l] += complex(c) * z
-    w = np.linalg.eigvalsh(symbol)
+                symbol[:, k, l, i] += (float(c.re) if real else complex(c)) * z
+    if n > 1:
+        # H-element i puts its coefficient at (u, v) wherever H[u] = H[i] H[v]
+        blocks = np.zeros((points, d, n, d, n), dtype=symbol.dtype)
+        cols = np.arange(n)
+        for i in np.flatnonzero(symbol.any(axis=(0, 1, 2))).tolist():
+            rows = [index[h_group.multiply(hs[i], y)] for y in hs]
+            blocks[:, :, rows, :, cols] = symbol[..., i]
+        symbol = blocks
+    w = np.linalg.eigvalsh(symbol.reshape(points, d * n, d * n))
     return np.sort(w.ravel())
 
 
-def character_spectrum(delta: RingMatrix) -> np.ndarray:
-    """Eigenvalues of the regular representation via characters.
+def _cyclic_split(group: Group) -> tuple:
+    """G = H x C, C the product of the cyclic factors at the top of G.
 
-    For a finite product of cyclic groups the left regular representation
-    block-diagonalizes over the character grid; each character contributes
-    the d x d Hermitian value of the symbol there.  Spectrally identical to
-    the dense path, at a fraction of the cost.
+    Returns (H, orders of C, h_part, exponents): the H-component of an
+    element and the exponents of its C-component.  Cyclic products have H
+    trivial; a direct product is split only while one side is a cyclic
+    product, so cyclic factors under two non-cyclic sides stay in H.
+    """
+    factors = group.cyclic_factors()
+    if factors is not None:
+        return TrivialGroup(), factors, lambda g: (), group.exponents
+    if isinstance(group, DirectProductGroup):
+        left, right = group.left, group.right
+        if right.cyclic_factors() is not None:
+            h, cf, h_part, exps = _cyclic_split(left)
+            return (
+                h,
+                cf + right.cyclic_factors(),
+                lambda g: h_part(g[0]),
+                lambda g: exps(g[0]) + right.exponents(g[1]),
+            )
+        if left.cyclic_factors() is not None:
+            h, cf, h_part, exps = _cyclic_split(right)
+            return (
+                h,
+                left.cyclic_factors() + cf,
+                lambda g: h_part(g[1]),
+                lambda g: left.exponents(g[0]) + exps(g[1]),
+            )
+    return group, [], lambda g: g, lambda g: ()
+
+
+def character_spectrum(delta: RingMatrix) -> np.ndarray:
+    """Eigenvalues of the regular representation, block-diagonalised.
+
+    G splits as H x C with C the product of the cyclic factors at the top of
+    G (``_cyclic_split``).  The characters of C block-diagonalise the left
+    regular representation into |C| blocks of size d|H|: left
+    multiplication over H, weighted by the character.  Cyclic products give
+    d x d blocks, a bare table one dense block, real when every
+    coefficient is.  Spectrally identical to ``regular_representation``.
     """
     group = delta.group
-    factors = group.cyclic_factors()
-    if factors is None:
-        raise MalformedGroup(f"{group} is not a product of cyclic groups")
-    total = group.order
+    if not group.is_finite:
+        raise InfiniteGroup(f"character spectrum needs a finite group, got {group}")
+    h_group, factors, h_part, exponents = _cyclic_split(group)
+    total = group.order // h_group.order
     r = len(factors)
     if r:
         grids = np.meshgrid(*[np.arange(n) for n in factors], indexing="ij")
@@ -238,28 +296,30 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
     orders = np.asarray(factors, dtype=np.float64)
 
     def phase(g):
-        exps = np.asarray(group.exponents(g), dtype=np.float64)
-        return np.exp(-2j * np.pi * (kmesh @ (exps / orders))) if r else np.ones(1)
+        exps = np.asarray(exponents(g), dtype=np.float64)
+        return np.exp(-2j * np.pi * (kmesh @ (exps / orders))) if total > 1 else np.ones(1)
 
-    return _symbol_eigenvalues(delta, total, phase)
+    # with C trivial a table solves one real block when it can; cyclic
+    # products keep the complex solve they have always had
+    real = (
+        total == 1
+        and group.cyclic_factors() is None
+        and all(e.is_real() for row in delta.entries for e in row)
+    )
+    return _symbol_eigenvalues(delta, total, phase, h_group, h_part, real)
 
 
 def finite_spectrum(delta: RingMatrix, kernel_threshold: Optional[float] = None) -> EigenResult:
-    """Spectrum of a self-adjoint matrix over a finite group.
-
-    Products of cyclic groups take the character path, every other finite
-    group the dense regular representation.
-    """
+    """Spectrum of a self-adjoint matrix over a finite group, via
+    ``character_spectrum``.  Self-adjointness is checked exactly."""
     group = delta.group
     if not group.is_finite:
         raise InfiniteGroup(f"finite_spectrum needs a finite group, got {group}")
+    if not delta.is_self_adjoint():
+        raise NotHermitian(f"{delta} is not self-adjoint")
     if kernel_threshold is None:
         kernel_threshold = default_kernel_threshold(delta)
-    if group.cyclic_factors() is not None:
-        w = character_spectrum(delta)
-    else:
-        w = hermitian_eigenvalues(regular_representation(delta))
-    return EigenResult(np.asarray(w), group.order, kernel_threshold)
+    return EigenResult(character_spectrum(delta), group.order, kernel_threshold)
 
 
 def densities_match(f1: SpectralDensity, f2: SpectralDensity, atol: float = 1e-9):

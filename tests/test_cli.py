@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from l2approx import oracles
 from l2approx.cli import main
 
 FIXTURES = resources.files("l2approx") / "fixtures"
@@ -125,6 +126,22 @@ def test_approx_complex_fixture(tmp_path):
     report = json.loads(out.read_text())
     assert report["verdicts"]["complex"]["ok"]
     assert all(level["f0"] == 0.0 for level in report["levels"])
+
+
+def test_approx_complex_solves_oracle_grid_once(monkeypatch, capsys):
+    # the complex verdict and the oracle logdet share one fine-grid solve;
+    # the coarse grid is the logdet's error estimate
+    grids = []
+    solve = oracles.torus_symbol_eigenvalues
+
+    def counted(delta, grid_per_dim):
+        grids.append(grid_per_dim)
+        return solve(delta, grid_per_dim)
+
+    monkeypatch.setattr(oracles, "torus_symbol_eigenvalues", counted)
+    assert main(["approx", fixture_path("complex_shift.json")]) == 0
+    assert grids == [2048, 1024]
+    assert capsys.readouterr().out.encode() == (SEED_REPORTS / "complex_shift.out").read_bytes()
 
 
 def test_approx_deterministic_output(tmp_path):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2approx import (
     CyclicGroup,
@@ -243,3 +245,219 @@ def test_cyclic_factors_and_exponents():
     assert len(seen) == 6
     assert FreeGroup(2).cyclic_factors() is None
     assert symmetric_group(3).cyclic_factors() is None
+
+
+# ---------------------------------------------------------------------------
+# table validation: Light's associativity test against the cubic loop
+# ---------------------------------------------------------------------------
+
+def _seed_validation(table):
+    """Table validation as it was before Light's test, kept verbatim (only
+    de-indented into a function) as the reference: Latin square, identity,
+    inverses, then the cubic associativity loop."""
+    n = len(table)
+    rows = tuple(tuple(int(x) for x in row) for row in table)
+    if any(len(row) != n for row in rows):
+        raise MalformedGroup("multiplication table is not square")
+    full = frozenset(range(n))
+    for i, row in enumerate(rows):
+        if frozenset(row) != full:
+            raise MalformedGroup(f"row {i} is not a permutation")
+    for j in range(n):
+        if frozenset(rows[i][j] for i in range(n)) != full:
+            raise MalformedGroup(f"column {j} is not a permutation")
+    ident = None
+    for e in range(n):
+        if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
+            ident = e
+            break
+    if ident is None:
+        raise MalformedGroup("table has no two-sided identity")
+    inv = [None] * n
+    for a in range(n):
+        right = rows[a].index(ident)
+        if rows[right][a] != ident:
+            raise MalformedGroup(f"element {a} has no two-sided inverse")
+        inv[a] = right
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+                    raise MalformedGroup(f"table is not associative at ({a},{b},{c})")
+    return ident, inv
+
+
+def _outcome(validate, table):
+    """(kind, detail): ("ok", (identity, inverses)) or ("error", message)."""
+    try:
+        return "ok", validate(table)
+    except MalformedGroup as exc:
+        return "error", str(exc)
+
+
+def _table_group(table):
+    g = FiniteTableGroup(table)
+    return g.identity(), list(g._inverse)
+
+
+def _witness(message):
+    inner = message[message.index("(") + 1 : message.index(")")]
+    return tuple(int(v) for v in inner.split(","))
+
+
+def _assert_same_verdict(table):
+    want_kind, want = _outcome(_seed_validation, table)
+    kind, got = _outcome(_table_group, table)
+    assert kind == want_kind
+    if kind == "ok" or not want.startswith("table is not associative"):
+        assert got == want
+        return
+    # Light's test may report a different witness; it must be a true one
+    assert got.startswith("table is not associative at (")
+    x, a, y = _witness(got)
+    assert table[table[x][a]][y] != table[x][table[a][y]]
+
+
+def _product_table(left, right):
+    """Cayley table of left x right, element (i, j) at index i * |right| + j."""
+    m = len(right)
+    return [
+        [left[i][k] * m + right[j][l] for k in range(len(left)) for l in range(m)]
+        for i in range(len(left))
+        for j in range(m)
+    ]
+
+
+def _cyclic_table(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+ORDER5_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+# a loop in which 2, 3 and 4 have different left and right inverses
+ONE_SIDED_INVERSES = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+]
+
+GROUP_TABLES = {
+    "S3": [list(r) for r in symmetric_group(3).table],
+    "S4": [list(r) for r in symmetric_group(4).table],
+    "Z2xZ4": _product_table(_cyclic_table(2), _cyclic_table(4)),
+    "Z3xS3": _product_table(_cyclic_table(3), [list(r) for r in symmetric_group(3).table]),
+}
+
+
+LOOPS = {"order5_loop": ORDER5_LOOP, "one_sided_inverses": ONE_SIDED_INVERSES}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_TABLES) + sorted(LOOPS))
+def test_light_test_agrees_with_cubic_loop(name):
+    table = LOOPS.get(name) or GROUP_TABLES[name]
+    _assert_same_verdict(table)
+    if name in GROUP_TABLES:
+        g = FiniteTableGroup(table)
+        assert g.table == tuple(tuple(r) for r in table)
+    else:
+        with pytest.raises(MalformedGroup):
+            FiniteTableGroup(table)
+
+
+def _intercalates(table, ident):
+    """2x2 Latin subsquares (r1, r2, c1, c2) off the identity row and column
+    whose two symbols are not the identity either."""
+    n = len(table)
+    out = []
+    for r1 in range(n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(n):
+                for c2 in range(c1 + 1, n):
+                    x, y = table[r1][c1], table[r1][c2]
+                    if (
+                        table[r2][c2] == x
+                        and table[r2][c1] == y
+                        and ident not in (r1, r2, c1, c2, x, y)
+                    ):
+                        out.append((r1, r2, c1, c2))
+    return out
+
+
+INTERCALATES = {name: _intercalates(t, 0) for name, t in GROUP_TABLES.items()}
+
+
+def _swap_intercalate(table, cells):
+    r1, r2, c1, c2 = cells
+    out = [list(r) for r in table]
+    out[r1][c1], out[r1][c2] = out[r1][c2], out[r1][c1]
+    out[r2][c1], out[r2][c2] = out[r2][c2], out[r2][c1]
+    return out
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_light_test_rejects_intercalate_loops(data):
+    name = data.draw(st.sampled_from(sorted(INTERCALATES)))
+    cells = data.draw(st.sampled_from(INTERCALATES[name]))
+    loop = _swap_intercalate(GROUP_TABLES[name], cells)
+    # still a Latin square with the same identity and inverses, but no group
+    kind, message = _outcome(_seed_validation, loop)
+    assert kind == "error" and message.startswith("table is not associative")
+    _assert_same_verdict(loop)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_table_checks_match_seed_messages(data):
+    """Broken tables fail with the seed's message (or a true associativity
+    witness): swapped rows, columns or cells and relabelled symbols."""
+    name = data.draw(st.sampled_from(sorted(GROUP_TABLES)))
+    table = [list(r) for r in GROUP_TABLES[name]]
+    n = len(table)
+    idx = st.integers(0, n - 1)
+    kind = data.draw(st.sampled_from(["rows", "cols", "cells", "relabel", "range"]))
+    i, j = data.draw(idx), data.draw(idx)
+    if kind == "rows":
+        table[i], table[j] = table[j], table[i]
+    elif kind == "cols":
+        for row in table:
+            row[i], row[j] = row[j], row[i]
+    elif kind == "cells":
+        k = data.draw(idx)
+        table[i][j], table[i][k] = table[i][k], table[i][j]
+    elif kind == "relabel":
+        perm = data.draw(st.permutations(range(n)))
+        table = [[perm[x] for x in row] for row in table]
+    else:
+        table[i][j] = data.draw(st.sampled_from([-1, n, 2**70]))
+    _assert_same_verdict(table)
+
+
+def test_table_group_payloads_are_python_ints():
+    g = FiniteTableGroup(GROUP_TABLES["Z2xZ4"])
+    assert type(g.identity()) is int
+    assert all(type(g.inverse(x)) is int for x in g.elements())
+    assert all(type(x) is int for row in g.table for x in row)
+    assert all(g.multiply(x, g.inverse(x)) == g.identity() for x in g.elements())
+
+
+def test_symmetric_group_6_builds():
+    g = symmetric_group(6)
+    assert g.order == 720
+    assert g.identity() == 0 and g.names[0] == "012345"
+    # element i is the i-th permutation in lexicographic order; p*q is p after q
+    perms = [tuple(int(c) for c in name) for name in g.names]
+    assert perms == sorted(perms)
+    rng = random.Random(SEED)
+    for _ in range(200):
+        a, b = rng.randrange(720), rng.randrange(720)
+        p, q = perms[a], perms[b]
+        assert perms[g.multiply(a, b)] == tuple(p[q[k]] for k in range(6))

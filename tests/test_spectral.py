@@ -1,12 +1,16 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from l2approx import (
     CyclicGroup,
+    DirectProductGroup,
     EigenResult,
+    FreeGroup,
+    GaussianRational,
     Homomorphism,
     RingElement,
     RingMatrix,
@@ -17,14 +21,17 @@ from l2approx import (
     finite_spectrum,
     hermitian_eigenvalues,
     log_det,
+    positive_square,
     product_group,
     regular_representation,
     subgroup_invariance_check,
+    symmetric_group,
     trace_poly_exact,
 )
 from l2approx.errors import InfiniteGroup, NotHermitian
 from l2approx.spectral import (
     DEFAULT_EIG_TOL,
+    _cyclic_split,
     _require_hermitian,
     character_spectrum,
     densities_match,
@@ -381,3 +388,162 @@ def test_densities_match_detects_difference():
     f2 = SpectralDensity(((0.0, 1), (2.5, 1)), 2)
     ok, dev = densities_match(f1, f2, atol=1e-9)
     assert not ok and dev >= 0.5 - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# block spectra over G = H x C against the dense regular representation
+# ---------------------------------------------------------------------------
+
+def _assert_blocks_match_dense(delta):
+    eig = finite_spectrum(delta)
+    dense = hermitian_eigenvalues(regular_representation(delta))
+    assert eig.denom == delta.group.order
+    assert eig.eigenvalues.shape == dense.shape
+    assert np.allclose(eig.eigenvalues, dense, rtol=0, atol=1e-12)
+    thr = eig.kernel_threshold
+    assert np.sum(np.abs(eig.eigenvalues) <= thr) == np.sum(np.abs(dense) <= thr)
+    return eig
+
+
+S3 = symmetric_group(3)
+TABLE_PRODUCTS = {
+    "S3 x Z/4": product_group([S3, CyclicGroup(4)]),
+    "Z/3 x S3": product_group([CyclicGroup(3), S3]),
+    "S3 x Z/2 x Z/3": product_group([S3, CyclicGroup(2), CyclicGroup(3)]),
+    "Z/2 x (S3 x Z/3)": DirectProductGroup(CyclicGroup(2), product_group([S3, CyclicGroup(3)])),
+    "S3 x Z/1": product_group([S3, CyclicGroup(1)]),
+    "S3": S3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PRODUCTS))
+def test_block_spectrum_matches_dense(name):
+    rng = random.Random(SEED)
+    for d in (1, 2):
+        for _ in range(4):
+            _assert_blocks_match_dense(random_self_adjoint(TABLE_PRODUCTS[name], rng, d=d))
+
+
+def test_block_spectrum_complex_non_diagonal():
+    group = TABLE_PRODUCTS["S3 x Z/4"]
+    elems = group.elements()
+    rng = random.Random(SEED)
+    for _ in range(3):
+        entries = [
+            [
+                RingElement(
+                    group,
+                    {
+                        elems[rng.randrange(len(elems))]: GaussianRational.of(
+                            rng.randint(-3, 3), rng.randint(1, 3)
+                        )
+                        for _ in range(3)
+                    },
+                )
+                for _ in range(2)
+            ]
+            for _ in range(2)
+        ]
+        delta = positive_square(RingMatrix(group, entries))
+        assert not delta.is_integral()
+        assert any(not e.is_real() for row in delta.entries for e in row)
+        assert not delta.entries[0][1].is_zero()
+        eig = _assert_blocks_match_dense(delta)
+        assert eig.eigenvalues.dtype == np.float64
+
+
+def test_block_spectrum_bare_table_keeps_real_dense_solve():
+    s4 = symmetric_group(4)
+    rng = random.Random(SEED)
+    for group in (s4, product_group([s4, CyclicGroup(1)])):
+        delta = random_self_adjoint(group, rng, d=2)
+        h = regular_representation(delta)
+        assert h.dtype == np.float64
+        assert np.array_equal(character_spectrum(delta), np.linalg.eigvalsh(h))
+
+
+def _subgroup_order(group, gens):
+    seen = {group.identity()}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = group.multiply(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(seen)
+
+
+def test_block_spectrum_kernel_is_subgroup_index():
+    """4 - a - 1/a - b - 1/b over F2 pushed to S4 x Z/k: its kernel is the
+    functions constant on cosets of <a, b>, so F(0) |G| = [G : <a, b>]."""
+    s4 = symmetric_group(4)
+    f2 = FreeGroup(2)
+    a, b = RingElement.delta(f2, (1,)), RingElement.delta(f2, (2,))
+    delta = RingMatrix.from_element(4 - a - a.star() - b - b.star())
+    rng = random.Random(SEED)
+    indices = set()
+    for k in (1, 2, 3, 4, 6):
+        target = product_group([s4, CyclicGroup(k)])
+        for _ in range(3):
+            gens = [(rng.randrange(24), rng.randrange(k)) for _ in range(2)]
+            phi = Homomorphism(f2, target, generator_images=gens)
+            eig = _assert_blocks_match_dense(delta.push_forward(phi))
+            index = target.order // _subgroup_order(target, gens)
+            assert round(betti(density_from_eigs(eig)) * target.order) == index
+            indices.add(index)
+    assert len(indices) > 2
+
+
+def test_cyclic_split_peels_top_level_factors():
+    cases = {
+        "S3 x Z/4": [4],
+        "Z/3 x S3": [3],
+        "S3 x Z/2 x Z/3": [2, 3],
+        "Z/2 x (S3 x Z/3)": [2, 3],
+        "S3 x Z/1": [1],
+        "S3": [],
+    }
+    for name, factors in cases.items():
+        h, got, _, _ = _cyclic_split(TABLE_PRODUCTS[name])
+        assert h == S3 and got == factors
+    cyclic = product_group([CyclicGroup(2), CyclicGroup(3)])
+    h, got, h_part, exponents = _cyclic_split(cyclic)
+    assert h == TrivialGroup() and got == [2, 3]
+    assert h_part((1, 2)) == () and exponents((1, 2)) == (1, 2)
+    # cyclic factors under two non-cyclic sides stay in H
+    nested = DirectProductGroup(product_group([S3, CyclicGroup(2)]), S3)
+    h, got, h_part, exponents = _cyclic_split(nested)
+    assert h == nested and got == [] and h_part(((4, 1), 2)) == ((4, 1), 2)
+    h, got, h_part, exponents = _cyclic_split(TABLE_PRODUCTS["Z/2 x (S3 x Z/3)"])
+    assert h_part((1, (4, 2))) == 4 and exponents((1, (4, 2))) == (1, 2)
+
+
+def test_finite_spectrum_rejects_non_self_adjoint():
+    z4 = CyclicGroup(4)
+    t = RingElement.delta(z4, 1)
+    s3z2 = product_group([S3, CyclicGroup(2)])
+    # a 3-cycle of S3 (element 3 is the permutation 120), not its own inverse
+    g = RingElement.delta(s3z2, (3, 1))
+    one = RingElement.delta(s3z2, s3z2.identity())
+    zero = RingElement.zero(s3z2)
+    two = 2 * RingElement.delta(z4, 0)
+    # 1/3 at a 3-cycle, 0.333333333333333 at its inverse: Hermitian within
+    # any float tolerance, but not self-adjoint
+    near = RingElement.delta(s3z2, (3, 0), Fraction(1, 3)) + RingElement.delta(
+        s3z2, s3z2.inverse((3, 0)), Fraction(333333333333333, 10**15)
+    )
+    cases = [
+        RingMatrix.from_element(t),
+        RingMatrix(z4, [[two, t], [RingElement.zero(z4), two]]),
+        RingMatrix.from_element(g + g),
+        RingMatrix(s3z2, [[one, g + g.star()], [zero, one]]),
+        RingMatrix.from_element(near),
+    ]
+    for delta in cases:
+        assert not delta.is_self_adjoint()
+        with pytest.raises(NotHermitian):
+            finite_spectrum(delta)
