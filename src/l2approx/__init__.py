@@ -66,9 +66,7 @@ from .spectral import (
     betti,
     density_from_eigs,
     finite_spectrum,
-    hermitian_eigenvalues,
     log_det,
-    regular_representation,
     subgroup_invariance_check,
 )
 

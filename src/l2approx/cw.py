@@ -10,14 +10,14 @@ L2-acyclic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
 from .errors import NotAComplex, SchemeError, TorsionUndefined, WrongGroup
 from .groups import FreeAbelianGroup, Group
 from .matrices import RingMatrix, laplacian
-from .oracles import torus_eigen_result
+from .oracles import _positive_log_det, torus_eigen_result
 from .schemes import QuotientTower, run_tower, sintapr_check
 from .spectral import betti, density_from_eigs, finite_spectrum, log_det
 
@@ -111,13 +111,13 @@ def _oracle_degree(delta: RingMatrix, grid: int):
     group = delta.group
     if isinstance(group, FreeAbelianGroup) and group.rank > 0:
         eig = torus_eigen_result(delta, grid)
-        # the torus logdet keeps every positive eigenvalue (see torus_logdet)
-        logdet_eig = replace(eig, kernel_threshold=0.0)
+        logdet = _positive_log_det(eig)
     elif group.is_finite:
-        eig = logdet_eig = finite_spectrum(delta)
+        eig = finite_spectrum(delta)
+        logdet = log_det(eig)
     else:
         raise WrongGroup(f"no oracle available for {group}")
-    return betti(density_from_eigs(eig)), log_det(logdet_eig), True
+    return betti(density_from_eigs(eig)), logdet, True
 
 
 def _tower_degree(delta: RingMatrix, tower: QuotientTower, tol: float):

@@ -306,11 +306,23 @@ def _light_associativity(t: np.ndarray, ident: int) -> None:
             inside[frontier] = True
 
 
+def _table_rows(table) -> tuple:
+    """The rows of a table as tuples of Python ints; an entry that is not an
+    integer (bool and float included) is rejected, never truncated."""
+    rows = tuple(tuple(row) for row in table)
+    odd = [x for row in rows for x in row if type(x) is not int]
+    for x in odd:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise MalformedGroup(f"table entry {x!r} is not an integer")
+    return tuple(tuple(map(int, row)) for row in rows) if odd else rows
+
+
 class FiniteTableGroup(Group):
     """Finite group given by a full multiplication table over indices 0..n-1.
 
     The table is validated at construction: Latin square, two-sided identity,
-    two-sided inverses, and associativity (fail fast on malformed input).
+    two-sided inverses, and associativity (fail fast on malformed input);
+    entries must be integers (bool and float are rejected, not truncated).
     Associativity is Light's test: if (x a) y == x (a y) for every x, y and
     every a in a generating set, the operation is associative.  Generators
     are chosen greedily, each the smallest element outside the sub-table
@@ -321,7 +333,7 @@ class FiniteTableGroup(Group):
 
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None):
         n = len(table)
-        rows = tuple(tuple(int(x) for x in row) for row in table)
+        rows = _table_rows(table)
         if any(len(row) != n for row in rows):
             raise MalformedGroup("multiplication table is not square")
         try:

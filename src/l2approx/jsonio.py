@@ -56,7 +56,14 @@ def parse_group(obj) -> Group:
         if kind == "free":
             return FreeGroup(int(obj["rank"]))
         if kind == "finite_table":
-            return FiniteTableGroup(obj["table"], names=obj.get("names"))
+            table = obj["table"]
+            if (
+                not isinstance(table, list)
+                or not all(isinstance(row, list) for row in table)
+                or any(type(x) is not int for row in table for x in row)
+            ):
+                raise ProblemFormatError(f"table must be a list of integer rows: {table!r}")
+            return FiniteTableGroup(table, names=obj.get("names"))
         if kind == "product":
             return product_group([parse_group(f) for f in obj["factors"]])
     except KeyError as exc:

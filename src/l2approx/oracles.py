@@ -22,7 +22,8 @@ from .matrices import RingMatrix
 from .spectral import (
     EigenResult,
     SpectralDensity,
-    _symbol_eigenvalues,
+    _block_eigenvalues,
+    _operator_blocks,
     default_kernel_threshold,
     density_from_eigs,
     log_det,
@@ -152,7 +153,7 @@ def torus_symbol_eigenvalues(delta: RingMatrix, grid_per_dim: int) -> np.ndarray
         exps = np.asarray(g, dtype=np.float64)
         return np.exp(1j * (theta @ exps)) if n else np.ones(1)
 
-    return _symbol_eigenvalues(delta, points, phase)
+    return _block_eigenvalues(_operator_blocks(delta, points, phase))
 
 
 def torus_eigen_result(delta: RingMatrix, grid_per_dim: int) -> EigenResult:
@@ -166,18 +167,23 @@ def torus_density(delta: RingMatrix, grid_per_dim: int) -> SpectralDensity:
     return density_from_eigs(torus_eigen_result(delta, grid_per_dim))
 
 
-def torus_logdet(delta: RingMatrix, grid_per_dim: int) -> float:
-    """Quadrature approximation of the log Fuglede-Kadison determinant.
+def _positive_log_det(eig: EigenResult) -> float:
+    """Normalized sum of log of every strictly positive eigenvalue.
 
-    Sums log of the strictly positive symbol eigenvalues.  No magnitude
-    cutoff is applied: genuinely small eigenvalues near a high-order zero of
-    the symbol carry a real contribution to the integral, and masking them
-    by the density's kernel threshold would bias the value upward by an
-    amount that does not vanish with the grid.  Values that round to zero or
-    below (only possible at an exact symbol kernel, which the midpoint grid
-    avoids) are skipped.
+    The torus logdet applies no magnitude cutoff: genuinely small
+    eigenvalues near a high-order zero of the symbol carry a real
+    contribution to the integral, and masking them by the density's kernel
+    threshold would bias the value upward by an amount that does not vanish
+    with the grid.  Values that round to zero or below (only possible at an
+    exact symbol kernel, which the midpoint grid avoids) are skipped.
     """
-    return log_det(replace(torus_eigen_result(delta, grid_per_dim), kernel_threshold=0.0))
+    return log_det(replace(eig, kernel_threshold=0.0))
+
+
+def torus_logdet(delta: RingMatrix, grid_per_dim: int) -> float:
+    """Quadrature approximation of the log Fuglede-Kadison determinant:
+    log of every strictly positive symbol eigenvalue (``_positive_log_det``)."""
+    return _positive_log_det(torus_eigen_result(delta, grid_per_dim))
 
 
 def torus_logdet_report(
@@ -190,7 +196,7 @@ def torus_logdet_report(
     """
     if fine is None:
         fine = torus_eigen_result(delta, grid_per_dim)
-    value = log_det(replace(fine, kernel_threshold=0.0))
+    value = _positive_log_det(fine)
     coarse_grid = max(1, grid_per_dim // 2)
     coarse = torus_logdet(delta, coarse_grid)
     return {

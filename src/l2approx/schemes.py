@@ -40,12 +40,11 @@ from .oracles import torus_eigen_result, torus_logdet_report
 from .spectral import (
     EigenResult,
     SpectralDensity,
-    _translation_matrix,
+    _operator_blocks,
     betti,
     default_kernel_threshold,
     density_from_eigs,
     finite_spectrum,
-    hermitian_eigenvalues,
     log_det,
 )
 
@@ -162,19 +161,13 @@ class FolnerExhaustion:
         if k == 0:
             return 0.0
         n = self.group.rank
-
-        def sup_dist(a, b):
-            return max(abs(x - y) for x, y in zip(a, b)) if n else 0
-
         collar = 0
+        # every candidate is within distance k of the set by construction
         candidates = set()
         for p in pts:
             for off in itertools.product(range(-k, k + 1), repeat=n):
                 candidates.add(tuple(a + b for a, b in zip(p, off)))
         for x in candidates:
-            din = min(sup_dist(x, p) for p in pts)
-            if din > k:
-                continue
             if x not in pts:
                 collar += 1  # distance to the complement is 0
                 continue
@@ -347,15 +340,18 @@ def run_tower(
 def compress(delta: RingMatrix, window: Sequence) -> tuple:
     """Compression P Delta P to a finite window of Z^n.
 
-    Returns (hermitian ndarray of size d*|window|, |window|).  Entry
-    ((k,x),(l,y)) is the coefficient of x - y in Delta_{kl}, i.e. the matrix
-    of the windowed left translation action.
+    Returns (ndarray of size d*|window|, |window|).  Entry ((k,x),(l,y)) is
+    the coefficient of x - y in Delta_{kl}, i.e. the matrix of the windowed
+    left translation action; real float64 when every coefficient is real,
+    complex128 otherwise.
     """
     group = delta.group
     if not isinstance(group, FreeAbelianGroup):
         raise WrongGroup(f"compress needs a matrix over Z^n, got {group}")
     window = list(window)
-    return _translation_matrix(delta, window), len(window)
+    real = all(e.is_real() for row in delta.entries for e in row)
+    h = _operator_blocks(delta, 1, lambda g: 1.0, group, window, lambda g: g, real)
+    return h[0], len(window)
 
 
 def _support_radius(delta: RingMatrix) -> int:
@@ -420,6 +416,11 @@ def run_folner(
     Traces of the first few powers of the compression are computed exactly
     and reported next to the exact traces upstairs; the gap is bounded by a
     multiple of the boundary defect and must decrease along the exhaustion.
+
+    The compression goes to the LAPACK solver with no float Hermitian
+    check: entry ((k,x),(l,y)) is the coefficient of x - y in Delta_{kl},
+    a single rounded coefficient, so the exact ``is_self_adjoint`` check
+    below already makes the float matrix exactly Hermitian.
     """
     if delta.group != exhaustion.group:
         raise MismatchedGroup(f"matrix over {delta.group}, sets over {exhaustion.group}")
@@ -435,7 +436,7 @@ def run_folner(
         window = exhaustion.set_at(i)
         t0 = time.perf_counter()
         h, nw = compress(delta, window)
-        eig = EigenResult(hermitian_eigenvalues(h), nw, thr)
+        eig = EigenResult(np.linalg.eigvalsh(h), nw, thr)
         exact = compressed_trace_powers(delta, window, powers)
         exact_traces = {m: GaussianRational.of(Fraction(1, nw)) * exact[m] for m in powers}
         defects = {

@@ -1,9 +1,11 @@
 """Finite-level spectral computation.
 
-Converts group-ring matrices over finite groups into Hermitian matrices via
-the left regular representation, block-diagonalised by the characters of
-the group's cyclic factors, extracts eigenvalue lists, and packages them as
-right-continuous spectral step functions with normalized total mass.
+Turns group-ring matrices into numeric blocks with one assembly (left
+multiplication over a point list, weighted by characters): the regular
+representation of a finite group block-diagonalised by the characters of
+its cyclic factors, torus symbols and Folner compressions.  Extracts
+eigenvalue lists and packages them as right-continuous spectral step
+functions with normalized total mass.
 """
 
 from __future__ import annotations
@@ -17,71 +19,12 @@ from .errors import InfiniteGroup, MalformedGroup, NotHermitian
 from .groups import DirectProductGroup, Group, Homomorphism, TrivialGroup
 from .matrices import RingMatrix, k_bound
 
-DEFAULT_EIG_TOL = 1e-12
 KERNEL_THRESHOLD_FACTOR = 1e-9
 
 
 def default_kernel_threshold(delta: RingMatrix) -> float:
     """Relative zero-eigenvalue cutoff: 1e-9 times the a-priori norm bound."""
     return KERNEL_THRESHOLD_FACTOR * max(1.0, k_bound(delta))
-
-
-def _translation_matrix(delta: RingMatrix, points: Sequence) -> np.ndarray:
-    """Left multiplication by a group-ring matrix, restricted to a point list.
-
-    Entry ((k, u), (l, v)) sums the coefficients c of the terms c*g of
-    entry (k, l) with ``g * points[v] == points[u]``; products that leave the
-    list are dropped.  Real float64 when every coefficient is real,
-    complex128 otherwise.
-    """
-    index = {x: i for i, x in enumerate(points)}
-    n = len(points)
-    real = all(e.is_real() for row in delta.entries for e in row)
-    dtype = np.float64 if real else np.complex128
-    h = np.zeros((delta.rows * n, delta.cols * n), dtype=dtype)
-    mul = delta.group.multiply
-    for k in range(delta.rows):
-        for l in range(delta.cols):
-            for g, c in delta.entries[k][l].terms.items():
-                cval = float(c.re) if real else complex(c)
-                for v, y in enumerate(points):
-                    u = index.get(mul(g, y))
-                    if u is not None:
-                        h[k * n + u, l * n + v] += cval
-    return h
-
-
-def regular_representation(delta: RingMatrix) -> np.ndarray:
-    """Left-multiplication action of a matrix over a finite group algebra.
-
-    Block (k, l) of the result is the |G| x |G| matrix of left multiplication
-    by entry (k, l) in the basis ``group.elements()``; the full matrix has
-    size ``rows * |G|``.  Real float64 when every coefficient is real,
-    complex128 otherwise.
-    """
-    group = delta.group
-    if not group.is_finite:
-        raise InfiniteGroup(f"regular representation needs a finite group, got {group}")
-    return _translation_matrix(delta, group.elements())
-
-
-def _require_hermitian(h: np.ndarray, tol: float) -> np.ndarray:
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise NotHermitian(f"matrix of shape {h.shape} is not square")
-    scale = max(1.0, float(np.abs(h).max()) if h.size else 0.0)
-    dev = float(np.abs(h - h.conj().T).max()) if h.size else 0.0
-    if dev > tol * scale:
-        raise NotHermitian(f"deviation from Hermitian symmetry {dev:.3e} exceeds {tol * scale:.3e}")
-    return (h + h.conj().T) / 2
-
-
-def hermitian_eigenvalues(h: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending (LAPACK backend)."""
-    h = _require_hermitian(h, tol)
-    if h.size == 0:
-        return np.zeros(0)
-    return np.linalg.eigvalsh(h)
 
 
 @dataclass(frozen=True)
@@ -196,48 +139,57 @@ def log_det(e: EigenResult) -> float:
     return float(np.sum(np.log(positive))) / e.denom
 
 
-def _symbol_eigenvalues(
+def _operator_blocks(
     delta: RingMatrix,
-    points: int,
+    count: int,
     phase,
-    h_group: Group = TrivialGroup(),
-    h_part=None,
+    group: Group = TrivialGroup(),
+    points: Sequence = ((),),
+    part=lambda g: (),
     real: bool = False,
 ) -> np.ndarray:
-    """Sorted eigenvalues of a stack of ``points`` Fourier-symbol blocks.
+    """Stack of ``count`` blocks of left multiplication over a point list.
 
-    ``phase(g)`` is the array of values of the characters at group element
-    g.  Over G = H x C, with ``h_part(g)`` the H-component of g, block entry
-    ((k, u), (l, v)) sums c * phase(g) over the terms c*g of entry (k, l)
-    whose H-component h has h * H[v] == H[u], H listed by
-    ``h_group.elements()``; with H trivial each block is the d x d value of
-    the symbol.  Real float64 blocks when ``real`` (``phase`` must then be
-    real), complex128 otherwise.
+    ``phase(g)`` gives the ``count`` values (an array, or a scalar for all)
+    of the characters at group element g.  Block entry ((k, u), (l, v))
+    sums c * phase(g) over the terms c*g of entry (k, l) with
+    ``group.multiply(part(g), points[v]) == points[u]``; products that leave
+    the list are dropped.  Slots are keyed by the distinct values of
+    ``part(g)``, so a window of a group works like the group.  Real float64
+    blocks when ``real`` (``phase`` must then be real), complex128
+    otherwise; shape (count, rows * |points|, cols * |points|).
     """
-    d = delta.rows
-    hs = h_group.elements()
-    n = len(hs)
-    index = {h: i for i, h in enumerate(hs)}
-    # symbol[:, k, l, i]: the part of entry (k, l) supported on H-element i
-    symbol = np.zeros((points, d, d, n), dtype=np.float64 if real else np.complex128)
-    for k in range(d):
-        for l in range(d):
+    rows, cols, n = delta.rows, delta.cols, len(points)
+    slots = list({part(g) for g in delta.support()})
+    slot_index = {s: i for i, s in enumerate(slots)}
+    # symbol[:, k, l, i]: the part of entry (k, l) on terms g with part(g) = slots[i]
+    dtype = np.float64 if real else np.complex128
+    symbol = np.zeros((count, rows, cols, len(slots)), dtype=dtype)
+    for k in range(rows):
+        for l in range(cols):
             for g, c in delta.entries[k][l].terms.items():
-                i = index[h_part(g)] if h_part else 0
+                i = slot_index[part(g)]
                 # z lives until the next phase exists; freed inside the update,
                 # its block would go back to the OS and be faulted in again
                 z = phase(g)
                 symbol[:, k, l, i] += (float(c.re) if real else complex(c)) * z
-    if n > 1:
-        # H-element i puts its coefficient at (u, v) wherever H[u] = H[i] H[v]
-        blocks = np.zeros((points, d, n, d, n), dtype=symbol.dtype)
-        cols = np.arange(n)
-        for i in np.flatnonzero(symbol.any(axis=(0, 1, 2))).tolist():
-            rows = [index[h_group.multiply(hs[i], y)] for y in hs]
-            blocks[:, :, rows, :, cols] = symbol[..., i]
-        symbol = blocks
-    w = np.linalg.eigvalsh(symbol.reshape(points, d * n, d * n))
-    return np.sort(w.ravel())
+    if n == 1 and len(slots) == 1 and group.multiply(slots[0], points[0]) == points[0]:
+        # one point fixed by the one slot: the symbol is the block, no copy
+        return symbol.reshape(count, rows, cols)
+    index = {x: i for i, x in enumerate(points)}
+    blocks = np.zeros((count, rows, n, cols, n), dtype=symbol.dtype)
+    for i, s in enumerate(slots):
+        # slot s puts its coefficient at (u, v) wherever s * points[v] = points[u];
+        # no two slots share a (u, v), since s * y = x has one solution s
+        targets = [index.get(group.multiply(s, y)) for y in points]
+        vs = [v for v, u in enumerate(targets) if u is not None]
+        blocks[:, :, [targets[v] for v in vs], :, vs] = symbol[..., i]
+    return blocks.reshape(count, rows * n, cols * n)
+
+
+def _block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a stack of Hermitian blocks, sorted ascending."""
+    return np.sort(np.linalg.eigvalsh(blocks).ravel())
 
 
 def _cyclic_split(group: Group) -> tuple:
@@ -280,7 +232,7 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
     regular representation into |C| blocks of size d|H|: left
     multiplication over H, weighted by the character.  Cyclic products give
     d x d blocks, a bare table one dense block, real when every
-    coefficient is.  Spectrally identical to ``regular_representation``.
+    coefficient is.  Spectrally identical to the left regular representation.
     """
     group = delta.group
     if not group.is_finite:
@@ -306,7 +258,9 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
         and group.cyclic_factors() is None
         and all(e.is_real() for row in delta.entries for e in row)
     )
-    return _symbol_eigenvalues(delta, total, phase, h_group, h_part, real)
+    return _block_eigenvalues(
+        _operator_blocks(delta, total, phase, h_group, h_group.elements(), h_part, real)
+    )
 
 
 def finite_spectrum(delta: RingMatrix, kernel_threshold: Optional[float] = None) -> EigenResult:

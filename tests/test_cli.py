@@ -7,6 +7,7 @@ import pytest
 
 from l2approx import oracles
 from l2approx.cli import main
+from l2approx.verify import SUITES
 
 FIXTURES = resources.files("l2approx") / "fixtures"
 SEED_REPORTS = Path(__file__).resolve().parent.parent / "benchmarks" / "seed_reports"
@@ -205,10 +206,29 @@ def test_verify_determinant_suite(capsys):
     assert "PASS suite=determinant" in out
 
 
+@pytest.mark.filterwarnings("ignore::l2approx.errors.InjectivityUncertified")
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_suite_passes_at_default_seed(suite, capsys):
+    assert main(["verify", suite]) == 0
+    assert f"PASS suite={suite}" in capsys.readouterr().out
+
+
 def test_verify_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "unknown-suite"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("entry", [1.9, 1.0, "1", True])
+def test_table_entry_not_an_integer_exits_2(entry, tmp_path, capsys):
+    problem = {
+        "group": {"type": "finite_table", "table": [[0, entry], [1, 0]]},
+        "matrix": {"entries": [[[{"word": 0, "re": 1}]]]},
+    }
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(problem))
+    assert main(["density", str(path)]) == 2
+    assert "table must be a list of integer rows" in capsys.readouterr().err
 
 
 def test_density_json_mode(capsys):

@@ -183,6 +183,10 @@ def test_finite_table_validation():
     ]
     with pytest.raises(MalformedGroup):
         FiniteTableGroup(loop)
+    # entries are integers, never truncated: [[0, 1.9], [1, 0.2]] is not Z/2
+    for entry in (1.9, 1.0, "1", True, None):
+        with pytest.raises(MalformedGroup, match="is not an integer"):
+            FiniteTableGroup([[0, entry], [1, 0]])
 
 
 def test_hom_relation_validation():

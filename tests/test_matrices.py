@@ -14,7 +14,6 @@ from l2approx import (
     k_bound,
     laplacian,
     positive_square,
-    regular_representation,
     trace_poly,
     trace_poly_exact,
 )
@@ -22,6 +21,7 @@ from l2approx.errors import DimensionMismatch, MismatchedGroup
 from l2approx.matrices import matrix_power, poly_apply
 
 from conftest import SEED, random_element, random_self_adjoint
+from dense_reference import regular_representation
 
 
 def test_adjoint_examples(z_group):

@@ -12,11 +12,9 @@ from l2approx import (
     betti,
     char_poly_exact,
     cyclic_quotient,
-    hermitian_eigenvalues,
     mahler_1x1,
     nonzero_eigenvalue_product_exact,
     positive_square,
-    regular_representation,
     torus_density,
     torus_logdet,
     trivial_group_logdet_exact,
@@ -25,6 +23,7 @@ from l2approx.errors import NotPSD, WrongGroup
 from l2approx.oracles import torus_logdet_report, torus_symbol_eigenvalues
 
 from conftest import SEED
+from dense_reference import hermitian_eigenvalues, regular_representation
 
 
 def test_char_poly_exact_matches_numpy():

@@ -39,6 +39,7 @@ from l2approx.groupring import GaussianRational
 from l2approx.schemes import compressed_trace_powers
 
 from conftest import SEED, random_element, random_self_adjoint
+from dense_reference import hermitian_eigenvalues, translation_matrix
 
 TOWER_LEVELS = [8, 16, 32, 64, 128, 256]
 
@@ -117,6 +118,68 @@ def test_compress_examples(z_laplacian, z_group):
                     diff = (x[0] - y[0], x[1] - y[1])
                     coeff = complex(terms[diff]) if diff in terms else 0j
                     assert h[k * nw + u, l * nw + v] == coeff
+
+
+def test_compress_matches_dense_reference(z_group):
+    """compress against the term-by-term reference, bit for bit, on windows
+    that products leave."""
+    t = RingElement.delta(z_group, (1,))
+    z2 = FreeAbelianGroup(2)
+    a = RingElement.delta(z2, (1, 0))
+    b = RingElement.delta(z2, (0, 1))
+    alpha = RingElement.scalar(z2, complex(0.5, -1.5))
+    gappy = [(k,) for k in (-5, -2, -1, 0, 3, 4)]
+    ball = [(i, j) for i in range(-2, 3) for j in range(-2, 3) if abs(i) + abs(j) <= 2]
+    rng = random.Random(SEED + 5)
+    cases = [
+        # rank 1, not self-adjoint, on a window with gaps
+        (RingMatrix.from_element(2 - 3 * t * t + t.star()), gappy),
+        (random_self_adjoint(z_group, rng, d=2), gappy),
+        # rank 2, complex, non-diagonal and not self-adjoint
+        (RingMatrix(z2, [[alpha * a + 2, b * b - a.star()], [a * b, alpha * b.star()]]), ball),
+        (positive_square(RingMatrix.from_element(1 - alpha * a + b)), ball[3:]),
+        (RingMatrix(z2, [[a + alpha, 2 * b.star()]]), ball),  # 1 x 2
+        # one point, with and without the identity in the support
+        (RingMatrix.from_element(3 * t), [(7,)]),
+        (RingMatrix.from_element(2 + t - t.star()), [(7,)]),
+        (RingMatrix.from_element(alpha * a * b), [(0, 0)]),
+        (RingMatrix(z2, [[alpha * a, b], [a.star(), 2 + alpha * b]]), [(1, -1)]),
+        # empty window
+        (RingMatrix.from_element(2 - t - t.star()), []),
+        (RingMatrix(z2, [[alpha * a + 2, b], [a, 1 + b]]), []),
+    ]
+    for delta, window in cases:
+        h, nw = compress(delta, window)
+        ref = translation_matrix(delta, window)
+        assert nw == len(window)
+        assert h.dtype == ref.dtype and h.shape == ref.shape
+        assert np.array_equal(h, ref)
+    assert np.array_equal(compress(RingMatrix.from_element(3 * t), [(7,)])[0], [[0.0]])
+
+
+def test_run_folner_eigenvalues_match_dense_reference(z_group):
+    rng = random.Random(SEED + 6)
+    z2 = FreeAbelianGroup(2)
+    a = RingElement.delta(z2, (1, 0))
+    b = RingElement.delta(z2, (0, 1))
+    alpha = RingElement.scalar(z2, complex(0.5, -1.5))
+    balls = [
+        [(i, j) for i in range(-r, r + 1) for j in range(-r, r + 1) if abs(i) + abs(j) <= r]
+        for r in (1, 2, 4)
+    ]
+    cases = [
+        (positive_square(RingMatrix.from_element(random_element(z_group, rng))),
+         build_boxes_folner(1, [0, 3, 6])),
+        (random_self_adjoint(z_group, rng, d=2), build_boxes_folner(1, [2, 5])),
+        (positive_square(RingMatrix.from_element(1 - alpha * a + b)), build_boxes_folner(2, [1, 3])),
+        (positive_square(RingMatrix(z2, [[alpha * a + 2, b], [a, 1 + b]])),
+         FolnerExhaustion(z2, explicit_sets=balls)),
+    ]
+    for delta, exhaustion in cases:
+        reports = run_folner(delta, exhaustion)
+        for i, rep in enumerate(reports):
+            ref = hermitian_eigenvalues(translation_matrix(delta, exhaustion.set_at(i)))
+            assert np.array_equal(rep.eigen.eigenvalues, ref)
 
 
 def test_box_defect_examples():

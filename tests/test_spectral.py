@@ -19,25 +19,23 @@ from l2approx import (
     cyclic_quotient,
     density_from_eigs,
     finite_spectrum,
-    hermitian_eigenvalues,
     log_det,
     positive_square,
     product_group,
-    regular_representation,
     subgroup_invariance_check,
     symmetric_group,
     trace_poly_exact,
 )
 from l2approx.errors import InfiniteGroup, NotHermitian
-from l2approx.spectral import (
-    DEFAULT_EIG_TOL,
-    _cyclic_split,
-    _require_hermitian,
-    character_spectrum,
-    densities_match,
-)
+from l2approx.spectral import _cyclic_split, character_spectrum, densities_match
 
 from conftest import SEED, random_self_adjoint
+from dense_reference import (
+    DEFAULT_EIG_TOL,
+    _require_hermitian,
+    hermitian_eigenvalues,
+    regular_representation,
+)
 
 
 @pytest.fixture(scope="module")
