@@ -3,7 +3,7 @@
     l2approx density  problem.json  [--level N | --grid G] [--output F] [--json]
     l2approx approx   problem.json  [--levels ...] [--boxes ...] [--lambda-grid ...]
                                     [--grid G] [--tol T] [--eps-ker E]
-                                    [--timings] [--output F]
+                                    [--timings] [--densities] [--output F]
     l2approx cw       complex.json  [--grid G | --levels ...] [--tol T] [--output F]
     l2approx verify   SUITE         [--seed S]
 

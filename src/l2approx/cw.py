@@ -138,7 +138,6 @@ def l2_invariants(
     oracle_grid: Optional[int] = None,
     tower: Optional[QuotientTower] = None,
     tol: float = 0.02,
-    acyclicity_tol: float = ACYCLICITY_TOL,
 ) -> L2Report:
     """Betti numbers, determinants and torsion of a validated complex.
 
@@ -163,7 +162,7 @@ def l2_invariants(
     logdets = [ld for _, ld, _ in results]
     det_class = [ok for _, _, ok in results]
     per_degree = [{"betti": b, "logdet": ld} for b, ld, _ in results]
-    acyclic = all(b <= acyclicity_tol for b in bettis)
+    acyclic = all(b <= ACYCLICITY_TOL for b in bettis)
     torsion = None
     if acyclic:
         torsion = sum((-1) ** p * p * logdets[p] for p in range(len(logdets)))

@@ -9,7 +9,7 @@ Elements are plain hashable payloads whose shape depends on the group:
                         indices (``2`` for the second generator, ``-2`` for
                         its inverse), no adjacent cancelling pair
 * finite table       -- an int index into the multiplication table
-* direct product     -- a pair ``(left_payload, right_payload)``
+* direct product     -- a tuple with one payload per factor
 
 Two elements are equal iff their payloads are identical, so payloads can be
 used directly as dict keys.
@@ -18,6 +18,7 @@ used directly as dict keys.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -400,59 +401,59 @@ class FiniteTableGroup(Group):
 
 @dataclass(frozen=True)
 class DirectProductGroup(Group):
-    left: Group
-    right: Group
+    """Direct product of ``factors``; an element is a tuple with one payload
+    per factor."""
+
+    factors: tuple
 
     def contains(self, g):
         return (
             isinstance(g, tuple)
-            and len(g) == 2
-            and self.left.contains(g[0])
-            and self.right.contains(g[1])
+            and len(g) == len(self.factors)
+            and all(f.contains(x) for f, x in zip(self.factors, g))
         )
 
     def identity(self):
-        return (self.left.identity(), self.right.identity())
+        return tuple(f.identity() for f in self.factors)
 
     def multiply(self, g, h):
-        return (self.left.multiply(g[0], h[0]), self.right.multiply(g[1], h[1]))
+        return tuple(f.multiply(a, b) for f, a, b in zip(self.factors, g, h))
 
     def inverse(self, g):
-        return (self.left.inverse(g[0]), self.right.inverse(g[1]))
+        return tuple(f.inverse(a) for f, a in zip(self.factors, g))
 
     @property
     def is_finite(self):
-        return self.left.is_finite and self.right.is_finite
+        return all(f.is_finite for f in self.factors)
 
     @property
     def order(self):
-        return self.left.order * self.right.order
+        return math.prod(f.order for f in self.factors)
 
     def elements(self):
-        return [(a, b) for a in self.left.elements() for b in self.right.elements()]
+        return list(itertools.product(*(f.elements() for f in self.factors)))
 
     def cyclic_factors(self):
-        lf = self.left.cyclic_factors()
-        rf = self.right.cyclic_factors()
-        if lf is None or rf is None:
+        orders = [f.cyclic_factors() for f in self.factors]
+        if None in orders:
             return None
-        return lf + rf
+        return [n for part in orders for n in part]
 
     def exponents(self, g):
-        return self.left.exponents(g[0]) + self.right.exponents(g[1])
+        return tuple(e for f, x in zip(self.factors, g) for e in f.exponents(x))
 
     def __str__(self):
-        return f"({self.left} x {self.right})"
+        return "(" + " x ".join(map(str, self.factors)) + ")"
 
 
 def product_group(factors: Sequence[Group]) -> Group:
-    """Left-fold a list of groups into nested binary direct products."""
+    """The direct product of a list of groups: the trivial group for none,
+    the factor itself for one.  A factor that is a product stays nested."""
     if not factors:
         return TrivialGroup()
-    g = factors[0]
-    for f in factors[1:]:
-        g = DirectProductGroup(g, f)
-    return g
+    if len(factors) == 1:
+        return factors[0]
+    return DirectProductGroup(tuple(factors))
 
 
 def symmetric_group(n: int) -> FiniteTableGroup:
@@ -586,25 +587,6 @@ def free_abelian_quotient(rank: int, moduli) -> Homomorphism:
     if len(moduli) != rank:
         raise UndefinedGenerator(f"need {rank} moduli, got {len(moduli)}")
     target = product_group([CyclicGroup(n) for n in moduli])
-    source = FreeAbelianGroup(rank)
-    images = []
-    for k in range(rank):
-        img = target.identity()
-        img = _set_coordinate(target, img, k, moduli[k])
-        images.append(img)
-    return Homomorphism(source, target, generator_images=images)
-
-
-def _set_coordinate(group: Group, payload, index: int, modulus: int):
-    """Replace coordinate `index` of a nested cyclic-product payload by 1."""
-    if isinstance(group, CyclicGroup):
-        if index != 0:
-            raise IndexError(index)
-        return 1 % modulus
-    if isinstance(group, TrivialGroup):
-        raise IndexError(index)
-    assert isinstance(group, DirectProductGroup)
-    nleft = len(group.left.cyclic_factors())
-    if index < nleft:
-        return (_set_coordinate(group.left, payload[0], index, modulus), payload[1])
-    return (payload[0], _set_coordinate(group.right, payload[1], index - nleft, modulus))
+    units = [tuple(int(j == k) % n for j, n in enumerate(moduli)) for k in range(rank)]
+    images = [u[0] for u in units] if rank == 1 else units
+    return Homomorphism(FreeAbelianGroup(rank), target, generator_images=images)

@@ -38,6 +38,26 @@ class ProblemFormatError(L2ApproxError):
     """The problem file does not match the expected schema."""
 
 
+CHECKS = ("subgroup", "whitehead", "complex", "squeeze", "sintapr", "traces", "norms")
+
+
+def _int(x, what: str) -> int:
+    """A JSON integer; bool, float and string are rejected, never converted."""
+    if type(x) is not int:
+        raise ProblemFormatError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ProblemFormatError(f"{what} must be a list, got {x!r}")
+    return x
+
+
+def _ints(x, what: str) -> list:
+    return [_int(v, what) for v in _list(x, what)]
+
+
 # ---------------------------------------------------------------------------
 # groups
 # ---------------------------------------------------------------------------
@@ -50,11 +70,11 @@ def parse_group(obj) -> Group:
         if kind == "trivial":
             return TrivialGroup()
         if kind == "cyclic":
-            return CyclicGroup(int(obj["n"]))
+            return CyclicGroup(_int(obj["n"], "cyclic order"))
         if kind == "free_abelian":
-            return FreeAbelianGroup(int(obj["rank"]))
+            return FreeAbelianGroup(_int(obj["rank"], "rank"))
         if kind == "free":
-            return FreeGroup(int(obj["rank"]))
+            return FreeGroup(_int(obj["rank"], "rank"))
         if kind == "finite_table":
             table = obj["table"]
             if (
@@ -63,9 +83,12 @@ def parse_group(obj) -> Group:
                 or any(type(x) is not int for row in table for x in row)
             ):
                 raise ProblemFormatError(f"table must be a list of integer rows: {table!r}")
-            return FiniteTableGroup(table, names=obj.get("names"))
+            names = obj.get("names")
+            if names is not None and any(type(x) is not str for x in _list(names, "names")):
+                raise ProblemFormatError(f"names must be strings: {names!r}")
+            return FiniteTableGroup(table, names=names)
         if kind == "product":
-            return product_group([parse_group(f) for f in obj["factors"]])
+            return product_group([parse_group(f) for f in _list(obj["factors"], "factors")])
     except KeyError as exc:
         raise ProblemFormatError(f"group {kind!r} is missing field {exc}") from exc
     raise ProblemFormatError(f"unknown group type {kind!r}")
@@ -86,13 +109,7 @@ def group_to_json(group: Group):
             out["names"] = list(group.names)
         return out
     if isinstance(group, DirectProductGroup):
-        factors = []
-        g = group
-        while isinstance(g, DirectProductGroup):
-            factors.insert(0, g.right)
-            g = g.left
-        factors.insert(0, g)
-        return {"type": "product", "factors": [group_to_json(f) for f in factors]}
+        return {"type": "product", "factors": [group_to_json(f) for f in group.factors]}
     raise ProblemFormatError(f"cannot serialize group {group}")
 
 
@@ -100,13 +117,13 @@ def parse_element(group: Group, obj):
     if isinstance(group, TrivialGroup):
         payload = ()
     elif isinstance(group, (CyclicGroup, FiniteTableGroup)):
-        payload = int(obj)
+        payload = _int(obj, "element")
     elif isinstance(group, (FreeAbelianGroup, FreeGroup)):
-        payload = tuple(int(x) for x in obj)
+        payload = tuple(_ints(obj, "word"))
     elif isinstance(group, DirectProductGroup):
-        if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-            raise ProblemFormatError(f"product element must be a pair: {obj!r}")
-        payload = (parse_element(group.left, obj[0]), parse_element(group.right, obj[1]))
+        if not isinstance(obj, list) or len(obj) != len(group.factors):
+            raise ProblemFormatError(f"element of {group} needs one entry per factor: {obj!r}")
+        payload = tuple(parse_element(f, x) for f, x in zip(group.factors, obj))
     else:
         raise ProblemFormatError(f"cannot parse elements of {group}")
     return group.check(payload)
@@ -120,7 +137,7 @@ def element_to_json(group: Group, payload):
     if isinstance(group, (FreeAbelianGroup, FreeGroup)):
         return list(payload)
     if isinstance(group, DirectProductGroup):
-        return [element_to_json(group.left, payload[0]), element_to_json(group.right, payload[1])]
+        return [element_to_json(f, x) for f, x in zip(group.factors, payload)]
     raise ProblemFormatError(f"cannot serialize elements of {group}")
 
 
@@ -147,10 +164,10 @@ def rational_to_json(fr: Fraction):
 
 
 def parse_ring_element(group: Group, obj) -> RingElement:
-    if not isinstance(obj, list):
-        raise ProblemFormatError(f"ring element must be a list of terms: {obj!r}")
     terms = {}
-    for term in obj:
+    for term in _list(obj, "ring element"):
+        if not isinstance(term, dict) or "word" not in term:
+            raise ProblemFormatError(f"term must be an object with a 'word': {term!r}")
         g = parse_element(group, term["word"])
         re = parse_rational(term.get("re", 0))
         im = parse_rational(term.get("im", 0))
@@ -174,13 +191,13 @@ def ring_element_to_json(x: RingElement):
 def parse_matrix(group: Group, obj) -> RingMatrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ProblemFormatError(f"matrix must be an object with 'entries': {obj!r}")
-    entries = [[parse_ring_element(group, e) for e in row] for row in obj["entries"]]
-    m = RingMatrix(group, entries)
+    grid = [_list(row, "matrix row") for row in _list(obj["entries"], "matrix entries")]
+    m = RingMatrix(group, [[parse_ring_element(group, e) for e in row] for row in grid])
     rows = obj.get("rows")
     cols = obj.get("cols")
-    if rows is not None and int(rows) != m.rows:
+    if rows is not None and _int(rows, "rows") != m.rows:
         raise ProblemFormatError(f"declared rows={rows} but found {m.rows}")
-    if cols is not None and int(cols) != m.cols:
+    if cols is not None and _int(cols, "cols") != m.cols:
         raise ProblemFormatError(f"declared cols={cols} but found {m.cols}")
     return m
 
@@ -198,14 +215,16 @@ def matrix_to_json(m: RingMatrix):
 # ---------------------------------------------------------------------------
 
 def parse_homomorphism(source: Group, obj) -> Homomorphism:
+    if not isinstance(obj, dict) or "target" not in obj:
+        raise ProblemFormatError(f"homomorphism must be an object with a 'target': {obj!r}")
     target = parse_group(obj["target"])
     if "images" in obj:
-        images = [parse_element(target, im) for im in obj["images"]]
+        images = [parse_element(target, im) for im in _list(obj["images"], "images")]
         return Homomorphism(source, target, generator_images=images)
     if "element_map" in obj:
         emap = {
             parse_element(source, k): parse_element(target, v)
-            for k, v in obj["element_map"]
+            for k, v in _list(obj["element_map"], "element_map")
         }
         return Homomorphism(source, target, element_map=emap)
     raise ProblemFormatError("homomorphism needs 'images' or 'element_map'")
@@ -217,16 +236,16 @@ def parse_scheme(group: Group, obj):
     kind = obj["type"]
     if kind == "tower":
         if "maps" in obj:
-            homs = [parse_homomorphism(group, h) for h in obj["maps"]]
+            homs = [parse_homomorphism(group, h) for h in _list(obj["maps"], "maps")]
             return QuotientTower(group, homs, labels=obj.get("labels"))
-        levels = [int(n) for n in obj["levels"]]
+        levels = _ints(obj["levels"], "tower level")
         if not isinstance(group, FreeAbelianGroup):
             raise ProblemFormatError(
                 "tower levels as moduli need a free abelian group; supply 'maps'"
             )
         return QuotientTower.zn(group.rank, levels)
     if kind == "folner":
-        boxes = [int(m) for m in obj["boxes"]]
+        boxes = _ints(obj["boxes"], "box size")
         if not isinstance(group, FreeAbelianGroup):
             raise ProblemFormatError("folner boxes need a free abelian group")
         return build_boxes_folner(group.rank, boxes)
@@ -247,7 +266,6 @@ class Problem:
     checks: list = field(default_factory=list)
     inverse: Optional[RingMatrix] = None
     embedding: Optional[Homomorphism] = None
-    raw: dict = field(default_factory=dict)
 
 
 def parse_problem(obj: dict) -> Problem:
@@ -260,11 +278,16 @@ def parse_problem(obj: dict) -> Problem:
         raise ProblemFormatError(f"problem is missing field {exc}") from exc
     scheme = parse_scheme(group, obj["scheme"]) if "scheme" in obj else None
     oracle = obj.get("oracle", {})
-    oracle_grid = int(oracle["grid"]) if isinstance(oracle, dict) and "grid" in oracle else None
+    has_grid = isinstance(oracle, dict) and "grid" in oracle
+    oracle_grid = _int(oracle["grid"], "oracle grid") if has_grid else None
     inverse = parse_matrix(group, obj["inverse"]) if "inverse" in obj else None
     embedding = parse_homomorphism(group, obj["embedding"]) if "embedding" in obj else None
-    lambda_grid = [float(x) for x in obj["lambda_grid"]] if "lambda_grid" in obj else None
-    checks = list(obj.get("checks", []))
+    lambda_grid = obj.get("lambda_grid")
+    if lambda_grid is not None:
+        lambda_grid = [float(x) for x in _list(lambda_grid, "lambda_grid")]
+    checks = _list(obj.get("checks", []), "checks")
+    if any(c not in CHECKS for c in checks):
+        raise ProblemFormatError(f"checks must be a list of names from {list(CHECKS)}: {checks!r}")
     return Problem(
         group=group,
         matrix=matrix,
@@ -274,7 +297,6 @@ def parse_problem(obj: dict) -> Problem:
         checks=checks,
         inverse=inverse,
         embedding=embedding,
-        raw=obj,
     )
 
 
@@ -283,8 +305,10 @@ def parse_complex(obj: dict) -> ChainComplexSpec:
         raise ProblemFormatError("complex file must contain a JSON object")
     try:
         group = parse_group(obj["group"])
-        dims = tuple(int(c) for c in obj["cells"])
-        boundaries = tuple(parse_matrix(group, b) for b in obj.get("boundaries", []))
+        dims = tuple(_ints(obj["cells"], "cell count"))
+        boundaries = tuple(
+            parse_matrix(group, b) for b in _list(obj.get("boundaries", []), "boundaries")
+        )
     except KeyError as exc:
         raise ProblemFormatError(f"complex is missing field {exc}") from exc
     return ChainComplexSpec(group, dims, boundaries)

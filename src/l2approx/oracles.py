@@ -29,6 +29,9 @@ from .spectral import (
     log_det,
 )
 
+# Newton polishing of Mahler-measure roots stops once no root moves further
+POLISH_TOL = 1e-10
+
 
 # ---------------------------------------------------------------------------
 # trivial group: exact integer determinants
@@ -227,7 +230,7 @@ def _laurent_terms(p: LaurentLike) -> dict:
     return {int(k): Fraction(v) for k, v in dict(p).items() if Fraction(v) != 0}
 
 
-def mahler_1x1(p: LaurentLike, polish_tol: float = 1e-10) -> float:
+def mahler_1x1(p: LaurentLike) -> float:
     """log Mahler measure of a nonzero one-variable Laurent polynomial.
 
     log M(p) = log|leading coefficient| + sum over roots of log max(1, |r|).
@@ -255,7 +258,7 @@ def mahler_1x1(p: LaurentLike, polish_tol: float = 1e-10) -> float:
         better = np.abs(np.polyval(cf, refined)) <= np.abs(vals)
         roots = np.where(better, refined, roots)
         moved = float(np.max(np.abs(step[better]))) if np.any(better) else 0.0
-        if moved < polish_tol:
+        if moved < POLISH_TOL:
             break
     # |prod roots| must equal |trailing/leading|
     expected = abs(float(terms[lo] / lead))

@@ -49,6 +49,8 @@ from .spectral import (
 )
 
 NORM_SLACK = 1e-9
+# powers m of Delta whose exact traces every tower and Folner level reports
+TRACE_POWERS = (1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +293,6 @@ def run_tower(
     tower: QuotientTower,
     *,
     kernel_threshold: Optional[float] = None,
-    exact_powers: Sequence[int] = (1, 2, 3),
 ) -> list:
     """Push a self-adjoint matrix down a tower and report every level.
 
@@ -306,17 +307,16 @@ def run_tower(
         raise SchemeError("run_tower expects a self-adjoint (A*A) matrix")
     kb = k_bound(delta)
     thr = kernel_threshold if kernel_threshold is not None else default_kernel_threshold(delta)
-    powers = tuple(sorted(set(int(m) for m in exact_powers)))
-    ref_traces, ref_supports = _reference_traces(delta, powers)
+    ref_traces, ref_supports = _reference_traces(delta, TRACE_POWERS)
 
     reports = []
     for phi, label in zip(tower.levels, tower.labels):
         t0 = time.perf_counter()
         delta_i = delta.push_forward(phi)
         eig = finite_spectrum(delta_i, kernel_threshold=thr)
-        exact_traces, _ = _reference_traces(delta_i, powers)
+        exact_traces, _ = _reference_traces(delta_i, TRACE_POWERS)
         certified = {}
-        for m in powers:
+        for m in TRACE_POWERS:
             ok = phi.kernel_avoids(ref_supports[m])
             certified[m] = ok
             if not ok:
@@ -409,7 +409,6 @@ def run_folner(
     exhaustion: FolnerExhaustion,
     *,
     kernel_threshold: Optional[float] = None,
-    trace_powers: Sequence[int] = (1, 2, 3),
 ) -> list:
     """Compress a self-adjoint matrix over Z^n to each Folner set.
 
@@ -428,7 +427,6 @@ def run_folner(
         raise SchemeError("run_folner expects a self-adjoint matrix")
     kb = k_bound(delta)
     thr = kernel_threshold if kernel_threshold is not None else default_kernel_threshold(delta)
-    powers = tuple(sorted(set(int(m) for m in trace_powers)))
     support_radius = _support_radius(delta)
 
     reports = []
@@ -437,14 +435,14 @@ def run_folner(
         t0 = time.perf_counter()
         h, nw = compress(delta, window)
         eig = EigenResult(np.linalg.eigvalsh(h), nw, thr)
-        exact = compressed_trace_powers(delta, window, powers)
-        exact_traces = {m: GaussianRational.of(Fraction(1, nw)) * exact[m] for m in powers}
+        exact = compressed_trace_powers(delta, window, TRACE_POWERS)
+        exact_traces = {m: GaussianRational.of(Fraction(1, nw)) * exact[m] for m in TRACE_POWERS}
         defects = {
-            m: exhaustion.defect(i, max(1, m * support_radius)) for m in powers
+            m: exhaustion.defect(i, max(1, m * support_radius)) for m in TRACE_POWERS
         }
         reports.append(
             _level_report(
-                label, eig, kb, t0, exact_traces, {m: True for m in powers}, defects
+                label, eig, kb, t0, exact_traces, {m: True for m in TRACE_POWERS}, defects
             )
         )
     return reports

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InfiniteGroup, MalformedGroup, NotHermitian
-from .groups import DirectProductGroup, Group, Homomorphism, TrivialGroup
+from .groups import DirectProductGroup, Group, Homomorphism, TrivialGroup, product_group
 from .matrices import RingMatrix, k_bound
 
 KERNEL_THRESHOLD_FACTOR = 1e-9
@@ -193,42 +193,38 @@ def _block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
 
 
 def _cyclic_split(group: Group) -> tuple:
-    """G = H x C, C the product of the cyclic factors at the top of G.
+    """G = H x C, C the product of every cyclic factor of G.
 
     Returns (H, orders of C, h_part, exponents): the H-component of an
     element and the exponents of its C-component.  Cyclic products have H
-    trivial; a direct product is split only while one side is a cyclic
-    product, so cyclic factors under two non-cyclic sides stay in H.
+    trivial; a direct product puts each cyclic factor into C, splits each
+    factor that is itself a product, and keeps the other factors in H.
     """
     factors = group.cyclic_factors()
     if factors is not None:
         return TrivialGroup(), factors, lambda g: (), group.exponents
-    if isinstance(group, DirectProductGroup):
-        left, right = group.left, group.right
-        if right.cyclic_factors() is not None:
-            h, cf, h_part, exps = _cyclic_split(left)
-            return (
-                h,
-                cf + right.cyclic_factors(),
-                lambda g: h_part(g[0]),
-                lambda g: exps(g[0]) + right.exponents(g[1]),
-            )
-        if left.cyclic_factors() is not None:
-            h, cf, h_part, exps = _cyclic_split(right)
-            return (
-                h,
-                left.cyclic_factors() + cf,
-                lambda g: h_part(g[1]),
-                lambda g: left.exponents(g[0]) + exps(g[1]),
-            )
-    return group, [], lambda g: g, lambda g: ()
+    if not isinstance(group, DirectProductGroup):
+        return group, [], lambda g: g, lambda g: ()
+    splits = [_cyclic_split(f) for f in group.factors]
+    in_h = [i for i, f in enumerate(group.factors) if f.cyclic_factors() is None]
+
+    def h_part(g):
+        hs = tuple(splits[i][2](g[i]) for i in in_h)
+        return hs[0] if len(hs) == 1 else hs
+
+    return (
+        product_group([splits[i][0] for i in in_h]),
+        [n for _, orders, _, _ in splits for n in orders],
+        h_part,
+        lambda g: tuple(e for s, x in zip(splits, g) for e in s[3](x)),
+    )
 
 
 def character_spectrum(delta: RingMatrix) -> np.ndarray:
     """Eigenvalues of the regular representation, block-diagonalised.
 
-    G splits as H x C with C the product of the cyclic factors at the top of
-    G (``_cyclic_split``).  The characters of C block-diagonalise the left
+    G splits as H x C with C the product of every cyclic factor of G
+    (``_cyclic_split``).  The characters of C block-diagonalise the left
     regular representation into |C| blocks of size d|H|: left
     multiplication over H, weighted by the character.  Cyclic products give
     d x d blocks, a bare table one dense block, real when every
@@ -239,12 +235,8 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
         raise InfiniteGroup(f"character spectrum needs a finite group, got {group}")
     h_group, factors, h_part, exponents = _cyclic_split(group)
     total = group.order // h_group.order
-    r = len(factors)
-    if r:
-        grids = np.meshgrid(*[np.arange(n) for n in factors], indexing="ij")
-        kmesh = np.stack(grids, axis=-1).reshape(total, r).astype(np.float64)
-    else:
-        kmesh = np.zeros((1, 0))
+    # row t of kmesh: the t-th character's multi-index, in C order
+    kmesh = np.indices(factors).reshape(len(factors), total).T.astype(np.float64, order="C")
     orders = np.asarray(factors, dtype=np.float64)
 
     def phase(g):

@@ -231,6 +231,116 @@ def test_table_entry_not_an_integer_exits_2(entry, tmp_path, capsys):
     assert "table must be a list of integer rows" in capsys.readouterr().err
 
 
+def _cyclic_problem(n=4, word=0, **matrix):
+    return {
+        "group": {"type": "cyclic", "n": n},
+        "matrix": {"entries": [[[{"word": word, "re": 1}]]], **matrix},
+    }
+
+
+HOSTILE_FILES = {
+    "term-is-a-list": ("density", _cyclic_problem(entries=[[[[0, 1]]]])),
+    "entries-not-a-list": ("density", _cyclic_problem(entries=7)),
+    "names-not-a-list": (
+        "density",
+        {
+            "group": {"type": "finite_table", "table": [[0, 1], [1, 0]], "names": 5},
+            "matrix": {"entries": [[[{"word": 0, "re": 1}]]]},
+        },
+    ),
+    "order-is-a-float": ("density", _cyclic_problem(n=4.7)),
+    "order-is-a-string": ("density", _cyclic_problem(n="abc")),
+    "word-is-a-float": ("density", _cyclic_problem(word=1.9)),
+    "rows-is-a-string": ("density", _cyclic_problem(rows="x")),
+    "rank-is-a-bool": (
+        "density",
+        {
+            "group": {"type": "free_abelian", "rank": True},
+            "matrix": {"entries": [[[{"word": [0], "re": 1}]]]},
+            "scheme": {"type": "tower", "levels": [4]},
+        },
+    ),
+    "tower-level-is-a-float": (
+        "density",
+        {
+            "group": {"type": "free_abelian", "rank": 1},
+            "matrix": {"entries": [[[{"word": [0], "re": 1}]]]},
+            "scheme": {"type": "tower", "levels": [4.5, 8]},
+        },
+    ),
+    "box-is-a-string": (
+        "density",
+        {
+            "group": {"type": "free_abelian", "rank": 1},
+            "matrix": {"entries": [[[{"word": [0], "re": 1}]]]},
+            "scheme": {"type": "folner", "boxes": ["4"]},
+        },
+    ),
+    "oracle-grid-is-a-float": (
+        "density",
+        {
+            "group": {"type": "free_abelian", "rank": 1},
+            "matrix": {"entries": [[[{"word": [0], "re": 1}]]]},
+            "oracle": {"grid": 8.0},
+        },
+    ),
+    "cells-is-a-float": (
+        "cw",
+        {"group": {"type": "free_abelian", "rank": 1}, "cells": [1, 1.5], "boundaries": []},
+    ),
+    "factors-not-a-list": (
+        "density",
+        {
+            "group": {"type": "product", "factors": 5},
+            "matrix": {"entries": [[[{"word": [], "re": 1}]]]},
+        },
+    ),
+    "maps-not-a-list": (
+        "approx",
+        {
+            "group": {"type": "free", "rank": 2},
+            "matrix": {"entries": [[[{"word": [], "re": 1}]]]},
+            "scheme": {"type": "tower", "maps": 5},
+        },
+    ),
+    "embedding-not-an-object": ("density", {**_cyclic_problem(), "embedding": 5}),
+    "lambda-grid-not-a-list": ("density", {**_cyclic_problem(), "lambda_grid": 5}),
+    "product-element-as-nested-pair": (
+        "density",
+        {
+            "group": {
+                "type": "product",
+                "factors": [{"type": "cyclic", "n": 2}] * 3,
+            },
+            "matrix": {"entries": [[[{"word": [[0, 0], 0], "re": 1}]]]},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_FILES))
+def test_hostile_problem_file_exits_2(case, tmp_path, capsys):
+    command, problem = HOSTILE_FILES[case]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main([command, str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checks", [["bogus"], "norms", ["norms", 3]])
+def test_unknown_checks_exit_2(checks, tmp_path, capsys):
+    problem = {
+        "group": {"type": "free_abelian", "rank": 1},
+        "matrix": {"entries": [[[{"word": [0], "re": 1}]]]},
+        "scheme": {"type": "tower", "levels": [4]},
+        "checks": checks,
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main(["approx", str(path)]) == 2
+    assert "checks must be a list" in capsys.readouterr().err
+
+
 def test_density_json_mode(capsys):
     assert main(["density", fixture_path("zd_laplacian.json"), "--grid", "8", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

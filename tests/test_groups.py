@@ -32,8 +32,9 @@ ALL_GROUPS = [
     FreeGroup(1),
     FreeGroup(2),
     symmetric_group(3),
-    DirectProductGroup(CyclicGroup(2), CyclicGroup(2)),
+    DirectProductGroup((CyclicGroup(2), CyclicGroup(2))),
     product_group([CyclicGroup(2), CyclicGroup(3), CyclicGroup(4)]),
+    product_group([product_group([CyclicGroup(2), CyclicGroup(3)]), CyclicGroup(4)]),
 ]
 
 
@@ -94,7 +95,7 @@ def test_apply_hom_examples(s3):
 
 def test_enumerate_examples(s3):
     assert CyclicGroup(3).elements() == [0, 1, 2]
-    klein = DirectProductGroup(CyclicGroup(2), CyclicGroup(2))
+    klein = DirectProductGroup((CyclicGroup(2), CyclicGroup(2)))
     elems = klein.elements()
     assert len(elems) == 4
     assert elems[0] == klein.identity()
@@ -159,6 +160,17 @@ def test_homomorphism_property_randomized(s3):
             )
 
 
+def test_free_abelian_quotient_images_are_unit_tuples():
+    phi = free_abelian_quotient(3, [2, 3, 4])
+    assert phi.target == product_group([CyclicGroup(2), CyclicGroup(3), CyclicGroup(4)])
+    assert phi.generator_images == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert free_abelian_quotient(1, [5]).generator_images == (1,)
+    rng = random.Random(SEED)
+    for _ in range(50):
+        g = random_group_element(phi.source, rng)
+        assert phi.apply(g) == tuple(x % n for x, n in zip(g, (2, 3, 4)))
+
+
 def test_mismatched_payload_raises():
     with pytest.raises(MismatchedGroup):
         CyclicGroup(4).check(7)
@@ -215,7 +227,7 @@ def test_injectivity_helpers():
 
 
 def test_element_map_homomorphism_on_product_source():
-    klein = DirectProductGroup(CyclicGroup(2), CyclicGroup(2))
+    klein = DirectProductGroup((CyclicGroup(2), CyclicGroup(2)))
     target = CyclicGroup(2)
     projection = Homomorphism(
         klein, target, element_map={g: g[0] for g in klein.elements()}

@@ -40,6 +40,7 @@ GROUPS = [
     FreeGroup(2),
     symmetric_group(3),
     product_group([CyclicGroup(2), CyclicGroup(3)]),
+    product_group([CyclicGroup(2), symmetric_group(3), CyclicGroup(4)]),
 ]
 
 
@@ -58,6 +59,20 @@ def test_element_roundtrip(group):
     for _ in range(20):
         g = random_group_element(group, rng)
         assert parse_element(group, element_to_json(group, g)) == g
+
+
+def test_product_element_is_one_entry_per_factor():
+    group = product_group([CyclicGroup(2), symmetric_group(3), CyclicGroup(4)])
+    assert str(group) == "(Z/2 x table group of order 6 x Z/4)"
+    assert parse_element(group, [1, 5, 3]) == (1, 5, 3)
+    assert element_to_json(group, (1, 5, 3)) == [1, 5, 3]
+    with pytest.raises(ProblemFormatError):
+        parse_element(group, [[1, 5], 3])
+    # a product factor that is itself a product keeps its nested entry
+    nested = product_group([product_group([CyclicGroup(2), CyclicGroup(3)]), CyclicGroup(4)])
+    assert parse_group(group_to_json(nested)) == nested
+    assert parse_element(nested, [[1, 2], 3]) == ((1, 2), 3)
+    assert element_to_json(nested, ((1, 2), 3)) == [[1, 2], 3]
 
 
 def test_rational_parsing():

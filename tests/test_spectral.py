@@ -26,6 +26,7 @@ from l2approx import (
     symmetric_group,
     trace_poly_exact,
 )
+from l2approx import spectral
 from l2approx.errors import InfiniteGroup, NotHermitian
 from l2approx.spectral import _cyclic_split, character_spectrum, densities_match
 
@@ -408,9 +409,11 @@ TABLE_PRODUCTS = {
     "S3 x Z/4": product_group([S3, CyclicGroup(4)]),
     "Z/3 x S3": product_group([CyclicGroup(3), S3]),
     "S3 x Z/2 x Z/3": product_group([S3, CyclicGroup(2), CyclicGroup(3)]),
-    "Z/2 x (S3 x Z/3)": DirectProductGroup(CyclicGroup(2), product_group([S3, CyclicGroup(3)])),
+    "Z/2 x (S3 x Z/3)": DirectProductGroup((CyclicGroup(2), product_group([S3, CyclicGroup(3)]))),
     "S3 x Z/1": product_group([S3, CyclicGroup(1)]),
     "S3": S3,
+    "S3 x Z/2 x S3": product_group([S3, CyclicGroup(2), S3]),
+    "(S3 x Z/2) x S3": product_group([product_group([S3, CyclicGroup(2)]), S3]),
 }
 
 
@@ -496,7 +499,7 @@ def test_block_spectrum_kernel_is_subgroup_index():
     assert len(indices) > 2
 
 
-def test_cyclic_split_peels_top_level_factors():
+def test_cyclic_split_peels_top_level_factors(monkeypatch):
     cases = {
         "S3 x Z/4": [4],
         "Z/3 x S3": [3],
@@ -512,12 +515,27 @@ def test_cyclic_split_peels_top_level_factors():
     h, got, h_part, exponents = _cyclic_split(cyclic)
     assert h == TrivialGroup() and got == [2, 3]
     assert h_part((1, 2)) == () and exponents((1, 2)) == (1, 2)
-    # cyclic factors under two non-cyclic sides stay in H
-    nested = DirectProductGroup(product_group([S3, CyclicGroup(2)]), S3)
-    h, got, h_part, exponents = _cyclic_split(nested)
-    assert h == nested and got == [] and h_part(((4, 1), 2)) == ((4, 1), 2)
     h, got, h_part, exponents = _cyclic_split(TABLE_PRODUCTS["Z/2 x (S3 x Z/3)"])
     assert h_part((1, (4, 2))) == 4 and exponents((1, (4, 2))) == (1, 2)
+    # a cyclic factor between two non-cyclic ones goes to C, flat or nested
+    flat = TABLE_PRODUCTS["S3 x Z/2 x S3"]
+    h, got, h_part, exponents = _cyclic_split(flat)
+    assert h == product_group([S3, S3]) and got == [2]
+    assert h_part((4, 1, 2)) == (4, 2) and exponents((4, 1, 2)) == (1,)
+    nested = TABLE_PRODUCTS["(S3 x Z/2) x S3"]
+    h, got, h_part, exponents = _cyclic_split(nested)
+    assert h == product_group([S3, S3]) and got == [2]
+    assert h_part(((4, 1), 2)) == (4, 2) and exponents(((4, 1), 2)) == (1,)
+    # so the spectrum is two blocks of size d|H| = 36
+    shapes = []
+    solve = spectral._block_eigenvalues
+    monkeypatch.setattr(
+        spectral, "_block_eigenvalues", lambda b: shapes.append(b.shape) or solve(b)
+    )
+    rng = random.Random(SEED)
+    for group in (flat, nested):
+        character_spectrum(random_self_adjoint(group, rng))
+    assert shapes == [(2, 36, 36)] * 2
 
 
 def test_finite_spectrum_rejects_non_self_adjoint():
