@@ -222,10 +222,11 @@ def parse_homomorphism(source: Group, obj) -> Homomorphism:
         images = [parse_element(target, im) for im in _list(obj["images"], "images")]
         return Homomorphism(source, target, generator_images=images)
     if "element_map" in obj:
-        emap = {
-            parse_element(source, k): parse_element(target, v)
-            for k, v in _list(obj["element_map"], "element_map")
-        }
+        pairs = [_list(p, "element_map entry") for p in _list(obj["element_map"], "element_map")]
+        bad = [p for p in pairs if len(p) != 2]
+        if bad:
+            raise ProblemFormatError(f"element_map entries must be [source, image] pairs, got {bad[0]!r}")
+        emap = {parse_element(source, k): parse_element(target, v) for k, v in pairs}
         return Homomorphism(source, target, element_map=emap)
     raise ProblemFormatError("homomorphism needs 'images' or 'element_map'")
 
@@ -284,7 +285,11 @@ def parse_problem(obj: dict) -> Problem:
     embedding = parse_homomorphism(group, obj["embedding"]) if "embedding" in obj else None
     lambda_grid = obj.get("lambda_grid")
     if lambda_grid is not None:
-        lambda_grid = [float(x) for x in _list(lambda_grid, "lambda_grid")]
+        lambda_grid = _list(lambda_grid, "lambda_grid")
+        # json reads NaN and Infinity, which are not JSON numbers
+        if any(type(x) not in (int, float) or not math.isfinite(x) for x in lambda_grid):
+            raise ProblemFormatError(f"lambda_grid must be a list of finite numbers, got {lambda_grid!r}")
+        lambda_grid = [float(x) for x in lambda_grid]
     checks = _list(obj.get("checks", []), "checks")
     if any(c not in CHECKS for c in checks):
         raise ProblemFormatError(f"checks must be a list of names from {list(CHECKS)}: {checks!r}")

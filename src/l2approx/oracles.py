@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -133,6 +134,18 @@ def _require_free_abelian(delta: RingMatrix) -> int:
     return delta.group.rank
 
 
+def _grid_phase(theta_1d: np.ndarray, g) -> np.ndarray:
+    """exp(i theta.g) at every point theta of the grid theta_1d^n, n = len(g).
+
+    The phase is separable: the outer product of the 1-d phases
+    exp(i theta_1d g_k), raveled in the (ij) order of the flattened
+    meshgrid.  Rank 0 has the one point, phase 1.
+    """
+    if not g:
+        return np.ones(1)
+    return reduce(np.multiply.outer, [np.exp(1j * theta_1d * e) for e in g]).ravel()
+
+
 def torus_symbol_eigenvalues(delta: RingMatrix, grid_per_dim: int) -> np.ndarray:
     """Eigenvalues of the Fourier symbol on the midpoint torus grid.
 
@@ -146,17 +159,9 @@ def torus_symbol_eigenvalues(delta: RingMatrix, grid_per_dim: int) -> np.ndarray
         raise ValueError("grid_per_dim must be >= 1")
     points = m ** n
     theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-    if n:
-        mesh = np.meshgrid(*([theta_1d] * n), indexing="ij")
-        theta = np.stack(mesh, axis=-1).reshape(points, n)
-    else:
-        theta = np.zeros((1, 0))
-
-    def phase(g):
-        exps = np.asarray(g, dtype=np.float64)
-        return np.exp(1j * (theta @ exps)) if n else np.ones(1)
-
-    return _block_eigenvalues(_operator_blocks(delta, points, phase))
+    return _block_eigenvalues(
+        _operator_blocks(delta, points, lambda g: _grid_phase(theta_1d, g))
+    )
 
 
 def torus_eigen_result(delta: RingMatrix, grid_per_dim: int) -> EigenResult:

@@ -188,7 +188,13 @@ def _operator_blocks(
 
 
 def _block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a stack of Hermitian blocks, sorted ascending."""
+    """All eigenvalues of a stack of Hermitian blocks, sorted ascending.
+
+    A 1x1 block is its own eigenvalue: LAPACK reads only the real part of a
+    Hermitian diagonal, so the real diagonal is what ``eigvalsh`` returns.
+    """
+    if blocks.shape[1:] == (1, 1):
+        return np.sort(blocks.real, axis=None)
     return np.sort(np.linalg.eigvalsh(blocks).ravel())
 
 

@@ -305,6 +305,28 @@ HOSTILE_FILES = {
     ),
     "embedding-not-an-object": ("density", {**_cyclic_problem(), "embedding": 5}),
     "lambda-grid-not-a-list": ("density", {**_cyclic_problem(), "lambda_grid": 5}),
+    "lambda-grid-bool-and-string": ("density", {**_cyclic_problem(), "lambda_grid": [True, "2"]}),
+    "lambda-grid-non-numeric-string": ("density", {**_cyclic_problem(), "lambda_grid": ["abc"]}),
+    "lambda-grid-bool": ("density", {**_cyclic_problem(), "lambda_grid": [0.5, True]}),
+    "lambda-grid-nan": ("density", {**_cyclic_problem(), "lambda_grid": [0.5, float("nan")]}),
+    "lambda-grid-infinity": ("density", {**_cyclic_problem(), "lambda_grid": [float("inf")]}),
+    "element-map-entry-not-a-pair": (
+        "density",
+        {
+            **_cyclic_problem(),
+            "embedding": {"target": {"type": "cyclic", "n": 8}, "element_map": [5, 6]},
+        },
+    ),
+    "element-map-entry-of-length-3": (
+        "density",
+        {
+            **_cyclic_problem(),
+            "embedding": {
+                "target": {"type": "cyclic", "n": 8},
+                "element_map": [[0, 0, 1], [1, 2, 3]],
+            },
+        },
+    ),
     "product-element-as-nested-pair": (
         "density",
         {

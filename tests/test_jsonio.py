@@ -148,13 +148,25 @@ def test_parse_problem_requires_fields():
             "group": {"type": "free_abelian", "rank": 1},
             "matrix": {"entries": [[[{"word": [0], "re": 1}]]]},
             "oracle": {"grid": 64},
-            "lambda_grid": [0, 1],
+            "lambda_grid": [0, 1.5],
             "checks": ["sintapr"],
         }
     )
     assert problem.oracle_grid == 64
-    assert problem.lambda_grid == [0.0, 1.0]
+    assert problem.lambda_grid == [0.0, 1.5]
     assert problem.checks == ["sintapr"]
+
+
+def test_parse_embedding_from_element_map():
+    problem = parse_problem(
+        {
+            "group": {"type": "cyclic", "n": 2},
+            "matrix": {"entries": [[[{"word": 0, "re": 1}]]]},
+            "embedding": {"target": {"type": "cyclic", "n": 4}, "element_map": [[0, 0], [1, 2]]},
+        }
+    )
+    phi = problem.embedding
+    assert [phi(g) for g in (0, 1)] == [0, 2]
 
 
 def test_canonical_dumps_is_deterministic_and_fixed_precision():

@@ -20,7 +20,7 @@ from l2approx import (
     trivial_group_logdet_exact,
 )
 from l2approx.errors import NotPSD, WrongGroup
-from l2approx.oracles import torus_logdet_report, torus_symbol_eigenvalues
+from l2approx.oracles import _grid_phase, torus_logdet_report, torus_symbol_eigenvalues
 
 from conftest import SEED
 from dense_reference import hermitian_eigenvalues, regular_representation
@@ -107,6 +107,45 @@ def test_torus_two_variables():
     w = torus_symbol_eigenvalues(delta, 32)
     assert len(w) == 32 * 32
     assert w.min() > 0 and w.max() <= 8 + 1e-9
+
+
+def _meshgrid_phase(theta_1d, g):
+    """Reference: exp(i theta.g) over the flattened (ij) meshgrid of theta_1d^n."""
+    n = len(g)
+    mesh = np.meshgrid(*([theta_1d] * n), indexing="ij")
+    theta = np.stack(mesh, axis=-1).reshape(len(theta_1d) ** n, n)
+    return np.exp(1j * (theta @ np.asarray(g, dtype=np.float64)))
+
+
+@pytest.mark.parametrize(
+    "g", [(1,), (-2,), (0,), (1, 0), (-1, 2), (0, 0), (2, -1, 0), (-1, 1, 1), (0, 0, 0)]
+)
+@pytest.mark.parametrize("m", [1, 5, 16])
+def test_grid_phase_matches_meshgrid_formula(g, m):
+    theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+    phase = _grid_phase(theta_1d, g)
+    assert phase.shape == (m ** len(g),)
+    # the reference rounds theta.g before exp, an error that grows with |g|
+    tol = 1e-15 * max(1, sum(abs(e) for e in g))
+    assert np.max(np.abs(phase - _meshgrid_phase(theta_1d, g))) <= tol
+
+
+def test_grid_phase_rank_0_is_one_point():
+    assert np.array_equal(_grid_phase(np.arange(4.0), ()), np.ones(1))
+
+
+def test_torus_symbol_rank_3_laplacian():
+    z3 = FreeAbelianGroup(3)
+    gens = [RingElement.delta(z3, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    delta = RingMatrix.from_element(6 - sum(t + t.star() for t in gens))
+    m = 6
+    w = torus_symbol_eigenvalues(delta, m)
+    assert len(w) == m ** 3
+    assert w.min() >= 0 and w.max() <= 12
+    # the symbol is 6 - 2 sum_k cos(theta_k) on the midpoint grid
+    c = 2 * np.cos(2.0 * np.pi * (np.arange(m) + 0.5) / m)
+    closed = 6 - (c[:, None, None] + c[None, :, None] + c[None, None, :]).ravel()
+    assert np.allclose(w, np.sort(closed), rtol=0, atol=1e-12)
 
 
 def test_torus_symbol_matches_dense_regular_representation():

@@ -538,6 +538,23 @@ def test_cyclic_split_peels_top_level_factors(monkeypatch):
     assert shapes == [(2, 36, 36)] * 2
 
 
+def test_block_eigenvalues_1x1_is_bitwise_eigvalsh():
+    rng = np.random.default_rng(SEED)
+    k = 1000
+    diagonal = rng.standard_normal(k) * 10.0 ** rng.integers(-12, 4, size=k)
+    stacks = [
+        diagonal.reshape(k, 1, 1),
+        (diagonal + 0j).reshape(k, 1, 1),
+        # a symbol's diagonal carries rounding noise in its imaginary part
+        (diagonal + 1e-17j * rng.standard_normal(k)).reshape(k, 1, 1),
+        np.zeros((0, 1, 1)),
+    ]
+    for b in stacks:
+        got = spectral._block_eigenvalues(b)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.sort(np.linalg.eigvalsh(b).ravel()))
+
+
 def test_finite_spectrum_rejects_non_self_adjoint():
     z4 = CyclicGroup(4)
     t = RingElement.delta(z4, 1)
