@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -68,12 +69,38 @@ def _write_output(text: str, path):
             sys.stdout.write("\n")
 
 
-def _int_list(text: str) -> list:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _flag(parse, ok, what: str):
+    """An argparse type: a malformed flag is a usage error (exit 2) before
+    any work starts."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _float_list(text: str) -> list:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _split(parse):
+    return lambda text: [parse(x) for x in text.split(",") if x.strip()]
+
+
+_levels = _flag(_split(int), lambda v: all(n >= 1 for n in v), "comma-separated integers >= 1")
+# a leading -1 makes the first size >= 0
+_boxes = _flag(
+    _split(int),
+    lambda v: all(a < b for a, b in zip([-1] + v, v)),
+    "comma-separated strictly increasing integers >= 0",
+)
+_grid = _flag(int, lambda n: n >= 1, "an integer >= 1")
+_finite = _flag(float, math.isfinite, "a finite number")
+_finite_list = _flag(
+    _split(float), lambda v: all(map(math.isfinite, v)), "comma-separated finite numbers"
+)
 
 
 def _load_problem(path: str) -> Problem:
@@ -87,34 +114,19 @@ def _default_lambda_grid(problem: Problem) -> list:
 
 def cmd_density(args) -> int:
     problem = _load_problem(args.problem)
-    if args.grid is not None or (problem.scheme is None and problem.oracle_grid):
+    if args.grid is not None or (problem.scheme is None and problem.oracle_grid is not None):
         grid = args.grid if args.grid is not None else problem.oracle_grid
         density = torus_density(problem.matrix, grid)
-    elif isinstance(problem.scheme, QuotientTower):
-        tower = problem.scheme
-        idx = len(tower) - 1
-        if args.level is not None:
-            if args.level not in tower.labels:
-                raise ProblemFormatError(
-                    f"level {args.level} not in tower levels {tower.labels}"
-                )
-            idx = tower.labels.index(args.level)
-        reports = run_tower(
-            problem.matrix,
-            QuotientTower(tower.source, [tower.levels[idx]], [tower.labels[idx]]),
-        )
-        density = reports[0].density
-    elif isinstance(problem.scheme, FolnerExhaustion):
-        exh = problem.scheme
-        idx = len(exh) - 1
-        if args.level is not None:
-            if args.level not in exh.labels:
-                raise ProblemFormatError(f"level {args.level} not in boxes {exh.labels}")
-            idx = exh.labels.index(args.level)
-        reports = run_folner(
-            problem.matrix,
-            FolnerExhaustion(exh.group, box_sizes=[exh.box_sizes[idx]]),
-        )
+    elif problem.scheme is not None:
+        scheme = problem.scheme
+        label = scheme.labels[-1] if args.level is None else args.level
+        if label not in scheme.labels:
+            raise ProblemFormatError(f"level {label} not in scheme levels {scheme.labels}")
+        if isinstance(scheme, FolnerExhaustion):
+            reports = run_folner(problem.matrix, FolnerExhaustion(scheme.group, [label]))
+        else:
+            phi = scheme.levels[scheme.labels.index(label)]
+            reports = run_tower(problem.matrix, QuotientTower(scheme.source, [phi], [label]))
         density = reports[0].density
     elif problem.group.is_finite:
         density = density_from_eigs(finite_spectrum(problem.matrix))
@@ -148,19 +160,15 @@ def cmd_approx(args) -> int:
     if args.levels:
         if not isinstance(problem.group, FreeAbelianGroup):
             raise ProblemFormatError("--levels needs a free abelian group")
-        scheme = QuotientTower.zn(problem.group.rank, _int_list(args.levels))
+        scheme = QuotientTower.zn(problem.group.rank, args.levels)
     if args.boxes:
         if not isinstance(problem.group, FreeAbelianGroup):
             raise ProblemFormatError("--boxes needs a free abelian group")
-        scheme = build_boxes_folner(problem.group.rank, _int_list(args.boxes))
+        scheme = build_boxes_folner(problem.group.rank, args.boxes)
     checks = _requested_checks(problem)
     tol = args.tol
-    grid = args.grid or problem.oracle_grid or 2048
-    lam_grid = (
-        _float_list(args.lambda_grid)
-        if args.lambda_grid
-        else (problem.lambda_grid or _default_lambda_grid(problem))
-    )
+    grid = next(g for g in (args.grid, problem.oracle_grid, 2048) if g is not None)
+    lam_grid = args.lambda_grid or problem.lambda_grid or _default_lambda_grid(problem)
     eps = args.eps_ker
     report: dict = {
         "tool": {"name": "l2approx", "version": __version__},
@@ -282,9 +290,9 @@ def cmd_cw(args) -> int:
     if args.levels:
         if not isinstance(spec.group, FreeAbelianGroup):
             raise ProblemFormatError("--levels needs a free abelian group")
-        tower = QuotientTower.zn(spec.group.rank, _int_list(args.levels))
+        tower = QuotientTower.zn(spec.group.rank, args.levels)
     else:
-        grid = args.grid or 1024
+        grid = args.grid
     rep = l2_invariants(spec, oracle_grid=grid, tower=tower, tol=args.tol)
     out = {
         "betti": rep.betti,
@@ -325,19 +333,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="spectral density of one level or oracle grid")
     p.add_argument("problem")
     p.add_argument("--level", type=int, help="tower/box label to evaluate")
-    p.add_argument("--grid", type=int, help="torus oracle grid per dimension")
+    p.add_argument("--grid", type=_grid, help="torus oracle grid per dimension")
     p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p.add_argument("--output")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("approx", help="run an approximation scheme with verdicts")
     p.add_argument("problem")
-    p.add_argument("--levels", help="comma-separated tower moduli override")
-    p.add_argument("--boxes", help="comma-separated Folner box sizes override")
-    p.add_argument("--lambda-grid", help="comma-separated evaluation points")
-    p.add_argument("--grid", type=int, help="oracle grid per dimension")
-    p.add_argument("--tol", type=float, default=0.02)
-    p.add_argument("--eps-ker", type=float, help="kernel threshold override")
+    p.add_argument("--levels", type=_levels, help="comma-separated tower moduli override")
+    p.add_argument("--boxes", type=_boxes, help="comma-separated Folner box sizes override")
+    p.add_argument("--lambda-grid", type=_finite_list, help="comma-separated evaluation points")
+    p.add_argument("--grid", type=_grid, help="oracle grid per dimension")
+    p.add_argument("--tol", type=_finite, default=0.02)
+    p.add_argument("--eps-ker", type=_finite, help="kernel threshold override")
     p.add_argument("--timings", action="store_true", help="include wall times (non-reproducible)")
     p.add_argument("--densities", action="store_true", help="include full densities per level")
     p.add_argument("--output")
@@ -345,9 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cw", help="L2 invariants of a cellular chain complex")
     p.add_argument("complex")
-    p.add_argument("--grid", type=int, help="oracle grid per dimension")
-    p.add_argument("--levels", help="tower moduli (uses the tower route)")
-    p.add_argument("--tol", type=float, default=0.02)
+    p.add_argument("--grid", type=_grid, help="oracle grid per dimension")
+    p.add_argument("--levels", type=_levels, help="tower moduli (uses the tower route)")
+    p.add_argument("--tol", type=_finite, default=0.02)
     p.add_argument("--output")
     p.set_defaults(func=cmd_cw)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .errors import NotAComplex, SchemeError, TorsionUndefined, WrongGroup
+from .errors import NotAComplex, SchemeError, WrongGroup
 from .groups import FreeAbelianGroup, Group
 from .matrices import RingMatrix, laplacian
 from .oracles import _positive_log_det, torus_eigen_result
@@ -91,20 +91,12 @@ class L2Report:
     betti: list
     logdet: list
     det_class: list
-    det_lower_bound: list
     torsion: Optional[float]
     acyclic: bool
     euler_l2: float
     euler_cells: int
     method: str
     details: dict
-
-    def require_torsion(self) -> float:
-        if self.torsion is None:
-            raise TorsionUndefined(
-                f"complex is not L2-acyclic within {ACYCLICITY_TOL}: betti={self.betti}"
-            )
-        return self.torsion
 
 
 def _oracle_degree(delta: RingMatrix, grid: int):
@@ -161,7 +153,6 @@ def l2_invariants(
     bettis = [b for b, _, _ in results]
     logdets = [ld for _, ld, _ in results]
     det_class = [ok for _, _, ok in results]
-    per_degree = [{"betti": b, "logdet": ld} for b, ld, _ in results]
     acyclic = all(b <= ACYCLICITY_TOL for b in bettis)
     torsion = None
     if acyclic:
@@ -172,40 +163,11 @@ def l2_invariants(
         betti=bettis,
         logdet=logdets,
         det_class=det_class,
-        det_lower_bound=[min(ld, 0.0) for ld in logdets],
         torsion=torsion,
         acyclic=acyclic,
         euler_l2=euler_l2,
         euler_cells=euler_cells,
         method=method,
-        details={"per_degree": per_degree, "dims": list(spec.dims)},
+        details={"dims": list(spec.dims)},
     )
 
-
-def circle_complex() -> ChainComplexSpec:
-    """The circle: one 0-cell, one 1-cell, boundary t - 1 over Z."""
-    from .groupring import RingElement
-
-    z = FreeAbelianGroup(1)
-    t = RingElement.delta(z, (1,))
-    d1 = RingMatrix(z, [[t - 1]])
-    return ChainComplexSpec(z, (1, 1), (d1,))
-
-
-def torus_complex() -> ChainComplexSpec:
-    """The 2-torus with its standard CW structure over Z^2."""
-    from .groupring import RingElement
-
-    z2 = FreeAbelianGroup(2)
-    a = RingElement.delta(z2, (1, 0))
-    b = RingElement.delta(z2, (0, 1))
-    d1 = RingMatrix(z2, [[a - 1, b - 1]])
-    d2 = RingMatrix(z2, [[b - 1], [1 - a]])
-    return ChainComplexSpec(z2, (1, 2, 1), (d1, d2))
-
-
-def point_complex() -> ChainComplexSpec:
-    """A single 0-cell over the trivial group."""
-    from .groups import TrivialGroup
-
-    return ChainComplexSpec(TrivialGroup(), (1,), ())

@@ -66,10 +66,6 @@ class NotAComplex(L2ApproxError):
         super().__init__(message or f"boundary composition is nonzero at degree {degree}")
 
 
-class TorsionUndefined(L2ApproxError):
-    """Torsion was requested for a complex that is not L2-acyclic."""
-
-
 class SchemeError(L2ApproxError):
     """An approximation scheme is inconsistent with the given matrix."""
 

@@ -14,10 +14,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .cw import ChainComplexSpec
-from .errors import L2ApproxError
+from .errors import L2ApproxError, MalformedGroup, SchemeError
 from .groupring import GaussianRational, RingElement
 from .groups import (
     CyclicGroup,
@@ -235,22 +236,32 @@ def parse_scheme(group: Group, obj):
     if not isinstance(obj, dict) or "type" not in obj:
         raise ProblemFormatError(f"scheme must be an object with a 'type': {obj!r}")
     kind = obj["type"]
-    if kind == "tower":
-        if "maps" in obj:
-            homs = [parse_homomorphism(group, h) for h in _list(obj["maps"], "maps")]
-            return QuotientTower(group, homs, labels=obj.get("labels"))
+    if kind == "tower" and "maps" in obj:
+        homs = [parse_homomorphism(group, h) for h in _list(obj["maps"], "maps")]
+        labels = obj.get("labels")
+        labels = None if labels is None else _ints(labels, "tower label")
+        build = partial(QuotientTower, group, homs, labels=labels)
+    elif kind == "tower":
         levels = _ints(obj["levels"], "tower level")
         if not isinstance(group, FreeAbelianGroup):
             raise ProblemFormatError(
                 "tower levels as moduli need a free abelian group; supply 'maps'"
             )
-        return QuotientTower.zn(group.rank, levels)
-    if kind == "folner":
+        build = partial(QuotientTower.zn, group.rank, levels)
+    elif kind == "folner":
         boxes = _ints(obj["boxes"], "box size")
         if not isinstance(group, FreeAbelianGroup):
             raise ProblemFormatError("folner boxes need a free abelian group")
-        return build_boxes_folner(group.rank, boxes)
-    raise ProblemFormatError(f"unknown scheme type {kind!r}")
+        build = partial(build_boxes_folner, group.rank, boxes)
+    else:
+        raise ProblemFormatError(f"unknown scheme type {kind!r}")
+    try:
+        scheme = build()
+    except (MalformedGroup, SchemeError) as exc:
+        raise ProblemFormatError(f"{kind} scheme: {exc}") from exc
+    if not scheme.labels:
+        raise ProblemFormatError(f"{kind} scheme has no levels")
+    return scheme
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +290,11 @@ def parse_problem(obj: dict) -> Problem:
         raise ProblemFormatError(f"problem is missing field {exc}") from exc
     scheme = parse_scheme(group, obj["scheme"]) if "scheme" in obj else None
     oracle = obj.get("oracle", {})
-    has_grid = isinstance(oracle, dict) and "grid" in oracle
-    oracle_grid = _int(oracle["grid"], "oracle grid") if has_grid else None
+    if not isinstance(oracle, dict):
+        raise ProblemFormatError(f"oracle must be an object, got {oracle!r}")
+    oracle_grid = _int(oracle["grid"], "oracle grid") if "grid" in oracle else None
+    if oracle_grid is not None and oracle_grid < 1:
+        raise ProblemFormatError(f"oracle grid must be >= 1, got {oracle_grid}")
     inverse = parse_matrix(group, obj["inverse"]) if "inverse" in obj else None
     embedding = parse_homomorphism(group, obj["embedding"]) if "embedding" in obj else None
     lambda_grid = obj.get("lambda_grid")

@@ -201,15 +201,6 @@ def trace(delta: RingMatrix) -> GaussianRational:
     return acc
 
 
-def matrix_power(delta: RingMatrix, m: int) -> RingMatrix:
-    if not delta.is_square():
-        raise DimensionMismatch("power needs a square matrix")
-    out = RingMatrix.identity(delta.group, delta.rows)
-    for _ in range(m):
-        out = out @ delta
-    return out
-
-
 def poly_apply(delta: RingMatrix, coeffs: Sequence) -> RingMatrix:
     """Evaluate a polynomial (coeffs ascending, exact rationals) at the
     matrix via Horner's scheme over the ring."""

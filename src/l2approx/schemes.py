@@ -73,131 +73,46 @@ class QuotientTower:
         if len(self.labels) != len(levels):
             raise SchemeError("labels length does not match levels")
 
-    def __len__(self):
-        return len(self.levels)
-
     @staticmethod
     def zn(rank: int, moduli: Sequence[int]) -> "QuotientTower":
         """The standard tower Z^rank -> (Z/N)^rank for N in moduli."""
         homs = [free_abelian_quotient(rank, int(n)) for n in moduli]
         return QuotientTower(FreeAbelianGroup(rank), homs, labels=[int(n) for n in moduli])
 
-    @staticmethod
-    def constant(group: Group, count: int) -> "QuotientTower":
-        """Identity levels over a finite group (a stationary tower)."""
-        if not group.is_finite:
-            raise SchemeError("constant towers need a finite group")
-        ident = Homomorphism(group, group, element_map={g: g for g in group.elements()})
-        return QuotientTower(group, [ident] * count, labels=list(range(count)))
-
-    def injectivity_certificate(self, index: int, support) -> bool:
-        """Certify that level `index` separates the given support set
-        (checked on the difference set, per the residual-limit argument)."""
-        return self.levels[index].injective_on(support)
-
 
 class FolnerExhaustion:
-    """Nested finite subsets of Z^n with the sup-norm word metric.
+    """The boxes [-m, m]^n in Z^n with the sup-norm word metric, for
+    strictly increasing m."""
 
-    The built-in family is the boxes [-m, m]^n; arbitrary nested sets may be
-    supplied explicitly (they are checked for nestedness).
-    """
-
-    def __init__(self, group: Group, box_sizes=None, explicit_sets=None):
+    def __init__(self, group: Group, box_sizes):
         if not isinstance(group, FreeAbelianGroup):
             raise WrongGroup(f"Folner exhaustions are built in for Z^n only, got {group}")
+        sizes = [int(m) for m in box_sizes]
+        if any(m < 0 for m in sizes) or any(a >= b for a, b in zip(sizes, sizes[1:])):
+            raise SchemeError("box sizes must be strictly increasing and >= 0")
         self.group = group
-        self.box_sizes = None
-        self.explicit_sets = None
-        if box_sizes is not None:
-            sizes = [int(m) for m in box_sizes]
-            if any(m < 0 for m in sizes) or any(
-                a >= b for a, b in zip(sizes, sizes[1:])
-            ):
-                raise SchemeError("box sizes must be strictly increasing and >= 0")
-            self.box_sizes = sizes
-        elif explicit_sets is not None:
-            sets = [sorted(set(map(tuple, s))) for s in explicit_sets]
-            for a, b in zip(sets, sets[1:]):
-                if not set(a) <= set(b):
-                    raise SchemeError("explicit Folner sets must be nested")
-            for s in sets:
-                for x in s:
-                    group.check(x)
-            self.explicit_sets = sets
-        else:
-            raise SchemeError("need box_sizes or explicit_sets")
-
-    def __len__(self):
-        return len(self.box_sizes if self.box_sizes is not None else self.explicit_sets)
+        self.box_sizes = sizes
 
     @property
     def labels(self):
-        if self.box_sizes is not None:
-            return list(self.box_sizes)
-        return list(range(len(self.explicit_sets)))
+        return list(self.box_sizes)
 
     def set_at(self, index: int) -> list:
-        if self.box_sizes is not None:
-            m = self.box_sizes[index]
-            return list(itertools.product(range(-m, m + 1), repeat=self.group.rank))
-        return list(self.explicit_sets[index])
+        m = self.box_sizes[index]
+        return list(itertools.product(range(-m, m + 1), repeat=self.group.rank))
 
     def defect(self, index: int, k: int) -> float:
         """|N_k(X)| / |X| where N_k(X) is the two-sided k-collar of the
         boundary: points within distance k of both X and its complement."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        n = self.group.rank
-        if self.box_sizes is not None:
-            m = self.box_sizes[index]
-            if k == 0:
-                return 0.0
-            outer = (2 * (m + k) + 1) ** n
-            inner = (2 * (m - k) + 1) ** n if m - k >= 0 else 0
-            return (outer - inner) / (2 * m + 1) ** n
-        return self._defect_brute(self.explicit_sets[index], k)
-
-    def _defect_brute(self, points, k: int) -> float:
-        pts = set(points)
         if k == 0:
             return 0.0
         n = self.group.rank
-        collar = 0
-        # every candidate is within distance k of the set by construction
-        candidates = set()
-        for p in pts:
-            for off in itertools.product(range(-k, k + 1), repeat=n):
-                candidates.add(tuple(a + b for a, b in zip(p, off)))
-        for x in candidates:
-            if x not in pts:
-                collar += 1  # distance to the complement is 0
-                continue
-            dout = None
-            for r in range(1, k + 1):
-                shell = (
-                    tuple(a + b for a, b in zip(x, off))
-                    for off in itertools.product(range(-r, r + 1), repeat=n)
-                    if max(abs(v) for v in off) == r
-                )
-                if any(s not in pts for s in shell):
-                    dout = r
-                    break
-            if dout is not None:
-                collar += 1
-        return collar / len(pts)
-
-    def defect_profile(self, k: int) -> list:
-        return [self.defect(i, k) for i in range(len(self))]
-
-    def check_defect_decreasing(self, k: int):
-        """Returns (ok, start_index): the profile must be nonincreasing from
-        some index onward."""
-        prof = self.defect_profile(k)
-        start = len(prof) - 1
-        while start > 0 and prof[start - 1] >= prof[start]:
-            start -= 1
-        return start < len(prof) - 1 or len(prof) <= 1, start
+        m = self.box_sizes[index]
+        outer = (2 * (m + k) + 1) ** n
+        inner = (2 * (m - k) + 1) ** n if m - k >= 0 else 0
+        return (outer - inner) / (2 * m + 1) ** n
 
 
 def build_boxes_folner(rank: int, m_values: Sequence[int]) -> FolnerExhaustion:

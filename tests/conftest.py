@@ -1,4 +1,5 @@
 import random
+from importlib import resources
 
 import pytest
 
@@ -12,6 +13,7 @@ from l2approx import (
     positive_square,
     symmetric_group,
 )
+from l2approx.jsonio import load_json, parse_complex
 
 SEED = 617
 
@@ -67,3 +69,8 @@ def random_group_element(group, rng):
 def random_self_adjoint(group, rng, d=1):
     rows = [[random_element(group, rng) for _ in range(d)] for _ in range(d)]
     return positive_square(RingMatrix(group, rows))
+
+
+def fixture_complex(name):
+    """A chain complex bundled as fixtures/<name>.json (circle, torus, point)."""
+    return parse_complex(load_json(str(resources.files("l2approx") / "fixtures" / f"{name}.json")))

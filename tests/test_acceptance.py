@@ -40,7 +40,9 @@ from l2approx import (
     trace_poly_exact,
     whitehead_check,
 )
-from l2approx.cw import circle_complex, l2_invariants, point_complex, torus_complex
+from l2approx.cw import l2_invariants
+
+from conftest import fixture_complex
 
 TOWER_LEVELS = [8, 16, 32, 64, 128, 256, 512, 1024]
 BOX_SIZES = [4, 8, 16, 32, 64, 128, 256, 512]
@@ -219,21 +221,21 @@ def test_criterion_9_complex_approximation(z_group):
 
 def test_criterion_10_cw_invariants():
     start = time.perf_counter()
-    circle_oracle = l2_invariants(circle_complex(), oracle_grid=2048)
+    circle_oracle = l2_invariants(fixture_complex("circle"), oracle_grid=2048)
     assert abs(circle_oracle.torsion) <= 0.02
     circle_tower = l2_invariants(
-        circle_complex(), tower=QuotientTower.zn(1, [64, 256, 1024])
+        fixture_complex("circle"), tower=QuotientTower.zn(1, [64, 256, 1024])
     )
     assert abs(circle_tower.torsion) <= 0.02
 
-    torus_oracle = l2_invariants(torus_complex(), oracle_grid=128)
+    torus_oracle = l2_invariants(fixture_complex("torus"), oracle_grid=128)
     assert all(b <= 0.02 for b in torus_oracle.betti)
-    torus_tower = l2_invariants(torus_complex(), tower=QuotientTower.zn(2, [8, 16, 32, 64]))
+    torus_tower = l2_invariants(fixture_complex("torus"), tower=QuotientTower.zn(2, [8, 16, 32, 64]))
     assert all(b <= 0.02 for b in torus_tower.betti)
 
     for rep in (circle_oracle, circle_tower, torus_oracle, torus_tower):
         assert abs(rep.euler_l2 - rep.euler_cells) <= 0.02
-    point = l2_invariants(point_complex())
+    point = l2_invariants(fixture_complex("point"))
     assert point.betti == [1.0]
     assert abs(point.euler_l2 - point.euler_cells) <= 0.02
     elapsed = time.perf_counter() - start

@@ -238,6 +238,20 @@ def _cyclic_problem(n=4, word=0, **matrix):
     }
 
 
+_Z_TO_Z4 = {"target": {"type": "cyclic", "n": 4}, "images": [1]}
+
+
+def _z_problem(**fields):
+    # the identity over Z on a three-level tower, checked for norms only
+    return {
+        "group": {"type": "free_abelian", "rank": 1},
+        "matrix": {"entries": [[[{"word": [0], "re": 1}]]]},
+        "scheme": {"type": "tower", "levels": [4, 8, 16]},
+        "checks": ["norms"],
+        **fields,
+    }
+
+
 HOSTILE_FILES = {
     "term-is-a-list": ("density", _cyclic_problem(entries=[[[[0, 1]]]])),
     "entries-not-a-list": ("density", _cyclic_problem(entries=7)),
@@ -327,6 +341,22 @@ HOSTILE_FILES = {
             },
         },
     ),
+    "oracle-grid-zero": ("approx", _z_problem(oracle={"grid": 0})),
+    "oracle-grid-negative": ("approx", _z_problem(oracle={"grid": -4})),
+    "oracle-not-an-object": ("approx", _z_problem(oracle=5)),
+    "tower-levels-below-1": ("density", _z_problem(scheme={"type": "tower", "levels": [0, 4]})),
+    "boxes-not-increasing": ("density", _z_problem(scheme={"type": "folner", "boxes": [4, 2]})),
+    "tower-levels-empty": ("density", _z_problem(scheme={"type": "tower", "levels": []})),
+    "boxes-empty": ("density", _z_problem(scheme={"type": "folner", "boxes": []})),
+    "box-negative": ("density", _z_problem(scheme={"type": "folner", "boxes": [-1, 2]})),
+    "tower-labels-a-string": (
+        "density",
+        _z_problem(scheme={"type": "tower", "maps": [_Z_TO_Z4] * 2, "labels": "ab"}),
+    ),
+    "tower-label-an-object": (
+        "density",
+        _z_problem(scheme={"type": "tower", "maps": [_Z_TO_Z4], "labels": [{"a": 1}]}),
+    ),
     "product-element-as-nested-pair": (
         "density",
         {
@@ -347,6 +377,37 @@ def test_hostile_problem_file_exits_2(case, tmp_path, capsys):
     path.write_text(json.dumps(problem))
     assert main([command, str(path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approx", "zd_laplacian.json", "--grid", "0"],
+        ["density", "zd_laplacian.json", "--grid", "0"],
+        ["cw", "circle.json", "--grid", "0"],
+        ["approx", "zd_laplacian.json", "--grid", "-4"],
+        ["approx", "zd_laplacian.json", "--levels", "a"],
+        ["approx", "zd_laplacian.json", "--levels", "0,4"],
+        ["cw", "circle.json", "--levels", "0,4"],
+        ["approx", "zd_folner.json", "--boxes", "x"],
+        ["approx", "zd_folner.json", "--boxes", "4,2"],
+        ["approx", "zd_laplacian.json", "--lambda-grid", "foo"],
+        ["approx", "zd_laplacian.json", "--lambda-grid", "0,nan"],
+        ["approx", "zd_laplacian.json", "--tol", "nan"],
+        ["cw", "circle.json", "--tol", "inf"],
+        ["approx", "zd_laplacian.json", "--eps-ker", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_malformed_flag_exits_2(argv, tmp_path, capsys):
+    command, name, *flags = argv
+    out = tmp_path / "report.out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, fixture_path(name), *flags, "--output", str(out)])
+    assert exit_info.value.code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"argument {flags[0]}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("checks", [["bogus"], "norms", ["norms", 3]])

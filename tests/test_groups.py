@@ -247,10 +247,10 @@ def test_tower_injectivity_certificate():
 
     tower = QuotientTower.zn(1, [4, 16])
     small = [(-1,), (0,), (1,)]
-    assert tower.injectivity_certificate(0, small)  # differences stay in (-4, 4)
+    assert tower.levels[0].injective_on(small)  # differences stay in (-4, 4)
     wide = [(k,) for k in range(-3, 4)]
-    assert not tower.injectivity_certificate(0, wide)  # 3 - (-3) dies mod 4
-    assert tower.injectivity_certificate(1, wide)
+    assert not tower.levels[0].injective_on(wide)  # 3 - (-3) dies mod 4
+    assert tower.levels[1].injective_on(wide)
 
 
 def test_cyclic_factors_and_exponents():
