@@ -51,13 +51,14 @@ from .schemes import (
     SandwichPolynomial,
     build_boxes_folner,
     build_sandwich,
-    complex_tower_run,
+    complex_check,
     compress,
     run_folner,
     run_tower,
     sandwich_level_check,
     sintapr_check,
     squeeze_check,
+    trace_gap_check,
     whitehead_check,
 )
 from .spectral import (

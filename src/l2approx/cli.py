@@ -1,7 +1,7 @@
 """Command-line interface.
 
     l2approx density  problem.json  [--level N | --grid G] [--output F] [--json]
-    l2approx approx   problem.json  [--levels ...] [--boxes ...] [--lambda-grid ...]
+    l2approx approx   problem.json  [--levels ... | --boxes ...] [--lambda-grid ...]
                                     [--grid G] [--tol T] [--eps-ker E]
                                     [--timings] [--densities] [--output F]
     l2approx cw       complex.json  [--grid G | --levels ...] [--tol T] [--output F]
@@ -26,6 +26,7 @@ from .cw import l2_invariants
 from .errors import L2ApproxError
 from .groups import FreeAbelianGroup
 from .jsonio import (
+    CHECKS,
     Problem,
     ProblemFormatError,
     canonical_dumps,
@@ -37,17 +38,18 @@ from .jsonio import (
     parse_complex,
     parse_problem,
 )
-from .matrices import k_bound, trace_poly
+from .matrices import k_bound, positive_square
 from .oracles import torus_density, torus_eigen_result, torus_logdet_report
 from .schemes import (
     FolnerExhaustion,
     QuotientTower,
     build_boxes_folner,
-    complex_tower_run,
+    complex_check,
     run_folner,
     run_tower,
     sintapr_check,
     squeeze_check,
+    trace_gap_check,
     whitehead_check,
 )
 from .spectral import density_from_eigs, finite_spectrum, subgroup_invariance_check
@@ -114,11 +116,12 @@ def _default_lambda_grid(problem: Problem) -> list:
 
 def cmd_density(args) -> int:
     problem = _load_problem(args.problem)
-    if args.grid is not None or (problem.scheme is None and problem.oracle_grid is not None):
-        grid = args.grid if args.grid is not None else problem.oracle_grid
-        density = torus_density(problem.matrix, grid)
-    elif problem.scheme is not None:
-        scheme = problem.scheme
+    scheme = problem.scheme
+    if args.level is not None and scheme is None:
+        raise ProblemFormatError("--level needs a problem 'scheme'")
+    if args.grid is not None or (scheme is None and problem.oracle_grid is not None):
+        density = torus_density(problem.matrix, args.grid or problem.oracle_grid)
+    elif scheme is not None:
         label = scheme.labels[-1] if args.level is None else args.level
         if label not in scheme.labels:
             raise ProblemFormatError(f"level {label} not in scheme levels {scheme.labels}")
@@ -139,19 +142,19 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _requested_checks(problem: Problem) -> list:
+def _requested_checks(problem: Problem, kind) -> list:
+    """The problem's checks, or the defaults for a scheme of this kind."""
     if problem.checks:
         return problem.checks
-    if isinstance(problem.scheme, FolnerExhaustion):
+    if kind == "folner":
         return ["traces", "norms"]
-    if problem.scheme is None and problem.embedding is not None:
+    if kind is None and problem.embedding is not None:
         return ["subgroup"]
-    checks = ["norms"]
-    if isinstance(problem.group, FreeAbelianGroup) and problem.matrix.is_self_adjoint():
-        checks = ["squeeze", "sintapr", "norms"]
     if problem.inverse is not None:
-        checks = ["whitehead", "norms"]
-    return checks
+        return ["whitehead", "norms"]
+    if isinstance(problem.group, FreeAbelianGroup) and problem.matrix.is_self_adjoint():
+        return ["squeeze", "sintapr", "norms"]
+    return ["norms"]
 
 
 def cmd_approx(args) -> int:
@@ -165,11 +168,32 @@ def cmd_approx(args) -> int:
         if not isinstance(problem.group, FreeAbelianGroup):
             raise ProblemFormatError("--boxes needs a free abelian group")
         scheme = build_boxes_folner(problem.group.rank, args.boxes)
-    checks = _requested_checks(problem)
+    kind = {QuotientTower: "tower", FolnerExhaustion: "folner"}.get(type(scheme))
+    checks = _requested_checks(problem, kind)
+    for name in checks:
+        if kind not in CHECKS[name]:
+            raise ProblemFormatError(
+                f"{name} check needs a {CHECKS[name][0]} scheme"
+                if kind
+                else "no scheme given (problem 'scheme' or --levels/--boxes)"
+            )
+    if "subgroup" in checks and problem.embedding is None:
+        raise ProblemFormatError("subgroup check needs an 'embedding'")
+    if "whitehead" in checks and problem.inverse is None:
+        raise ProblemFormatError("whitehead check needs an 'inverse' matrix")
+    # the levels, the oracle and every verdict refer to this one operator
+    delta = positive_square(problem.matrix) if "whitehead" in checks else problem.matrix
+    oracle_available = (
+        kind == "tower" and isinstance(problem.group, FreeAbelianGroup) and delta.is_self_adjoint()
+    )
+    for name in ("complex", "squeeze"):
+        if name in checks and not oracle_available:
+            raise ProblemFormatError(
+                f"{name} needs a self-adjoint matrix over a free abelian group"
+            )
     tol = args.tol
     grid = next(g for g in (args.grid, problem.oracle_grid, 2048) if g is not None)
     lam_grid = args.lambda_grid or problem.lambda_grid or _default_lambda_grid(problem)
-    eps = args.eps_ker
     report: dict = {
         "tool": {"name": "l2approx", "version": __version__},
         "problem": {
@@ -181,97 +205,52 @@ def cmd_approx(args) -> int:
             "tol": tol,
             "oracle_grid": grid,
             "lambda_grid": lam_grid,
-            "eps_ker": eps,
+            "eps_ker": args.eps_ker,
         },
         "verdicts": {},
     }
     verdicts = report["verdicts"]
-    failed = False
     if "subgroup" in checks:
-        if problem.embedding is None:
-            raise ProblemFormatError("subgroup check needs an 'embedding'")
         ok, dev = subgroup_invariance_check(problem.matrix, problem.embedding)
         verdicts["subgroup"] = {"ok": ok, "max_deviation": dev}
-        failed = failed or not ok
-    if isinstance(scheme, QuotientTower):
-        report["scheme"] = {"type": "tower", "levels": scheme.labels}
-        oracle_available = (
-            isinstance(problem.group, FreeAbelianGroup)
-            and problem.matrix.is_self_adjoint()
-        )
-        # one fine-grid solve serves the oracle logdet, the squeeze density
-        # and the complex verdict
-        oracle_eig = torus_eigen_result(problem.matrix, grid) if oracle_available else None
-        if "whitehead" in checks:
-            if problem.inverse is None:
-                raise ProblemFormatError("whitehead check needs an 'inverse' matrix")
-            verdict = whitehead_check(
-                problem.matrix, problem.inverse, scheme, tol=tol, oracle_grid=grid
-            )
-            reports = verdict.pop("reports")
-            verdicts["whitehead"] = verdict
-            failed = failed or not verdict["ok"]
-        elif "complex" in checks:
-            reports, verdict = complex_tower_run(
-                problem.matrix, scheme, oracle_grid=grid, tol=tol, oracle=oracle_eig
-            )
-            verdicts["complex"] = verdict
-            failed = failed or not verdict["ok"]
-        else:
-            reports = run_tower(problem.matrix, scheme, kernel_threshold=eps)
-        if oracle_available:
-            report["oracle"] = torus_logdet_report(problem.matrix, grid, oracle_eig)
-        if "squeeze" in checks:
-            if not oracle_available:
-                raise ProblemFormatError(
-                    "squeeze needs a self-adjoint matrix over a free abelian group"
-                )
+    reports = []
+    if kind is not None:
+        report["scheme"] = {"type": kind, "levels" if kind == "tower" else "boxes": scheme.labels}
+        run = run_tower if kind == "tower" else run_folner
+        reports = run(delta, scheme, kernel_threshold=args.eps_ker)
+    oracle = None
+    if oracle_available:
+        # one fine-grid solve serves the oracle logdet and the oracle density
+        oracle_eig = torus_eigen_result(delta, grid)
+        oracle = torus_logdet_report(delta, grid, oracle_eig)
+        if "whitehead" not in checks:
+            report["oracle"] = oracle
+        if "complex" in checks or "squeeze" in checks:
             oracle_density = density_from_eigs(oracle_eig)
-            verdicts["squeeze"] = squeeze_check(reports, oracle_density, lam_grid, tol=tol)
-            failed = failed or not verdicts["squeeze"]["ok"]
-        if "sintapr" in checks:
-            kb = max(k_bound(problem.matrix), 1.0)
-            oracle_logdet = report["oracle"]["value"] if oracle_available else None
-            verdict = sintapr_check(
-                reports, d=problem.matrix.rows, K=kb, tol=tol, oracle_logdet=oracle_logdet
-            )
-            verdicts["sintapr"] = verdict
-            failed = failed or not verdict["ok"]
-    elif isinstance(scheme, FolnerExhaustion):
-        report["scheme"] = {"type": "folner", "boxes": scheme.labels}
-        reports = run_folner(problem.matrix, scheme, kernel_threshold=eps)
-        if "traces" in checks:
-            powers = reports[0].exact_traces if reports else ()
-            upstairs = {m: trace_poly(problem.matrix, [0] * m + [1]) for m in powers}
-            rows = []
-            ok = True
-            prev = None
-            for rep in reports:
-                diffs = {}
-                for m, exact in rep.exact_traces.items():
-                    diffs[str(m)] = abs(float(exact.re) - float(upstairs[m].re))
-                worst = max(diffs.values())
-                if prev is not None:
-                    ok = ok and worst <= prev + 1e-12
-                prev = worst
-                rows.append({"level": rep.level, "trace_gaps": diffs})
-            ok = ok and (prev is not None and prev < 1e-2)
-            verdicts["traces"] = {"ok": ok, "rows": rows}
-            failed = failed or not ok
-    else:
-        reports = []
-        if not verdicts:
-            raise ProblemFormatError(
-                "no scheme given (problem 'scheme' or --levels/--boxes)"
-            )
-    if "norms" in checks and reports:
-        ok = all(rep.norm_bound_ok for rep in reports)
+    if "whitehead" in checks:
+        verdicts["whitehead"] = whitehead_check(
+            problem.matrix, problem.inverse, reports, oracle, tol=tol
+        )
+    if "complex" in checks:
+        verdicts["complex"] = complex_check(reports, oracle_density, grid, tol=tol)
+    if "squeeze" in checks:
+        verdicts["squeeze"] = squeeze_check(reports, oracle_density, lam_grid, tol=tol)
+    if "sintapr" in checks:
+        verdicts["sintapr"] = sintapr_check(
+            reports,
+            d=delta.rows,
+            K=max(k_bound(delta), 1.0),
+            tol=tol,
+            oracle_logdet=oracle["value"] if oracle else None,
+        )
+    if "traces" in checks:
+        verdicts["traces"] = trace_gap_check(reports, delta)
+    if "norms" in checks:
         verdicts["norms"] = {
-            "ok": ok,
+            "ok": all(rep.norm_bound_ok for rep in reports),
             "k_bound": k_bound(problem.matrix),
             "max_eigenvalue": max(rep.max_eigenvalue for rep in reports),
         }
-        failed = failed or not ok
     if reports:
         report["levels"] = [
             level_report_to_json(
@@ -280,20 +259,17 @@ def cmd_approx(args) -> int:
             for rep in reports
         ]
     _write_output(canonical_dumps(report) + "\n", args.output)
-    return EXIT_PROPERTY if failed else EXIT_OK
+    return EXIT_OK if all(v["ok"] for v in verdicts.values()) else EXIT_PROPERTY
 
 
 def cmd_cw(args) -> int:
     spec = parse_complex(load_json(args.complex))
     tower = None
-    grid = None
     if args.levels:
         if not isinstance(spec.group, FreeAbelianGroup):
             raise ProblemFormatError("--levels needs a free abelian group")
         tower = QuotientTower.zn(spec.group.rank, args.levels)
-    else:
-        grid = args.grid
-    rep = l2_invariants(spec, oracle_grid=grid, tower=tower, tol=args.tol)
+    rep = l2_invariants(spec, oracle_grid=args.grid, tower=tower, tol=args.tol)
     out = {
         "betti": rep.betti,
         "logdet": rep.logdet,
@@ -332,16 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="spectral density of one level or oracle grid")
     p.add_argument("problem")
-    p.add_argument("--level", type=int, help="tower/box label to evaluate")
-    p.add_argument("--grid", type=_grid, help="torus oracle grid per dimension")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--level", type=int, help="tower/box label to evaluate")
+    one.add_argument("--grid", type=_grid, help="torus oracle grid per dimension")
     p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p.add_argument("--output")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("approx", help="run an approximation scheme with verdicts")
     p.add_argument("problem")
-    p.add_argument("--levels", type=_levels, help="comma-separated tower moduli override")
-    p.add_argument("--boxes", type=_boxes, help="comma-separated Folner box sizes override")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--levels", type=_levels, help="comma-separated tower moduli override")
+    one.add_argument("--boxes", type=_boxes, help="comma-separated Folner box sizes override")
     p.add_argument("--lambda-grid", type=_finite_list, help="comma-separated evaluation points")
     p.add_argument("--grid", type=_grid, help="oracle grid per dimension")
     p.add_argument("--tol", type=_finite, default=0.02)
@@ -353,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cw", help="L2 invariants of a cellular chain complex")
     p.add_argument("complex")
-    p.add_argument("--grid", type=_grid, help="oracle grid per dimension")
-    p.add_argument("--levels", type=_levels, help="tower moduli (uses the tower route)")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--grid", type=_grid, help="oracle grid per dimension")
+    one.add_argument("--levels", type=_levels, help="tower moduli (uses the tower route)")
     p.add_argument("--tol", type=_finite, default=0.02)
     p.add_argument("--output")
     p.set_defaults(func=cmd_cw)

@@ -71,17 +71,10 @@ def validate(spec: ChainComplexSpec) -> None:
 
 def laplacians(spec: ChainComplexSpec) -> list:
     """Degree-wise combinatorial Laplacians."""
-    out = []
-    for p in range(len(spec.dims)):
-        out.append(
-            laplacian(
-                spec.boundary(p),
-                spec.boundary(p + 1),
-                group=spec.group,
-                dim=spec.dims[p],
-            )
-        )
-    return out
+    return [
+        laplacian(spec.boundary(p), spec.boundary(p + 1), group=spec.group, dim=spec.dims[p])
+        for p in range(len(spec.dims))
+    ]
 
 
 @dataclass

@@ -39,7 +39,13 @@ class ProblemFormatError(L2ApproxError):
     """The problem file does not match the expected schema."""
 
 
-CHECKS = ("subgroup", "whitehead", "complex", "squeeze", "sintapr", "traces", "norms")
+# each check name with the schemes that serve it (None: no scheme given)
+CHECKS = {
+    "subgroup": (None, "tower", "folner"),
+    **dict.fromkeys(("whitehead", "complex", "squeeze", "sintapr"), ("tower",)),
+    "traces": ("folner",),
+    "norms": ("tower", "folner"),
+}
 
 
 def _int(x, what: str) -> int:
@@ -305,7 +311,7 @@ def parse_problem(obj: dict) -> Problem:
             raise ProblemFormatError(f"lambda_grid must be a list of finite numbers, got {lambda_grid!r}")
         lambda_grid = [float(x) for x in lambda_grid]
     checks = _list(obj.get("checks", []), "checks")
-    if any(c not in CHECKS for c in checks):
+    if any(type(c) is not str or c not in CHECKS for c in checks):
         raise ProblemFormatError(f"checks must be a list of names from {list(CHECKS)}: {checks!r}")
     return Problem(
         group=group,

@@ -4,10 +4,12 @@ Two pipelines produce per-level spectral reports for a positive self-adjoint
 group-ring matrix: quotient towers (push the matrix onto finite quotients,
 take the regular representation) and box Folner exhaustions over Z^n
 (compress the operator to a finite window).  On top of the reports sit the
-certification checks: sandwich polynomials squeezing characteristic
-functions, the two-sided density squeeze against an oracle, the determinant
-semicontinuity estimate, and the Whitehead-determinant test for invertible
-integer matrices.
+certification checks, each a function of the reports and, where it needs
+one, the oracle: sandwich polynomials squeezing characteristic functions,
+the two-sided density squeeze against an oracle, the determinant
+semicontinuity estimate, the Whitehead-determinant test for invertible
+integer matrices, the kernel comparison for complex coefficients and the
+Folner trace gaps.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from .errors import (
 )
 from .groupring import GaussianRational
 from .groups import FreeAbelianGroup, Group, Homomorphism, free_abelian_quotient
-from .matrices import RingMatrix, k_bound, positive_square, trace
-from .oracles import torus_eigen_result, torus_logdet_report
+from .matrices import RingMatrix, k_bound, trace
 from .spectral import (
     EigenResult,
     SpectralDensity,
@@ -633,69 +634,65 @@ def sintapr_check(
 def whitehead_check(
     a: RingMatrix,
     b: RingMatrix,
-    tower: QuotientTower,
+    reports: Sequence[LevelReport],
+    oracle: Optional[dict],
     tol: float = 0.02,
-    oracle_grid: int = 2048,
 ) -> dict:
     """Vanishing of the determinant on invertible matrices.
 
-    Verifies A B = B A = I exactly over the ring, then runs the tower on
-    A*A; every level log determinant and (over Z^n) the torus oracle value
-    must vanish within tolerance.  Non-integral inputs are accepted but
-    flagged, since the vanishing statement needs integer entries.
+    Verifies A B = B A = I exactly over the ring; every level log
+    determinant in ``reports`` (the tower run on A*A) and the torus oracle
+    value of A*A (``oracle``, a ``torus_logdet_report``; None off Z^n) must
+    vanish within tolerance.  Non-integral inputs are accepted but flagged,
+    since the vanishing statement needs integer entries.
     """
     ident = RingMatrix.identity(a.group, a.rows)
     if a @ b != ident or b @ a != ident:
         raise NotInverse("A and B are not exact two-sided inverses")
-    integral = a.is_integral() and b.is_integral()
-    delta = positive_square(a)
-    reports = run_tower(delta, tower)
     levels_ok = all(abs(rep.logdet) <= tol for rep in reports)
-    oracle = None
-    oracle_ok = True
-    if isinstance(a.group, FreeAbelianGroup):
-        oracle = torus_logdet_report(delta, oracle_grid)
-        oracle_ok = abs(oracle["value"]) <= tol / 2
+    oracle_ok = oracle is None or abs(oracle["value"]) <= tol / 2
     return {
         "ok": levels_ok and oracle_ok,
-        "integral": integral,
+        "integral": a.is_integral() and b.is_integral(),
         "levels_ok": levels_ok,
         "logdets": [rep.logdet for rep in reports],
         "oracle": oracle,
         "oracle_ok": oracle_ok,
         "tol": tol,
-        "reports": reports,
     }
 
 
-def complex_tower_run(
-    delta: RingMatrix,
-    tower: QuotientTower,
-    *,
-    oracle_grid: int = 1024,
+def complex_check(
+    reports: Sequence[LevelReport],
+    oracle_density: SpectralDensity,
+    oracle_grid: int,
     tol: float = 0.02,
-    oracle: Optional[EigenResult] = None,
-) -> tuple:
-    """Tower pipeline for complex-coefficient matrices over Z^n.
-
-    Same per-level computation as run_tower; the verdict compares the tail
-    F(0) against the torus-density oracle, which is valid without any
-    integrality assumption over free abelian groups.  ``oracle`` is
-    ``torus_eigen_result(delta, oracle_grid)`` when the caller already has
-    it; it is solved here otherwise.
-    """
-    if not isinstance(delta.group, FreeAbelianGroup):
-        raise WrongGroup(f"complex approximation is certified over Z^n, got {delta.group}")
-    reports = run_tower(delta, tower)
-    if oracle is None:
-        oracle = torus_eigen_result(delta, oracle_grid)
-    oracle_f0 = betti(density_from_eigs(oracle))
+) -> dict:
+    """Tail F(0) of a tower run against the torus-density oracle; valid over
+    Z^n without any integrality assumption, so it serves complex coefficients."""
     tail_f0 = reports[-1].f0
-    verdict = {
+    oracle_f0 = betti(oracle_density)
+    return {
         "ok": abs(tail_f0 - oracle_f0) <= tol,
         "tail_f0": tail_f0,
         "oracle_f0": oracle_f0,
         "tol": tol,
         "oracle_grid": oracle_grid,
     }
-    return reports, verdict
+
+
+def trace_gap_check(reports: Sequence[LevelReport], delta: RingMatrix) -> dict:
+    """Folner trace convergence.
+
+    At every box, the gap between each exact compressed trace and the exact
+    trace of Delta^m upstairs; the worst gap must not grow along the
+    exhaustion and must end below 1e-2.
+    """
+    ref, _ = _reference_traces(delta, TRACE_POWERS)
+    rows = []
+    for rep in reports:
+        gaps = {str(m): abs(float(t.re) - float(ref[m].re)) for m, t in rep.exact_traces.items()}
+        rows.append({"level": rep.level, "trace_gaps": gaps})
+    worst = [max(row["trace_gaps"].values()) for row in rows]
+    shrinking = all(b <= a + 1e-12 for a, b in zip(worst, worst[1:]))
+    return {"ok": bool(worst) and shrinking and worst[-1] < 1e-2, "rows": rows}

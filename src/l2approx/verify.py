@@ -18,7 +18,12 @@ import numpy as np
 from .groupring import RingElement
 from .groups import CyclicGroup, FreeAbelianGroup, Homomorphism, symmetric_group
 from .matrices import RingMatrix, positive_square, trace_poly
-from .oracles import nonzero_eigenvalue_product_exact, torus_density, torus_logdet
+from .oracles import (
+    nonzero_eigenvalue_product_exact,
+    torus_density,
+    torus_logdet,
+    torus_logdet_report,
+)
 from .schemes import (
     QuotientTower,
     build_boxes_folner,
@@ -159,6 +164,12 @@ def suite_determinant(seed: int) -> list:
     return lines
 
 
+def _whitehead_verdict(a: RingMatrix, b: RingMatrix, oracle_grid: int = 2048) -> dict:
+    delta = positive_square(a)
+    reports = run_tower(delta, QuotientTower.zn(1, [16, 64, 256]))
+    return whitehead_check(a, b, reports, torus_logdet_report(delta, oracle_grid))
+
+
 def suite_whitehead(seed: int) -> list:
     rng = random.Random(seed)
     z = FreeAbelianGroup(1)
@@ -170,7 +181,7 @@ def suite_whitehead(seed: int) -> list:
         x = _random_integer_laurent(rng, radius=2, cmax=2)
         e = RingMatrix(z, [[one, x], [zero, one]])
         e_inv = RingMatrix(z, [[one, -x], [zero, one]])
-        verdict = whitehead_check(e, e_inv, QuotientTower.zn(1, [16, 64, 256]), oracle_grid=1024)
+        verdict = _whitehead_verdict(e, e_inv, oracle_grid=1024)
         lines.append(
             CheckLine(
                 f"elementary-matrix[{trial}]",
@@ -178,9 +189,7 @@ def suite_whitehead(seed: int) -> list:
                 f"max level |logdet| {max(abs(v) for v in verdict['logdets']):.2e}",
             )
         )
-    shift = RingMatrix.from_element(t)
-    shift_inv = RingMatrix.from_element(t.star())
-    verdict = whitehead_check(shift, shift_inv, QuotientTower.zn(1, [16, 64, 256]))
+    verdict = _whitehead_verdict(RingMatrix.from_element(t), RingMatrix.from_element(t.star()))
     lines.append(CheckLine("shift-matrix", verdict["ok"]))
     return lines
 

@@ -25,7 +25,7 @@ from l2approx import (
     betti,
     build_boxes_folner,
     build_sandwich,
-    complex_tower_run,
+    complex_check,
     density_from_eigs,
     finite_spectrum,
     k_bound,
@@ -41,6 +41,7 @@ from l2approx import (
     whitehead_check,
 )
 from l2approx.cw import l2_invariants
+from l2approx.oracles import torus_logdet_report
 
 from conftest import fixture_complex
 
@@ -188,9 +189,9 @@ def test_criterion_8_whitehead_triviality(z_group):
     zero = RingElement.zero(z_group)
     e = RingMatrix(z_group, [[one, 1 - t], [zero, one]])
     e_inv = RingMatrix(z_group, [[one, t - 1], [zero, one]])
-    verdict = whitehead_check(
-        e, e_inv, QuotientTower.zn(1, TOWER_LEVELS), tol=0.02, oracle_grid=2048
-    )
+    delta = positive_square(e)
+    reports = run_tower(delta, QuotientTower.zn(1, TOWER_LEVELS))
+    verdict = whitehead_check(e, e_inv, reports, torus_logdet_report(delta, 2048), tol=0.02)
     assert verdict["ok"] and verdict["integral"]
     assert all(-0.02 <= v <= 0.02 for v in verdict["logdets"])
     assert -0.01 <= verdict["oracle"]["value"] <= 0.01
@@ -204,16 +205,14 @@ def test_criterion_9_complex_approximation(z_group):
     t = RingElement.delta(z_group, (1,))
     alpha = RingElement.scalar(z_group, complex(0.5, 0.5))
     kernel_free = positive_square(RingMatrix.from_element(1 - alpha * t))
-    reports, verdict = complex_tower_run(
-        kernel_free, QuotientTower.zn(1, TOWER_LEVELS), oracle_grid=2048
-    )
+    reports = run_tower(kernel_free, QuotientTower.zn(1, TOWER_LEVELS))
+    verdict = complex_check(reports, torus_density(kernel_free, 2048), 2048)
     assert all(rep.f0 == 0.0 for rep in reports)
     assert verdict["oracle_f0"] == 0.0 and verdict["ok"]
 
     unit_root = positive_square(RingMatrix.from_element(1 - t))
-    reports, verdict = complex_tower_run(
-        unit_root, QuotientTower.zn(1, TOWER_LEVELS), oracle_grid=2048
-    )
+    reports = run_tower(unit_root, QuotientTower.zn(1, TOWER_LEVELS))
+    verdict = complex_check(reports, torus_density(unit_root, 2048), 2048)
     assert [rep.f0 for rep in reports] == [1.0 / n for n in TOWER_LEVELS]
     assert verdict["ok"]
     print("ACCEPTANCE 9 PASS: complex-coefficient F_N(0) sequences as predicted")

@@ -50,6 +50,27 @@ def test_density_unknown_level_is_input_error(capsys):
     assert "level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [
+        {"group": {"type": "cyclic", "n": 4}, "matrix": {"entries": [[[{"word": 0, "re": 1}]]]}},
+        {
+            "group": {"type": "free_abelian", "rank": 1},
+            "matrix": {"entries": [[[{"word": [0], "re": 1}]]]},
+            "oracle": {"grid": 8},
+        },
+    ],
+    ids=["finite-group", "oracle-grid"],
+)
+def test_density_level_without_scheme_exits_2(problem, tmp_path, capsys):
+    # a level needs a scheme; it is never dropped in favour of the oracle
+    # grid or the finite group's own spectrum
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main(["density", str(path), "--level", "4"]) == 2
+    assert "--level needs a problem 'scheme'" in capsys.readouterr().err
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -129,8 +150,17 @@ def test_approx_complex_fixture(tmp_path):
     assert all(level["f0"] == 0.0 for level in report["levels"])
 
 
-def test_approx_complex_solves_oracle_grid_once(monkeypatch, capsys):
-    # the complex verdict and the oracle logdet share one fine-grid solve;
+# the fine oracle grid of each fixture's operator, then the coarse one
+ORACLE_GRIDS = {
+    "complex_shift": [2048, 1024],
+    "whitehead_elementary": [2048, 1024],
+    "zd_laplacian": [4096, 2048],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+def test_approx_complex_solves_oracle_grid_once(name, monkeypatch, capsys):
+    # every verdict and the oracle logdet share one fine-grid solve;
     # the coarse grid is the logdet's error estimate
     grids = []
     solve = oracles.torus_symbol_eigenvalues
@@ -140,9 +170,46 @@ def test_approx_complex_solves_oracle_grid_once(monkeypatch, capsys):
         return solve(delta, grid_per_dim)
 
     monkeypatch.setattr(oracles, "torus_symbol_eigenvalues", counted)
-    assert main(["approx", fixture_path("complex_shift.json")]) == 0
-    assert grids == [2048, 1024]
-    assert capsys.readouterr().out.encode() == (SEED_REPORTS / "complex_shift.out").read_bytes()
+    assert main(["approx", fixture_path(f"{name}.json")]) == 0
+    assert grids == ORACLE_GRIDS[name]
+    assert capsys.readouterr().out.encode() == (SEED_REPORTS / f"{name}.out").read_bytes()
+
+
+def test_approx_whitehead_honours_eps_ker(capsys):
+    # the levels of A*A are run with the requested kernel threshold; the
+    # eigenvalues it moves into the kernel leave the level logdets, which
+    # then no longer vanish
+    codes, f0 = [], []
+    for flags in ([], ["--eps-ker", "0.5"]):
+        codes.append(main(["approx", fixture_path("whitehead_elementary.json"), *flags]))
+        f0.append([level["f0"] for level in json.loads(capsys.readouterr().out)["levels"]])
+    assert codes == [0, 1]
+    assert all(v == 0.0 for v in f0[0])
+    assert all(v > 0.0 for v in f0[1])
+
+
+def test_approx_whitehead_verdicts_read_one_operator(tmp_path, capsys):
+    # A = 2, B = 1/2: every verdict refers to A*A = 4, whose logdet ln 4
+    # fails whitehead while squeeze and sintapr hold
+    problem = {
+        "group": {"type": "free_abelian", "rank": 1},
+        "matrix": {"entries": [[[{"word": [0], "re": 2}]]]},
+        "inverse": {"entries": [[[{"word": [0], "re": "1/2"}]]]},
+        "scheme": {"type": "tower", "levels": [4, 8, 16]},
+        "checks": ["whitehead", "squeeze", "sintapr"],
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main(["approx", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert {k: v["ok"] for k, v in report["verdicts"].items()} == {
+        "whitehead": False,
+        "squeeze": True,
+        "sintapr": True,
+    }
+    assert "oracle" not in report
+    assert math.isclose(report["verdicts"]["sintapr"]["oracle_logdet"], math.log(4))
+    assert math.isclose(report["verdicts"]["whitehead"]["oracle"]["value"], math.log(4))
 
 
 def test_approx_deterministic_output(tmp_path):
@@ -357,6 +424,24 @@ HOSTILE_FILES = {
         "density",
         _z_problem(scheme={"type": "tower", "maps": [_Z_TO_Z4], "labels": [{"a": 1}]}),
     ),
+    "folner-with-squeeze": (
+        "approx",
+        _z_problem(scheme={"type": "folner", "boxes": [2, 4, 8]}, checks=["squeeze"]),
+    ),
+    "tower-with-traces": ("approx", _z_problem(checks=["traces"])),
+    "folner-with-whitehead": (
+        "approx",
+        _z_problem(
+            matrix={"entries": [[[{"word": [1], "re": 1}]]]},
+            inverse={"entries": [[[{"word": [-1], "re": 1}]]]},
+            scheme={"type": "folner", "boxes": [2, 4]},
+            checks=["whitehead"],
+        ),
+    ),
+    "folner-with-complex": (
+        "approx",
+        _z_problem(scheme={"type": "folner", "boxes": [2, 4]}, checks=["complex"]),
+    ),
     "product-element-as-nested-pair": (
         "density",
         {
@@ -396,6 +481,9 @@ def test_hostile_problem_file_exits_2(case, tmp_path, capsys):
         ["approx", "zd_laplacian.json", "--tol", "nan"],
         ["cw", "circle.json", "--tol", "inf"],
         ["approx", "zd_laplacian.json", "--eps-ker", "nan"],
+        ["density", "zd_laplacian.json", "--grid", "8", "--level", "64"],
+        ["cw", "circle.json", "--grid", "8", "--levels", "8,16"],
+        ["approx", "zd_laplacian.json", "--levels", "8,16,32", "--boxes", "2,4"],
     ],
     ids=" ".join,
 )
@@ -410,7 +498,7 @@ def test_malformed_flag_exits_2(argv, tmp_path, capsys):
     assert f"argument {flags[0]}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("checks", [["bogus"], "norms", ["norms", 3]])
+@pytest.mark.parametrize("checks", [["bogus"], "norms", ["norms", 3], [["norms"]]])
 def test_unknown_checks_exit_2(checks, tmp_path, capsys):
     problem = {
         "group": {"type": "free_abelian", "rank": 1},

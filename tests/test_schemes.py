@@ -14,7 +14,7 @@ from l2approx import (
     RingMatrix,
     build_boxes_folner,
     build_sandwich,
-    complex_tower_run,
+    complex_check,
     compress,
     density_from_eigs,
     finite_spectrum,
@@ -37,6 +37,7 @@ from l2approx.errors import (
     SchemeError,
 )
 from l2approx.groupring import GaussianRational
+from l2approx.oracles import torus_logdet_report
 from l2approx.schemes import compressed_trace_powers
 
 from conftest import SEED, random_element, random_self_adjoint
@@ -400,13 +401,20 @@ def test_sintapr_hypothesis_violation(z_group):
         sintapr_check(reports, d=1, K=1.0)
 
 
+def _whitehead(a, b, levels, oracle_grid=2048):
+    # the CLI's pipeline: one tower run and one oracle for A*A, then the verdict
+    delta = positive_square(a)
+    reports = run_tower(delta, QuotientTower.zn(1, levels))
+    return whitehead_check(a, b, reports, torus_logdet_report(delta, oracle_grid))
+
+
 def test_whitehead_elementary(z_group):
     t = RingElement.delta(z_group, (1,))
     one = RingElement.one(z_group)
     zero = RingElement.zero(z_group)
     e = RingMatrix(z_group, [[one, 1 - t], [zero, one]])
     e_inv = RingMatrix(z_group, [[one, t - 1], [zero, one]])
-    verdict = whitehead_check(e, e_inv, QuotientTower.zn(1, TOWER_LEVELS))
+    verdict = _whitehead(e, e_inv, TOWER_LEVELS)
     assert verdict["ok"] and verdict["integral"]
     assert all(abs(v) <= 0.02 for v in verdict["logdets"])
     assert abs(verdict["oracle"]["value"]) <= 0.01
@@ -414,10 +422,10 @@ def test_whitehead_elementary(z_group):
 
 def test_whitehead_shift(z_group):
     t = RingElement.delta(z_group, (1,))
-    verdict = whitehead_check(
+    verdict = _whitehead(
         RingMatrix.from_element(t),
         RingMatrix.from_element(t.star()),
-        QuotientTower.zn(1, [4, 16, 64]),
+        [4, 16, 64],
     )
     assert verdict["ok"]
     assert all(v == 0.0 for v in verdict["logdets"])
@@ -427,37 +435,38 @@ def test_whitehead_not_inverse(z_group):
     t = RingElement.delta(z_group, (1,))
     m = RingMatrix.from_element(t)
     with pytest.raises(NotInverse):
-        whitehead_check(m, m, QuotientTower.zn(1, [4]))
+        _whitehead(m, m, [4])
 
 
 def test_whitehead_non_integral_flagged(z_group):
     two = RingMatrix.from_element(RingElement.scalar(z_group, 2))
     half = RingMatrix.from_element(RingElement.scalar(z_group, Fraction(1, 2)))
-    verdict = whitehead_check(two, half, QuotientTower.zn(1, [4, 8]))
+    verdict = _whitehead(two, half, [4, 8])
     assert not verdict["integral"]
     assert not verdict["ok"]  # logdet(4) = 2 ln 2 at every level
     assert all(abs(v - 2 * math.log(2)) <= 1e-9 for v in verdict["logdets"])
+
+
+def _complex(delta, levels, oracle_grid):
+    reports = run_tower(delta, QuotientTower.zn(1, levels))
+    return reports, complex_check(reports, torus_density(delta, oracle_grid), oracle_grid)
 
 
 def test_complex_tower_runs(z_group):
     t = RingElement.delta(z_group, (1,))
     alpha = RingElement.scalar(z_group, complex(0.5, 0.5))
     kernel_free = positive_square(RingMatrix.from_element(1 - alpha * t))
-    reports, verdict = complex_tower_run(
-        kernel_free, QuotientTower.zn(1, [8, 16, 32, 64]), oracle_grid=512
-    )
+    reports, verdict = _complex(kernel_free, [8, 16, 32, 64], oracle_grid=512)
     assert verdict["ok"] and verdict["oracle_f0"] == 0.0
     assert all(rep.f0 == 0.0 for rep in reports)
 
     unit_root = positive_square(RingMatrix.from_element(1 - t))
-    reports, verdict = complex_tower_run(
-        unit_root, QuotientTower.zn(1, [8, 16, 32, 64]), oracle_grid=512
-    )
+    reports, verdict = _complex(unit_root, [8, 16, 32, 64], oracle_grid=512)
     assert verdict["ok"]
     assert [rep.f0 for rep in reports] == [1 / 8, 1 / 16, 1 / 32, 1 / 64]
 
     zero = RingMatrix.zero(z_group, 2, 2)
-    reports, verdict = complex_tower_run(zero, QuotientTower.zn(1, [4, 8, 16]), oracle_grid=64)
+    reports, verdict = _complex(zero, [4, 8, 16], oracle_grid=64)
     assert all(rep.f0 == 2.0 for rep in reports)
     assert verdict["ok"]
 
