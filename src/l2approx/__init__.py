@@ -34,7 +34,6 @@ from .matrices import (
     positive_square,
     trace,
     trace_poly,
-    trace_poly_exact,
 )
 from .oracles import (
     char_poly_exact,
@@ -52,7 +51,6 @@ from .schemes import (
     build_boxes_folner,
     build_sandwich,
     complex_check,
-    compress,
     run_folner,
     run_tower,
     sandwich_level_check,

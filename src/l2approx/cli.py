@@ -23,7 +23,7 @@ import sys
 
 from . import __version__
 from .cw import l2_invariants
-from .errors import L2ApproxError
+from .errors import BoxTooLarge, L2ApproxError
 from .groups import FreeAbelianGroup
 from .jsonio import (
     CHECKS,
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemFormatError, json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (ProblemFormatError, BoxTooLarge, json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
         print(f"l2approx: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (L2ApproxError, ValueError, ArithmeticError) as exc:

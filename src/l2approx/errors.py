@@ -70,5 +70,9 @@ class SchemeError(L2ApproxError):
     """An approximation scheme is inconsistent with the given matrix."""
 
 
+class BoxTooLarge(SchemeError):
+    """A Folner box level would exceed the row or band-entry cap."""
+
+
 class InjectivityUncertified(UserWarning):
     """A tower level could not certify injectivity on the needed support."""

@@ -218,11 +218,3 @@ def poly_apply(delta: RingMatrix, coeffs: Sequence) -> RingMatrix:
 def trace_poly(delta: RingMatrix, coeffs: Sequence) -> GaussianRational:
     """Exact trace of p(Delta); coefficients ascending."""
     return trace(poly_apply(delta, coeffs))
-
-
-def trace_poly_exact(delta: RingMatrix, coeffs: Sequence) -> float:
-    """tr p(Delta) as a float; the exact imaginary part must vanish."""
-    t = trace_poly(delta, coeffs)
-    if t.im != 0:
-        raise ArithmeticError(f"trace has nonzero imaginary part {t.im}")
-    return float(t.re)

@@ -3,7 +3,7 @@
 Two pipelines produce per-level spectral reports for a positive self-adjoint
 group-ring matrix: quotient towers (push the matrix onto finite quotients,
 take the regular representation) and box Folner exhaustions over Z^n
-(compress the operator to a finite window).  On top of the reports sit the
+(band compressions of the operator to boxes).  On top of the reports sit the
 certification checks, each a function of the reports and, where it needs
 one, the oracle: sandwich polynomials squeezing characteristic functions,
 the two-sided density squeeze against an oracle, the determinant
@@ -14,18 +14,19 @@ Folner trace gaps.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import (
+    BoxTooLarge,
     CertificationFailed,
     HypothesisViolated,
     InjectivityUncertified,
@@ -41,7 +42,6 @@ from .matrices import RingMatrix, k_bound, trace
 from .spectral import (
     EigenResult,
     SpectralDensity,
-    _operator_blocks,
     betti,
     default_kernel_threshold,
     density_from_eigs,
@@ -93,14 +93,7 @@ class FolnerExhaustion:
             raise SchemeError("box sizes must be strictly increasing and >= 0")
         self.group = group
         self.box_sizes = sizes
-
-    @property
-    def labels(self):
-        return list(self.box_sizes)
-
-    def set_at(self, index: int) -> list:
-        m = self.box_sizes[index]
-        return list(itertools.product(range(-m, m + 1), repeat=self.group.rank))
+        self.labels = list(sizes)
 
     def defect(self, index: int, k: int) -> float:
         """|N_k(X)| / |X| where N_k(X) is the two-sided k-collar of the
@@ -253,60 +246,78 @@ def run_tower(
 # Folner (compression) pipeline over Z^n
 # ---------------------------------------------------------------------------
 
-def compress(delta: RingMatrix, window: Sequence) -> tuple:
-    """Compression P Delta P to a finite window of Z^n.
-
-    Returns (ndarray of size d*|window|, |window|).  Entry ((k,x),(l,y)) is
-    the coefficient of x - y in Delta_{kl}, i.e. the matrix of the windowed
-    left translation action; real float64 when every coefficient is real,
-    complex128 otherwise.
-    """
-    group = delta.group
-    if not isinstance(group, FreeAbelianGroup):
-        raise WrongGroup(f"compress needs a matrix over Z^n, got {group}")
-    window = list(window)
-    real = all(e.is_real() for row in delta.entries for e in row)
-    h = _operator_blocks(delta, 1, lambda g: 1.0, group, window, lambda g: g, real)
-    return h[0], len(window)
-
-
 def _support_radius(delta: RingMatrix) -> int:
     """Largest sup-norm of a group element in the support of a Z^n matrix."""
     return max((max(map(abs, g), default=0) for g in delta.support()), default=0)
 
 
-def compressed_trace_powers(delta: RingMatrix, window: Sequence, powers) -> dict:
-    """Exact traces of (P Delta P)^m for the requested powers.
+MAX_BOX_ROWS = 2 ** 14  # rows of one box level
+MAX_BAND_ENTRIES = 2 ** 24  # entries of its band
 
-    tr((P Delta P)^m) is a sum over closed walks k_0 -> k_1 -> ... -> k_m = k_0
-    of m support steps whose group elements g_1, ..., g_m sum to 0.  A walk
-    contributes the product of its coefficients times the number of window
-    points y with y - s in the window for every prefix sum s, that is
-    |X ∩ (X + s_1) ∩ ... ∩ (X + s_{m-1})|.
+
+def _band_shape(delta: RingMatrix, rank: int, m: int) -> tuple:
+    """(N, bandwidth) of the compression of Delta to the box [-m, m]^rank;
+    BoxTooLarge beyond MAX_BOX_ROWS rows or MAX_BAND_ENTRIES band entries."""
+    side = 2 * m + 1
+    size = delta.rows * side ** rank
+    reach = delta.rows * _support_radius(delta) * sum(side ** c for c in range(rank))
+    bw = min(size - 1, reach + delta.rows - 1)
+    if size > MAX_BOX_ROWS or size * (bw + 1) > MAX_BAND_ENTRIES:
+        raise BoxTooLarge(
+            f"box m={m} has {size} rows and {size * (bw + 1)} band entries; "
+            f"the caps are {MAX_BOX_ROWS} rows and {MAX_BAND_ENTRIES} entries"
+        )
+    return size, bw
+
+
+def _box_band(delta: RingMatrix, rank: int, m: int, real: bool) -> np.ndarray:
+    """The compression to [-m, m]^rank in LAPACK lower-band storage, entry
+    (i, j) at ab[i - j, j].  Row (x, k) is d * (lexicographic index of x) + k,
+    so the coefficient c of g in Delta_kl sits at band row
+    d * sum_c g_c (2m+1)^(rank-1-c) + k - l of each column (y, l) with y + g
+    in the box.  Real float64 when ``real``, complex128 otherwise."""
+    d = delta.rows
+    side = 2 * m + 1
+    weights = [side ** (rank - 1 - c) for c in range(rank)]
+    size, bw = _band_shape(delta, rank, m)
+    ab = np.zeros((bw + 1, size), dtype=np.float64 if real else np.complex128)
+    for k in range(d):
+        for l in range(d):
+            for g, c in delta.entries[k][l].terms.items():
+                row = d * sum(a * w for a, w in zip(g, weights)) + k - l
+                if 0 <= row <= bw:
+                    # box indices of the y with y + g in the box, per coordinate
+                    ys = [np.arange(max(0, -a), min(side, side - a)) * w for a, w in zip(g, weights)]
+                    cols = reduce(np.add.outer, ys, np.zeros((), dtype=np.intp)).ravel()
+                    ab[row, d * cols + l] = float(c.re) if real else complex(c)
+    return ab
+
+
+def compressed_trace_powers(delta: RingMatrix, m: int, powers) -> dict:
+    """Exact traces of (P Delta P)^k for the requested powers k, P the
+    projection onto the box X = [-m, m]^n.
+
+    tr((P Delta P)^k) sums over closed walks of k support steps, with group
+    elements summing to 0, the product of their coefficients times
+    |X ∩ (X + s_1) ∩ ... ∩ (X + s_{k-1})| = prod_c max(0, 2m + 1 - span_c)
+    for the prefix sums s_i, span_c the range of their coordinate c, 0 included.
     """
-    powers = {int(m) for m in powers}
+    powers = {int(k) for k in powers}
     top = max(powers, default=0)
-    points = set(window)
-    translates = {}
-
-    def walk_count(prefixes) -> int:
-        for s in prefixes:
-            if s not in translates:
-                translates[s] = {tuple(a + b for a, b in zip(x, s)) for x in points}
-        return len(points.intersection(*(translates[s] for s in prefixes)))
-
+    side = 2 * m + 1
     steps = [
         [(l, g, c) for l in range(delta.cols) for g, c in delta.entries[k][l].terms.items()]
         for k in range(delta.rows)
     ]
     radius = _support_radius(delta)
     origin = (0,) * delta.group.rank
-    out = {m: GaussianRational.of(0) for m in powers}
+    out = {k: GaussianRational.of(0) for k in powers}
 
     def extend(start, k, total, coef, prefixes):
         length = len(prefixes)
         if length in powers and k == start and total == origin:
-            out[length] = out[length] + coef * walk_count(prefixes)
+            spans = (max(v) - min(v) for v in zip(*prefixes))
+            out[length] += coef * math.prod(max(0, side - span) for span in spans)
         if length == top:
             return
         reach = (top - length - 1) * radius  # the walk must still get back to 0
@@ -326,41 +337,42 @@ def run_folner(
     *,
     kernel_threshold: Optional[float] = None,
 ) -> list:
-    """Compress a self-adjoint matrix over Z^n to each Folner set.
+    """Compress a self-adjoint matrix over Z^n to each Folner box.
 
     Traces of the first few powers of the compression are computed exactly
     and reported next to the exact traces upstairs; the gap is bounded by a
     multiple of the boundary defect and must decrease along the exhaustion.
 
-    The compression goes to the LAPACK solver with no float Hermitian
-    check: entry ((k,x),(l,y)) is the coefficient of x - y in Delta_{kl},
-    a single rounded coefficient, so the exact ``is_self_adjoint`` check
-    below already makes the float matrix exactly Hermitian.
+    Each compression is a band (``_box_band``) solved by ``eig_banded``.
+    That reads only the lower band, and the exact ``is_self_adjoint`` check
+    makes the matrix it stands for exactly Hermitian: no float check.
     """
     if delta.group != exhaustion.group:
         raise MismatchedGroup(f"matrix over {delta.group}, sets over {exhaustion.group}")
     if not delta.is_self_adjoint():
         raise SchemeError("run_folner expects a self-adjoint matrix")
+    rank = exhaustion.group.rank
+    _band_shape(delta, rank, exhaustion.box_sizes[-1])  # caps, before any level runs
+    # scipy.linalg takes a quarter second to import; only box levels need it
+    from scipy.linalg import eig_banded
+
     kb = k_bound(delta)
     thr = kernel_threshold if kernel_threshold is not None else default_kernel_threshold(delta)
     support_radius = _support_radius(delta)
+    real = all(e.is_real() for row in delta.entries for e in row)
 
     reports = []
-    for i, label in enumerate(exhaustion.labels):
-        window = exhaustion.set_at(i)
+    for i, m in enumerate(exhaustion.box_sizes):
         t0 = time.perf_counter()
-        h, nw = compress(delta, window)
-        eig = EigenResult(np.linalg.eigvalsh(h), nw, thr)
-        exact = compressed_trace_powers(delta, window, TRACE_POWERS)
-        exact_traces = {m: GaussianRational.of(Fraction(1, nw)) * exact[m] for m in TRACE_POWERS}
-        defects = {
-            m: exhaustion.defect(i, max(1, m * support_radius)) for m in TRACE_POWERS
-        }
-        reports.append(
-            _level_report(
-                label, eig, kb, t0, exact_traces, {m: True for m in TRACE_POWERS}, defects
-            )
+        nw = (2 * m + 1) ** rank
+        eig = EigenResult(
+            eig_banded(_box_band(delta, rank, m, real), lower=True, eigvals_only=True), nw, thr
         )
+        exact = compressed_trace_powers(delta, m, TRACE_POWERS)
+        exact_traces = {k: GaussianRational.of(Fraction(1, nw)) * exact[k] for k in TRACE_POWERS}
+        defects = {k: exhaustion.defect(i, max(1, k * support_radius)) for k in TRACE_POWERS}
+        certified = {k: True for k in TRACE_POWERS}
+        reports.append(_level_report(m, eig, kb, t0, exact_traces, certified, defects))
     return reports
 
 

@@ -3,7 +3,7 @@
 Turns group-ring matrices into numeric blocks with one assembly (left
 multiplication over a point list, weighted by characters): the regular
 representation of a finite group block-diagonalised by the characters of
-its cyclic factors, torus symbols and Folner compressions.  Extracts
+its cyclic factors, and torus symbols.  Extracts
 eigenvalue lists and packages them as right-continuous spectral step
 functions with normalized total mass.
 """
@@ -153,10 +153,9 @@ def _operator_blocks(
     ``phase(g)`` gives the ``count`` values (an array, or a scalar for all)
     of the characters at group element g.  Block entry ((k, u), (l, v))
     sums c * phase(g) over the terms c*g of entry (k, l) with
-    ``group.multiply(part(g), points[v]) == points[u]``; products that leave
-    the list are dropped.  Slots are keyed by the distinct values of
-    ``part(g)``, so a window of a group works like the group.  Real float64
-    blocks when ``real`` (``phase`` must then be real), complex128
+    ``group.multiply(part(g), points[v]) == points[u]``; the point list must
+    be closed under every slot, the distinct values of ``part(g)``.  Real
+    float64 blocks when ``real`` (``phase`` must then be real), complex128
     otherwise; shape (count, rows * |points|, cols * |points|).
     """
     rows, cols, n = delta.rows, delta.cols, len(points)
@@ -173,17 +172,16 @@ def _operator_blocks(
                 # its block would go back to the OS and be faulted in again
                 z = phase(g)
                 symbol[:, k, l, i] += (float(c.re) if real else complex(c)) * z
-    if n == 1 and len(slots) == 1 and group.multiply(slots[0], points[0]) == points[0]:
-        # one point fixed by the one slot: the symbol is the block, no copy
+    if n == 1 and len(slots) == 1:
+        # one point, fixed by the one slot: the symbol is the block, no copy
         return symbol.reshape(count, rows, cols)
     index = {x: i for i, x in enumerate(points)}
     blocks = np.zeros((count, rows, n, cols, n), dtype=symbol.dtype)
     for i, s in enumerate(slots):
         # slot s puts its coefficient at (u, v) wherever s * points[v] = points[u];
         # no two slots share a (u, v), since s * y = x has one solution s
-        targets = [index.get(group.multiply(s, y)) for y in points]
-        vs = [v for v, u in enumerate(targets) if u is not None]
-        blocks[:, :, [targets[v] for v in vs], :, vs] = symbol[..., i]
+        targets = [index[group.multiply(s, y)] for y in points]
+        blocks[:, :, targets, :, range(n)] = symbol[..., i]
     return blocks.reshape(count, rows * n, cols * n)
 
 

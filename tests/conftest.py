@@ -12,6 +12,7 @@ from l2approx import (
     TrivialGroup,
     positive_square,
     symmetric_group,
+    trace_poly,
 )
 from l2approx.jsonio import load_json, parse_complex
 
@@ -74,3 +75,11 @@ def random_self_adjoint(group, rng, d=1):
 def fixture_complex(name):
     """A chain complex bundled as fixtures/<name>.json (circle, torus, point)."""
     return parse_complex(load_json(str(resources.files("l2approx") / "fixtures" / f"{name}.json")))
+
+
+def trace_poly_exact(delta, coeffs) -> float:
+    """tr p(Delta) as a float; the exact imaginary part must vanish."""
+    t = trace_poly(delta, coeffs)
+    if t.im != 0:
+        raise ArithmeticError(f"trace has nonzero imaginary part {t.im}")
+    return float(t.re)

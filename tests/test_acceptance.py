@@ -37,13 +37,12 @@ from l2approx import (
     subgroup_invariance_check,
     torus_density,
     torus_logdet,
-    trace_poly_exact,
     whitehead_check,
 )
 from l2approx.cw import l2_invariants
 from l2approx.oracles import torus_logdet_report
 
-from conftest import fixture_complex
+from conftest import fixture_complex, trace_poly_exact
 
 TOWER_LEVELS = [8, 16, 32, 64, 128, 256, 512, 1024]
 BOX_SIZES = [4, 8, 16, 32, 64, 128, 256, 512]

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -442,6 +446,14 @@ HOSTILE_FILES = {
         "approx",
         _z_problem(scheme={"type": "folner", "boxes": [2, 4]}, checks=["complex"]),
     ),
+    "box-over-row-cap": ("density", _z_problem(scheme={"type": "folner", "boxes": [4, 8192]})),
+    "box-over-band-cap": (
+        "approx",
+        _z_problem(
+            matrix={"entries": [[[{"word": [0], "re": 3}, {"word": [1100], "re": 1}, {"word": [-1100], "re": 1}]]]},
+            scheme={"type": "folner", "boxes": [8000]},
+        ),
+    ),
     "product-element-as-nested-pair": (
         "density",
         {
@@ -496,6 +508,43 @@ def test_malformed_flag_exits_2(argv, tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert f"argument {flags[0]}" in err and "Traceback" not in err
+
+
+def test_approx_boxes_beyond_caps_exit_2_before_any_level(tmp_path, capsys):
+    out = tmp_path / "report.out"
+    start = time.perf_counter()
+    code = main(["approx", fixture_path("zd_folner.json"), "--boxes", "4,32768", "--output", str(out)])
+    assert code == 2 and time.perf_counter() - start < 0.5
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "65537 rows" in err and "Traceback" not in err
+
+
+SCIPY_PROBE = """
+import contextlib, io, sys
+from l2approx.cli import main
+fixtures = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["approx", fixtures + "/zd_laplacian.json"]) == 0
+    assert main(["cw", fixtures + "/torus.json"]) == 0
+    print("scipy" in sys.modules, file=sys.stderr)
+    assert main(["density", fixtures + "/zd_folner.json", "--level", "4"]) == 0
+    print("scipy" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_scipy_is_imported_by_folner_levels_only():
+    """scipy.linalg costs a quarter second to import; towers, torus oracles
+    and chain complexes must not pay it."""
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(FIXTURES)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("checks", [["bogus"], "norms", ["norms", 3], [["norms"]]])

@@ -15,12 +15,11 @@ from l2approx import (
     laplacian,
     positive_square,
     trace_poly,
-    trace_poly_exact,
 )
 from l2approx.errors import DimensionMismatch, MismatchedGroup
 from l2approx.matrices import poly_apply
 
-from conftest import SEED, random_element, random_self_adjoint
+from conftest import SEED, random_element, random_self_adjoint, trace_poly_exact
 from dense_reference import regular_representation
 
 

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from l2approx import (
+    EigenResult,
     FreeAbelianGroup,
     Homomorphism,
     QuotientTower,
     RingElement,
     RingMatrix,
     build_boxes_folner,
+    betti,
     build_sandwich,
     complex_check,
-    compress,
     density_from_eigs,
     finite_spectrum,
     k_bound,
@@ -30,6 +31,7 @@ from l2approx import (
     whitehead_check,
 )
 from l2approx.errors import (
+    BoxTooLarge,
     CertificationFailed,
     HypothesisViolated,
     InsufficientLevels,
@@ -38,7 +40,13 @@ from l2approx.errors import (
 )
 from l2approx.groupring import GaussianRational
 from l2approx.oracles import torus_logdet_report
-from l2approx.schemes import compressed_trace_powers
+from l2approx.schemes import (
+    MAX_BAND_ENTRIES,
+    MAX_BOX_ROWS,
+    _band_shape,
+    _box_band,
+    compressed_trace_powers,
+)
 
 from conftest import SEED, random_element, random_self_adjoint
 from dense_reference import hermitian_eigenvalues, translation_matrix
@@ -93,90 +101,185 @@ def test_constant_tower_is_stationary(s3):
     assert len({r.f0 for r in reports}) == 1
 
 
+def _box(rank, m):
+    return list(itertools.product(range(-m, m + 1), repeat=rank))
+
+
+def shift(k):
+    return RingElement.delta(FreeAbelianGroup(1), (k,))
+
+
+def _band(delta, m):
+    real = all(e.is_real() for row in delta.entries for e in row)
+    return _box_band(delta, delta.group.rank, m, real)
+
+
+def _band_to_dense(ab, d):
+    """A lower band expanded to its Hermitian matrix and permuted from the
+    band's (x, k) order to the (k, x) order of ``translation_matrix``."""
+    size = ab.shape[1]
+    h = np.zeros((size, size), dtype=ab.dtype)
+    for r in range(ab.shape[0]):
+        assert not ab[r, size - r:].any()  # LAPACK never reads past the last row
+        j = np.arange(size - r)
+        h[j, j + r] = ab[r, : size - r].conj()
+        h[j + r, j] = ab[r, : size - r]
+    n = size // d
+    perm = [x * d + k for k in range(d) for x in range(n)]
+    return h[np.ix_(perm, perm)]
+
+
 def test_compress_examples(z_laplacian, z_group):
-    h, nw = compress(z_laplacian, [(-1,), (0,), (1,)])
-    assert nw == 3
-    assert np.allclose(h, [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    assert np.array_equal(_band(z_laplacian, 1), [[2.0, 2.0, 2.0], [-1.0, -1.0, 0.0]])
+    assert np.array_equal(_band(z_laplacian, 0), [[2.0]])
     ident = RingMatrix.identity(z_group, 2)
-    h_id, _ = compress(ident, [(0,), (5,), (9,)])
-    assert np.allclose(h_id, np.eye(6))
-    shift = RingMatrix.from_element(RingElement.delta(z_group, (1,)))
-    h_shift, _ = compress(shift, [(-1,), (0,), (1,)])
-    assert np.allclose(h_shift, np.diag([1.0, 1.0], -1))
-    # complex, non-diagonal 2x2 over Z^2 on an l1-ball: entry ((k,x),(l,y))
-    # is the coefficient of x - y in Delta_kl
+    assert np.array_equal(_band_to_dense(_band(ident, 1), 2), np.eye(6))
+    t = RingElement.delta(z_group, (1,))
+    sym = RingMatrix.from_element(t + t.star())
+    assert np.array_equal(_band_to_dense(_band(sym, 1), 1), np.diag([1.0, 1.0], -1) + np.diag([1.0, 1.0], 1))
+    # complex, non-diagonal 2x2 over Z^2: band entry (i - j, j) for row
+    # i = (x, k) and column j = (y, l) is the coefficient of x - y in Delta_kl
     z2 = FreeAbelianGroup(2)
     a = RingElement.delta(z2, (1, 0))
     b = RingElement.delta(z2, (0, 1))
     alpha = RingElement.scalar(z2, complex(0.5, -1.5))
-    delta = RingMatrix(z2, [[alpha * a + 2, b * b - a.star()], [a * b, alpha * b.star()]])
-    ball = [(i, j) for i in range(-2, 3) for j in range(-2, 3) if abs(i) + abs(j) <= 2]
-    h, nw = compress(delta, ball)
-    assert nw == len(ball) and h.dtype == np.complex128
+    m0 = RingMatrix(z2, [[alpha * a + 2, b * b - a.star()], [a * b, alpha * b.star()]])
+    delta = m0 + m0.adjoint()
+    box = _box(2, 2)
+    ab = _band(delta, 2)
+    assert ab.dtype == np.complex128 and ab.shape == (2 * 2 * (5 + 1) + 2, 2 * len(box))
     for k in range(2):
         for l in range(2):
             terms = delta.entries[k][l].terms
-            for u, x in enumerate(ball):
-                for v, y in enumerate(ball):
+            for u, x in enumerate(box):
+                for v, y in enumerate(box):
+                    i, j = 2 * u + k, 2 * v + l
+                    if i < j:
+                        continue
                     diff = (x[0] - y[0], x[1] - y[1])
                     coeff = complex(terms[diff]) if diff in terms else 0j
-                    assert h[k * nw + u, l * nw + v] == coeff
+                    if i - j < ab.shape[0]:
+                        assert ab[i - j, j] == coeff
+                    else:
+                        assert coeff == 0
 
 
 def test_compress_matches_dense_reference(z_group):
-    """compress against the term-by-term reference, bit for bit, on windows
-    that products leave."""
+    """The band, expanded and permuted, against the term-by-term reference,
+    bit for bit, on boxes that products leave."""
     t = RingElement.delta(z_group, (1,))
     z2 = FreeAbelianGroup(2)
     a = RingElement.delta(z2, (1, 0))
     b = RingElement.delta(z2, (0, 1))
     alpha = RingElement.scalar(z2, complex(0.5, -1.5))
-    gappy = [(k,) for k in (-5, -2, -1, 0, 3, 4)]
-    ball = [(i, j) for i in range(-2, 3) for j in range(-2, 3) if abs(i) + abs(j) <= 2]
+    m0 = RingMatrix(z2, [[alpha * a + 2, b * b - a.star()], [a * b, alpha * b.star()]])
     rng = random.Random(SEED + 5)
     cases = [
-        # rank 1, not self-adjoint, on a window with gaps
-        (RingMatrix.from_element(2 - 3 * t * t + t.star()), gappy),
-        (random_self_adjoint(z_group, rng, d=2), gappy),
-        # rank 2, complex, non-diagonal and not self-adjoint
-        (RingMatrix(z2, [[alpha * a + 2, b * b - a.star()], [a * b, alpha * b.star()]]), ball),
-        (positive_square(RingMatrix.from_element(1 - alpha * a + b)), ball[3:]),
-        (RingMatrix(z2, [[a + alpha, 2 * b.star()]]), ball),  # 1 x 2
-        # one point, with and without the identity in the support
-        (RingMatrix.from_element(3 * t), [(7,)]),
-        (RingMatrix.from_element(2 + t - t.star()), [(7,)]),
-        (RingMatrix.from_element(alpha * a * b), [(0, 0)]),
-        (RingMatrix(z2, [[alpha * a, b], [a.star(), 2 + alpha * b]]), [(1, -1)]),
-        # empty window
-        (RingMatrix.from_element(2 - t - t.star()), []),
-        (RingMatrix(z2, [[alpha * a + 2, b], [a, 1 + b]]), []),
+        (positive_square(RingMatrix.from_element(2 - 3 * t * t + t.star())), (0, 1, 4)),
+        (random_self_adjoint(z_group, rng, d=2), (0, 2, 5)),
+        (random_self_adjoint(z_group, rng, d=3), (1, 3)),
+        # rank 2, complex, non-diagonal
+        (m0 + m0.adjoint(), (0, 1, 2)),
+        (positive_square(RingMatrix.from_element(1 - alpha * a + b)), (0, 1, 3)),
+        (positive_square(RingMatrix(z2, [[a + alpha, 2 * b.star()]])), (1, 2)),
+        # a support wider than the box: every off-diagonal product leaves
+        (RingMatrix.from_element(3 + shift(5) + shift(-5)), (0, 2)),
+        (RingMatrix.zero(z2, 2, 2), (0, 1)),
     ]
-    for delta, window in cases:
-        h, nw = compress(delta, window)
-        ref = translation_matrix(delta, window)
-        assert nw == len(window)
-        assert h.dtype == ref.dtype and h.shape == ref.shape
-        assert np.array_equal(h, ref)
-    assert np.array_equal(compress(RingMatrix.from_element(3 * t), [(7,)])[0], [[0.0]])
+    for delta, sizes in cases:
+        for m in sizes:
+            ab = _band(delta, m)
+            ref = translation_matrix(delta, _box(delta.group.rank, m))
+            h = _band_to_dense(ab, delta.rows)
+            assert h.dtype == ref.dtype and h.shape == ref.shape
+            assert np.array_equal(h, ref)
 
 
-def test_run_folner_eigenvalues_match_dense_reference(z_group):
+def test_run_folner_eigenvalues_match_dense_reference(z_group, z_laplacian):
+    """Tridiagonal real compressions give the dense eigenvalues bit for bit.
+    Wider bands (d = 2, rank 2) are reduced differently by the band and the
+    dense LAPACK routines, so they agree to rounding and in every density
+    jump count and F(0)."""
     rng = random.Random(SEED + 6)
+    t = RingElement.delta(z_group, (1,))
     z2 = FreeAbelianGroup(2)
     a = RingElement.delta(z2, (1, 0))
     b = RingElement.delta(z2, (0, 1))
     alpha = RingElement.scalar(z2, complex(0.5, -1.5))
-    cases = [
+    tridiagonal = [
+        (z_laplacian, build_boxes_folner(1, [0, 1, 4, 64, 1024])),
+        (RingMatrix.from_element(Fraction(7, 3) - Fraction(5, 4) * (t + t.star())),
+         build_boxes_folner(1, [0, 3, 40])),
         (positive_square(RingMatrix.from_element(random_element(z_group, rng))),
          build_boxes_folner(1, [0, 3, 6])),
-        (random_self_adjoint(z_group, rng, d=2), build_boxes_folner(1, [2, 5])),
-        (positive_square(RingMatrix.from_element(1 - alpha * a + b)), build_boxes_folner(2, [1, 3])),
     ]
-    for delta, exhaustion in cases:
+    for delta, exhaustion in tridiagonal:
         reports = run_folner(delta, exhaustion)
         for i, rep in enumerate(reports):
-            ref = hermitian_eigenvalues(translation_matrix(delta, exhaustion.set_at(i)))
+            ref = hermitian_eigenvalues(translation_matrix(delta, _box(delta.group.rank, rep.level)))
             assert np.array_equal(rep.eigen.eigenvalues, ref)
+    wide = [
+        (random_self_adjoint(z_group, rng, d=2), build_boxes_folner(1, [2, 5])),
+        (positive_square(RingMatrix.from_element(1 - alpha * a + b)), build_boxes_folner(2, [1, 3])),
+        (positive_square(RingMatrix.from_element(3 - shift(3) + 2 * t.star())), build_boxes_folner(1, [4, 9])),
+    ]
+    for delta, exhaustion in wide:
+        reports = run_folner(delta, exhaustion)
+        scale = max(1.0, k_bound(delta))
+        for i, rep in enumerate(reports):
+            ref = hermitian_eigenvalues(translation_matrix(delta, _box(delta.group.rank, rep.level)))
+            assert np.max(np.abs(rep.eigen.eigenvalues - ref)) <= 1e-12 * scale
+            ref_density = density_from_eigs(EigenResult(ref, rep.eigen.denom, rep.eigen.kernel_threshold))
+            assert [c for _, c in rep.density.jumps] == [c for _, c in ref_density.jumps]
+            assert rep.f0 == betti(ref_density)
+
+
+def test_run_folner_edge_cases(z_group):
+    # a one-point box: the band is the d x d matrix itself
+    t = RingElement.delta(z_group, (1,))
+    (rep,) = run_folner(RingMatrix.from_element(5 - t - t.star()), build_boxes_folner(1, [0]))
+    assert rep.eigen.eigenvalues.tolist() == [5.0] and rep.matrix_size == 1
+    # the zero matrix: an all-zero band and an all-zero spectrum
+    zero = RingMatrix.zero(FreeAbelianGroup(2), 2, 2)
+    assert not _band(zero, 2).any()
+    for rep in run_folner(zero, build_boxes_folner(2, [0, 2])):
+        assert not rep.eigen.eigenvalues.any()
+        assert rep.f0 == 2.0 and rep.logdet == 0.0
+        assert rep.matrix_size == 2 * (2 * rep.level + 1) ** 2
+    # a complex Hermitian band: i (t - 1/t) on a path of L points is unitarily
+    # the path adjacency, with eigenvalues 2 cos(pi j / (L + 1))
+    i_shift = RingMatrix.from_element(RingElement.scalar(z_group, 1j) * (t - t.star()))
+    assert _band(i_shift, 3).dtype == np.complex128
+    for rep in run_folner(i_shift, build_boxes_folner(1, [0, 3, 20])):
+        size = 2 * rep.level + 1
+        expected = np.sort(2 * np.cos(np.pi * np.arange(1, size + 1) / (size + 1)))
+        assert np.allclose(rep.eigen.eigenvalues, expected, atol=1e-12)
+
+
+def test_box_caps(z_group):
+    """Box levels are capped at MAX_BOX_ROWS rows and MAX_BAND_ENTRIES band
+    entries, checked for the largest box before any level runs."""
+    t = RingElement.delta(z_group, (1,))
+    lap = RingMatrix.from_element(2 - t - t.star())
+    assert _band_shape(lap, 1, 8191) == (MAX_BOX_ROWS - 1, 1)
+    with pytest.raises(BoxTooLarge, match="16385 rows"):
+        _band_shape(lap, 1, 8192)
+    with pytest.raises(BoxTooLarge, match="65537 rows"):
+        run_folner(lap, build_boxes_folner(1, [4, 32768]))
+    # a wide support: few enough rows, too many band entries
+    wide = RingMatrix.from_element(3 + shift(1100) + shift(-1100))
+    assert _band_shape(wide, 1, 7000) == (14001, 1100)
+    with pytest.raises(BoxTooLarge, match="band entries"):
+        _band_shape(wide, 1, 8000)
+    assert 16001 <= MAX_BOX_ROWS and 16001 * 1101 > MAX_BAND_ENTRIES
+    # rank 2: radius 1 allows the step (1, 1), so the band is 2m + 2 wide
+    z2 = FreeAbelianGroup(2)
+    a = RingElement.delta(z2, (1, 0))
+    b = RingElement.delta(z2, (0, 1))
+    lap2 = RingMatrix.from_element(4 - a - a.star() - b - b.star())
+    assert _band_shape(lap2, 2, 63) == (127 ** 2, 128)
+    with pytest.raises(BoxTooLarge):
+        _band_shape(lap2, 2, 64)
 
 
 def test_box_defect_examples():
@@ -227,7 +330,7 @@ def test_box_defect_matches_brute_force():
         for m in range(5):
             boxes = build_boxes_folner(rank, [m])
             for k in range(m + 3):
-                assert boxes.defect(0, k) == _defect_brute(rank, boxes.set_at(0), k)
+                assert boxes.defect(0, k) == _defect_brute(rank, _box(rank, m), k)
 
 
 def test_folner_nestedness_enforced():
@@ -310,32 +413,75 @@ def _dense_exact_trace_powers(delta, window, powers):
     return out
 
 
+def _set_walk_trace_powers(delta, window, powers):
+    """Reference: the closed-walk sum of ``compressed_trace_powers`` with
+    each walk counted as the set |X ∩ (X + s_1) ∩ ... ∩ (X + s_{k-1})|."""
+    points = set(window)
+    top = max(powers)
+    out = {k: GaussianRational.of(0) for k in powers}
+
+    def extend(start, k, total, coef, prefixes):
+        if len(prefixes) in powers and k == start and not any(total):
+            count = len(points.intersection(
+                *({tuple(a + b for a, b in zip(x, s)) for x in points} for s in prefixes)
+            ))
+            out[len(prefixes)] += coef * count
+        if len(prefixes) == top:
+            return
+        for l in range(delta.cols):
+            for g, c in delta.entries[k][l].terms.items():
+                nxt = tuple(a + b for a, b in zip(total, g))
+                extend(start, l, nxt, coef * c, prefixes + (total,))
+
+    for k in range(delta.rows):
+        extend(k, k, (0,) * delta.group.rank, GaussianRational.of(1), ())
+    return out
+
+
+def test_compressed_trace_powers_closed_form_counts(z_group):
+    """The product of per-coordinate spans counts the walk's box points
+    exactly as the set intersection does, in rank 1 and rank 2."""
+    rng = random.Random(SEED + 2)
+    z2 = FreeAbelianGroup(2)
+    a = RingElement.delta(z2, (1, 0))
+    b = RingElement.delta(z2, (0, 1))
+    alpha = RingElement.scalar(z2, complex(0.5, -1.5))
+    cases = [
+        positive_square(RingMatrix.from_element(random_element(z_group, rng))),
+        random_self_adjoint(z_group, rng, d=2),
+        positive_square(RingMatrix.from_element(1 - alpha * a + b * b)),
+        RingMatrix(z2, [[alpha * a + 2, b], [a.star(), alpha * b.star()]]),
+    ]
+    for delta in cases:
+        for m in (0, 1, 3, 8):
+            exact = compressed_trace_powers(delta, m, (1, 2, 3))
+            assert exact == _set_walk_trace_powers(delta, _box(delta.group.rank, m), (1, 2, 3))
+
+
 def test_compressed_trace_powers_match_numpy(z_group):
     rng = random.Random(SEED + 1)
     z2 = FreeAbelianGroup(2)
     a = RingElement.delta(z2, (1, 0))
     b = RingElement.delta(z2, (0, 1))
     alpha = RingElement.scalar(z2, complex(0.5, -1.5))
-    box = [(k,) for k in range(-6, 7)]
-    box2 = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
-    ball = [(i, j) for i in range(-3, 4) for j in range(-3, 4) if abs(i) + abs(j) <= 3]
     cases = [
-        (positive_square(RingMatrix.from_element(random_element(z_group, rng))), box)
+        (positive_square(RingMatrix.from_element(random_element(z_group, rng))), 6)
         for _ in range(5)
     ]
     cases += [
-        (positive_square(RingMatrix.from_element(random_element(z2, rng))), box2),
-        (random_self_adjoint(z_group, rng, d=2), [(k,) for k in range(-4, 5)]),
-        (positive_square(RingMatrix.from_element(1 - alpha * a + b)), ball),
+        (positive_square(RingMatrix.from_element(random_element(z2, rng))), 2),
+        (random_self_adjoint(z_group, rng, d=2), 4),
+        (positive_square(RingMatrix.from_element(1 - alpha * a + b)), 3),
         # not self-adjoint: traces with nonzero imaginary parts
-        (RingMatrix(z2, [[alpha * a + 2, b], [a.star(), alpha * b.star()]]), ball[:12]),
+        (RingMatrix(z2, [[alpha * a + 2, b], [a.star(), alpha * b.star()]]), 1),
     ]
-    for delta, window in cases:
-        h, nw = compress(delta, window)
-        exact = compressed_trace_powers(delta, window, (1, 2, 3))
+    for delta, m in cases:
+        window = _box(delta.group.rank, m)
+        h = translation_matrix(delta, window)
+        exact = compressed_trace_powers(delta, m, (1, 2, 3))
         assert exact == _dense_exact_trace_powers(delta, window, (1, 2, 3))
-        for m, value in exact.items():
-            numeric = complex(np.trace(np.linalg.matrix_power(h, m)))
+        for k, value in exact.items():
+            numeric = complex(np.trace(np.linalg.matrix_power(h, k)))
             assert abs(complex(value) - numeric) <= 1e-8 * max(1.0, abs(numeric))
             if delta.is_self_adjoint():
                 assert value.im == 0

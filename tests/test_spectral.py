@@ -24,13 +24,12 @@ from l2approx import (
     product_group,
     subgroup_invariance_check,
     symmetric_group,
-    trace_poly_exact,
 )
 from l2approx import spectral
 from l2approx.errors import InfiniteGroup, NotHermitian
 from l2approx.spectral import _cyclic_split, character_spectrum, densities_match
 
-from conftest import SEED, random_self_adjoint
+from conftest import SEED, random_self_adjoint, trace_poly_exact
 from dense_reference import (
     DEFAULT_EIG_TOL,
     _require_hermitian,
