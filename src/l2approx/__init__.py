@@ -5,7 +5,7 @@ regularized (Fuglede-Kadison) determinants for matrices over group rings,
 both at single finite levels and along approximation schemes (quotient
 towers and Folner box exhaustions), with independent oracles for the
 trivial group (exact integer linear algebra) and free abelian groups
-(torus symbol quadrature, Mahler measure).
+(torus symbol quadrature).
 """
 
 __version__ = "0.1.0"
@@ -22,7 +22,6 @@ from .groups import (
     Group,
     Homomorphism,
     TrivialGroup,
-    cyclic_quotient,
     free_abelian_quotient,
     product_group,
     symmetric_group,
@@ -33,15 +32,11 @@ from .matrices import (
     laplacian,
     positive_square,
     trace,
-    trace_poly,
 )
 from .oracles import (
-    char_poly_exact,
-    mahler_1x1,
     nonzero_eigenvalue_product_exact,
     torus_density,
     torus_logdet,
-    trivial_group_logdet_exact,
 )
 from .schemes import (
     FolnerExhaustion,

@@ -38,10 +38,6 @@ class NotPSD(L2ApproxError):
     """An integer matrix claimed positive semidefinite is not."""
 
 
-class RootFindFailure(L2ApproxError):
-    """Polynomial root finding did not reach the requested accuracy."""
-
-
 class CertificationFailed(L2ApproxError):
     """No polynomial up to the degree cap certified the sandwich bounds."""
 

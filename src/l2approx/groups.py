@@ -571,11 +571,6 @@ class Homomorphism:
         return f"hom {self.source} -> {self.target}"
 
 
-def cyclic_quotient(n: int) -> Homomorphism:
-    """The reduction Z -> Z/n sending the generator to 1."""
-    return Homomorphism(FreeAbelianGroup(1), CyclicGroup(n), generator_images=[1 % n])
-
-
 def free_abelian_quotient(rank: int, moduli) -> Homomorphism:
     """Z^rank -> Z/N1 x ... x Z/Nr, generator k modulo moduli[k].
 

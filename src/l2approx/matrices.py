@@ -2,12 +2,11 @@
 
 Covers the operator-level plumbing: adjoints, products, the positive square
 A*A, combinatorial Laplacians assembled from boundary maps, the a-priori
-operator-norm bound, and exact polynomial traces.
+operator-norm bound, and the exact von Neumann trace.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, MismatchedGroup
@@ -199,22 +198,3 @@ def trace(delta: RingMatrix) -> GaussianRational:
     for i in range(delta.rows):
         acc = acc + delta.entries[i][i].trace_coeff()
     return acc
-
-
-def poly_apply(delta: RingMatrix, coeffs: Sequence) -> RingMatrix:
-    """Evaluate a polynomial (coeffs ascending, exact rationals) at the
-    matrix via Horner's scheme over the ring."""
-    if not delta.is_square():
-        raise DimensionMismatch("poly_apply needs a square matrix")
-    d = delta.rows
-    coeffs = [Fraction(c) if not isinstance(c, Fraction) else c for c in coeffs]
-    out = RingMatrix.zero(delta.group, d, d)
-    ident = RingMatrix.identity(delta.group, d)
-    for c in reversed(coeffs):
-        out = out @ delta + ident.scale(c)
-    return out
-
-
-def trace_poly(delta: RingMatrix, coeffs: Sequence) -> GaussianRational:
-    """Exact trace of p(Delta); coefficients ascending."""
-    return trace(poly_apply(delta, coeffs))

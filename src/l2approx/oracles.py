@@ -1,23 +1,20 @@
 """Independent ground-truth computations.
 
-Three oracle families, each with a different proof route than the pipeline
-it checks: exact integer linear algebra for the trivial group, Fourier
-symbol quadrature on the torus for free abelian groups, and Mahler measure
-by root finding for single-variable integer Laurent polynomials.
+Two oracle families, each with a different proof route than the pipeline
+it checks: exact integer linear algebra for the trivial group, and Fourier
+symbol quadrature on the torus for free abelian groups.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotPSD, RootFindFailure, WrongGroup
-from .groupring import RingElement
+from .errors import NotPSD, WrongGroup
 from .groups import FreeAbelianGroup
 from .matrices import RingMatrix
 from .spectral import (
@@ -30,15 +27,12 @@ from .spectral import (
     log_det,
 )
 
-# Newton polishing of Mahler-measure roots stops once no root moves further
-POLISH_TOL = 1e-10
-
 
 # ---------------------------------------------------------------------------
 # trivial group: exact integer determinants
 # ---------------------------------------------------------------------------
 
-def char_poly_exact(rows: Sequence[Sequence]) -> list:
+def _char_poly(rows: Sequence[Sequence]) -> list:
     """Characteristic polynomial det(xI - A) by Faddeev-LeVerrier.
 
     Exact rational arithmetic throughout; returns [c0=1, c1, ..., cd] with
@@ -92,7 +86,7 @@ def nonzero_eigenvalue_product_exact(rows: Sequence[Sequence]) -> int:
     d = len(a)
     if d == 0:
         return 1
-    coeffs = char_poly_exact(a)
+    coeffs = _char_poly(a)
     for k, c in enumerate(coeffs):
         # real-rooted p has all roots >= 0 iff (-1)^k c_k >= 0 for all k
         if (c if k % 2 == 0 else -c) < 0:
@@ -105,23 +99,6 @@ def nonzero_eigenvalue_product_exact(rows: Sequence[Sequence]) -> int:
     value = abs(lowest)
     assert value.denominator == 1
     return int(value)
-
-
-def _log_int(n: int) -> float:
-    if n <= 0:
-        raise ValueError("need a positive integer")
-    if n.bit_length() < 1000:
-        return math.log(n)
-    shift = n.bit_length() - 500
-    return math.log(n >> shift) + shift * math.log(2.0)
-
-
-def trivial_group_logdet_exact(rows: Sequence[Sequence]) -> float:
-    """log of the product of nonzero eigenvalues of a PSD integer matrix.
-
-    The product is a nonzero integer, so the result is always >= 0.
-    """
-    return _log_int(nonzero_eigenvalue_product_exact(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -214,62 +191,3 @@ def torus_logdet_report(
         "error_estimate": abs(value - coarse),
     }
 
-
-# ---------------------------------------------------------------------------
-# Mahler measure of one-variable integer Laurent polynomials
-# ---------------------------------------------------------------------------
-
-LaurentLike = Union[dict, RingElement]
-
-
-def _laurent_terms(p: LaurentLike) -> dict:
-    if isinstance(p, RingElement):
-        if not isinstance(p.group, FreeAbelianGroup) or p.group.rank != 1:
-            raise WrongGroup("mahler_1x1 needs an element of the Z group ring")
-        terms = {}
-        for g, c in p.terms.items():
-            if c.im != 0:
-                raise ValueError("mahler_1x1 needs real coefficients")
-            terms[g[0]] = c.re
-        return terms
-    return {int(k): Fraction(v) for k, v in dict(p).items() if Fraction(v) != 0}
-
-
-def mahler_1x1(p: LaurentLike) -> float:
-    """log Mahler measure of a nonzero one-variable Laurent polynomial.
-
-    log M(p) = log|leading coefficient| + sum over roots of log max(1, |r|).
-    Roots come from the companion matrix (numpy.roots) and are polished by a
-    few Newton steps; the root product is validated against the exact ratio
-    of the extreme coefficients.
-    """
-    terms = _laurent_terms(p)
-    if not terms:
-        raise ValueError("mahler_1x1 needs a nonzero polynomial")
-    lo = min(terms)
-    hi = max(terms)
-    coeffs = [terms.get(k, Fraction(0)) for k in range(hi, lo - 1, -1)]  # descending
-    lead = coeffs[0]
-    if hi == lo:
-        return math.log(abs(float(lead)))
-    cf = np.array([float(c) for c in coeffs])
-    roots = np.roots(cf)
-    dcf = cf[:-1] * np.arange(len(cf) - 1, 0, -1)
-    for _ in range(8):
-        vals = np.polyval(cf, roots)
-        dvals = np.polyval(dcf, roots)
-        step = np.where(np.abs(dvals) > 1e-300, vals / np.where(dvals == 0, 1.0, dvals), 0.0)
-        refined = roots - step
-        better = np.abs(np.polyval(cf, refined)) <= np.abs(vals)
-        roots = np.where(better, refined, roots)
-        moved = float(np.max(np.abs(step[better]))) if np.any(better) else 0.0
-        if moved < POLISH_TOL:
-            break
-    # |prod roots| must equal |trailing/leading|
-    expected = abs(float(terms[lo] / lead))
-    got = float(np.prod(np.abs(roots)))
-    if not math.isclose(got, expected, rel_tol=1e-6, abs_tol=1e-12):
-        raise RootFindFailure(
-            f"root product {got:.12g} mismatches coefficient ratio {expected:.12g}"
-        )
-    return math.log(abs(float(lead))) + float(np.sum(np.log(np.maximum(1.0, np.abs(roots)))))

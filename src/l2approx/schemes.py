@@ -255,13 +255,27 @@ MAX_BOX_ROWS = 2 ** 14  # rows of one box level
 MAX_BAND_ENTRIES = 2 ** 24  # entries of its band
 
 
+def _band_terms(delta: RingMatrix, weights):
+    """(band row, l, g, c) for each term c*g of each Delta_kl: the row
+    d * sum_c g_c * weights[c] + k - l of its entries (see ``_box_band``)."""
+    d = delta.rows
+    for k in range(d):
+        for l in range(d):
+            for g, c in delta.entries[k][l].terms.items():
+                yield d * sum(a * w for a, w in zip(g, weights)) + k - l, l, g, c
+
+
 def _band_shape(delta: RingMatrix, rank: int, m: int) -> tuple:
-    """(N, bandwidth) of the compression of Delta to the box [-m, m]^rank;
-    BoxTooLarge beyond MAX_BOX_ROWS rows or MAX_BAND_ENTRIES band entries."""
+    """(N, bandwidth) of the compression of Delta to the box [-m, m]^rank.
+
+    The bandwidth is the largest |band row| of a term of Delta, at most
+    N - 1.  BoxTooLarge beyond MAX_BOX_ROWS rows or MAX_BAND_ENTRIES band
+    entries."""
     side = 2 * m + 1
     size = delta.rows * side ** rank
-    reach = delta.rows * _support_radius(delta) * sum(side ** c for c in range(rank))
-    bw = min(size - 1, reach + delta.rows - 1)
+    weights = [side ** (rank - 1 - c) for c in range(rank)]
+    reach = max((abs(row) for row, *_ in _band_terms(delta, weights)), default=0)
+    bw = min(size - 1, reach)
     if size > MAX_BOX_ROWS or size * (bw + 1) > MAX_BAND_ENTRIES:
         raise BoxTooLarge(
             f"box m={m} has {size} rows and {size * (bw + 1)} band entries; "
@@ -281,15 +295,12 @@ def _box_band(delta: RingMatrix, rank: int, m: int, real: bool) -> np.ndarray:
     weights = [side ** (rank - 1 - c) for c in range(rank)]
     size, bw = _band_shape(delta, rank, m)
     ab = np.zeros((bw + 1, size), dtype=np.float64 if real else np.complex128)
-    for k in range(d):
-        for l in range(d):
-            for g, c in delta.entries[k][l].terms.items():
-                row = d * sum(a * w for a, w in zip(g, weights)) + k - l
-                if 0 <= row <= bw:
-                    # box indices of the y with y + g in the box, per coordinate
-                    ys = [np.arange(max(0, -a), min(side, side - a)) * w for a, w in zip(g, weights)]
-                    cols = reduce(np.add.outer, ys, np.zeros((), dtype=np.intp)).ravel()
-                    ab[row, d * cols + l] = float(c.re) if real else complex(c)
+    for row, l, g, c in _band_terms(delta, weights):
+        if 0 <= row <= bw:
+            # box indices of the y with y + g in the box, per coordinate
+            ys = [np.arange(max(0, -a), min(side, side - a)) * w for a, w in zip(g, weights)]
+            cols = reduce(np.add.outer, ys, np.zeros((), dtype=np.intp)).ravel()
+            ab[row, d * cols + l] = float(c.re) if real else complex(c)
     return ab
 
 

@@ -12,7 +12,7 @@ from l2approx import (
     TrivialGroup,
     positive_square,
     symmetric_group,
-    trace_poly,
+    trace,
 )
 from l2approx.jsonio import load_json, parse_complex
 
@@ -77,9 +77,13 @@ def fixture_complex(name):
     return parse_complex(load_json(str(resources.files("l2approx") / "fixtures" / f"{name}.json")))
 
 
-def trace_poly_exact(delta, coeffs) -> float:
-    """tr p(Delta) as a float; the exact imaginary part must vanish."""
-    t = trace_poly(delta, coeffs)
+def trace_power_exact(delta, m) -> float:
+    """tr(Delta^m) as a float, from the exact trace of the exact power; the
+    imaginary part must vanish."""
+    power = RingMatrix.identity(delta.group, delta.rows)
+    for _ in range(m):
+        power = power @ delta
+    t = trace(power)
     if t.im != 0:
         raise ArithmeticError(f"trace has nonzero imaginary part {t.im}")
     return float(t.re)

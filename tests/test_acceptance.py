@@ -42,7 +42,7 @@ from l2approx import (
 from l2approx.cw import l2_invariants
 from l2approx.oracles import torus_logdet_report
 
-from conftest import fixture_complex, trace_poly_exact
+from conftest import fixture_complex, trace_power_exact
 
 TOWER_LEVELS = [8, 16, 32, 64, 128, 256, 512, 1024]
 BOX_SIZES = [4, 8, 16, 32, 64, 128, 256, 512]
@@ -92,7 +92,7 @@ def test_criterion_2_determinant_semicontinuity(tower_run, z_laplacian):
 
 def test_criterion_3_folner_traces_exact_parts(folner_run, z_laplacian):
     reports, _ = folner_run
-    assert trace_poly_exact(z_laplacian, [0, 0, 0, 1]) == 20.0
+    assert trace_power_exact(z_laplacian, 3) == 20.0
     for rep in reports:
         s = 2 * rep.level + 1
         assert rep.exact_traces[1].re == 2

@@ -9,7 +9,7 @@ from l2approx import (
     FreeGroup,
     GaussianRational,
     RingElement,
-    cyclic_quotient,
+    free_abelian_quotient,
     symmetric_group,
 )
 from l2approx.errors import MismatchedGroup
@@ -71,10 +71,10 @@ def test_trace_coeff_examples(z_group):
 def test_push_forward_examples(z_group):
     t = RingElement.delta(z_group, (1,))
     delta = 2 - t - t.star()
-    q2 = cyclic_quotient(2)
+    q2 = free_abelian_quotient(1, 2)
     image = delta.push_forward(q2)
     assert image.terms == {0: GaussianRational.of(2), 1: GaussianRational.of(-2)}
-    q4 = cyclic_quotient(4)
+    q4 = free_abelian_quotient(1, 4)
     image4 = delta.push_forward(q4)
     assert image4.terms == {
         0: GaussianRational.of(2),
@@ -117,7 +117,7 @@ def test_trace_is_tracial(group):
 
 def test_push_forward_is_star_ring_hom(z_group):
     rng = random.Random(SEED + 2)
-    q = cyclic_quotient(6)
+    q = free_abelian_quotient(1, 6)
     for _ in range(60):
         x = random_element(z_group, rng)
         y = random_element(z_group, rng)

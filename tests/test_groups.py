@@ -12,7 +12,6 @@ from l2approx import (
     FreeGroup,
     Homomorphism,
     TrivialGroup,
-    cyclic_quotient,
     free_abelian_quotient,
     product_group,
     symmetric_group,
@@ -75,7 +74,7 @@ def test_reduce_word_idempotent(rng):
 
 def test_apply_hom_examples(s3):
     # Z -> Z/4, generator -> 1: 6 -> 2
-    q = cyclic_quotient(4)
+    q = free_abelian_quotient(1, 4)
     assert q.apply((6,)) == 2
     assert q.apply((0,)) == 0
     # Free(2) -> S3, a -> a transposition, b -> a 3-cycle
@@ -143,7 +142,7 @@ def test_power_matches_repeated_multiplication(group):
 def test_homomorphism_property_randomized(s3):
     rng = random.Random(SEED + 2)
     homs = [
-        cyclic_quotient(6),
+        free_abelian_quotient(1, 6),
         free_abelian_quotient(2, 4),
         free_abelian_quotient(2, [2, 3]),
         Homomorphism(FreeGroup(2), s3, generator_images=[1, 4]),
@@ -219,7 +218,7 @@ def test_hom_relation_validation():
 
 
 def test_injectivity_helpers():
-    q = cyclic_quotient(4)
+    q = free_abelian_quotient(1, 4)
     assert q.kernel_avoids([(1,), (2,), (3,), (0,)])
     assert not q.kernel_avoids([(4,)])
     assert q.injective_on([(0,), (1,)])

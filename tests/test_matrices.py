@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,17 +8,16 @@ from l2approx import (
     FreeGroup,
     RingElement,
     RingMatrix,
-    cyclic_quotient,
     finite_spectrum,
+    free_abelian_quotient,
     k_bound,
     laplacian,
     positive_square,
-    trace_poly,
+    trace,
 )
 from l2approx.errors import DimensionMismatch, MismatchedGroup
-from l2approx.matrices import poly_apply
 
-from conftest import SEED, random_element, random_self_adjoint, trace_poly_exact
+from conftest import SEED, random_element, random_self_adjoint, trace_power_exact
 from dense_reference import regular_representation
 
 
@@ -101,26 +99,13 @@ def test_laplacian_examples(z_group):
 def test_trace_poly_examples(z_group):
     t = RingElement.delta(z_group, (1,))
     delta = RingMatrix.from_element(2 - t - t.star())
-    assert trace_poly_exact(delta, [0, 1]) == 2.0
+    assert trace_power_exact(delta, 1) == 2.0
     # (2 - t - t^-1)^2 has identity coefficient 4 + 1 + 1 = 6
-    assert trace_poly_exact(delta, [0, 0, 1]) == 6.0
+    assert trace_power_exact(delta, 2) == 6.0
     for d in (1, 3):
         for m in (1, 2, 5):
             ident = RingMatrix.identity(z_group, d)
-            assert trace_poly_exact(ident, [0] * m + [1]) == float(d)
-
-
-def test_poly_apply_matches_matrix_power(z_group):
-    rng = random.Random(SEED)
-    delta = random_self_adjoint(z_group, rng, d=2)
-    assert poly_apply(delta, [0, 0, 0, 1]) == delta @ delta @ delta
-    combo = poly_apply(delta, [Fraction(1, 2), -2, 1])
-    manual = (
-        delta @ delta
-        + delta.scale(-2)
-        + RingMatrix.identity(z_group, 2).scale(Fraction(1, 2))
-    )
-    assert combo == manual
+            assert trace_power_exact(ident, m) == float(d)
 
 
 def test_adjoint_antihomomorphism_randomized():
@@ -137,14 +122,14 @@ def test_trace_real_for_self_adjoint():
     group = CyclicGroup(6)
     for _ in range(30):
         delta = random_self_adjoint(group, rng, d=2)
-        value = trace_poly(delta, [0, 0, 1])
+        value = trace(delta @ delta)
         assert value.im == 0
 
 
 def test_push_forward_matrix_examples(z_group):
     t = RingElement.delta(z_group, (1,))
     delta = RingMatrix.from_element(2 - t - t.star())
-    q4 = cyclic_quotient(4)
+    q4 = free_abelian_quotient(1, 4)
     pushed = delta.push_forward(q4)
     tbar = RingElement.delta(q4.target, 1)
     tbar3 = RingElement.delta(q4.target, 3)
@@ -155,7 +140,7 @@ def test_push_forward_matrix_examples(z_group):
 
 def test_push_forward_commutes_with_star_and_product(z_group):
     rng = random.Random(SEED + 3)
-    q = cyclic_quotient(8)
+    q = free_abelian_quotient(1, 8)
     for _ in range(20):
         a = RingMatrix(z_group, [[random_element(z_group, rng) for _ in range(2)] for _ in range(2)])
         pushed_square = positive_square(a).push_forward(q)
@@ -170,7 +155,7 @@ def test_finite_group_trace_against_regular_representation(s3):
             delta = random_self_adjoint(group, rng, d=2)
             h = regular_representation(delta)
             for power in (1, 2, 3):
-                exact = trace_poly_exact(delta, [0] * power + [1])
+                exact = trace_power_exact(delta, power)
                 numeric = float(np.trace(np.linalg.matrix_power(h, power)).real)
                 assert abs(exact - numeric / group.order) <= 1e-9 * max(1.0, abs(exact))
 

@@ -10,17 +10,14 @@ from l2approx import (
     RingElement,
     RingMatrix,
     betti,
-    char_poly_exact,
-    cyclic_quotient,
-    mahler_1x1,
+    free_abelian_quotient,
     nonzero_eigenvalue_product_exact,
     positive_square,
     torus_density,
     torus_logdet,
-    trivial_group_logdet_exact,
 )
 from l2approx.errors import NotPSD, WrongGroup
-from l2approx.oracles import _grid_phase, torus_logdet_report, torus_symbol_eigenvalues
+from l2approx.oracles import _char_poly, _grid_phase, torus_logdet_report, torus_symbol_eigenvalues
 
 from conftest import SEED
 from dense_reference import hermitian_eigenvalues, regular_representation
@@ -30,27 +27,28 @@ def test_char_poly_exact_matches_numpy():
     rng = np.random.default_rng(SEED)
     for d in (1, 2, 4, 6):
         a = rng.integers(-4, 5, size=(d, d))
-        exact = [float(c) for c in char_poly_exact(a.tolist())]
+        exact = [float(c) for c in _char_poly(a.tolist())]
         assert np.allclose(exact, np.poly(a), atol=1e-6)
 
 
 def test_trivial_group_logdet_examples():
-    assert math.isclose(trivial_group_logdet_exact([[2]]), math.log(2))
+    # the trivial-group logdet is the log of this product of nonzero eigenvalues
+    assert nonzero_eigenvalue_product_exact([[2]]) == 2
     # char poly of [[1,1],[1,1]] is x^2 - 2x: eigenvalues {0, 2}
-    assert char_poly_exact([[1, 1], [1, 1]]) == [Fraction(1), Fraction(-2), Fraction(0)]
-    assert math.isclose(trivial_group_logdet_exact([[1, 1], [1, 1]]), math.log(2))
+    assert _char_poly([[1, 1], [1, 1]]) == [Fraction(1), Fraction(-2), Fraction(0)]
+    assert nonzero_eigenvalue_product_exact([[1, 1], [1, 1]]) == 2
     for d in (1, 3, 6):
         ident = [[int(i == j) for j in range(d)] for i in range(d)]
-        assert trivial_group_logdet_exact(ident) == 0.0
+        assert nonzero_eigenvalue_product_exact(ident) == 1
 
 
 def test_trivial_group_logdet_rejects_bad_input():
     with pytest.raises(NotPSD):
-        trivial_group_logdet_exact([[0, 1], [1, 0]])  # eigenvalues +-1
+        nonzero_eigenvalue_product_exact([[0, 1], [1, 0]])  # eigenvalues +-1
     with pytest.raises(NotPSD):
-        trivial_group_logdet_exact([[1, 2], [0, 1]])  # not symmetric
+        nonzero_eigenvalue_product_exact([[1, 2], [0, 1]])  # not symmetric
     with pytest.raises(ValueError):
-        trivial_group_logdet_exact([["1/2"]])
+        nonzero_eigenvalue_product_exact([["1/2"]])
 
 
 def test_integrality_on_random_gram_matrices():
@@ -159,7 +157,7 @@ def test_torus_symbol_matches_dense_regular_representation():
     delta = positive_square(a)
 
     def dense(n):
-        return hermitian_eigenvalues(regular_representation(delta.push_forward(cyclic_quotient(n))))
+        return hermitian_eigenvalues(regular_representation(delta.push_forward(free_abelian_quotient(1, n))))
 
     for m in (4, 8, 16):
         fine = dense(2 * m)
@@ -202,15 +200,12 @@ def test_torus_logdet_nonnegative_for_integer_matrices(z_group):
         assert torus_logdet(delta, 1024) >= -0.02
 
 
-def test_mahler_examples(z_group):
-    assert abs(mahler_1x1({0: 1, 1: -1})) <= 1e-12  # 1 - t: all roots on the circle
-    expected = math.log((3 + math.sqrt(5)) / 2)
-    assert abs(mahler_1x1({1: -1, 0: 3, -1: -1}) - expected) <= 1e-10
-    assert math.isclose(mahler_1x1({0: 5}), math.log(5))
-    t = RingElement.delta(z_group, (1,))
-    assert abs(mahler_1x1(3 - t - t.star()) - expected) <= 1e-10
-    with pytest.raises(ValueError):
-        mahler_1x1({})
+def _log_mahler(terms: dict) -> float:
+    """log M(p) = log|leading coefficient| + sum over roots of log max(1, |r|)
+    for p = sum_k terms[k] t^k, roots from the companion matrix."""
+    coeffs = [terms.get(k, 0) for k in range(max(terms), min(terms) - 1, -1)]
+    roots = np.roots(coeffs)
+    return math.log(abs(coeffs[0])) + float(np.sum(np.log(np.maximum(1.0, np.abs(roots)))))
 
 
 def test_mahler_against_torus_quadrature(z_group):
@@ -220,12 +215,12 @@ def test_mahler_against_torus_quadrature(z_group):
         for k in range(-3, 4):
             c = rng.randint(-3, 3)
             if c:
-                terms[(k,)] = c
+                terms[k] = c
         if not terms:
-            terms[(0,)] = 2
-        p = RingElement(z_group, terms)
+            terms[0] = 2
+        p = RingElement(z_group, {(k,): c for k, c in terms.items()})
         delta = positive_square(RingMatrix.from_element(p))
         # roots on the unit circle each bias the midpoint rule by
         # 2 ln 2 / grid, so the grid must comfortably beat 1e-3
         quad = torus_logdet(delta, 16384)
-        assert abs(quad - 2 * mahler_1x1(p)) <= 1e-3
+        assert abs(quad - 2 * _log_mahler(terms)) <= 1e-3

@@ -45,6 +45,7 @@ from l2approx.schemes import (
     MAX_BOX_ROWS,
     _band_shape,
     _box_band,
+    _support_radius,
     compressed_trace_powers,
 )
 
@@ -147,7 +148,8 @@ def test_compress_examples(z_laplacian, z_group):
     delta = m0 + m0.adjoint()
     box = _box(2, 2)
     ab = _band(delta, 2)
-    assert ab.dtype == np.complex128 and ab.shape == (2 * 2 * (5 + 1) + 2, 2 * len(box))
+    # the widest term is a*b in Delta_10, at band row 2 * (5 + 1) + 1 - 0
+    assert ab.dtype == np.complex128 and ab.shape == (2 * (5 + 1) + 1 + 1, 2 * len(box))
     for k in range(2):
         for l in range(2):
             terms = delta.entries[k][l].terms
@@ -193,6 +195,10 @@ def test_compress_matches_dense_reference(z_group):
             h = _band_to_dense(ab, delta.rows)
             assert h.dtype == ref.dtype and h.shape == ref.shape
             assert np.array_equal(h, ref)
+            # once every support element fits in the box, each term has an
+            # entry, so the outermost band row is not all zero
+            if 2 * m + 1 > _support_radius(delta) and ab.shape[0] > 1:
+                assert ab[-1].any()
 
 
 def test_run_folner_eigenvalues_match_dense_reference(z_group, z_laplacian):
@@ -272,12 +278,13 @@ def test_box_caps(z_group):
     with pytest.raises(BoxTooLarge, match="band entries"):
         _band_shape(wide, 1, 8000)
     assert 16001 <= MAX_BOX_ROWS and 16001 * 1101 > MAX_BAND_ENTRIES
-    # rank 2: radius 1 allows the step (1, 1), so the band is 2m + 2 wide
+    # rank 2: the widest step is (1, 0), so the bandwidth is 2m + 1; the
+    # support has no corner step (1, 1), which would need 2m + 2
     z2 = FreeAbelianGroup(2)
     a = RingElement.delta(z2, (1, 0))
     b = RingElement.delta(z2, (0, 1))
     lap2 = RingMatrix.from_element(4 - a - a.star() - b - b.star())
-    assert _band_shape(lap2, 2, 63) == (127 ** 2, 128)
+    assert _band_shape(lap2, 2, 63) == (127 ** 2, 127)
     with pytest.raises(BoxTooLarge):
         _band_shape(lap2, 2, 64)
 
