@@ -73,9 +73,10 @@ def _write_output(text: str, path):
 
 def _flag(parse, ok, what: str):
     """An argparse type: a malformed flag is a usage error (exit 2) before
-    any work starts."""
+    any work starts.  The converter's name is private, like the module-level
+    names it is bound to."""
 
-    def convert(text: str):
+    def _convert(text: str):
         try:
             value = parse(text)
         except ValueError:
@@ -84,7 +85,7 @@ def _flag(parse, ok, what: str):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return value
 
-    return convert
+    return _convert
 
 
 def _split(parse):
@@ -100,6 +101,7 @@ _boxes = _flag(
 )
 _grid = _flag(int, lambda n: n >= 1, "an integer >= 1")
 _finite = _flag(float, math.isfinite, "a finite number")
+_threshold = _flag(float, lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
 _finite_list = _flag(
     _split(float), lambda v: all(map(math.isfinite, v)), "comma-separated finite numbers"
 )
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-grid", type=_finite_list, help="comma-separated evaluation points")
     p.add_argument("--grid", type=_grid, help="oracle grid per dimension")
     p.add_argument("--tol", type=_finite, default=0.02)
-    p.add_argument("--eps-ker", type=_finite, help="kernel threshold override")
+    p.add_argument("--eps-ker", type=_threshold, help="kernel threshold override, >= 0")
     p.add_argument("--timings", action="store_true", help="include wall times (non-reproducible)")
     p.add_argument("--densities", action="store_true", help="include full densities per level")
     p.add_argument("--output")

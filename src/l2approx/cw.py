@@ -19,7 +19,7 @@ from .groups import FreeAbelianGroup, Group
 from .matrices import RingMatrix, laplacian
 from .oracles import _positive_log_det, torus_eigen_result
 from .schemes import QuotientTower, run_tower, sintapr_check
-from .spectral import betti, density_from_eigs, finite_spectrum, log_det
+from .spectral import finite_spectrum, log_det
 
 ACYCLICITY_TOL = 0.01
 
@@ -102,7 +102,10 @@ def _oracle_degree(delta: RingMatrix, grid: int):
         logdet = log_det(eig)
     else:
         raise WrongGroup(f"no oracle available for {group}")
-    return betti(density_from_eigs(eig)), logdet, True
+    # F(0) counts the sorted eigenvalues at or below the kernel threshold:
+    # the jumps of density_from_eigs below 0 and at 0, none above it
+    f0 = int(eig.eigenvalues.searchsorted(eig.kernel_threshold, "right")) / eig.denom
+    return f0, logdet, True
 
 
 def _tower_degree(delta: RingMatrix, tower: QuotientTower, tol: float):

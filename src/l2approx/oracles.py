@@ -20,8 +20,7 @@ from .matrices import RingMatrix
 from .spectral import (
     EigenResult,
     SpectralDensity,
-    _block_eigenvalues,
-    _operator_blocks,
+    _operator_eigenvalues,
     default_kernel_threshold,
     density_from_eigs,
     log_det,
@@ -136,9 +135,7 @@ def torus_symbol_eigenvalues(delta: RingMatrix, grid_per_dim: int) -> np.ndarray
         raise ValueError("grid_per_dim must be >= 1")
     points = m ** n
     theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-    return _block_eigenvalues(
-        _operator_blocks(delta, points, lambda g: _grid_phase(theta_1d, g))
-    )
+    return _operator_eigenvalues(delta, points, lambda g: _grid_phase(theta_1d, g))
 
 
 def torus_eigen_result(delta: RingMatrix, grid_per_dim: int) -> EigenResult:

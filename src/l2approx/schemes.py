@@ -591,12 +591,14 @@ def density_tail_integral(density: SpectralDensity, k: float) -> float:
     top eigenvalue equals K stays consistent with the logdet identity.
     """
     slack = 1e-9 * max(1.0, k)
-    acc = 0.0
-    for pos, count in density.jumps:
-        if pos <= 0.0 or pos > k + slack:
-            continue
-        acc += (count / density.denom) * math.log(k / pos)
-    return acc
+    pos = density.positions
+    inside = (pos > 0.0) & (pos <= k + slack)
+    if not inside.any():
+        return 0.0
+    # math.log, not np.log, whose last bit differs on some inputs; cumsum
+    # adds the terms in jump order, as a running sum would
+    logs = np.fromiter(map(math.log, (k / pos[inside]).tolist()), dtype=np.float64)
+    return float(np.cumsum(density.counts[inside] / density.denom * logs)[-1])
 
 
 def sintapr_check(

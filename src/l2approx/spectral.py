@@ -31,14 +31,21 @@ def default_kernel_threshold(delta: RingMatrix) -> float:
 class EigenResult:
     """Eigenvalue list of one finite level plus its trace normalization.
 
-    The level trace of a spectral function f is sum(f(eigenvalues)) / denom,
-    so denom is |G| for quotient levels, |X_m| for compressions, and the
-    number of grid points for torus quadrature.
+    The eigenvalues are sorted ascending; every backend (character blocks,
+    torus symbols, banded Folner solves) returns them so, and spectral
+    counts read them with ``searchsorted``.  The level trace of a spectral
+    function f is sum(f(eigenvalues)) / denom, so denom is |G| for quotient
+    levels, |X_m| for compressions, and the number of grid points for torus
+    quadrature.  The kernel threshold must be >= 0.
     """
 
     eigenvalues: np.ndarray
     denom: int
     kernel_threshold: float
+
+    def __post_init__(self):
+        if not self.kernel_threshold >= 0.0:
+            raise ValueError(f"kernel threshold must be >= 0, got {self.kernel_threshold}")
 
     @property
     def d(self) -> int:
@@ -56,48 +63,46 @@ class EigenResult:
         return float(np.sum(values)) / self.denom
 
 
-@dataclass(frozen=True)
 class SpectralDensity:
     """Right-continuous step function F(lambda) = mass of spectrum in [0, lambda].
 
-    Jumps are (position, integer count) pairs; every count carries mass
-    1/denom, which keeps the total mass exactly d for d*denom eigenvalues.
+    Jumps are ascending float64 positions with integer counts; every count
+    carries mass 1/denom, which keeps the total mass exactly d for d*denom
+    eigenvalues.  F is read from the cumulative counts by binary search.
     """
 
-    jumps: tuple
-    denom: int
+    def __init__(self, positions, counts, denom: int):
+        self.positions = np.asarray(positions, dtype=np.float64)
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.denom = denom
+        # _cumulative[j]: the count of the first j jumps
+        self._cumulative = np.concatenate(([0], np.cumsum(self.counts)))
+
+    @property
+    def jumps(self) -> tuple:
+        """(position, count) pairs as Python floats and ints."""
+        return tuple(zip(self.positions.tolist(), self.counts.tolist()))
 
     @property
     def total_mass(self) -> float:
-        return sum(c for _, c in self.jumps) / self.denom
+        return int(self._cumulative[-1]) / self.denom
 
     def evaluate(self, lam: float) -> float:
-        acc = 0
-        for pos, count in self.jumps:
-            if pos <= lam:
-                acc += count
-            else:
-                break
-        return acc / self.denom
+        return int(self._cumulative[self.positions.searchsorted(lam, "right")]) / self.denom
 
     def rows(self) -> list:
         """(lambda, F(lambda)) pairs at the jump points, cumulative."""
-        out = []
-        acc = 0
-        for pos, count in self.jumps:
-            acc += count
-            out.append((pos, acc / self.denom))
-        return out
+        return list(zip(self.positions.tolist(), (self._cumulative[1:] / self.denom).tolist()))
 
 
-def _cluster_jumps(seg: np.ndarray, thr: float) -> list:
-    """(mean, count) jumps of a sorted segment, split where a gap exceeds thr."""
+def _cluster_jumps(seg: np.ndarray, thr: float) -> tuple:
+    """(means, counts) of the jumps of a sorted segment, split where a gap
+    exceeds thr."""
     if not len(seg):
-        return []
+        return np.empty(0), np.empty(0, dtype=np.int64)
     starts = np.concatenate(([0], np.flatnonzero(np.diff(seg) > thr) + 1))
     counts = np.diff(np.append(starts, len(seg)))
-    means = np.add.reduceat(seg, starts) / counts
-    return list(zip(means.tolist(), counts.tolist()))
+    return np.add.reduceat(seg, starts) / counts, counts
 
 
 def density_from_eigs(e: EigenResult) -> SpectralDensity:
@@ -115,11 +120,14 @@ def density_from_eigs(e: EigenResult) -> SpectralDensity:
     kernel = int(np.searchsorted(w, thr, side="right")) - below
     # below the window: genuinely negative spectrum (non-positive input);
     # inside it: the kernel, since A*A spectra may round slightly negative
-    jumps = _cluster_jumps(w[:below], thr)
-    if kernel:
-        jumps.append((0.0, kernel))
-    jumps += _cluster_jumps(w[below + kernel:], thr)
-    return SpectralDensity(tuple(jumps), e.denom)
+    neg, neg_counts = _cluster_jumps(w[:below], thr)
+    pos, pos_counts = _cluster_jumps(w[below + kernel:], thr)
+    at_zero = 1 if kernel else 0
+    return SpectralDensity(
+        np.concatenate((neg, np.zeros(at_zero), pos)),
+        np.concatenate((neg_counts, np.full(at_zero, kernel), pos_counts)),
+        e.denom,
+    )
 
 
 def betti(f: SpectralDensity) -> float:
@@ -196,6 +204,42 @@ def _block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(blocks).ravel())
 
 
+def _operator_eigenvalues(
+    delta: RingMatrix,
+    count: int,
+    phase,
+    group: Group = TrivialGroup(),
+    points: Sequence = ((),),
+    part=lambda g: (),
+    real: bool = False,
+) -> np.ndarray:
+    """Sorted eigenvalues of the ``_operator_blocks`` stack (same arguments).
+
+    With one point the blocks are d x d; when every off-diagonal entry of
+    delta is zero in the ring they are diagonal, so each diagonal entry is
+    assembled as its own 1 x 1 stack and no LAPACK call is made.  That is
+    bit-identical to ``eigvalsh`` on the d x d stack: ``?heevd`` reduces a
+    diagonal matrix with zero reflectors, and ``dsterf`` returns its 1 x 1
+    blocks as they are.
+    """
+    d = delta.rows
+    if len(points) == 1 and d > 1 and all(
+        delta.entries[k][l].is_zero() for k in range(d) for l in range(d) if k != l
+    ):
+        # the 1 x 1 rule reads only the real parts; dropping the imaginary
+        # parts before the concatenation halves its copy
+        blocks = np.concatenate([
+            _operator_blocks(
+                RingMatrix.from_element(delta.entries[k][k]),
+                count, phase, group, points, part, real,
+            ).real
+            for k in range(d)
+        ])
+    else:
+        blocks = _operator_blocks(delta, count, phase, group, points, part, real)
+    return _block_eigenvalues(blocks)
+
+
 def _cyclic_split(group: Group) -> tuple:
     """G = H x C, C the product of every cyclic factor of G.
 
@@ -254,8 +298,8 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
         and group.cyclic_factors() is None
         and all(e.is_real() for row in delta.entries for e in row)
     )
-    return _block_eigenvalues(
-        _operator_blocks(delta, total, phase, h_group, h_group.elements(), h_part, real)
+    return _operator_eigenvalues(
+        delta, total, phase, h_group, h_group.elements(), h_part, real
     )
 
 

@@ -493,6 +493,8 @@ def test_hostile_problem_file_exits_2(case, tmp_path, capsys):
         ["approx", "zd_laplacian.json", "--tol", "nan"],
         ["cw", "circle.json", "--tol", "inf"],
         ["approx", "zd_laplacian.json", "--eps-ker", "nan"],
+        ["approx", "zd_laplacian.json", "--eps-ker", "-0.5"],
+        ["approx", "zd_laplacian.json", "--eps-ker", "-1"],
         ["density", "zd_laplacian.json", "--grid", "8", "--level", "64"],
         ["cw", "circle.json", "--grid", "8", "--levels", "8,16"],
         ["approx", "zd_laplacian.json", "--levels", "8,16,32", "--boxes", "2,4"],

@@ -4,14 +4,20 @@ import pytest
 
 from l2approx import (
     ChainComplexSpec,
+    CyclicGroup,
     FreeAbelianGroup,
     QuotientTower,
     RingElement,
     RingMatrix,
+    betti,
+    density_from_eigs,
+    finite_spectrum,
     l2_invariants,
+    product_group,
     validate,
 )
-from l2approx.cw import laplacians
+from l2approx.cw import _oracle_degree, laplacians
+from l2approx.oracles import torus_eigen_result
 from l2approx.errors import NotAComplex
 
 from conftest import SEED, fixture_complex, random_element
@@ -116,3 +122,36 @@ def test_euler_characteristic_identity():
 def test_det_class_flags_are_reported():
     rep = l2_invariants(fixture_complex("circle"), oracle_grid=512)
     assert rep.det_class == [True, True]
+
+
+def _finite_torus() -> ChainComplexSpec:
+    """The torus complex over Z/3 x Z/4: its Laplacians have a kernel."""
+    group = product_group([CyclicGroup(3), CyclicGroup(4)])
+    a = RingElement.delta(group, (1, 0))
+    b = RingElement.delta(group, (0, 1))
+    one = RingElement.one(group)
+    d1 = RingMatrix(group, [[a - one, b - one]])
+    d2 = RingMatrix(group, [[one - b], [a - one]])
+    spec = ChainComplexSpec(group, (1, 2, 1), (d1, d2))
+    validate(spec)
+    return spec
+
+
+def test_oracle_f0_counts_eigenvalues_up_to_the_threshold():
+    """cw reads F(0) off the sorted spectrum; it equals the F(0) of the
+    clustered density in every degree."""
+    cases = [(fixture_complex(name), grid) for name in ("torus", "circle", "point") for grid in (1, 7, 64)]
+    cases.append((_finite_torus(), None))
+    kernels = []
+    for spec, grid in cases:
+        for delta in laplacians(spec):
+            f0, _, _ = _oracle_degree(delta, grid)
+            if isinstance(spec.group, FreeAbelianGroup) and spec.group.rank > 0:
+                eig = torus_eigen_result(delta, grid)
+            else:
+                eig = finite_spectrum(delta)
+            assert type(f0) is float
+            assert f0 == betti(density_from_eigs(eig))
+            kernels.append(f0)
+    # the finite torus has F(0) = b_p / 12 = 1/12, 2/12, 1/12
+    assert kernels[-3:] == [1 / 12, 2 / 12, 1 / 12]

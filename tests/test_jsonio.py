@@ -183,6 +183,6 @@ def test_canonical_dumps_is_deterministic_and_fixed_precision():
 
 
 def test_density_csv_format():
-    f = SpectralDensity(((0.0, 1), (2.0, 2), (4.0, 1)), 4)
+    f = SpectralDensity([0.0, 2.0, 4.0], [1, 2, 1], 4)
     text = density_csv(f)
     assert text.splitlines() == ["lambda,F", "0,0.25", "2,0.75", "4,1"]

@@ -16,10 +16,12 @@ from l2approx import (
     torus_density,
     torus_logdet,
 )
+from l2approx.cw import laplacians
 from l2approx.errors import NotPSD, WrongGroup
 from l2approx.oracles import _char_poly, _grid_phase, torus_logdet_report, torus_symbol_eigenvalues
+from l2approx.spectral import _operator_blocks
 
-from conftest import SEED
+from conftest import SEED, fixture_complex
 from dense_reference import hermitian_eigenvalues, regular_representation
 
 
@@ -224,3 +226,15 @@ def test_mahler_against_torus_quadrature(z_group):
         # 2 ln 2 / grid, so the grid must comfortably beat 1e-3
         quad = torus_logdet(delta, 16384)
         assert abs(quad - 2 * _log_mahler(terms)) <= 1e-3
+
+
+def test_torus_diagonal_symbol_is_bitwise_eigvalsh():
+    """The torus Delta_1 is diag(Delta_0, Delta_0): its symbol spectrum,
+    solved per diagonal entry, is eigvalsh on the unsplit 2 x 2 assembly."""
+    delta = laplacians(fixture_complex("torus"))[1]
+    for m in (1, 6, 16):
+        theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+        blocks = _operator_blocks(delta, m * m, lambda g: _grid_phase(theta_1d, g))
+        assert blocks.shape == (m * m, 2, 2)
+        want = np.sort(np.linalg.eigvalsh(blocks).ravel())
+        assert np.array_equal(torus_symbol_eigenvalues(delta, m), want)

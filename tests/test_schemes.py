@@ -13,6 +13,7 @@ from l2approx import (
     QuotientTower,
     RingElement,
     RingMatrix,
+    SpectralDensity,
     build_boxes_folner,
     betti,
     build_sandwich,
@@ -47,6 +48,7 @@ from l2approx.schemes import (
     _box_band,
     _support_radius,
     compressed_trace_powers,
+    density_tail_integral,
 )
 
 from conftest import SEED, random_element, random_self_adjoint
@@ -545,6 +547,36 @@ def test_sintapr_check(zd_reports, z_laplacian):
         assert row["integral"] <= row["bound"] + 0.02
         assert row["identity_gap"] <= 1e-8
     assert verdict["limsup_estimate"] <= oracle + 0.02
+
+
+def _tail_integral_loop(density, k):
+    """Per-jump loop that density_tail_integral replaced; the reference below."""
+    slack = 1e-9 * max(1.0, k)
+    acc = 0.0
+    for pos, count in density.jumps:
+        if pos <= 0.0 or pos > k + slack:
+            continue
+        acc += (count / density.denom) * math.log(k / pos)
+    return acc
+
+
+def test_density_tail_integral_matches_loop_bitwise(zd_reports, folner_reports):
+    rng = np.random.default_rng(SEED + 7)
+    densities = [rep.density for rep in zd_reports + folner_reports]
+    densities.append(SpectralDensity([], [], 5))
+    for _ in range(30):
+        thr = float(10.0 ** rng.uniform(-9, -2))
+        values = np.concatenate(
+            [rng.uniform(-0.1, 4.5, rng.integers(0, 2000)), np.zeros(rng.integers(0, 4))]
+        )
+        densities.append(density_from_eigs(EigenResult(values, int(rng.integers(1, 50)), thr)))
+    for density in densities:
+        top = density.positions[-1] if len(density.positions) else 1.0
+        # K at, just inside and just outside the top jump, and well inside
+        for k in (4.0, top, top * (1 - 5e-10), top * (1 - 2e-9), top / 3):
+            got = density_tail_integral(density, k)
+            assert type(got) is float
+            assert got == _tail_integral_loop(density, k)
 
 
 def test_sintapr_hypothesis_violation(z_group):

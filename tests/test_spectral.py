@@ -9,27 +9,33 @@ from l2approx import (
     CyclicGroup,
     DirectProductGroup,
     EigenResult,
+    FreeAbelianGroup,
     FreeGroup,
     GaussianRational,
     Homomorphism,
     RingElement,
     RingMatrix,
+    SpectralDensity,
     TrivialGroup,
     betti,
+    build_boxes_folner,
     density_from_eigs,
     finite_spectrum,
     free_abelian_quotient,
     log_det,
     positive_square,
     product_group,
+    run_folner,
     subgroup_invariance_check,
     symmetric_group,
 )
 from l2approx import spectral
+from l2approx.cw import laplacians
 from l2approx.errors import InfiniteGroup, NotHermitian
+from l2approx.oracles import torus_symbol_eigenvalues
 from l2approx.spectral import _cyclic_split, character_spectrum, densities_match
 
-from conftest import SEED, random_self_adjoint, trace_power_exact
+from conftest import SEED, fixture_complex, random_self_adjoint, trace_power_exact
 from dense_reference import (
     DEFAULT_EIG_TOL,
     _require_hermitian,
@@ -283,6 +289,60 @@ def test_density_clustering_matches_loop_on_random_lists():
         _assert_density_matches_loop(rng.permutation(values), thr, denom=int(rng.integers(1, 9)))
 
 
+def test_negative_kernel_threshold_is_rejected():
+    w = np.array([0.0, 0.0, 1.0, 2.0])
+    for thr in (-0.5, -1e-300, float("nan")):
+        with pytest.raises(ValueError, match="kernel threshold"):
+            EigenResult(w, 4, thr)
+    assert density_from_eigs(EigenResult(w, 4, 0.0)).jumps == ((0.0, 2), (1.0, 1), (2.0, 1))
+
+
+def _evaluate_loop(f: SpectralDensity, lam: float) -> float:
+    """Linear scan that SpectralDensity.evaluate replaced; the reference below."""
+    acc = 0
+    for pos, count in f.jumps:
+        if pos <= lam:
+            acc += count
+        else:
+            break
+    return acc / f.denom
+
+
+def _assert_evaluate_matches_loop(f: SpectralDensity):
+    probes = [0.0, -1.0, 1.0, -np.inf, np.inf]
+    for pos in f.positions.tolist():
+        probes += [pos, float(np.nextafter(pos, -np.inf)), float(np.nextafter(pos, np.inf))]
+    if len(f.positions):
+        probes += [f.positions[0] - 1.0, f.positions[-1] + 1.0]
+    for lam in probes:
+        got = f.evaluate(lam)
+        assert type(got) is float
+        assert got == _evaluate_loop(f, lam)
+    assert f.total_mass == sum(c for _, c in f.jumps) / f.denom
+    acc = 0
+    for (lam, mass), (pos, count) in zip(f.rows(), f.jumps, strict=True):
+        acc += count
+        assert (lam, mass) == (pos, acc / f.denom)
+
+
+def test_evaluate_matches_linear_scan():
+    rng = np.random.default_rng(SEED + 4)
+    empty = SpectralDensity([], [], 3)
+    _assert_evaluate_matches_loop(empty)
+    assert empty.jumps == () and empty.rows() == [] and empty.total_mass == 0.0
+    for _ in range(40):
+        positions = np.unique(rng.uniform(-2.0, 5.0, rng.integers(1, 200)))
+        if rng.integers(2):
+            positions = np.unique(np.append(positions, 0.0))
+        counts = rng.integers(1, 50, len(positions))
+        f = SpectralDensity(positions, counts, int(rng.integers(1, 100)))
+        assert f.jumps == tuple(zip(positions.tolist(), counts.tolist()))
+        _assert_evaluate_matches_loop(f)
+        thr = float(10.0 ** rng.uniform(-9, -1))
+        values = rng.uniform(-0.5, 3.0, rng.integers(0, 300)).round(int(rng.integers(1, 4)))
+        _assert_evaluate_matches_loop(density_from_eigs(EigenResult(values, 7, thr)))
+
+
 def test_total_mass_is_exact(s3):
     rng = random.Random(SEED + 1)
     for group in (CyclicGroup(3), CyclicGroup(7), s3):
@@ -380,10 +440,8 @@ def test_subgroup_invariance_examples(s3):
 
 
 def test_densities_match_detects_difference():
-    from l2approx import SpectralDensity
-
-    f1 = SpectralDensity(((0.0, 1), (2.0, 1)), 2)
-    f2 = SpectralDensity(((0.0, 1), (2.5, 1)), 2)
+    f1 = SpectralDensity([0.0, 2.0], [1, 1], 2)
+    f2 = SpectralDensity([0.0, 2.5], [1, 1], 2)
     ok, dev = densities_match(f1, f2, atol=1e-9)
     assert not ok and dev >= 0.5 - 1e-12
 
@@ -538,20 +596,60 @@ def test_cyclic_split_peels_top_level_factors(monkeypatch):
 
 
 def test_block_eigenvalues_1x1_is_bitwise_eigvalsh():
+    """The 1 x 1 rule, and the diagonal split of ``_operator_eigenvalues``
+    (each diagonal entry its own 1 x 1 stack, real parts concatenated),
+    give eigvalsh on the d x d stack bit for bit."""
     rng = np.random.default_rng(SEED)
     k = 1000
-    diagonal = rng.standard_normal(k) * 10.0 ** rng.integers(-12, 4, size=k)
-    stacks = [
-        diagonal.reshape(k, 1, 1),
-        (diagonal + 0j).reshape(k, 1, 1),
-        # a symbol's diagonal carries rounding noise in its imaginary part
-        (diagonal + 1e-17j * rng.standard_normal(k)).reshape(k, 1, 1),
-        np.zeros((0, 1, 1)),
-    ]
-    for b in stacks:
-        got = spectral._block_eigenvalues(b)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, np.sort(np.linalg.eigvalsh(b).ravel()))
+    for d in (1, 2, 3):
+        diagonal = rng.standard_normal((k, d)) * 10.0 ** rng.integers(-12, 4, size=(k, d))
+        diagonals = [
+            diagonal,
+            diagonal + 0j,
+            # a symbol's diagonal carries rounding noise in its imaginary part
+            diagonal + 1e-17j * rng.standard_normal((k, d)),
+            np.zeros((0, d)),
+        ]
+        for diag in diagonals:
+            b = np.zeros((len(diag), d, d), dtype=diag.dtype)
+            b[:, range(d), range(d)] = diag
+            want = np.sort(np.linalg.eigvalsh(b).ravel())
+            split = np.concatenate([b[:, i : i + 1, i : i + 1].real for i in range(d)])
+            got = [spectral._block_eigenvalues(split)]
+            if d == 1:
+                got.append(spectral._block_eigenvalues(b))
+            for w in got:
+                assert w.dtype == np.float64
+                assert np.array_equal(w, want)
+
+
+def test_diagonal_operators_skip_lapack(monkeypatch):
+    """Diagonal d x d character blocks (H trivial, off-diagonal entries
+    zero in the ring) are solved per diagonal entry, bit-identical to
+    eigvalsh on the unsplit assembly; anything else still calls LAPACK."""
+    group = product_group([CyclicGroup(3), CyclicGroup(4)])
+    a = RingElement.delta(group, (1, 0))
+    b = RingElement.delta(group, (0, 1))
+    one = RingElement.one(group)
+    zero = RingElement.zero(group)
+    x = 4 * one - a - a.star() - b - b.star()
+    y = 3 * one + 0.5 * (a * b + (a * b).star())
+    diagonal = RingMatrix(group, [[x, zero, zero], [zero, y, zero], [zero, zero, zero]])
+    unsplit = np.sort(np.linalg.eigvalsh(regular_representation(diagonal)))
+    solve = np.linalg.eigvalsh
+
+    def refuse(*args):
+        raise AssertionError("diagonal operator reached LAPACK")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    got = character_spectrum(diagonal)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    assert np.allclose(got, unsplit, rtol=0, atol=1e-12)
+    dense = RingMatrix(group, [[x, a + a.star()], [b + b.star(), y]])
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or solve(m))
+    character_spectrum(dense)
+    assert calls == [(12, 2, 2)]
 
 
 def test_finite_spectrum_rejects_non_self_adjoint():
@@ -579,3 +677,25 @@ def test_finite_spectrum_rejects_non_self_adjoint():
         assert not delta.is_self_adjoint()
         with pytest.raises(NotHermitian):
             finite_spectrum(delta)
+
+
+def test_every_backend_returns_sorted_eigenvalues():
+    """EigenResult's contract: eigenvalues ascending, from the character
+    blocks, the torus symbols (diagonal split included) and the banded
+    Folner solves alike."""
+    rng = random.Random(SEED + 5)
+    torus = laplacians(fixture_complex("torus"))
+    z = FreeAbelianGroup(1)
+    spectra = [
+        finite_spectrum(random_self_adjoint(TABLE_PRODUCTS["S3 x Z/4"], rng, d=2)).eigenvalues,
+        finite_spectrum(random_self_adjoint(CyclicGroup(7), rng, d=2)).eigenvalues,
+        finite_spectrum(torus[1].push_forward(free_abelian_quotient(2, 6))).eigenvalues,
+    ]
+    spectra += [torus_symbol_eigenvalues(delta, 24) for delta in torus]
+    spectra += [
+        rep.eigen.eigenvalues
+        for delta in (random_self_adjoint(z, rng, d=1), random_self_adjoint(z, rng, d=2))
+        for rep in run_folner(delta, build_boxes_folner(1, [2, 5, 17]))
+    ]
+    for w in spectra:
+        assert len(w) > 1 and np.all(w[:-1] <= w[1:])
