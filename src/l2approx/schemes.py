@@ -593,12 +593,11 @@ def density_tail_integral(density: SpectralDensity, k: float) -> float:
     slack = 1e-9 * max(1.0, k)
     pos = density.positions
     inside = (pos > 0.0) & (pos <= k + slack)
-    if not inside.any():
-        return 0.0
-    # math.log, not np.log, whose last bit differs on some inputs; cumsum
-    # adds the terms in jump order, as a running sum would
+    # math.log, not np.log, whose last bit differs on some inputs
     logs = np.fromiter(map(math.log, (k / pos[inside]).tolist()), dtype=np.float64)
-    return float(np.cumsum(density.counts[inside] / density.denom * logs)[-1])
+    terms = density.counts[inside] / density.denom * logs
+    # a running sum from 0.0 in jump order; np.sum would add pairwise
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def sintapr_check(
