@@ -145,7 +145,10 @@ def l2_invariants(
     else:
         method = f"tower(levels={tower.labels})"
         degree = partial(_tower_degree, tower=tower, tol=tol)
-    results = [degree(delta) for delta in deltas]
+    # equal Laplacians (the torus's degrees 0 and 2, the circle's 0 and 1)
+    # are solved once
+    solved = {delta: degree(delta) for delta in dict.fromkeys(deltas)}
+    results = [solved[delta] for delta in deltas]
     bettis = [b for b, _, _ in results]
     logdets = [ld for _, ld, _ in results]
     det_class = [ok for _, _, ok in results]

@@ -136,18 +136,6 @@ def parse_element(group: Group, obj):
     return group.check(payload)
 
 
-def element_to_json(group: Group, payload):
-    if isinstance(group, TrivialGroup):
-        return []
-    if isinstance(group, (CyclicGroup, FiniteTableGroup)):
-        return payload
-    if isinstance(group, (FreeAbelianGroup, FreeGroup)):
-        return list(payload)
-    if isinstance(group, DirectProductGroup):
-        return [element_to_json(f, x) for f, x in zip(group.factors, payload)]
-    raise ProblemFormatError(f"cannot serialize elements of {group}")
-
-
 # ---------------------------------------------------------------------------
 # coefficients, ring elements, matrices
 # ---------------------------------------------------------------------------
@@ -185,16 +173,6 @@ def parse_ring_element(group: Group, obj) -> RingElement:
     return RingElement(group, terms)
 
 
-def ring_element_to_json(x: RingElement):
-    out = []
-    for g, c in sorted(x.terms.items(), key=lambda kv: repr(kv[0])):
-        term = {"word": element_to_json(x.group, g), "re": rational_to_json(c.re)}
-        if c.im != 0:
-            term["im"] = rational_to_json(c.im)
-        out.append(term)
-    return out
-
-
 def parse_matrix(group: Group, obj) -> RingMatrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ProblemFormatError(f"matrix must be an object with 'entries': {obj!r}")
@@ -207,14 +185,6 @@ def parse_matrix(group: Group, obj) -> RingMatrix:
     if cols is not None and _int(cols, "cols") != m.cols:
         raise ProblemFormatError(f"declared cols={cols} but found {m.cols}")
     return m
-
-
-def matrix_to_json(m: RingMatrix):
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[ring_element_to_json(e) for e in row] for row in m.entries],
-    }
 
 
 # ---------------------------------------------------------------------------

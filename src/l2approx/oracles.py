@@ -171,10 +171,12 @@ def torus_logdet(delta: RingMatrix, grid_per_dim: int) -> float:
 def torus_logdet_report(
     delta: RingMatrix, grid_per_dim: int, fine: Optional[EigenResult] = None
 ) -> dict:
-    """Log determinant with a two-grid Richardson-style error estimate.
+    """Log determinant with a two-grid error estimate.
 
-    ``fine`` is ``torus_eigen_result(delta, grid_per_dim)`` when the caller
-    already has it; it is solved here otherwise.
+    ``error_estimate`` is |fine - coarse|, the log determinants on the grid
+    m and on the grid max(1, m // 2): an estimate of the quadrature error,
+    not a bound.  ``fine`` is ``torus_eigen_result(delta, grid_per_dim)``
+    when the caller already has it; it is solved here otherwise.
     """
     if fine is None:
         fine = torus_eigen_result(delta, grid_per_dim)

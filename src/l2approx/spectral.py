@@ -147,6 +147,16 @@ def log_det(e: EigenResult) -> float:
     return float(np.sum(np.log(positive))) / e.denom
 
 
+def _add_symbol(out: np.ndarray, x, phase, slot, real: bool) -> None:
+    """Add c * phase(g) to ``out[slot(g)]`` for every term c*g of the ring
+    element x, in term order: x's symbol, one row of values per slot."""
+    for g, c in x.terms.items():
+        # z lives until the next phase exists; freed inside the update,
+        # its block would go back to the OS and be faulted in again
+        z = phase(g)
+        out[slot(g)] += (float(c.re) if real else complex(c)) * z
+
+
 def _operator_blocks(
     delta: RingMatrix,
     count: int,
@@ -169,20 +179,20 @@ def _operator_blocks(
     rows, cols, n = delta.rows, delta.cols, len(points)
     slots = list({part(g) for g in delta.support()})
     slot_index = {s: i for i, s in enumerate(slots)}
-    # symbol[:, k, l, i]: the part of entry (k, l) on terms g with part(g) = slots[i]
+    # symbol[k, l, i]: the part of entry (k, l) on terms g with part(g) = slots[i],
+    # a contiguous row of count values
     dtype = np.float64 if real else np.complex128
-    symbol = np.zeros((count, rows, cols, len(slots)), dtype=dtype)
+    symbol = np.zeros((rows, cols, len(slots), count), dtype=dtype)
     for k in range(rows):
         for l in range(cols):
-            for g, c in delta.entries[k][l].terms.items():
-                i = slot_index[part(g)]
-                # z lives until the next phase exists; freed inside the update,
-                # its block would go back to the OS and be faulted in again
-                z = phase(g)
-                symbol[:, k, l, i] += (float(c.re) if real else complex(c)) * z
+            _add_symbol(
+                symbol[k, l], delta.entries[k][l], phase, lambda g: slot_index[part(g)], real
+            )
+    # viewed as (count, rows, cols, slots)
+    symbol = symbol.transpose(3, 0, 1, 2)
     if n == 1 and len(slots) == 1:
         # one point, fixed by the one slot: the symbol is the block, no copy
-        return symbol.reshape(count, rows, cols)
+        return symbol[..., 0]
     index = {x: i for i, x in enumerate(points)}
     blocks = np.zeros((count, rows, n, cols, n), dtype=symbol.dtype)
     for i, s in enumerate(slots):
@@ -191,17 +201,6 @@ def _operator_blocks(
         targets = [index[group.multiply(s, y)] for y in points]
         blocks[:, :, targets, :, range(n)] = symbol[..., i]
     return blocks.reshape(count, rows * n, cols * n)
-
-
-def _block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a stack of Hermitian blocks, sorted ascending.
-
-    A 1x1 block is its own eigenvalue: LAPACK reads only the real part of a
-    Hermitian diagonal, so the real diagonal is what ``eigvalsh`` returns.
-    """
-    if blocks.shape[1:] == (1, 1):
-        return np.sort(blocks.real, axis=None)
-    return np.sort(np.linalg.eigvalsh(blocks).ravel())
 
 
 def _operator_eigenvalues(
@@ -215,29 +214,35 @@ def _operator_eigenvalues(
 ) -> np.ndarray:
     """Sorted eigenvalues of the ``_operator_blocks`` stack (same arguments).
 
-    With one point the blocks are d x d; when every off-diagonal entry of
-    delta is zero in the ring they are diagonal, so each diagonal entry is
-    assembled as its own 1 x 1 stack and no LAPACK call is made.  That is
-    bit-identical to ``eigvalsh`` on the d x d stack: ``?heevd`` reduces a
-    diagonal matrix with zero reflectors, and ``dsterf`` returns its 1 x 1
-    blocks as they are.
+    At one point the blocks are d x d, and when every off-diagonal entry of
+    delta is zero in the ring they are diagonal: the eigenvalues are the
+    real parts of the diagonal symbols, each distinct diagonal entry
+    assembled once, and no LAPACK call is made.  That is bit-identical to
+    ``eigvalsh`` on the stack: LAPACK reads only the real part of a
+    Hermitian diagonal, ``?heevd`` reduces a diagonal matrix with zero
+    reflectors, and ``dsterf`` returns its 1 x 1 blocks as they are.  Every
+    other operator is one batched ``eigvalsh``.
     """
     d = delta.rows
-    if len(points) == 1 and d > 1 and all(
+    if len(points) == 1 and all(
         delta.entries[k][l].is_zero() for k in range(d) for l in range(d) if k != l
     ):
-        # the 1 x 1 rule reads only the real parts; dropping the imaginary
-        # parts before the concatenation halves its copy
-        blocks = np.concatenate([
-            _operator_blocks(
-                RingMatrix.from_element(delta.entries[k][k]),
-                count, phase, group, points, part, real,
-            ).real
-            for k in range(d)
-        ])
+        diagonal = [delta.entries[k][k] for k in range(d)]
+        distinct = list(dict.fromkeys(diagonal))
+        symbols = np.zeros((len(distinct), count), dtype=np.float64 if real else np.complex128)
+        for i, x in enumerate(distinct):
+            _add_symbol(symbols, x, phase, lambda g: i, real)
+        # the real parts in diagonal order, copied once and sorted in place
+        w = np.empty((d, count))
+        for k, x in enumerate(diagonal):
+            w[k] = symbols[distinct.index(x)].real
+        w = w.ravel()
     else:
-        blocks = _operator_blocks(delta, count, phase, group, points, part, real)
-    return _block_eigenvalues(blocks)
+        w = np.linalg.eigvalsh(
+            _operator_blocks(delta, count, phase, group, points, part, real)
+        ).ravel()
+    w.sort()
+    return w
 
 
 def _cyclic_split(group: Group) -> tuple:
@@ -354,7 +359,8 @@ def subgroup_invariance_check(
         raise MalformedGroup("embedding source does not match the matrix group")
     if not embedding.source.is_finite or not embedding.target.is_finite:
         raise InfiniteGroup("subgroup invariance check needs finite groups")
-    if not embedding.injective_on(embedding.source.elements()):
+    # a homomorphism is injective iff its kernel is trivial
+    if not embedding.kernel_avoids(embedding.source.elements()):
         raise MalformedGroup("the supplied homomorphism is not injective")
     thr = default_kernel_threshold(delta_u)
     delta_pi = delta_u.push_forward(embedding)

@@ -5,8 +5,11 @@ import pytest
 
 from l2approx import (
     CyclicGroup,
+    DirectProductGroup,
+    FiniteTableGroup,
     FreeAbelianGroup,
     FreeGroup,
+    Group,
     RingElement,
     RingMatrix,
     TrivialGroup,
@@ -14,7 +17,7 @@ from l2approx import (
     symmetric_group,
     trace,
 )
-from l2approx.jsonio import load_json, parse_complex
+from l2approx.jsonio import ProblemFormatError, load_json, parse_complex, rational_to_json
 
 SEED = 617
 
@@ -87,3 +90,35 @@ def trace_power_exact(delta, m) -> float:
     if t.im != 0:
         raise ArithmeticError(f"trace has nonzero imaginary part {t.im}")
     return float(t.re)
+
+
+# JSON writers for the round-trip tests; the library only reads problems
+
+def element_to_json(group: Group, payload):
+    if isinstance(group, TrivialGroup):
+        return []
+    if isinstance(group, (CyclicGroup, FiniteTableGroup)):
+        return payload
+    if isinstance(group, (FreeAbelianGroup, FreeGroup)):
+        return list(payload)
+    if isinstance(group, DirectProductGroup):
+        return [element_to_json(f, x) for f, x in zip(group.factors, payload)]
+    raise ProblemFormatError(f"cannot serialize elements of {group}")
+
+
+def ring_element_to_json(x: RingElement):
+    out = []
+    for g, c in sorted(x.terms.items(), key=lambda kv: repr(kv[0])):
+        term = {"word": element_to_json(x.group, g), "re": rational_to_json(c.re)}
+        if c.im != 0:
+            term["im"] = rational_to_json(c.im)
+        out.append(term)
+    return out
+
+
+def matrix_to_json(m: RingMatrix):
+    return {
+        "rows": m.rows,
+        "cols": m.cols,
+        "entries": [[ring_element_to_json(e) for e in row] for row in m.entries],
+    }

@@ -1,4 +1,6 @@
+import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -16,7 +18,8 @@ from l2approx import (
     product_group,
     validate,
 )
-from l2approx.cw import _oracle_degree, laplacians
+from l2approx import cli, cw, oracles
+from l2approx.cw import _oracle_degree, _tower_degree, laplacians
 from l2approx.oracles import torus_eigen_result
 from l2approx.errors import NotAComplex
 
@@ -155,3 +158,45 @@ def test_oracle_f0_counts_eigenvalues_up_to_the_threshold():
             kernels.append(f0)
     # the finite torus has F(0) = b_p / 12 = 1/12, 2/12, 1/12
     assert kernels[-3:] == [1 / 12, 2 / 12, 1 / 12]
+
+
+def test_cw_assembles_each_distinct_laplacian_once(monkeypatch, tmp_path):
+    """The torus's Laplacians hold one ring element 4 - a - 1/a - b - 1/b
+    four times (degree 0, both diagonal entries of degree 1, degree 2): cw
+    assembles its 5-term symbol twice, once for degrees 0 and 2 and once
+    for degree 1, so 10 phases."""
+    calls = []
+    phase = oracles._grid_phase
+    monkeypatch.setattr(oracles, "_grid_phase", lambda theta, g: calls.append(g) or phase(theta, g))
+    torus = str(resources.files("l2approx") / "fixtures" / "torus.json")
+    assert cli.main(["cw", torus, "--output", str(tmp_path / "torus.out")]) == 0
+    assert len(calls) == 10
+
+
+def test_cw_runs_one_tower_per_distinct_laplacian(monkeypatch, tmp_path):
+    """The circle's two Laplacians are both 2 - t - 1/t: one tower run."""
+    runs = []
+    run_tower = cw.run_tower
+    monkeypatch.setattr(cw, "run_tower", lambda delta, tower: runs.append(delta) or run_tower(delta, tower))
+    circle = str(resources.files("l2approx") / "fixtures" / "circle.json")
+    out = tmp_path / "circle.out"
+    assert cli.main(["cw", circle, "--levels", "8,64,512", "--output", str(out)]) == 0
+    assert len(runs) == 1
+    assert json.loads(out.read_text())["det_class"] == [True, True]
+
+
+def test_tower_route_equals_per_degree_solves():
+    """Solving each distinct Laplacian once changes no degree's result.
+
+    Equal ring elements may store their terms in different orders, and the
+    symbol sums its phases in term order, so a degree that reuses an equal
+    Laplacian's solve can differ from its own solve in the last bits of the
+    log determinant (the circle's degree 1 does)."""
+    cases = [("circle", QuotientTower.zn(1, [8, 64, 512])), ("torus", QuotientTower.zn(2, [4, 8, 16]))]
+    for name, tower in cases:
+        spec = fixture_complex(name)
+        rep = l2_invariants(spec, tower=tower)
+        want = [_tower_degree(delta, tower, 0.02) for delta in laplacians(spec)]
+        assert rep.betti == [f0 for f0, _, _ in want]
+        assert rep.det_class == [ok for _, _, ok in want]
+        assert rep.logdet == pytest.approx([ld for _, ld, _ in want], rel=1e-13, abs=0)

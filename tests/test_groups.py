@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from l2approx import (
     symmetric_group,
 )
 from l2approx.errors import InfiniteGroup, MalformedGroup, MismatchedGroup, UndefinedGenerator
-from l2approx.groups import reduce_word
+from l2approx.groups import _greedy_generators, reduce_word
 
 from conftest import SEED, random_group_element
 
@@ -221,8 +222,9 @@ def test_injectivity_helpers():
     q = free_abelian_quotient(1, 4)
     assert q.kernel_avoids([(1,), (2,), (3,), (0,)])
     assert not q.kernel_avoids([(4,)])
-    assert q.injective_on([(0,), (1,)])
-    assert not q.injective_on([(0,), (4,)])
+    # separating a set is avoiding its difference set: {0, 1} gives {-1, 0, 1}
+    assert q.kernel_avoids([(-1,), (0,), (1,)])
+    assert not q.kernel_avoids([(-4,), (0,), (4,)])
 
 
 def test_element_map_homomorphism_on_product_source():
@@ -241,15 +243,64 @@ def test_element_map_homomorphism_on_product_source():
         Homomorphism(klein, target, element_map=bad)
 
 
+def test_element_map_wrong_at_one_product_is_rejected():
+    """The multiplicativity check runs b over a generating set only, yet a
+    map that is a homomorphism except at one element outside that set (so
+    wrong at every product landing there) is still rejected."""
+    s4 = symmetric_group(4)
+    # the sign of a permutation, as parity of its inversions
+    sign = {
+        g: sum(p > q for i, p in enumerate(name) for q in name[i + 1:]) % 2
+        for g, name in enumerate(s4.names)
+    }
+    Homomorphism(s4, CyclicGroup(2), element_map=sign)
+    s3z4 = product_group([symmetric_group(3), CyclicGroup(4)])
+    cases = [(s4, CyclicGroup(2), sign), (s3z4, s3z4, {g: g for g in s3z4.elements()})]
+    for group, target, good in cases:
+        gens = _greedy_generators(group)
+        others = [g for g in group.elements() if g not in gens and g != group.identity()]
+        assert others
+        for x in others:
+            bad = dict(good)
+            bad[x] = next(y for y in target.elements() if y != good[x])
+            with pytest.raises(MalformedGroup):
+                Homomorphism(group, target, element_map=bad)
+    # every generator is checked: Z/2 x Z/2 -> Z/4 with f(a u) = f(a) + 2 for
+    # one generator u passes every product by u, but f(v) + f(v) = 2 != f(v v)
+    klein = product_group([CyclicGroup(2), CyclicGroup(2)])
+    gens = _greedy_generators(klein)
+    assert len(gens) == 2
+    for u, v in (gens, gens[::-1]):
+        skew = {klein.identity(): 0, u: 2, v: 1, klein.multiply(v, u): 3}
+        with pytest.raises(MalformedGroup):
+            Homomorphism(klein, CyclicGroup(4), element_map=skew)
+
+
+def test_element_map_check_is_linear_in_the_order(monkeypatch):
+    """The identity map of S5 x Z/12 (1440 elements) is checked with
+    O(|G| log |G|) products, not the |G|^2 = 2073600 of every pair."""
+    group = product_group([symmetric_group(5), CyclicGroup(12)])
+    calls = []
+    multiply = DirectProductGroup.multiply
+    monkeypatch.setattr(
+        DirectProductGroup, "multiply", lambda self, a, b: calls.append(1) or multiply(self, a, b)
+    )
+    ident = Homomorphism(group, group, element_map={g: g for g in group.elements()})
+    assert ident.apply((7, 5)) == (7, 5)
+    order = group.order
+    assert 0 < len(calls) <= 4 * order * math.log2(order)
+
+
 def test_tower_injectivity_certificate():
     from l2approx import QuotientTower
 
     tower = QuotientTower.zn(1, [4, 16])
-    small = [(-1,), (0,), (1,)]
-    assert tower.levels[0].injective_on(small)  # differences stay in (-4, 4)
-    wide = [(k,) for k in range(-3, 4)]
-    assert not tower.levels[0].injective_on(wide)  # 3 - (-3) dies mod 4
-    assert tower.levels[1].injective_on(wide)
+    # a level separates a set iff its kernel avoids the set's differences
+    small = [(k,) for k in range(-2, 3)]  # differences of {-1, 0, 1}
+    assert tower.levels[0].kernel_avoids(small)  # differences stay in (-4, 4)
+    wide = [(k,) for k in range(-6, 7)]  # differences of {-3, ..., 3}
+    assert not tower.levels[0].kernel_avoids(wide)  # 3 - (-3) dies mod 4
+    assert tower.levels[1].kernel_avoids(wide)
 
 
 def test_cyclic_factors_and_exponents():

@@ -17,9 +17,7 @@ from l2approx.jsonio import (
     ProblemFormatError,
     canonical_dumps,
     density_csv,
-    element_to_json,
     group_to_json,
-    matrix_to_json,
     parse_element,
     parse_group,
     parse_matrix,
@@ -28,10 +26,11 @@ from l2approx.jsonio import (
     parse_ring_element,
     parse_scheme,
     rational_to_json,
-    ring_element_to_json,
 )
 from l2approx.schemes import FolnerExhaustion, QuotientTower
 from l2approx.spectral import SpectralDensity
+
+from conftest import element_to_json, matrix_to_json, ring_element_to_json
 
 GROUPS = [
     TrivialGroup(),

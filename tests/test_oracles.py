@@ -228,6 +228,33 @@ def test_mahler_against_torus_quadrature(z_group):
         assert abs(quad - 2 * _log_mahler(terms)) <= 1e-3
 
 
+def test_torus_non_diagonal_symbol_is_bitwise_eigvalsh(monkeypatch):
+    """A*A over Z^2 with A = [[1 - a, 1 - b], [2 - b, 3 + a]] is not
+    diagonal: its symbol is one batched eigvalsh call on the 2 x 2 stack,
+    bit for bit eigvalsh on a contiguous stack summed here in term order."""
+    z2 = FreeAbelianGroup(2)
+    one = RingElement.one(z2)
+    a, b = RingElement.delta(z2, (1, 0)), RingElement.delta(z2, (0, 1))
+    big_a = RingMatrix(z2, [[one - a, one - b], [2 * one - b, 3 * one + a]])
+    delta = big_a.adjoint() @ big_a
+    assert not delta[0, 1].is_zero()
+    solve = np.linalg.eigvalsh
+    for m in (1, 6, 16):
+        theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+        stack = np.zeros((m * m, 2, 2), dtype=np.complex128)
+        for k in range(2):
+            for l in range(2):
+                for g, c in delta[k, l].terms.items():
+                    stack[:, k, l] += complex(c) * _grid_phase(theta_1d, g)
+        want = np.sort(solve(stack).ravel())
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda s: calls.append(s.shape) or solve(s))
+        got = torus_symbol_eigenvalues(delta, m)
+        monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+        assert calls == [(m * m, 2, 2)]
+        assert np.array_equal(got, want)
+
+
 def test_torus_diagonal_symbol_is_bitwise_eigvalsh():
     """The torus Delta_1 is diag(Delta_0, Delta_0): its symbol spectrum,
     solved per diagonal entry, is eigvalsh on the unsplit 2 x 2 assembly."""

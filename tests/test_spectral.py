@@ -585,23 +585,34 @@ def test_cyclic_split_peels_top_level_factors(monkeypatch):
     assert h_part(((4, 1), 2)) == (4, 2) and exponents(((4, 1), 2)) == (1,)
     # so the spectrum is two blocks of size d|H| = 36
     shapes = []
-    solve = spectral._block_eigenvalues
-    monkeypatch.setattr(
-        spectral, "_block_eigenvalues", lambda b: shapes.append(b.shape) or solve(b)
-    )
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda b: shapes.append(b.shape) or solve(b))
     rng = random.Random(SEED)
     for group in (flat, nested):
         character_spectrum(random_self_adjoint(group, rng))
     assert shapes == [(2, 36, 36)] * 2
 
 
-def test_block_eigenvalues_1x1_is_bitwise_eigvalsh():
-    """The 1 x 1 rule, and the diagonal split of ``_operator_eigenvalues``
-    (each diagonal entry its own 1 x 1 stack, real parts concatenated),
-    give eigvalsh on the d x d stack bit for bit."""
+def test_one_point_diagonal_rule_is_bitwise_eigvalsh(monkeypatch):
+    """At one point a diagonal operator's eigenvalues are the sorted real
+    parts of its diagonal symbols, d = 1 included, with no LAPACK call: bit
+    for bit ``eigvalsh`` on the d x d stack, over magnitudes 1e-12 to 1e4,
+    with 1e-17j rounding noise in the imaginary parts, and for no points."""
     rng = np.random.default_rng(SEED)
     k = 1000
+    solve = np.linalg.eigvalsh
+    shapes = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or solve(m))
     for d in (1, 2, 3):
+        # entry (i, i) is the generator t_i of Z^d, whose phase at point j
+        # is the diagonal value diag[j, i]
+        z = FreeAbelianGroup(d)
+        units = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+        zero = RingElement.zero(z)
+        delta = RingMatrix(z, [
+            [RingElement.delta(z, units[i]) if i == l else zero for l in range(d)]
+            for i in range(d)
+        ])
         diagonal = rng.standard_normal((k, d)) * 10.0 ** rng.integers(-12, 4, size=(k, d))
         diagonals = [
             diagonal,
@@ -613,14 +624,14 @@ def test_block_eigenvalues_1x1_is_bitwise_eigvalsh():
         for diag in diagonals:
             b = np.zeros((len(diag), d, d), dtype=diag.dtype)
             b[:, range(d), range(d)] = diag
-            want = np.sort(np.linalg.eigvalsh(b).ravel())
-            split = np.concatenate([b[:, i : i + 1, i : i + 1].real for i in range(d)])
-            got = [spectral._block_eigenvalues(split)]
-            if d == 1:
-                got.append(spectral._block_eigenvalues(b))
-            for w in got:
-                assert w.dtype == np.float64
-                assert np.array_equal(w, want)
+            want = np.sort(solve(b).ravel())
+            columns = {u: diag[:, i] for i, u in enumerate(units)}
+            got = spectral._operator_eigenvalues(
+                delta, len(diag), columns.__getitem__, real=diag.dtype == np.float64
+            )
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+    assert shapes == []
 
 
 def test_diagonal_operators_skip_lapack(monkeypatch):
