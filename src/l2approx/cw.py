@@ -44,11 +44,14 @@ class ChainComplexSpec:
     def top_degree(self) -> int:
         return len(self.dims) - 1
 
-    def boundary(self, p: int) -> Optional[RingMatrix]:
-        """The boundary map leaving degree p (None at the bottom)."""
-        if 1 <= p <= self.top_degree:
-            return self.boundaries[p - 1]
-        return None
+    def boundary(self, p: int) -> RingMatrix:
+        """The boundary map C_p -> C_{p-1}, 0 <= p <= top + 1; the two ends
+        are zero maps, out of C_0 and into C_top."""
+        if p == 0:
+            return RingMatrix.zero(self.group, 0, self.dims[0])
+        if p == len(self.dims):
+            return RingMatrix.zero(self.group, self.dims[-1], 0)
+        return self.boundaries[p - 1]
 
 
 def validate(spec: ChainComplexSpec) -> None:
@@ -72,7 +75,7 @@ def validate(spec: ChainComplexSpec) -> None:
 def laplacians(spec: ChainComplexSpec) -> list:
     """Degree-wise combinatorial Laplacians."""
     return [
-        laplacian(spec.boundary(p), spec.boundary(p + 1), group=spec.group, dim=spec.dims[p])
+        laplacian(spec.boundary(p), spec.boundary(p + 1))
         for p in range(len(spec.dims))
     ]
 

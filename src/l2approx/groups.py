@@ -83,17 +83,6 @@ class Group:
     def commutes(self, g, h) -> bool:
         return self.multiply(g, h) == self.multiply(h, g)
 
-    def cyclic_factors(self) -> Optional[list]:
-        """Orders [n1, ..., nr] if this group is a product of cyclic groups
-        (trivial factors allowed), else None.  Enables the character-basis
-        spectral fast path."""
-        return None
-
-    def exponents(self, g) -> tuple:
-        """Exponent tuple of g w.r.t. cyclic_factors(); only defined when
-        cyclic_factors() is not None."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class TrivialGroup(Group):
@@ -122,12 +111,6 @@ class TrivialGroup(Group):
 
     def generators(self):
         return []
-
-    def cyclic_factors(self):
-        return []
-
-    def exponents(self, g):
-        return ()
 
     def __str__(self):
         return "1"
@@ -169,12 +152,6 @@ class CyclicGroup(Group):
 
     def generators(self):
         return [1 % self.n]
-
-    def cyclic_factors(self):
-        return [self.n]
-
-    def exponents(self, g):
-        return (g,)
 
     def __str__(self):
         return f"Z/{self.n}"
@@ -432,15 +409,6 @@ class DirectProductGroup(Group):
 
     def elements(self):
         return list(itertools.product(*(f.elements() for f in self.factors)))
-
-    def cyclic_factors(self):
-        orders = [f.cyclic_factors() for f in self.factors]
-        if None in orders:
-            return None
-        return [n for part in orders for n in part]
-
-    def exponents(self, g):
-        return tuple(e for f, x in zip(self.factors, g) for e in f.exponents(x))
 
     def __str__(self):
         return "(" + " x ".join(map(str, self.factors)) + ")"

@@ -18,7 +18,7 @@ from functools import partial
 from typing import Optional
 
 from .cw import ChainComplexSpec
-from .errors import L2ApproxError, MalformedGroup, SchemeError
+from .errors import L2ApproxError, MalformedGroup, MismatchedGroup, SchemeError, UndefinedGenerator
 from .groupring import GaussianRational, RingElement
 from .groups import (
     CyclicGroup,
@@ -65,6 +65,11 @@ def _ints(x, what: str) -> list:
     return [_int(v, what) for v in _list(x, what)]
 
 
+# what the group and homomorphism constructors raise on content that does
+# not describe a group, an element or a homomorphism: an input error
+_GROUP_ERRORS = (MalformedGroup, MismatchedGroup, UndefinedGenerator)
+
+
 # ---------------------------------------------------------------------------
 # groups
 # ---------------------------------------------------------------------------
@@ -98,6 +103,8 @@ def parse_group(obj) -> Group:
             return product_group([parse_group(f) for f in _list(obj["factors"], "factors")])
     except KeyError as exc:
         raise ProblemFormatError(f"group {kind!r} is missing field {exc}") from exc
+    except _GROUP_ERRORS as exc:
+        raise ProblemFormatError(str(exc)) from exc
     raise ProblemFormatError(f"unknown group type {kind!r}")
 
 
@@ -133,7 +140,10 @@ def parse_element(group: Group, obj):
         payload = tuple(parse_element(f, x) for f, x in zip(group.factors, obj))
     else:
         raise ProblemFormatError(f"cannot parse elements of {group}")
-    return group.check(payload)
+    try:
+        return group.check(payload)
+    except _GROUP_ERRORS as exc:
+        raise ProblemFormatError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +187,12 @@ def parse_matrix(group: Group, obj) -> RingMatrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ProblemFormatError(f"matrix must be an object with 'entries': {obj!r}")
     grid = [_list(row, "matrix row") for row in _list(obj["entries"], "matrix entries")]
-    m = RingMatrix(group, [[parse_ring_element(group, e) for e in row] for row in grid])
     rows = obj.get("rows")
     cols = obj.get("cols")
+    if cols is not None and _int(cols, "cols") < 0:
+        raise ProblemFormatError(f"declared cols={cols} is negative")
+    # a matrix with no rows has only its declared column count
+    m = RingMatrix(group, [[parse_ring_element(group, e) for e in row] for row in grid], cols or 0)
     if rows is not None and _int(rows, "rows") != m.rows:
         raise ProblemFormatError(f"declared rows={rows} but found {m.rows}")
     if cols is not None and _int(cols, "cols") != m.cols:
@@ -195,16 +208,19 @@ def parse_homomorphism(source: Group, obj) -> Homomorphism:
     if not isinstance(obj, dict) or "target" not in obj:
         raise ProblemFormatError(f"homomorphism must be an object with a 'target': {obj!r}")
     target = parse_group(obj["target"])
-    if "images" in obj:
-        images = [parse_element(target, im) for im in _list(obj["images"], "images")]
-        return Homomorphism(source, target, generator_images=images)
-    if "element_map" in obj:
-        pairs = [_list(p, "element_map entry") for p in _list(obj["element_map"], "element_map")]
-        bad = [p for p in pairs if len(p) != 2]
-        if bad:
-            raise ProblemFormatError(f"element_map entries must be [source, image] pairs, got {bad[0]!r}")
-        emap = {parse_element(source, k): parse_element(target, v) for k, v in pairs}
-        return Homomorphism(source, target, element_map=emap)
+    try:
+        if "images" in obj:
+            images = [parse_element(target, im) for im in _list(obj["images"], "images")]
+            return Homomorphism(source, target, generator_images=images)
+        if "element_map" in obj:
+            pairs = [_list(p, "element_map entry") for p in _list(obj["element_map"], "element_map")]
+            bad = [p for p in pairs if len(p) != 2]
+            if bad:
+                raise ProblemFormatError(f"element_map entries must be [source, image] pairs, got {bad[0]!r}")
+            emap = {parse_element(source, k): parse_element(target, v) for k, v in pairs}
+            return Homomorphism(source, target, element_map=emap)
+    except _GROUP_ERRORS as exc:
+        raise ProblemFormatError(str(exc)) from exc
     raise ProblemFormatError("homomorphism needs 'images' or 'element_map'")
 
 
@@ -301,6 +317,8 @@ def parse_complex(obj: dict) -> ChainComplexSpec:
     try:
         group = parse_group(obj["group"])
         dims = tuple(_ints(obj["cells"], "cell count"))
+        if any(n < 0 for n in dims):
+            raise ProblemFormatError(f"cell counts must be >= 0, got {list(dims)}")
         boundaries = tuple(
             parse_matrix(group, b) for b in _list(obj.get("boundaries", []), "boundaries")
         )

@@ -7,7 +7,7 @@ operator-norm bound, and the exact von Neumann trace.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, MismatchedGroup
 from .groupring import GaussianRational, RingElement
@@ -15,14 +15,21 @@ from .groups import Group, Homomorphism
 
 
 class RingMatrix:
-    """A rows x cols matrix with RingElement entries over one group."""
+    """A rows x cols matrix with RingElement entries over one group.
+
+    The column count is read from the rows; a matrix with no rows takes it
+    from ``cols``, so a 0 x n map keeps its shape.
+    """
 
     __slots__ = ("group", "rows", "cols", "entries")
 
-    def __init__(self, group: Group, entries: Sequence[Sequence[RingElement]]):
+    def __init__(self, group: Group, entries: Sequence[Sequence[RingElement]], cols: int = 0):
         entries = tuple(tuple(row) for row in entries)
         rows = len(entries)
-        cols = len(entries[0]) if rows else 0
+        if rows:
+            cols = len(entries[0])
+        elif cols < 0:
+            raise DimensionMismatch(f"column count must be >= 0, got {cols}")
         for row in entries:
             if len(row) != cols:
                 raise DimensionMismatch("ragged rows")
@@ -41,7 +48,7 @@ class RingMatrix:
     @staticmethod
     def zero(group: Group, rows: int, cols: int) -> "RingMatrix":
         z = RingElement.zero(group)
-        return RingMatrix(group, [[z] * cols for _ in range(rows)])
+        return RingMatrix(group, [[z] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def identity(group: Group, d: int) -> "RingMatrix":
@@ -61,6 +68,7 @@ class RingMatrix:
         return (
             isinstance(other, RingMatrix)
             and self.group == other.group
+            and self.shape == other.shape
             and self.entries == other.entries
         )
 
@@ -74,6 +82,7 @@ class RingMatrix:
         return RingMatrix(
             self.group,
             [[self.entries[l][k].star() for l in range(self.rows)] for k in range(self.cols)],
+            self.rows,
         )
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
@@ -87,15 +96,14 @@ class RingMatrix:
                 [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
                 for i in range(self.rows)
             ],
+            self.cols,
         )
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
         return self + other.scale(-1)
 
     def scale(self, c) -> "RingMatrix":
-        return RingMatrix(
-            self.group, [[e * c for e in row] for row in self.entries]
-        )
+        return RingMatrix(self.group, [[e * c for e in row] for row in self.entries], self.cols)
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         if self.group != other.group:
@@ -111,7 +119,7 @@ class RingMatrix:
                     acc = acc + self.entries[i][k] * other.entries[k][j]
                 row.append(acc)
             out.append(row)
-        return RingMatrix(self.group, out)
+        return RingMatrix(self.group, out, other.cols)
 
     @property
     def shape(self):
@@ -137,7 +145,7 @@ class RingMatrix:
     def push_forward(self, phi: Homomorphism) -> "RingMatrix":
         """Entrywise image under a homomorphism."""
         return RingMatrix(
-            phi.target, [[e.push_forward(phi) for e in row] for row in self.entries]
+            phi.target, [[e.push_forward(phi) for e in row] for row in self.entries], self.cols
         )
 
     def __str__(self):
@@ -161,33 +169,11 @@ def k_bound(delta: RingMatrix) -> float:
     return d * d * biggest
 
 
-def laplacian(
-    boundary_out: Optional[RingMatrix],
-    boundary_in: Optional[RingMatrix],
-    *,
-    group: Optional[Group] = None,
-    dim: Optional[int] = None,
-) -> RingMatrix:
-    """Combinatorial Laplacian of one chain degree.
-
-    ``boundary_out`` maps this degree down and contributes ``B* B``;
-    ``boundary_in`` maps into this degree and contributes ``B B*``.  At the
-    top/bottom of a complex either argument may be None; if both are None the
-    degree is isolated and ``group``/``dim`` fix the zero matrix size.
-    """
-    if boundary_out is None and boundary_in is None:
-        if group is None or dim is None:
-            raise DimensionMismatch("isolated degree needs explicit group and dim")
-        return RingMatrix.zero(group, dim, dim)
-    down = None if boundary_out is None else boundary_out.adjoint() @ boundary_out
-    up = None if boundary_in is None else boundary_in @ boundary_in.adjoint()
-    if down is not None and up is not None:
-        if down.shape != up.shape:
-            raise DimensionMismatch(
-                f"boundaries are not chain-compatible: {down.shape} vs {up.shape}"
-            )
-        return down + up
-    return down if down is not None else up
+def laplacian(boundary_out: RingMatrix, boundary_in: RingMatrix) -> RingMatrix:
+    """Combinatorial Laplacian of one chain degree, B* B + B' B'* for the
+    boundary B leaving the degree and the boundary B' entering it; at either
+    end of a complex the missing one is a zero map."""
+    return boundary_out.adjoint() @ boundary_out + boundary_in @ boundary_in.adjoint()
 
 
 def trace(delta: RingMatrix) -> GaussianRational:

@@ -11,12 +11,13 @@ functions with normalized total mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InfiniteGroup, MalformedGroup, NotHermitian
-from .groups import DirectProductGroup, Group, Homomorphism, TrivialGroup, product_group
+from .groups import CyclicGroup, DirectProductGroup, Group, Homomorphism, TrivialGroup, product_group
 from .matrices import RingMatrix, k_bound
 
 KERNEL_THRESHOLD_FACTOR = 1e-9
@@ -245,32 +246,48 @@ def _operator_eigenvalues(
     return w
 
 
-def _cyclic_split(group: Group) -> tuple:
-    """G = H x C, C the product of every cyclic factor of G.
-
-    Returns (H, orders of C, h_part, exponents): the H-component of an
-    element and the exponents of its C-component.  Cyclic products have H
-    trivial; a direct product puts each cyclic factor into C, splits each
-    factor that is itself a product, and keeps the other factors in H.
-    """
-    factors = group.cyclic_factors()
-    if factors is not None:
-        return TrivialGroup(), factors, lambda g: (), group.exponents
+def _leaves(group: Group, get=lambda g: g) -> list:
+    """(leaf, payload getter) for every leaf factor of a nested direct
+    product, depth first; the getter reads the leaf's payload from an
+    element of ``group``."""
     if not isinstance(group, DirectProductGroup):
-        return group, [], lambda g: g, lambda g: ()
-    splits = [_cyclic_split(f) for f in group.factors]
-    in_h = [i for i, f in enumerate(group.factors) if f.cyclic_factors() is None]
+        return [(group, get)]
+    return [
+        leaf
+        for i, factor in enumerate(group.factors)
+        for leaf in _leaves(factor, lambda g, i=i: get(g)[i])
+    ]
+
+
+def _cyclic_split(group: Group) -> tuple:
+    """G = H x C, read from the leaf factors of G by their type.
+
+    Cyclic leaves form C, trivial leaves drop out and every other leaf goes
+    into H, each in depth-first order.  Returns (H, orders of C, h_part,
+    exponents): the H-component of an element (its one H payload, or the
+    tuple of them) and the exponents of its C-component.
+    """
+    leaves = [(leaf, get) for leaf, get in _leaves(group) if not isinstance(leaf, TrivialGroup)]
+    h = [(leaf, get) for leaf, get in leaves if not isinstance(leaf, CyclicGroup)]
+    c = [(leaf.n, get) for leaf, get in leaves if isinstance(leaf, CyclicGroup)]
 
     def h_part(g):
-        hs = tuple(splits[i][2](g[i]) for i in in_h)
+        hs = tuple(get(g) for _, get in h)
         return hs[0] if len(hs) == 1 else hs
 
     return (
-        product_group([splits[i][0] for i in in_h]),
-        [n for _, orders, _, _ in splits for n in orders],
+        product_group([leaf for leaf, _ in h]),
+        [n for n, _ in c],
         h_part,
-        lambda g: tuple(e for s, x in zip(splits, g) for e in s[3](x)),
+        lambda g: tuple(get(g) for _, get in c),
     )
+
+
+def _cyclic_phase(e: int, n: int) -> np.ndarray:
+    """exp(-2 pi i k e / n) at the characters k = 0..n-1 of Z/n.  The float
+    expression k * (e / n) is kept as written: other forms of the same
+    value change the printed reports."""
+    return np.exp(-2j * np.pi * (np.arange(n, dtype=np.float64) * (e / n)))
 
 
 def character_spectrum(delta: RingMatrix) -> np.ndarray:
@@ -286,21 +303,21 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
     group = delta.group
     if not group.is_finite:
         raise InfiniteGroup(f"character spectrum needs a finite group, got {group}")
-    h_group, factors, h_part, exponents = _cyclic_split(group)
+    h_group, orders, h_part, exponents = _cyclic_split(group)
     total = group.order // h_group.order
-    # row t of kmesh: the t-th character's multi-index, in C order
-    kmesh = np.indices(factors).reshape(len(factors), total).T.astype(np.float64, order="C")
-    orders = np.asarray(factors, dtype=np.float64)
 
     def phase(g):
-        exps = np.asarray(exponents(g), dtype=np.float64)
-        return np.exp(-2j * np.pi * (kmesh @ (exps / orders))) if total > 1 else np.ones(1)
+        # the outer product of one 1-d phase per cyclic factor, in C order
+        if total == 1:
+            return np.ones(1)
+        phases = [_cyclic_phase(e, n) for e, n in zip(exponents(g), orders)]
+        return reduce(np.multiply.outer, phases).ravel()
 
     # with C trivial a table solves one real block when it can; cyclic
     # products keep the complex solve they have always had
     real = (
         total == 1
-        and group.cyclic_factors() is None
+        and h_group != TrivialGroup()
         and all(e.is_real() for row in delta.entries for e in row)
     )
     return _operator_eigenvalues(

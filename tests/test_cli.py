@@ -252,6 +252,29 @@ def test_cw_point(tmp_path):
     assert report["torsion"] is None
 
 
+# Z complexes with a degree of no cells: the boundary is 1 x 0 or 0 x 1
+EMPTY_DEGREE_COMPLEXES = {
+    "cells-1-0": ([1, 0], {"rows": 1, "cols": 0, "entries": [[]]}, [1, 0]),
+    "cells-0-1": ([0, 1], {"rows": 0, "cols": 1, "entries": []}, [0, 1]),
+}
+
+
+@pytest.mark.parametrize("route", [[], ["--levels", "4,8"]], ids=["oracle", "tower"])
+@pytest.mark.parametrize("case", sorted(EMPTY_DEGREE_COMPLEXES))
+def test_cw_complex_with_an_empty_degree(case, route, tmp_path, capsys):
+    cells, boundary, betti = EMPTY_DEGREE_COMPLEXES[case]
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({
+        "group": {"type": "free_abelian", "rank": 1},
+        "cells": cells,
+        "boundaries": [boundary],
+    }))
+    assert main(["cw", str(path)] + route) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["betti"] == betti and report["dims"] == cells
+    assert report["euler_l2"] == report["euler_cells"]
+
+
 def test_cw_rejects_noncomplex(tmp_path, capsys):
     bad = {
         "group": {"type": "free_abelian", "rank": 1},
@@ -454,6 +477,15 @@ HOSTILE_FILES = {
             scheme={"type": "folner", "boxes": [8000]},
         ),
     ),
+    "cells-negative": ("cw", {"group": {"type": "free_abelian", "rank": 1}, "cells": [-1]}),
+    "declared-cols-negative": (
+        "cw",
+        {
+            "group": {"type": "free_abelian", "rank": 1},
+            "cells": [0, 1],
+            "boundaries": [{"rows": 0, "cols": -1, "entries": []}],
+        },
+    ),
     "product-element-as-nested-pair": (
         "density",
         {
@@ -465,6 +497,37 @@ HOSTILE_FILES = {
         },
     ),
 }
+
+
+# group content that the group and homomorphism constructors reject
+MALFORMED_GROUP_CONTENT = {
+    "cyclic-order-0": _cyclic_problem(n=0),
+    "free-abelian-rank-negative": {
+        "group": {"type": "free_abelian", "rank": -1},
+        "matrix": {"entries": [[[{"word": [], "re": 1}]]]},
+    },
+    "free-rank-0": {
+        "group": {"type": "free", "rank": 0},
+        "matrix": {"entries": [[[{"word": [], "re": 1}]]]},
+    },
+    "table-not-latin": {
+        "group": {"type": "finite_table", "table": [[0, 1], [0, 1]]},
+        "matrix": {"entries": [[[{"word": 0, "re": 1}]]]},
+    },
+    "word-outside-z2": _cyclic_problem(n=2, word=5),
+    "embedding-two-images-for-z": _z_problem(
+        embedding={"target": {"type": "cyclic", "n": 4}, "images": [1, 2]}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GROUP_CONTENT))
+def test_malformed_group_content_exits_2(case, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(MALFORMED_GROUP_CONTENT[case]))
+    assert main(["density", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "input error" in err
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_FILES))

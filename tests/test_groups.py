@@ -303,16 +303,6 @@ def test_tower_injectivity_certificate():
     assert tower.levels[1].kernel_avoids(wide)
 
 
-def test_cyclic_factors_and_exponents():
-    g = product_group([CyclicGroup(2), CyclicGroup(3)])
-    assert g.cyclic_factors() == [2, 3]
-    elems = g.elements()
-    seen = {g.exponents(x) for x in elems}
-    assert len(seen) == 6
-    assert FreeGroup(2).cyclic_factors() is None
-    assert symmetric_group(3).cyclic_factors() is None
-
-
 # ---------------------------------------------------------------------------
 # table validation: Light's associativity test against the cubic loop
 # ---------------------------------------------------------------------------

@@ -87,13 +87,34 @@ def test_k_bound_examples(z_group):
 def test_laplacian_examples(z_group):
     t = RingElement.delta(z_group, (1,))
     d1 = RingMatrix.from_element(t - 1)
-    top = laplacian(d1, None)
+    # at either end of a complex the missing boundary is a zero map
+    top = laplacian(d1, RingMatrix.zero(z_group, 1, 0))
     assert top == RingMatrix.from_element(2 - t - t.star())
-    bottom = laplacian(None, d1)
+    bottom = laplacian(RingMatrix.zero(z_group, 0, 1), d1)
     assert bottom == RingMatrix.from_element(2 - t - t.star())
     assert top.is_self_adjoint()
-    isolated = laplacian(None, None, group=z_group, dim=2)
+    isolated = laplacian(RingMatrix.zero(z_group, 0, 2), RingMatrix.zero(z_group, 2, 0))
     assert isolated == RingMatrix.zero(z_group, 2, 2)
+    with pytest.raises(DimensionMismatch):
+        laplacian(d1, RingMatrix.zero(z_group, 2, 0))
+
+
+def test_zero_size_matrices_keep_their_shape(z_group):
+    t = RingElement.delta(z_group, (1,))
+    empty = RingMatrix.zero(z_group, 0, 3)
+    assert empty.shape == (0, 3) and empty != RingMatrix.zero(z_group, 0, 2)
+    assert empty.adjoint().shape == (3, 0)
+    assert empty.adjoint().adjoint() == empty
+    assert empty.scale(2).shape == (0, 3)
+    assert (empty + empty).shape == (0, 3)
+    assert (empty @ RingMatrix.zero(z_group, 3, 4)).shape == (0, 4)
+    assert (RingMatrix.zero(z_group, 2, 0) @ empty).shape == (2, 3)
+    assert empty.push_forward(free_abelian_quotient(1, 4)).shape == (0, 3)
+    assert positive_square(empty) == RingMatrix.zero(z_group, 3, 3)
+    column = RingMatrix(z_group, [[t], [t]])
+    assert column.adjoint().adjoint() == column
+    with pytest.raises(DimensionMismatch):
+        RingMatrix(z_group, [], -1)
 
 
 def test_trace_poly_examples(z_group):

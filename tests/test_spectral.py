@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -591,6 +592,65 @@ def test_cyclic_split_peels_top_level_factors(monkeypatch):
     for group in (flat, nested):
         character_spectrum(random_self_adjoint(group, rng))
     assert shapes == [(2, 36, 36)] * 2
+
+
+def test_cyclic_split_orders_and_exponents():
+    """Cyclic leaves form C, and the exponents are a bijection from the
+    group onto the character grid; a table with no cyclic factor is all H."""
+    cyclic = product_group([CyclicGroup(2), CyclicGroup(3)])
+    h, orders, h_part, exponents = _cyclic_split(cyclic)
+    assert h == TrivialGroup() and orders == [2, 3]
+    seen = {exponents(g) for g in cyclic.elements()}
+    assert seen == set(itertools.product(range(2), range(3)))
+    assert {h_part(g) for g in cyclic.elements()} == {()}
+    h, orders, h_part, exponents = _cyclic_split(S3)
+    assert h == S3 and orders == []
+    assert [h_part(g) for g in S3.elements()] == S3.elements()
+    assert {exponents(g) for g in S3.elements()} == {()}
+
+
+def _kmesh_character_spectrum(delta):
+    """``character_spectrum`` with every character phase built in the kmesh
+    form: the (|C| x r) matrix of character multi-indices times the
+    exponent / order vector, then one exp."""
+    h_group, factors, h_part, exponents = _cyclic_split(delta.group)
+    total = delta.group.order // h_group.order
+    kmesh = np.indices(factors).reshape(len(factors), total).T.astype(np.float64, order="C")
+    orders = np.asarray(factors, dtype=np.float64)
+
+    def phase(g):
+        exps = np.asarray(exponents(g), dtype=np.float64)
+        return np.exp(-2j * np.pi * (kmesh @ (exps / orders))) if total > 1 else np.ones(1)
+
+    real = (
+        total == 1
+        and h_group != TrivialGroup()
+        and all(e.is_real() for row in delta.entries for e in row)
+    )
+    return spectral._operator_eigenvalues(
+        delta, total, phase, h_group, h_group.elements(), h_part, real
+    )
+
+
+@pytest.mark.parametrize(
+    "group",
+    [CyclicGroup(n) for n in (1, 2, 7, 1024)] + [TABLE_PRODUCTS["S3 x Z/4"]],
+    ids=str,
+)
+def test_character_phase_is_bitwise_the_kmesh_form(group):
+    """With one cyclic factor, the per-factor phase exp(-2 pi i (k (e / n)))
+    performs the float operations of the kmesh form, so the spectrum is bit
+    for bit the same: d = 1 (the diagonal rule at one point for Z/N) and a
+    non-diagonal d = 2 (a batched eigvalsh)."""
+    rng = random.Random(SEED)
+    for d in (1, 2):
+        for _ in range(3):
+            delta = random_self_adjoint(group, rng, d=d)
+            if d == 2:
+                assert not delta.entries[0][1].is_zero()
+            got = character_spectrum(delta)
+            want = _kmesh_character_spectrum(delta)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_one_point_diagonal_rule_is_bitwise_eigvalsh(monkeypatch):
