@@ -23,7 +23,7 @@ import sys
 
 from . import __version__
 from .cw import l2_invariants
-from .errors import BoxTooLarge, L2ApproxError
+from .errors import L2ApproxError, SolveTooLarge
 from .groups import FreeAbelianGroup
 from .jsonio import (
     CHECKS,
@@ -39,7 +39,7 @@ from .jsonio import (
     parse_problem,
 )
 from .matrices import k_bound, positive_square
-from .oracles import torus_density, torus_eigen_result, torus_logdet_report
+from .oracles import check_torus_grid, torus_density, torus_eigen_result, torus_logdet_report
 from .schemes import (
     FolnerExhaustion,
     QuotientTower,
@@ -195,6 +195,8 @@ def cmd_approx(args) -> int:
             )
     tol = args.tol
     grid = next(g for g in (args.grid, problem.oracle_grid, 2048) if g is not None)
+    if oracle_available:
+        check_torus_grid(delta, grid)  # the oracle's cap, before the scheme runs
     lam_grid = args.lambda_grid or problem.lambda_grid or _default_lambda_grid(problem)
     report: dict = {
         "tool": {"name": "l2approx", "version": __version__},
@@ -352,7 +354,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemFormatError, BoxTooLarge, json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (ProblemFormatError, SolveTooLarge, json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
         print(f"l2approx: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (L2ApproxError, ValueError, ArithmeticError) as exc:

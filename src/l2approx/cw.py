@@ -19,7 +19,7 @@ from .groups import FreeAbelianGroup, Group
 from .matrices import RingMatrix, laplacian
 from .oracles import _positive_log_det, torus_eigen_result
 from .schemes import QuotientTower, run_tower, sintapr_check
-from .spectral import finite_spectrum, log_det
+from .spectral import check_solve_size, finite_spectrum, log_det
 
 ACYCLICITY_TOL = 0.01
 
@@ -141,13 +141,23 @@ def l2_invariants(
     if tower is not None and oracle_grid is not None:
         raise SchemeError("pick one of oracle_grid / tower, not both")
     deltas = laplacians(spec)
+    # the widest Laplacian has max(dims) rows: its solves are checked
+    # against the cap before the first solve of any degree
+    rows = max(spec.dims, default=0)
+    group = spec.group
     if tower is None:
         grid = int(oracle_grid) if oracle_grid is not None else 1024
         method = f"oracle(grid={grid})"
         degree = partial(_oracle_degree, grid=grid)
+        if isinstance(group, FreeAbelianGroup) and group.rank > 0:
+            check_solve_size(grid ** group.rank, rows, f"oracle grid {grid}")
+        elif group.is_finite:
+            check_solve_size(group.order, rows, f"group {group}")
     else:
         method = f"tower(levels={tower.labels})"
         degree = partial(_tower_degree, tower=tower, tol=tol)
+        for phi, label in zip(tower.levels, tower.labels):
+            check_solve_size(phi.target.order, rows, f"tower level {label}")
     # equal Laplacians (the torus's degrees 0 and 2, the circle's 0 and 1)
     # are solved once
     solved = {delta: degree(delta) for delta in dict.fromkeys(deltas)}

@@ -66,7 +66,12 @@ class SchemeError(L2ApproxError):
     """An approximation scheme is inconsistent with the given matrix."""
 
 
-class BoxTooLarge(SchemeError):
+class SolveTooLarge(SchemeError):
+    """One eigensolve would exceed its size cap: a tower level, a finite
+    group or an oracle grid with too many points (``MAX_SOLVE_POINTS``)."""
+
+
+class BoxTooLarge(SolveTooLarge):
     """A Folner box level would exceed the row or band-entry cap."""
 
 

@@ -21,6 +21,7 @@ from .spectral import (
     EigenResult,
     SpectralDensity,
     _operator_eigenvalues,
+    check_solve_size,
     default_kernel_threshold,
     density_from_eigs,
     log_det,
@@ -122,6 +123,17 @@ def _grid_phase(theta_1d: np.ndarray, g) -> np.ndarray:
     return reduce(np.multiply.outer, [np.exp(1j * theta_1d * e) for e in g]).ravel()
 
 
+def check_torus_grid(delta: RingMatrix, grid_per_dim: int) -> int:
+    """The m^n points of the torus grid, m = grid_per_dim, once the solve of
+    delta on them is checked against the cap (``check_solve_size``)."""
+    n = _require_free_abelian(delta)
+    m = int(grid_per_dim)
+    if m < 1:
+        raise ValueError("grid_per_dim must be >= 1")
+    check_solve_size(m ** n, delta.rows, f"oracle grid {m}")
+    return m ** n
+
+
 def torus_symbol_eigenvalues(delta: RingMatrix, grid_per_dim: int) -> np.ndarray:
     """Eigenvalues of the Fourier symbol on the midpoint torus grid.
 
@@ -129,11 +141,8 @@ def torus_symbol_eigenvalues(delta: RingMatrix, grid_per_dim: int) -> np.ndarray
     grid multi-index j and stacks the eigenvalues of the resulting d x d
     Hermitian values; shape (m^n * d,), sorted ascending.
     """
-    n = _require_free_abelian(delta)
+    points = check_torus_grid(delta, grid_per_dim)
     m = int(grid_per_dim)
-    if m < 1:
-        raise ValueError("grid_per_dim must be >= 1")
-    points = m ** n
     theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
     return _operator_eigenvalues(delta, points, lambda g: _grid_phase(theta_1d, g))
 

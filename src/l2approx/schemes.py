@@ -14,12 +14,15 @@ Folner trace gaps.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,6 +46,7 @@ from .spectral import (
     EigenResult,
     SpectralDensity,
     betti,
+    check_solve_size,
     default_kernel_threshold,
     density_from_eigs,
     finite_spectrum,
@@ -214,6 +218,8 @@ def run_tower(
         raise MismatchedGroup(f"matrix over {delta.group}, tower from {tower.source}")
     if not delta.is_self_adjoint():
         raise SchemeError("run_tower expects a self-adjoint (A*A) matrix")
+    for phi, label in zip(tower.levels, tower.labels):  # caps, before any level runs
+        check_solve_size(phi.target.order, delta.rows, f"tower level {label}")
     kb = k_bound(delta)
     thr = kernel_threshold if kernel_threshold is not None else default_kernel_threshold(delta)
     ref_traces, ref_supports = _reference_traces(delta, TRACE_POWERS)
@@ -304,6 +310,36 @@ def _box_band(delta: RingMatrix, rank: int, m: int, real: bool) -> np.ndarray:
     return ab
 
 
+@cache
+def _flapack():
+    """scipy's f2py LAPACK wrapper ``scipy.linalg._flapack``, loaded from its
+    file.  Importing ``scipy.linalg`` instead runs its ``__init__``, which
+    takes about a quarter second (it loads numpy.f2py, numpy.testing and
+    more through scipy's array API layer) for a solve that needs none of it."""
+    where = [
+        os.path.join(path, "linalg")
+        for path in importlib.util.find_spec("scipy").submodule_search_locations
+    ]
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", where)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _band_eigenvalues(ab: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian matrix whose lower band is ab
+    (``_box_band``): ``dsbevd`` for a real band, ``zhbevd`` for a complex one.
+    The same call, with the same checks, as
+    ``scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True)``."""
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    name = "zhbevd" if np.iscomplexobj(ab) else "dsbevd"
+    w, _, info = getattr(_flapack(), name)(ab, compute_v=0, lower=1, overwrite_ab=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{name} failed (LAPACK info={info})")
+    return w
+
+
 def compressed_trace_powers(delta: RingMatrix, m: int, powers) -> dict:
     """Exact traces of (P Delta P)^k for the requested powers k, P the
     projection onto the box X = [-m, m]^n.
@@ -354,9 +390,10 @@ def run_folner(
     and reported next to the exact traces upstairs; the gap is bounded by a
     multiple of the boundary defect and must decrease along the exhaustion.
 
-    Each compression is a band (``_box_band``) solved by ``eig_banded``.
-    That reads only the lower band, and the exact ``is_self_adjoint`` check
-    makes the matrix it stands for exactly Hermitian: no float check.
+    Each compression is a band (``_box_band``) solved by LAPACK ``?sbevd``
+    or ``?hbevd`` (``_band_eigenvalues``).  That reads only the lower band,
+    and the exact ``is_self_adjoint`` check makes the matrix it stands for
+    exactly Hermitian: no float check.
     """
     if delta.group != exhaustion.group:
         raise MismatchedGroup(f"matrix over {delta.group}, sets over {exhaustion.group}")
@@ -364,9 +401,6 @@ def run_folner(
         raise SchemeError("run_folner expects a self-adjoint matrix")
     rank = exhaustion.group.rank
     _band_shape(delta, rank, exhaustion.box_sizes[-1])  # caps, before any level runs
-    # scipy.linalg takes a quarter second to import; only box levels need it
-    from scipy.linalg import eig_banded
-
     kb = k_bound(delta)
     thr = kernel_threshold if kernel_threshold is not None else default_kernel_threshold(delta)
     support_radius = _support_radius(delta)
@@ -376,9 +410,7 @@ def run_folner(
     for i, m in enumerate(exhaustion.box_sizes):
         t0 = time.perf_counter()
         nw = (2 * m + 1) ** rank
-        eig = EigenResult(
-            eig_banded(_box_band(delta, rank, m, real), lower=True, eigvals_only=True), nw, thr
-        )
+        eig = EigenResult(_band_eigenvalues(_box_band(delta, rank, m, real)), nw, thr)
         exact = compressed_trace_powers(delta, m, TRACE_POWERS)
         exact_traces = {k: GaussianRational.of(Fraction(1, nw)) * exact[k] for k in TRACE_POWERS}
         defects = {k: exhaustion.defect(i, max(1, k * support_radius)) for k in TRACE_POWERS}

@@ -16,11 +16,24 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InfiniteGroup, MalformedGroup, NotHermitian
+from .errors import InfiniteGroup, MalformedGroup, NotHermitian, SolveTooLarge
 from .groups import CyclicGroup, DirectProductGroup, Group, Homomorphism, TrivialGroup, product_group
 from .matrices import RingMatrix, k_bound
 
 KERNEL_THRESHOLD_FACTOR = 1e-9
+# eigenvalues of one solve: d |G| for a finite level, d m^n for a torus grid
+MAX_SOLVE_POINTS = 2 ** 22
+
+
+def check_solve_size(points: int, rows: int, what: str) -> None:
+    """SolveTooLarge when a d x d matrix (d = rows) solved at ``points``
+    points (|G| of a finite level, m^n of a torus grid) would have more than
+    MAX_SOLVE_POINTS eigenvalues."""
+    if points * rows > MAX_SOLVE_POINTS:
+        raise SolveTooLarge(
+            f"{what} has {points} points x {rows} rows = {points * rows} eigenvalues "
+            f"in one solve; the cap is {MAX_SOLVE_POINTS}"
+        )
 
 
 def default_kernel_threshold(delta: RingMatrix) -> float:
@@ -333,6 +346,7 @@ def finite_spectrum(delta: RingMatrix, kernel_threshold: Optional[float] = None)
         raise InfiniteGroup(f"finite_spectrum needs a finite group, got {group}")
     if not delta.is_self_adjoint():
         raise NotHermitian(f"{delta} is not self-adjoint")
+    check_solve_size(group.order, delta.rows, f"group {group}")
     if kernel_threshold is None:
         kernel_threshold = default_kernel_threshold(delta)
     return EigenResult(character_spectrum(delta), group.order, kernel_threshold)

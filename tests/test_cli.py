@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from l2approx import oracles
+from l2approx import oracles, spectral
 from l2approx.cli import main
 from l2approx.verify import SUITES
 
@@ -585,6 +585,60 @@ def test_approx_boxes_beyond_caps_exit_2_before_any_level(tmp_path, capsys):
     assert "65537 rows" in err and "Traceback" not in err
 
 
+# Delta = 2 - t^3 - t^-3 over Z on the tower Z -> Z/N, with the torus oracle
+TOWER_LADDER = {
+    "group": {"type": "free_abelian", "rank": 1},
+    "matrix": {"entries": [[[
+        {"word": [0], "re": 2}, {"word": [3], "re": -1}, {"word": [-3], "re": -1}
+    ]]]},
+    "scheme": {"type": "tower", "levels": [8, 16, 32]},
+    "oracle": {"grid": 4096},
+    "lambda_grid": [0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4],
+    "checks": ["squeeze", "sintapr", "norms"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cw", fixture_path("torus.json"), "--grid", "100000"],
+         "oracle grid 100000 has 10000000000 points x 2 rows"),
+        # degree 0 alone (one row) is below the cap; degree 1 is checked first
+        (["cw", fixture_path("torus.json"), "--grid", "1449"],
+         "oracle grid 1449 has 2099601 points x 2 rows"),
+        (["cw", fixture_path("torus.json"), "--levels", "8,1449"],
+         "tower level 1449 has 2099601 points x 2 rows"),
+        (["approx", "LADDER", "--levels", "8,1000000000"],
+         "tower level 1000000000 has 1000000000 points x 1 rows"),
+        (["approx", "LADDER", "--grid", "5000000"],
+         "oracle grid 5000000 has 5000000 points"),
+        (["density", "LADDER", "--grid", "5000000"], "oracle grid 5000000"),
+    ],
+)
+def test_solves_beyond_the_point_cap_exit_2_before_any_solve(
+    argv, message, tmp_path, capsys, monkeypatch
+):
+    """Each of these would allocate gigabytes, or solve a smaller degree or
+    level first: a cap on eigenvalues per solve stops them with an input
+    error before the first solve."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the cap was checked")
+
+    for module in (oracles, spectral):
+        monkeypatch.setattr(module, "_operator_eigenvalues", no_solve)
+    ladder = tmp_path / "ladder.json"
+    ladder.write_text(json.dumps(TOWER_LADDER))
+    argv = [str(ladder) if a == "LADDER" else a for a in argv]
+    out = tmp_path / "report.out"
+    start = time.perf_counter()
+    code = main([*argv, "--output", str(out)])
+    assert code == 2 and time.perf_counter() - start < 0.5
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 SCIPY_PROBE = """
 import contextlib, io, sys
 from l2approx.cli import main
@@ -592,15 +646,14 @@ fixtures = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["approx", fixtures + "/zd_laplacian.json"]) == 0
     assert main(["cw", fixtures + "/torus.json"]) == 0
-    print("scipy" in sys.modules, file=sys.stderr)
     assert main(["density", fixtures + "/zd_folner.json", "--level", "4"]) == 0
-    print("scipy" in sys.modules, file=sys.stderr)
+print("scipy.linalg" in sys.modules, file=sys.stderr)
 """
 
 
-def test_scipy_is_imported_by_folner_levels_only():
-    """scipy.linalg costs a quarter second to import; towers, torus oracles
-    and chain complexes must not pay it."""
+def test_scipy_linalg_is_never_imported():
+    """Importing scipy.linalg costs about a quarter second; the Folner solve
+    calls LAPACK without it, so no run pays for it."""
     result = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, str(FIXTURES)],
         capture_output=True,
@@ -609,7 +662,7 @@ def test_scipy_is_imported_by_folner_levels_only():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stderr.split() == ["False", "True"]
+    assert result.stderr.split() == ["False"]
 
 
 @pytest.mark.parametrize("checks", [["bogus"], "norms", ["norms", 3], [["norms"]]])

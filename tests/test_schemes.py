@@ -31,6 +31,7 @@ from l2approx import (
     torus_logdet,
     whitehead_check,
 )
+from l2approx.cw import laplacians
 from l2approx.errors import (
     BoxTooLarge,
     CertificationFailed,
@@ -38,20 +39,24 @@ from l2approx.errors import (
     InsufficientLevels,
     NotInverse,
     SchemeError,
+    SolveTooLarge,
 )
 from l2approx.groupring import GaussianRational
-from l2approx.oracles import torus_logdet_report
+from l2approx.groups import CyclicGroup
+from l2approx.oracles import check_torus_grid, torus_logdet_report
 from l2approx.schemes import (
     MAX_BAND_ENTRIES,
     MAX_BOX_ROWS,
+    _band_eigenvalues,
     _band_shape,
     _box_band,
     _support_radius,
     compressed_trace_powers,
     density_tail_integral,
 )
+from l2approx.spectral import MAX_SOLVE_POINTS
 
-from conftest import SEED, random_element, random_self_adjoint
+from conftest import SEED, fixture_complex, random_element, random_self_adjoint
 from dense_reference import hermitian_eigenvalues, translation_matrix
 
 TOWER_LEVELS = [8, 16, 32, 64, 128, 256]
@@ -264,6 +269,45 @@ def test_run_folner_edge_cases(z_group):
         assert np.allclose(rep.eigen.eigenvalues, expected, atol=1e-12)
 
 
+def test_band_eigenvalues_match_eig_banded(z_group, z_laplacian):
+    """The direct ?sbevd/?hbevd call gives what scipy.linalg.eig_banded gives
+    on the same band, bit for bit and in the same dtype, and rejects a band
+    that is not finite as eig_banded does."""
+    from scipy.linalg import eig_banded
+
+    z2 = FreeAbelianGroup(2)
+    a = RingElement.delta(z2, (1, 0))
+    b = RingElement.delta(z2, (0, 1))
+    lap2 = RingMatrix.from_element(4 - a - a.star() - b - b.star())
+    t = RingElement.delta(z_group, (1,))
+    alpha = RingElement.scalar(z_group, complex(0.5, -1.5))
+    gaussian = positive_square(RingMatrix.from_element(2 - alpha * t + shift(3)))
+    d2 = random_self_adjoint(z_group, random.Random(SEED + 9), d=2)
+    assert d2.rows == 2
+    cases = [
+        (z_laplacian, 0, 1, np.float64),
+        (z_laplacian, 4, 2, np.float64),
+        (z_laplacian, 1024, 2, np.float64),
+        (lap2, 6, 2 * 6 + 2, np.float64),
+        (gaussian, 5, 4, np.complex128),
+        (d2, 5, None, None),
+    ]
+    for delta, m, rows, dtype in cases:
+        ab = _band(delta, m)
+        assert rows is None or ab.shape[0] == rows
+        assert dtype is None or ab.dtype == dtype
+        before = ab.copy()
+        w = _band_eigenvalues(ab)
+        assert np.array_equal(ab, before)  # the band is not overwritten
+        ref = eig_banded(ab, lower=True, eigvals_only=True)
+        assert w.dtype == ref.dtype == np.float64
+        assert np.array_equal(w, ref)
+    ab = _band(z_laplacian, 4)
+    ab[0, 3] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _band_eigenvalues(ab)
+
+
 def test_box_caps(z_group):
     """Box levels are capped at MAX_BOX_ROWS rows and MAX_BAND_ENTRIES band
     entries, checked for the largest box before any level runs."""
@@ -289,6 +333,27 @@ def test_box_caps(z_group):
     assert _band_shape(lap2, 2, 63) == (127 ** 2, 127)
     with pytest.raises(BoxTooLarge):
         _band_shape(lap2, 2, 64)
+
+
+def test_solve_caps(z_laplacian):
+    """One solve has at most MAX_SOLVE_POINTS eigenvalues: d |G| for a finite
+    level or group, d m^n for a torus grid.  The cap clears every bundled
+    workload: the torus's 2 x 2 Laplacian at grid 1024, tower levels up to
+    2^18 with an oracle grid of 4096, and |G| = 1440 for S5 x Z/12."""
+    delta1 = laplacians(fixture_complex("torus"))[1]
+    assert delta1.rows == 2 and check_torus_grid(delta1, 1024) == 1024 ** 2
+    assert check_torus_grid(delta1, 1448) == 1448 ** 2  # 4193408 eigenvalues
+    with pytest.raises(SolveTooLarge, match="oracle grid 1449 has 2099601 points x 2 rows"):
+        check_torus_grid(delta1, 1449)
+    assert check_torus_grid(z_laplacian, 4096) == 4096 and 2 ** 18 <= MAX_SOLVE_POINTS
+    assert 1440 <= MAX_SOLVE_POINTS
+    # every tower level is checked before the first one runs
+    with pytest.raises(SolveTooLarge, match="tower level 4194305"):
+        run_tower(z_laplacian, QuotientTower.zn(1, [8, 2 ** 22 + 1]))
+    big = CyclicGroup(2 ** 21 + 1)
+    with pytest.raises(SolveTooLarge, match=r"group Z/2097153 has 2097153 points x 2 rows"):
+        finite_spectrum(RingMatrix.identity(big, 2))
+    assert issubclass(SolveTooLarge, SchemeError) and issubclass(BoxTooLarge, SolveTooLarge)
 
 
 def test_box_defect_examples():
