@@ -19,7 +19,7 @@ from .groups import FreeAbelianGroup, Group
 from .matrices import RingMatrix, laplacian
 from .oracles import _positive_log_det, torus_eigen_result
 from .schemes import QuotientTower, run_tower, sintapr_check
-from .spectral import check_solve_size, finite_spectrum, log_det
+from .spectral import check_group_solve, check_solve_size, finite_spectrum, log_det
 
 ACYCLICITY_TOL = 0.01
 
@@ -152,12 +152,12 @@ def l2_invariants(
         if isinstance(group, FreeAbelianGroup) and group.rank > 0:
             check_solve_size(grid ** group.rank, rows, f"oracle grid {grid}")
         elif group.is_finite:
-            check_solve_size(group.order, rows, f"group {group}")
+            check_group_solve(group, rows, f"group {group}")
     else:
         method = f"tower(levels={tower.labels})"
         degree = partial(_tower_degree, tower=tower, tol=tol)
         for phi, label in zip(tower.levels, tower.labels):
-            check_solve_size(phi.target.order, rows, f"tower level {label}")
+            check_group_solve(phi.target, rows, f"tower level {label}")
     # equal Laplacians (the torus's degrees 0 and 2, the circle's 0 and 1)
     # are solved once
     solved = {delta: degree(delta) for delta in dict.fromkeys(deltas)}

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,6 +19,7 @@ from .matrices import RingMatrix
 from .spectral import (
     EigenResult,
     SpectralDensity,
+    _broadcast_phase,
     _operator_eigenvalues,
     check_solve_size,
     default_kernel_threshold,
@@ -111,16 +111,14 @@ def _require_free_abelian(delta: RingMatrix) -> int:
     return delta.group.rank
 
 
-def _grid_phase(theta_1d: np.ndarray, g) -> np.ndarray:
+def _grid_phase(theta_1d: np.ndarray, g):
     """exp(i theta.g) at every point theta of the grid theta_1d^n, n = len(g).
 
-    The phase is separable: the outer product of the 1-d phases
-    exp(i theta_1d g_k), raveled in the (ij) order of the flattened
-    meshgrid.  Rank 0 has the one point, phase 1.
+    The phase is separable: the ``_broadcast_phase`` of the 1-d phases
+    exp(i theta_1d g_k), which broadcasts over the grid shape (m,)*n in the
+    (ij) order of the meshgrid.  The identity has the scalar phase 1.
     """
-    if not g:
-        return np.ones(1)
-    return reduce(np.multiply.outer, [np.exp(1j * theta_1d * e) for e in g]).ravel()
+    return _broadcast_phase(g, lambda k, e: np.exp(1j * theta_1d * e))
 
 
 def check_torus_grid(delta: RingMatrix, grid_per_dim: int) -> int:
@@ -141,10 +139,12 @@ def torus_symbol_eigenvalues(delta: RingMatrix, grid_per_dim: int) -> np.ndarray
     grid multi-index j and stacks the eigenvalues of the resulting d x d
     Hermitian values; shape (m^n * d,), sorted ascending.
     """
-    points = check_torus_grid(delta, grid_per_dim)
+    check_torus_grid(delta, grid_per_dim)
     m = int(grid_per_dim)
     theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-    return _operator_eigenvalues(delta, points, lambda g: _grid_phase(theta_1d, g))
+    return _operator_eigenvalues(
+        delta, (m,) * delta.group.rank, lambda g: _grid_phase(theta_1d, g)
+    )
 
 
 def torus_eigen_result(delta: RingMatrix, grid_per_dim: int) -> EigenResult:

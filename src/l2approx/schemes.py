@@ -46,7 +46,7 @@ from .spectral import (
     EigenResult,
     SpectralDensity,
     betti,
-    check_solve_size,
+    check_group_solve,
     default_kernel_threshold,
     density_from_eigs,
     finite_spectrum,
@@ -219,7 +219,7 @@ def run_tower(
     if not delta.is_self_adjoint():
         raise SchemeError("run_tower expects a self-adjoint (A*A) matrix")
     for phi, label in zip(tower.levels, tower.labels):  # caps, before any level runs
-        check_solve_size(phi.target.order, delta.rows, f"tower level {label}")
+        check_group_solve(phi.target, delta.rows, f"tower level {label}")
     kb = k_bound(delta)
     thr = kernel_threshold if kernel_threshold is not None else default_kernel_threshold(delta)
     ref_traces, ref_supports = _reference_traces(delta, TRACE_POWERS)

@@ -10,6 +10,7 @@ functions with normalized total mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
@@ -23,6 +24,8 @@ from .matrices import RingMatrix, k_bound
 KERNEL_THRESHOLD_FACTOR = 1e-9
 # eigenvalues of one solve: d |G| for a finite level, d m^n for a torus grid
 MAX_SOLVE_POINTS = 2 ** 22
+# entries of the character blocks of a finite group G = H x C: |C| (d |H|)^2
+MAX_BLOCK_ENTRIES = 2 ** 24
 
 
 def check_solve_size(points: int, rows: int, what: str) -> None:
@@ -33,6 +36,20 @@ def check_solve_size(points: int, rows: int, what: str) -> None:
         raise SolveTooLarge(
             f"{what} has {points} points x {rows} rows = {points * rows} eigenvalues "
             f"in one solve; the cap is {MAX_SOLVE_POINTS}"
+        )
+
+
+def check_group_solve(group: Group, rows: int, what: str) -> None:
+    """``check_solve_size`` at the |G| points of a finite group G, then
+    SolveTooLarge when its |C| character blocks of size d |H| (G = H x C,
+    ``_cyclic_split``) would hold more than MAX_BLOCK_ENTRIES entries."""
+    check_solve_size(group.order, rows, what)
+    h = _cyclic_split(group)[0].order
+    blocks, size = group.order // h, rows * h
+    if blocks * size * size > MAX_BLOCK_ENTRIES:
+        raise SolveTooLarge(
+            f"{what} has {blocks} character blocks of {size} x {size} = "
+            f"{blocks * size * size} entries; the cap is {MAX_BLOCK_ENTRIES}"
         )
 
 
@@ -152,38 +169,56 @@ def betti(f: SpectralDensity) -> float:
 def log_det(e: EigenResult) -> float:
     """Normalized sum of log of the eigenvalues above the kernel threshold.
 
-    At a finite level this is always finite; an empty sum gives 0.
+    At a finite level this is always finite; an empty sum gives 0.  The log
+    is taken in place, on the copy that selecting the eigenvalues makes.
     """
-    w = np.asarray(e.eigenvalues)
+    w = np.asarray(e.eigenvalues, dtype=np.float64)
     positive = w[w > e.kernel_threshold]
     if len(positive) == 0:
         return 0.0
-    return float(np.sum(np.log(positive))) / e.denom
+    return float(np.sum(np.log(positive, out=positive))) / e.denom
+
+
+def _broadcast_phase(exponents: Sequence[int], phase_1d):
+    """The product, in axis order, of the 1-d phases ``phase_1d(k, e)`` of
+    the axes k with a nonzero exponent e, each on its own axis: an array
+    that broadcasts over the grid, or the scalar 1 when every e is 0."""
+    n = len(exponents)
+    phases = [
+        phase_1d(k, e).reshape([-1 if j == k else 1 for j in range(n)])
+        for k, e in enumerate(exponents)
+        if e
+    ]
+    return reduce(np.multiply, phases) if phases else 1
 
 
 def _add_symbol(out: np.ndarray, x, phase, slot, real: bool) -> None:
     """Add c * phase(g) to ``out[slot(g)]`` for every term c*g of the ring
-    element x, in term order: x's symbol, one row of values per slot."""
+    element x, in term order: x's symbol, one grid of values per slot.  A
+    float64 ``out`` takes the real part of each term."""
     for g, c in x.terms.items():
         # z lives until the next phase exists; freed inside the update,
         # its block would go back to the OS and be faulted in again
         z = phase(g)
-        out[slot(g)] += (float(c.re) if real else complex(c)) * z
+        coef = float(c.re) if real else complex(c)
+        # c * z is freed at once: kept, it would add a block to the peak
+        out[slot(g)] += coef * z if np.iscomplexobj(out) else (coef * z).real
 
 
 def _operator_blocks(
     delta: RingMatrix,
-    count: int,
+    shape: tuple,
     phase,
     group: Group = TrivialGroup(),
     points: Sequence = ((),),
     part=lambda g: (),
     real: bool = False,
 ) -> np.ndarray:
-    """Stack of ``count`` blocks of left multiplication over a point list.
+    """Stack of count = prod(shape) blocks of left multiplication over a
+    point list, one per character of a grid of the given shape.
 
-    ``phase(g)`` gives the ``count`` values (an array, or a scalar for all)
-    of the characters at group element g.  Block entry ((k, u), (l, v))
+    ``phase(g)``, the characters at group element g, broadcasts over
+    ``shape`` (``_broadcast_phase``).  Block entry ((k, u), (l, v))
     sums c * phase(g) over the terms c*g of entry (k, l) with
     ``group.multiply(part(g), points[v]) == points[u]``; the point list must
     be closed under every slot, the distinct values of ``part(g)``.  Real
@@ -191,19 +226,20 @@ def _operator_blocks(
     otherwise; shape (count, rows * |points|, cols * |points|).
     """
     rows, cols, n = delta.rows, delta.cols, len(points)
+    count = math.prod(shape)
     slots = list({part(g) for g in delta.support()})
     slot_index = {s: i for i, s in enumerate(slots)}
     # symbol[k, l, i]: the part of entry (k, l) on terms g with part(g) = slots[i],
-    # a contiguous row of count values
+    # a contiguous grid of count values
     dtype = np.float64 if real else np.complex128
-    symbol = np.zeros((rows, cols, len(slots), count), dtype=dtype)
+    symbol = np.zeros((rows, cols, len(slots)) + shape, dtype=dtype)
     for k in range(rows):
         for l in range(cols):
             _add_symbol(
                 symbol[k, l], delta.entries[k][l], phase, lambda g: slot_index[part(g)], real
             )
     # viewed as (count, rows, cols, slots)
-    symbol = symbol.transpose(3, 0, 1, 2)
+    symbol = symbol.reshape(rows, cols, len(slots), count).transpose(3, 0, 1, 2)
     if n == 1 and len(slots) == 1:
         # one point, fixed by the one slot: the symbol is the block, no copy
         return symbol[..., 0]
@@ -219,7 +255,7 @@ def _operator_blocks(
 
 def _operator_eigenvalues(
     delta: RingMatrix,
-    count: int,
+    shape: tuple,
     phase,
     group: Group = TrivialGroup(),
     points: Sequence = ((),),
@@ -231,11 +267,11 @@ def _operator_eigenvalues(
     At one point the blocks are d x d, and when every off-diagonal entry of
     delta is zero in the ring they are diagonal: the eigenvalues are the
     real parts of the diagonal symbols, each distinct diagonal entry
-    assembled once, and no LAPACK call is made.  That is bit-identical to
-    ``eigvalsh`` on the stack: LAPACK reads only the real part of a
-    Hermitian diagonal, ``?heevd`` reduces a diagonal matrix with zero
-    reflectors, and ``dsterf`` returns its 1 x 1 blocks as they are.  Every
-    other operator is one batched ``eigvalsh``.
+    summed once from the real parts of its terms, and no LAPACK call is
+    made.  That is bit-identical to ``eigvalsh`` on the stack: LAPACK reads
+    only the real part of a Hermitian diagonal, ``?heevd`` reduces a
+    diagonal matrix with zero reflectors, and ``dsterf`` returns its 1 x 1
+    blocks as they are.  Every other operator is one batched ``eigvalsh``.
     """
     d = delta.rows
     if len(points) == 1 and all(
@@ -243,17 +279,15 @@ def _operator_eigenvalues(
     ):
         diagonal = [delta.entries[k][k] for k in range(d)]
         distinct = list(dict.fromkeys(diagonal))
-        symbols = np.zeros((len(distinct), count), dtype=np.float64 if real else np.complex128)
+        symbols = np.zeros((len(distinct),) + shape)
         for i, x in enumerate(distinct):
             _add_symbol(symbols, x, phase, lambda g: i, real)
-        # the real parts in diagonal order, copied once and sorted in place
-        w = np.empty((d, count))
-        for k, x in enumerate(diagonal):
-            w[k] = symbols[distinct.index(x)].real
-        w = w.ravel()
+        # the symbols in diagonal order, copied once and sorted in place
+        flat = symbols.reshape(len(distinct), math.prod(shape))
+        w = flat[[distinct.index(x) for x in diagonal]].ravel()
     else:
         w = np.linalg.eigvalsh(
-            _operator_blocks(delta, count, phase, group, points, part, real)
+            _operator_blocks(delta, shape, phase, group, points, part, real)
         ).ravel()
     w.sort()
     return w
@@ -309,7 +343,8 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
     G splits as H x C with C the product of every cyclic factor of G
     (``_cyclic_split``).  The characters of C block-diagonalise the left
     regular representation into |C| blocks of size d|H|: left
-    multiplication over H, weighted by the character.  Cyclic products give
+    multiplication over H, weighted by the character, on a grid with one
+    axis per cyclic factor (``_broadcast_phase``).  Cyclic products give
     d x d blocks, a bare table one dense block, real when every
     coefficient is.  Spectrally identical to the left regular representation.
     """
@@ -320,11 +355,7 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
     total = group.order // h_group.order
 
     def phase(g):
-        # the outer product of one 1-d phase per cyclic factor, in C order
-        if total == 1:
-            return np.ones(1)
-        phases = [_cyclic_phase(e, n) for e, n in zip(exponents(g), orders)]
-        return reduce(np.multiply.outer, phases).ravel()
+        return _broadcast_phase(exponents(g), lambda k, e: _cyclic_phase(e, orders[k]))
 
     # with C trivial a table solves one real block when it can; cyclic
     # products keep the complex solve they have always had
@@ -334,7 +365,7 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
         and all(e.is_real() for row in delta.entries for e in row)
     )
     return _operator_eigenvalues(
-        delta, total, phase, h_group, h_group.elements(), h_part, real
+        delta, tuple(orders), phase, h_group, h_group.elements(), h_part, real
     )
 
 
@@ -346,7 +377,7 @@ def finite_spectrum(delta: RingMatrix, kernel_threshold: Optional[float] = None)
         raise InfiniteGroup(f"finite_spectrum needs a finite group, got {group}")
     if not delta.is_self_adjoint():
         raise NotHermitian(f"{delta} is not self-adjoint")
-    check_solve_size(group.order, delta.rows, f"group {group}")
+    check_group_solve(group, delta.rows, f"group {group}")
     if kernel_threshold is None:
         kernel_threshold = default_kernel_threshold(delta)
     return EigenResult(character_spectrum(delta), group.order, kernel_threshold)

@@ -3,11 +3,14 @@
 Left multiplication by a group-ring matrix, built one term and one point at
 a time, and a LAPACK eigensolve behind a float Hermitian check.  The
 library assembles the same operators as stacked character blocks
-(``spectral._operator_blocks``); tests compare the two.
+(``spectral._operator_blocks``); tests compare the two.  One-point symbols
+(torus grids, products of cyclic groups) are also built here the long way:
+full rows of raveled outer-product phases, summed term by term.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -74,3 +77,24 @@ def hermitian_eigenvalues(h: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> np.nda
     if h.size == 0:
         return np.zeros(0)
     return np.linalg.eigvalsh(h)
+
+
+def outer_phase(phases: Sequence[np.ndarray]) -> np.ndarray:
+    """The outer product of one 1-d phase per grid axis, every axis
+    included, raveled in row-major (ij meshgrid) order; the one point with
+    phase 1 for no axes."""
+    if not phases:
+        return np.ones(1, dtype=np.complex128)
+    return reduce(np.multiply.outer, phases).ravel()
+
+
+def symbol_stack(delta: RingMatrix, count: int, phase) -> np.ndarray:
+    """The (count, d, d) complex128 stack of a one-point symbol: entry (k, l)
+    sums complex(c) * phase(g) over the terms c*g of delta[k, l] in term
+    order, phase(g) a full row of count values."""
+    stack = np.zeros((count, delta.rows, delta.cols), dtype=np.complex128)
+    for k in range(delta.rows):
+        for l in range(delta.cols):
+            for g, c in delta.entries[k][l].terms.items():
+                stack[:, k, l] += complex(c) * phase(g)
+    return stack

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from l2approx import oracles, spectral
+from l2approx import oracles, spectral, symmetric_group
 from l2approx.cli import main
 from l2approx.verify import SUITES
 
@@ -598,6 +598,32 @@ TOWER_LADDER = {
 }
 
 
+# S5 x S5 has |G| = 14400 points, below the point cap, but H = S5 x S5 is
+# not cyclic: one dense 14400 x 14400 block, far beyond the block cap
+S5 = {"type": "finite_table", "table": [list(row) for row in symmetric_group(5).table]}
+S5_X_S5 = {"type": "product", "factors": [S5, S5]}
+S5_X_S5_INPUTS = {
+    "S5XS5_DENSITY": {"group": S5_X_S5, "matrix": {"entries": [[[{"word": [0, 0], "re": 1}]]]}},
+    "S5XS5_TOWER": {
+        "group": {"type": "free", "rank": 2},
+        "matrix": {"entries": [[[{"word": [], "re": 2}, {"word": [1], "re": -1}, {"word": [-1], "re": -1}]]]},
+        "scheme": {"type": "tower", "maps": [
+            {"target": {"type": "cyclic", "n": 4}, "images": [1, 0]},
+            {"target": S5_X_S5, "images": [[1, 2], [3, 4]]},
+        ], "labels": [4, 14400]},
+    },
+    "S5XS5_CW": {"group": S5_X_S5, "cells": [1], "boundaries": []},
+    # over S5, degree 0 (one 120 x 120 block) is below the caps and degree 1
+    # (one block of 35 * 120 = 4200 rows) beyond the block cap
+    "S5_WIDE_CW": {
+        "group": S5,
+        "cells": [1, 35],
+        "boundaries": [{"rows": 1, "cols": 35, "entries": [[[] for _ in range(35)]]}],
+    },
+}
+BLOCK_CAP_MESSAGE = "has 1 character blocks of 14400 x 14400 = 207360000 entries"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -613,23 +639,30 @@ TOWER_LADDER = {
         (["approx", "LADDER", "--grid", "5000000"],
          "oracle grid 5000000 has 5000000 points"),
         (["density", "LADDER", "--grid", "5000000"], "oracle grid 5000000"),
+        (["density", "S5XS5_DENSITY"], f"group (table group of order 120 x table group of order 120) {BLOCK_CAP_MESSAGE}"),
+        # the Z/4 level is below both caps; level 14400 is checked first
+        (["approx", "S5XS5_TOWER"], f"tower level 14400 {BLOCK_CAP_MESSAGE}"),
+        (["cw", "S5XS5_CW"], BLOCK_CAP_MESSAGE),
+        (["cw", "S5_WIDE_CW"], "has 1 character blocks of 4200 x 4200 = 17640000 entries"),
     ],
 )
 def test_solves_beyond_the_point_cap_exit_2_before_any_solve(
     argv, message, tmp_path, capsys, monkeypatch
 ):
     """Each of these would allocate gigabytes, or solve a smaller degree or
-    level first: a cap on eigenvalues per solve stops them with an input
-    error before the first solve."""
+    level first: a cap on eigenvalues per solve, and on the entries of the
+    character blocks of a finite group, stops them with an input error
+    before the first solve."""
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the cap was checked")
 
     for module in (oracles, spectral):
         monkeypatch.setattr(module, "_operator_eigenvalues", no_solve)
-    ladder = tmp_path / "ladder.json"
-    ladder.write_text(json.dumps(TOWER_LADDER))
-    argv = [str(ladder) if a == "LADDER" else a for a in argv]
+    inputs = {"LADDER": TOWER_LADDER, **S5_X_S5_INPUTS}
+    for name, problem in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(problem))
+    argv = [str(tmp_path / f"{a}.json") if a in inputs else a for a in argv]
     out = tmp_path / "report.out"
     start = time.perf_counter()
     code = main([*argv, "--output", str(out)])

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from l2approx import (
     FreeAbelianGroup,
+    GaussianRational,
     RingElement,
     RingMatrix,
     betti,
@@ -19,10 +22,9 @@ from l2approx import (
 from l2approx.cw import laplacians
 from l2approx.errors import NotPSD, WrongGroup
 from l2approx.oracles import _char_poly, _grid_phase, torus_logdet_report, torus_symbol_eigenvalues
-from l2approx.spectral import _operator_blocks
 
 from conftest import SEED, fixture_complex
-from dense_reference import hermitian_eigenvalues, regular_representation
+from dense_reference import hermitian_eigenvalues, outer_phase, regular_representation, symbol_stack
 
 
 def test_char_poly_exact_matches_numpy():
@@ -117,21 +119,40 @@ def _meshgrid_phase(theta_1d, g):
     return np.exp(1j * (theta @ np.asarray(g, dtype=np.float64)))
 
 
+def _outer_grid_phase(theta_1d, g):
+    """Reference: the outer product of the 1-d phases exp(i theta_1d g_k) of
+    every axis, zero exponents included, raveled in (ij) meshgrid order."""
+    return outer_phase([np.exp(1j * theta_1d * e) for e in g])
+
+
 @pytest.mark.parametrize(
-    "g", [(1,), (-2,), (0,), (1, 0), (-1, 2), (0, 0), (2, -1, 0), (-1, 1, 1), (0, 0, 0)]
+    "g",
+    [(1,), (-2,), (0,), (1, 0), (-1, 2), (0, 0), (2, -1, 0), (-1, 1, 1), (0, 0, 0)]
+    + [(1, 1), (2, -1, 1), (0, 3, 0), (0, -1, 2)],
 )
-@pytest.mark.parametrize("m", [1, 5, 16])
+@pytest.mark.parametrize("m", [1, 5, 16, 7, 13])
 def test_grid_phase_matches_meshgrid_formula(g, m):
+    """The phase broadcasts over the grid (m,)*n: length m on each axis g
+    moves, 1 on the others, and the scalar 1 for the identity.  Broadcast
+    to the grid and raveled it is bit for bit the outer product of all n
+    1-d phases, and exp(i theta.g) on the meshgrid to rounding."""
     theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
     phase = _grid_phase(theta_1d, g)
-    assert phase.shape == (m ** len(g),)
+    if any(g):
+        assert phase.shape == tuple(m if e else 1 for e in g)
+    else:
+        assert np.ndim(phase) == 0 and phase == 1
+    grid = np.broadcast_to(phase, (m,) * len(g)).ravel()
+    assert np.array_equal(grid, _outer_grid_phase(theta_1d, g))
     # the reference rounds theta.g before exp, an error that grows with |g|
     tol = 1e-15 * max(1, sum(abs(e) for e in g))
-    assert np.max(np.abs(phase - _meshgrid_phase(theta_1d, g))) <= tol
+    assert np.max(np.abs(grid - _meshgrid_phase(theta_1d, g))) <= tol
 
 
 def test_grid_phase_rank_0_is_one_point():
-    assert np.array_equal(_grid_phase(np.arange(4.0), ()), np.ones(1))
+    phase = _grid_phase(np.arange(4.0), ())
+    assert np.ndim(phase) == 0 and phase == 1
+    assert np.array_equal(np.broadcast_to(phase, ()).ravel(), np.ones(1))
 
 
 def test_torus_symbol_rank_3_laplacian():
@@ -228,40 +249,99 @@ def test_mahler_against_torus_quadrature(z_group):
         assert abs(quad - 2 * _log_mahler(terms)) <= 1e-3
 
 
+ODD_AND_EVEN_GRIDS = (1, 6, 7, 13, 16)
+
+
+def _outer_symbol_eigenvalues(delta, m):
+    """Reference: sorted eigvalsh of the full (m^n, d, d) symbol stack, every
+    term's phase a raveled outer product over all n axes."""
+    theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+    stack = symbol_stack(delta, m ** delta.group.rank, lambda g: _outer_grid_phase(theta_1d, g))
+    return np.sort(np.linalg.eigvalsh(stack).ravel())
+
+
+def _gaussian_rational_elements():
+    """Over Z^3 (a, b, c): x = 5 + (1 + i/2) ab + (2/3) a^2 b^-1 c - (3/4 - i/5) c
+    and y = (3 + i/7) - (1/2 + i) b^-1, whose constant term is not real."""
+    z3 = FreeAbelianGroup(3)
+    q = GaussianRational.of
+    x = RingElement(z3, {
+        (0, 0, 0): 5, (1, 1, 0): q(1, Fraction(1, 2)), (2, -1, 1): q(Fraction(2, 3)),
+        (0, 0, 1): q(Fraction(-3, 4), Fraction(1, 5)),
+    })
+    y = RingElement(z3, {(0, 0, 0): q(3, Fraction(1, 7)), (0, -1, 0): q(Fraction(-1, 2), -1)})
+    return z3, x, y
+
+
+def _torus_diagonal_cases():
+    torus = laplacians(fixture_complex("torus"))
+    z3, x, y = _gaussian_rational_elements()
+    gens = [RingElement.delta(z3, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    zero = RingElement.zero(z3)
+    return {
+        "torus Delta_0": torus[0],
+        "torus Delta_1": torus[1],
+        "Z^3 Laplacian": RingMatrix.from_element(6 - sum(t + t.star() for t in gens)),
+        # self-adjoint Gaussian-rational entries on several axes, two distinct
+        "Z^3 Gaussian diagonal": RingMatrix(z3, [[x + x.star(), zero], [zero, y + y.star()]]),
+    }
+
+
 def test_torus_non_diagonal_symbol_is_bitwise_eigvalsh(monkeypatch):
-    """A*A over Z^2 with A = [[1 - a, 1 - b], [2 - b, 3 + a]] is not
-    diagonal: its symbol is one batched eigvalsh call on the 2 x 2 stack,
-    bit for bit eigvalsh on a contiguous stack summed here in term order."""
+    """A*A over Z^2 with A = [[1 - a, 1 - b], [2 - b, 3 + a]], and over Z^3
+    with Gaussian-rational entries on several axes, are not diagonal: each
+    symbol is one batched eigvalsh call on the d = 2 stack, bit for bit
+    eigvalsh on the full stack of outer-product phases."""
     z2 = FreeAbelianGroup(2)
     one = RingElement.one(z2)
     a, b = RingElement.delta(z2, (1, 0)), RingElement.delta(z2, (0, 1))
-    big_a = RingMatrix(z2, [[one - a, one - b], [2 * one - b, 3 * one + a]])
-    delta = big_a.adjoint() @ big_a
-    assert not delta[0, 1].is_zero()
-    solve = np.linalg.eigvalsh
-    for m in (1, 6, 16):
-        theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-        stack = np.zeros((m * m, 2, 2), dtype=np.complex128)
-        for k in range(2):
-            for l in range(2):
-                for g, c in delta[k, l].terms.items():
-                    stack[:, k, l] += complex(c) * _grid_phase(theta_1d, g)
-        want = np.sort(solve(stack).ravel())
+    z3, x, y = _gaussian_rational_elements()
+    cases = [
+        RingMatrix(z2, [[one - a, one - b], [2 * one - b, 3 * one + a]]),
+        RingMatrix(z3, [[x, y], [y.star(), 2 * x]]),
+    ]
+    for big_a, m in itertools.product(cases, ODD_AND_EVEN_GRIDS):
+        delta = big_a.adjoint() @ big_a
+        assert not delta[0, 1].is_zero()
+        want = _outer_symbol_eigenvalues(delta, m)
+        solve = np.linalg.eigvalsh
         calls = []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda s: calls.append(s.shape) or solve(s))
         got = torus_symbol_eigenvalues(delta, m)
         monkeypatch.setattr(np.linalg, "eigvalsh", solve)
-        assert calls == [(m * m, 2, 2)]
-        assert np.array_equal(got, want)
+        assert calls == [(m ** delta.group.rank, 2, 2)]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_torus_diagonal_symbol_is_bitwise_eigvalsh():
-    """The torus Delta_1 is diag(Delta_0, Delta_0): its symbol spectrum,
-    solved per diagonal entry, is eigvalsh on the unsplit 2 x 2 assembly."""
+def test_torus_diagonal_symbol_is_bitwise_eigvalsh(monkeypatch):
+    """A diagonal symbol (the torus Delta_1 = diag(Delta_0, Delta_0), the
+    rank 3 Laplacian, Gaussian-rational entries on several axes) is the real
+    parts of its diagonal entries, solved with no LAPACK call: bit for bit
+    eigvalsh on the full stack of outer-product phases."""
+
+    def refuse(*args):
+        raise AssertionError("diagonal symbol reached LAPACK")
+
+    for (name, delta), m in itertools.product(_torus_diagonal_cases().items(), ODD_AND_EVEN_GRIDS):
+        want = _outer_symbol_eigenvalues(delta, m)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        got = torus_symbol_eigenvalues(delta, m)
+        monkeypatch.undo()
+        assert got.dtype == want.dtype and np.array_equal(got, want), (name, m)
+
+
+def test_torus_symbol_memory_stays_near_its_output():
+    """No m^n complex temporary: solving the torus Delta_1 at m = 256 peaks
+    within twice its 8 d m^2 bytes of output (the float64 symbol of the one
+    distinct diagonal entry is half of it)."""
     delta = laplacians(fixture_complex("torus"))[1]
-    for m in (1, 6, 16):
-        theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-        blocks = _operator_blocks(delta, m * m, lambda g: _grid_phase(theta_1d, g))
-        assert blocks.shape == (m * m, 2, 2)
-        want = np.sort(np.linalg.eigvalsh(blocks).ravel())
-        assert np.array_equal(torus_symbol_eigenvalues(delta, m), want)
+    m = 256
+    torus_symbol_eigenvalues(delta, m)  # warm: caches and lazy imports
+    tracemalloc.start()
+    try:
+        w = torus_symbol_eigenvalues(delta, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.nbytes == 8 * 2 * m * m
+    assert peak <= 2 * w.nbytes

@@ -42,7 +42,7 @@ from l2approx.errors import (
     SolveTooLarge,
 )
 from l2approx.groupring import GaussianRational
-from l2approx.groups import CyclicGroup
+from l2approx.groups import CyclicGroup, product_group, symmetric_group
 from l2approx.oracles import check_torus_grid, torus_logdet_report
 from l2approx.schemes import (
     MAX_BAND_ENTRIES,
@@ -54,7 +54,7 @@ from l2approx.schemes import (
     compressed_trace_powers,
     density_tail_integral,
 )
-from l2approx.spectral import MAX_SOLVE_POINTS
+from l2approx.spectral import MAX_BLOCK_ENTRIES, MAX_SOLVE_POINTS, check_group_solve
 
 from conftest import SEED, fixture_complex, random_element, random_self_adjoint
 from dense_reference import hermitian_eigenvalues, translation_matrix
@@ -337,9 +337,11 @@ def test_box_caps(z_group):
 
 def test_solve_caps(z_laplacian):
     """One solve has at most MAX_SOLVE_POINTS eigenvalues: d |G| for a finite
-    level or group, d m^n for a torus grid.  The cap clears every bundled
-    workload: the torus's 2 x 2 Laplacian at grid 1024, tower levels up to
-    2^18 with an oracle grid of 4096, and |G| = 1440 for S5 x Z/12."""
+    level or group, d m^n for a torus grid; the |C| character blocks of size
+    d |H| of a finite group G = H x C have at most MAX_BLOCK_ENTRIES entries.
+    The caps clear every bundled workload: the torus's 2 x 2 Laplacian at
+    grid 1024, tower levels up to 2^18 with an oracle grid of 4096, and
+    |G| = 1440 for S5 x Z/12, 12 blocks of size 120."""
     delta1 = laplacians(fixture_complex("torus"))[1]
     assert delta1.rows == 2 and check_torus_grid(delta1, 1024) == 1024 ** 2
     assert check_torus_grid(delta1, 1448) == 1448 ** 2  # 4193408 eigenvalues
@@ -354,6 +356,15 @@ def test_solve_caps(z_laplacian):
     with pytest.raises(SolveTooLarge, match=r"group Z/2097153 has 2097153 points x 2 rows"):
         finite_spectrum(RingMatrix.identity(big, 2))
     assert issubclass(SolveTooLarge, SchemeError) and issubclass(BoxTooLarge, SolveTooLarge)
+    s5 = symmetric_group(5)
+    check_group_solve(product_group([s5, CyclicGroup(12)]), 1, "S5 x Z/12")
+    assert 12 * 120 ** 2 <= MAX_BLOCK_ENTRIES
+    check_group_solve(CyclicGroup(2 ** 20), 4, "Z/2^20")  # 2^20 blocks of 4 x 4: at the cap
+    # 6 2^19 eigenvalues are below the point cap, 36 2^19 block entries above
+    with pytest.raises(SolveTooLarge, match=r"Z/2\^19 has 524288 character blocks of 6 x 6"):
+        check_group_solve(CyclicGroup(2 ** 19), 6, "Z/2^19")
+    with pytest.raises(SolveTooLarge, match="S5 x S5 has 1 character blocks of 14400 x 14400"):
+        check_group_solve(product_group([s5, s5]), 1, "S5 x S5")
 
 
 def test_box_defect_examples():

@@ -36,12 +36,14 @@ from l2approx.errors import InfiniteGroup, NotHermitian
 from l2approx.oracles import torus_symbol_eigenvalues
 from l2approx.spectral import _cyclic_split, character_spectrum, densities_match
 
-from conftest import SEED, fixture_complex, random_self_adjoint, trace_power_exact
+from conftest import SEED, fixture_complex, random_group_element, random_self_adjoint, trace_power_exact
 from dense_reference import (
     DEFAULT_EIG_TOL,
     _require_hermitian,
     hermitian_eigenvalues,
+    outer_phase,
     regular_representation,
+    symbol_stack,
 )
 
 
@@ -195,6 +197,23 @@ def test_density_examples(z4_circulant):
     assert f_zero.jumps == ((0.0, 6),)
     assert betti(f_zero) == 2.0
     assert log_det(finite_spectrum(zero)) == 0.0
+
+
+def test_log_det_in_place_is_bitwise_the_selected_log():
+    """log_det takes its log in place on the selected copy: bit for bit the
+    log of the selection, summed, over odd lengths, with values exactly at
+    the threshold (excluded) and below it, and the input left unchanged."""
+    rng = np.random.default_rng(SEED)
+    for n in (1, 3, 7, 101, 1001, 4097):
+        thr = 1e-3
+        w = np.sort(np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-5, 3, size=n))
+        w[rng.integers(0, n, size=max(1, n // 10))] = thr
+        kept = w.copy()
+        for denom in (1, n):
+            want = float(np.sum(np.log(w[w > thr]))) / denom
+            got = log_det(EigenResult(w, denom, thr))
+            assert got == want
+        assert np.array_equal(w, kept)
 
 
 def _density_jumps_loop(e: EigenResult) -> tuple:
@@ -628,7 +647,7 @@ def _kmesh_character_spectrum(delta):
         and all(e.is_real() for row in delta.entries for e in row)
     )
     return spectral._operator_eigenvalues(
-        delta, total, phase, h_group, h_group.elements(), h_part, real
+        delta, (total,), phase, h_group, h_group.elements(), h_part, real
     )
 
 
@@ -651,6 +670,63 @@ def test_character_phase_is_bitwise_the_kmesh_form(group):
             got = character_spectrum(delta)
             want = _kmesh_character_spectrum(delta)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _gaussian_self_adjoint(group, rng, d):
+    """A*A for a random d x d A over ``group`` with Gaussian-rational
+    coefficients p/q + (r/s) i."""
+
+    def coeff():
+        return GaussianRational.of(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(rng.randint(-3, 3), rng.randint(1, 5))
+        )
+
+    def element():
+        return RingElement(group, {random_group_element(group, rng): coeff() for _ in range(3)})
+
+    return positive_square(RingMatrix(group, [[element() for _ in range(d)] for _ in range(d)]))
+
+
+def _outer_cyclic_spectrum(delta):
+    """Reference for a product C of cyclic groups (H trivial): sorted
+    eigvalsh of the full (|C|, d, d) stack, every term's character phase the
+    raveled outer product of all 1-d phases, zero exponents included."""
+    h_group, orders, _, exponents = _cyclic_split(delta.group)
+    assert h_group == TrivialGroup()
+    stack = symbol_stack(
+        delta,
+        math.prod(orders),
+        lambda g: outer_phase([spectral._cyclic_phase(e, n) for e, n in zip(exponents(g), orders)]),
+    )
+    return np.sort(np.linalg.eigvalsh(stack).ravel())
+
+
+CYCLIC_PRODUCTS = {
+    "Z/2 x Z/3": product_group([CyclicGroup(2), CyclicGroup(3)]),
+    "Z/3 x Z/1 x Z/2": product_group([CyclicGroup(3), CyclicGroup(1), CyclicGroup(2)]),
+    "(Z/7)^2": free_abelian_quotient(2, 7).target,
+    "(Z/16)^2": free_abelian_quotient(2, 16).target,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC_PRODUCTS))
+def test_cyclic_product_phase_is_bitwise_the_outer_product(name):
+    """Over several cyclic factors each character phase broadcasts over the
+    grid of the orders of C: the spectrum is bit for bit eigvalsh on the
+    full stack of outer-product phases, for random integer and
+    Gaussian-rational A*A at d = 1 (the diagonal rule) and d = 2 (a batched
+    eigvalsh), and for the torus Laplacian Delta_0 down the (Z/N)^2 tower."""
+    group = CYCLIC_PRODUCTS[name]
+    rng = random.Random(SEED)
+    cases = [random_self_adjoint(group, rng, d=d) for d in (1, 2)]
+    cases += [_gaussian_self_adjoint(group, rng, d) for d in (1, 2)]
+    if name.startswith("(Z/"):
+        quotient = free_abelian_quotient(2, group.factors[0].n)
+        cases.append(laplacians(fixture_complex("torus"))[0].push_forward(quotient))
+    for delta in cases:
+        got = character_spectrum(delta)
+        want = _outer_cyclic_spectrum(delta)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_one_point_diagonal_rule_is_bitwise_eigvalsh(monkeypatch):
@@ -687,7 +763,7 @@ def test_one_point_diagonal_rule_is_bitwise_eigvalsh(monkeypatch):
             want = np.sort(solve(b).ravel())
             columns = {u: diag[:, i] for i, u in enumerate(units)}
             got = spectral._operator_eigenvalues(
-                delta, len(diag), columns.__getitem__, real=diag.dtype == np.float64
+                delta, (len(diag),), columns.__getitem__, real=diag.dtype == np.float64
             )
             assert got.dtype == np.float64
             assert np.array_equal(got, want)
