@@ -17,9 +17,9 @@ from typing import Optional
 from .errors import NotAComplex, SchemeError, WrongGroup
 from .groups import FreeAbelianGroup, Group
 from .matrices import RingMatrix, laplacian
-from .oracles import _positive_log_det, torus_eigen_result
+from .oracles import _positive_log_det, check_torus_grid, torus_eigen_result
 from .schemes import QuotientTower, run_tower, sintapr_check
-from .spectral import check_group_solve, check_solve_size, finite_spectrum, log_det
+from .spectral import check_group_solve, finite_spectrum, log_det
 
 ACYCLICITY_TOL = 0.01
 
@@ -141,8 +141,9 @@ def l2_invariants(
     if tower is not None and oracle_grid is not None:
         raise SchemeError("pick one of oracle_grid / tower, not both")
     deltas = laplacians(spec)
-    # the widest Laplacian has max(dims) rows: its solves are checked
-    # against the cap before the first solve of any degree
+    # every solve is checked against the caps before the first solve of any
+    # degree, the widest Laplacian (max(dims) rows) first; on a torus grid
+    # each one, since its symbol stack is capped unless it is diagonal
     rows = max(spec.dims, default=0)
     group = spec.group
     if tower is None:
@@ -150,7 +151,8 @@ def l2_invariants(
         method = f"oracle(grid={grid})"
         degree = partial(_oracle_degree, grid=grid)
         if isinstance(group, FreeAbelianGroup) and group.rank > 0:
-            check_solve_size(grid ** group.rank, rows, f"oracle grid {grid}")
+            for delta in sorted(deltas, key=lambda x: -x.rows):
+                check_torus_grid(delta, grid)
         elif group.is_finite:
             check_group_solve(group, rows, f"group {group}")
     else:

@@ -13,13 +13,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotPSD, WrongGroup
+from .errors import NotPSD, SolveTooLarge, WrongGroup
 from .groups import FreeAbelianGroup
 from .matrices import RingMatrix
 from .spectral import (
+    MAX_BLOCK_ENTRIES,
     EigenResult,
     SpectralDensity,
     _broadcast_phase,
+    _is_diagonal,
     _operator_eigenvalues,
     check_solve_size,
     default_kernel_threshold,
@@ -111,25 +113,40 @@ def _require_free_abelian(delta: RingMatrix) -> int:
     return delta.group.rank
 
 
-def _grid_phase(theta_1d: np.ndarray, g):
+def _grid_phase(theta_1d: np.ndarray, g, real: bool = False):
     """exp(i theta.g) at every point theta of the grid theta_1d^n, n = len(g).
 
     The phase is separable: the ``_broadcast_phase`` of the 1-d phases
     exp(i theta_1d g_k), which broadcasts over the grid shape (m,)*n in the
-    (ij) order of the meshgrid.  The identity has the scalar phase 1.
+    (ij) order of the meshgrid.  The identity has the scalar phase 1.  With
+    ``real``, its real part: cos(theta_1d g_k) when one axis k moves, the
+    cosine of the angle whose exp the complex form takes.
     """
-    return _broadcast_phase(g, lambda k, e: np.exp(1j * theta_1d * e))
+    return _broadcast_phase(
+        g,
+        lambda k, e, real_1d: np.cos(theta_1d * e) if real_1d else np.exp(1j * theta_1d * e),
+        real,
+    )
 
 
 def check_torus_grid(delta: RingMatrix, grid_per_dim: int) -> int:
     """The m^n points of the torus grid, m = grid_per_dim, once the solve of
-    delta on them is checked against the cap (``check_solve_size``)."""
+    delta on them is checked against the caps: ``check_solve_size``, and
+    MAX_BLOCK_ENTRIES on the m^n d^2 entries of the stack of d x d symbols,
+    unless delta is diagonal (``_is_diagonal``: no stack, one float64
+    symbol per distinct diagonal entry)."""
     n = _require_free_abelian(delta)
     m = int(grid_per_dim)
     if m < 1:
         raise ValueError("grid_per_dim must be >= 1")
-    check_solve_size(m ** n, delta.rows, f"oracle grid {m}")
-    return m ** n
+    points, d = m ** n, delta.rows
+    check_solve_size(points, d, f"oracle grid {m}")
+    if points * d * d > MAX_BLOCK_ENTRIES and not _is_diagonal(delta):
+        raise SolveTooLarge(
+            f"oracle grid {m} has {points} symbols of {d} x {d} = {points * d * d} "
+            f"entries; the cap is {MAX_BLOCK_ENTRIES}"
+        )
+    return points
 
 
 def torus_symbol_eigenvalues(delta: RingMatrix, grid_per_dim: int) -> np.ndarray:
@@ -137,13 +154,18 @@ def torus_symbol_eigenvalues(delta: RingMatrix, grid_per_dim: int) -> np.ndarray
 
     Substitutes generator k -> z_k = exp(2*pi*i*(j_k + 1/2)/m) for every
     grid multi-index j and stacks the eigenvalues of the resulting d x d
-    Hermitian values; shape (m^n * d,), sorted ascending.
+    Hermitian values; shape (m^n * d,), sorted ascending.  A diagonal delta
+    reads the real phases (``_grid_phase`` with ``real``) for its terms
+    with real coefficients.
     """
     check_torus_grid(delta, grid_per_dim)
     m = int(grid_per_dim)
     theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
     return _operator_eigenvalues(
-        delta, (m,) * delta.group.rank, lambda g: _grid_phase(theta_1d, g)
+        delta,
+        (m,) * delta.group.rank,
+        lambda g: _grid_phase(theta_1d, g),
+        real_phase=lambda g: _grid_phase(theta_1d, g, real=True),
     )
 
 

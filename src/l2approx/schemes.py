@@ -26,7 +26,6 @@ from functools import cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .errors import (
     BoxTooLarge,
@@ -442,6 +441,9 @@ class SandwichPolynomial:
     grid_used: int
 
     def evaluate(self, x):
+        # imported here, as in _certify and build_sandwich: no CLI run needs it
+        from numpy.polynomial import chebyshev as cheb
+
         u = 2.0 * np.asarray(x, dtype=np.float64) / self.K - 1.0
         return cheb.chebval(u, np.asarray(self.coefficients))
 
@@ -462,6 +464,8 @@ def _certify(coef: np.ndarray, lam: float, n: int, K: float, grid: int):
     so the lower bound holds; the returned verdict applies to coef with that
     shift already folded in by the caller.
     """
+    from numpy.polynomial import chebyshev as cheb
+
     xs = np.linspace(0.0, K, grid)
     h = xs[1] - xs[0]
     u = 2.0 * xs / K - 1.0
@@ -497,6 +501,8 @@ def build_sandwich(
     interpolants of doubling degree are tried until one certifies on the
     grid, after shifting up by its worst undershoot on [0, lam].
     """
+    from numpy.polynomial import chebyshev as cheb
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= lam < K:
@@ -615,21 +621,32 @@ def squeeze_check(
     return {"ok": all_ok, "tol": tol, "rows": rows}
 
 
+TAIL_CHUNK = 8192  # jumps per step of density_tail_integral
+
+
 def density_tail_integral(density: SpectralDensity, k: float) -> float:
     """integral over (0, K] of (F(lambda) - F(0)) / lambda d lambda for a
     step function, evaluated exactly from the jumps.
 
     Jumps within rounding slack of K count as inside, so a spectrum whose
     top eigenvalue equals K stays consistent with the logdet identity.
+    The positions ascend, so the jumps inside are one slice; it is summed
+    TAIL_CHUNK jumps at a time, the running total carried into each chunk.
     """
     slack = 1e-9 * max(1.0, k)
     pos = density.positions
-    inside = (pos > 0.0) & (pos <= k + slack)
-    # math.log, not np.log, whose last bit differs on some inputs
-    logs = np.fromiter(map(math.log, (k / pos[inside]).tolist()), dtype=np.float64)
-    terms = density.counts[inside] / density.denom * logs
-    # a running sum from 0.0 in jump order; np.sum would add pairwise
-    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+    lo, hi = pos.searchsorted(0.0, "right"), pos.searchsorted(k + slack, "right")
+    total = 0.0
+    for start in range(lo, hi, TAIL_CHUNK):
+        chunk = slice(start, min(start + TAIL_CHUNK, hi))
+        # math.log, not np.log, whose last bit differs on some inputs
+        logs = np.fromiter(map(math.log, (k / pos[chunk]).tolist()), dtype=np.float64)
+        terms = density.counts[chunk] / density.denom * logs
+        # a running sum in jump order, from the total so far; np.sum would
+        # add pairwise
+        terms[0] += total
+        total = float(np.cumsum(terms, out=terms)[-1])
+    return total
 
 
 def sintapr_check(

@@ -62,12 +62,13 @@ def default_kernel_threshold(delta: RingMatrix) -> float:
 class EigenResult:
     """Eigenvalue list of one finite level plus its trace normalization.
 
-    The eigenvalues are sorted ascending; every backend (character blocks,
-    torus symbols, banded Folner solves) returns them so, and spectral
-    counts read them with ``searchsorted``.  The level trace of a spectral
-    function f is sum(f(eigenvalues)) / denom, so denom is |G| for quotient
-    levels, |X_m| for compressions, and the number of grid points for torus
-    quadrature.  The kernel threshold must be >= 0.
+    The eigenvalues are float64 and sorted ascending: every backend
+    (character blocks, torus symbols, banded Folner solves) returns them so,
+    which one O(n) pass confirms, and any other input is sorted here once.
+    Spectral counts read them with ``searchsorted``.  The level trace of a
+    spectral function f is sum(f(eigenvalues)) / denom, so denom is |G| for
+    quotient levels, |X_m| for compressions, and the number of grid points
+    for torus quadrature.  The kernel threshold must be >= 0.
     """
 
     eigenvalues: np.ndarray
@@ -77,6 +78,10 @@ class EigenResult:
     def __post_init__(self):
         if not self.kernel_threshold >= 0.0:
             raise ValueError(f"kernel threshold must be >= 0, got {self.kernel_threshold}")
+        w = np.asarray(self.eigenvalues, dtype=np.float64)
+        if not np.all(w[:-1] <= w[1:]):
+            w = np.sort(w)
+        object.__setattr__(self, "eigenvalues", w)
 
     @property
     def d(self) -> int:
@@ -145,7 +150,7 @@ def density_from_eigs(e: EigenResult) -> SpectralDensity:
     than thr; the kernel window cuts such chains.  Each jump sits at the
     mean of its eigenvalues, summed in ascending order.
     """
-    w = np.sort(np.asarray(e.eigenvalues, dtype=np.float64))
+    w = e.eigenvalues
     thr = e.kernel_threshold
     below = int(np.searchsorted(w, -thr, side="left"))
     kernel = int(np.searchsorted(w, thr, side="right")) - below
@@ -169,38 +174,52 @@ def betti(f: SpectralDensity) -> float:
 def log_det(e: EigenResult) -> float:
     """Normalized sum of log of the eigenvalues above the kernel threshold.
 
-    At a finite level this is always finite; an empty sum gives 0.  The log
-    is taken in place, on the copy that selecting the eigenvalues makes.
+    At a finite level this is always finite; an empty sum gives 0.  The
+    eigenvalues are sorted, so those above the threshold are the tail after
+    the last one at or below it: a view, whose log is the one new array.
     """
-    w = np.asarray(e.eigenvalues, dtype=np.float64)
-    positive = w[w > e.kernel_threshold]
+    w = e.eigenvalues
+    positive = w[w.searchsorted(e.kernel_threshold, "right"):]
     if len(positive) == 0:
         return 0.0
-    return float(np.sum(np.log(positive, out=positive))) / e.denom
+    return float(np.sum(np.log(positive))) / e.denom
 
 
-def _broadcast_phase(exponents: Sequence[int], phase_1d):
-    """The product, in axis order, of the 1-d phases ``phase_1d(k, e)`` of
-    the axes k with a nonzero exponent e, each on its own axis: an array
-    that broadcasts over the grid, or the scalar 1 when every e is 0."""
+def _broadcast_phase(exponents: Sequence[int], phase_1d, real: bool = False):
+    """The product, in axis order, of the 1-d phases ``phase_1d(k, e, False)``
+    of the axes k with a nonzero exponent e, each on its own axis: an array
+    that broadcasts over the grid, or the scalar 1 when every e is 0.
+
+    With ``real``, its real part, bit for bit: the real 1-d phase
+    ``phase_1d(k, e, True)`` when one axis moves, the real part of the
+    complex product when several do."""
     n = len(exponents)
-    phases = [
-        phase_1d(k, e).reshape([-1 if j == k else 1 for j in range(n)])
-        for k, e in enumerate(exponents)
-        if e
-    ]
-    return reduce(np.multiply, phases) if phases else 1
+    moving = [(k, e) for k, e in enumerate(exponents) if e]
+    if not moving:
+        return 1
+
+    def on_axis(k, e, real_1d):
+        return phase_1d(k, e, real_1d).reshape([-1 if j == k else 1 for j in range(n)])
+
+    if real and len(moving) == 1:
+        return on_axis(*moving[0], True)
+    z = reduce(np.multiply, [on_axis(k, e, False) for k, e in moving])
+    return z.real if real else z
 
 
-def _add_symbol(out: np.ndarray, x, phase, slot, real: bool) -> None:
+def _add_symbol(out: np.ndarray, x, phase, slot, real: bool, real_phase=None) -> None:
     """Add c * phase(g) to ``out[slot(g)]`` for every term c*g of the ring
     element x, in term order: x's symbol, one grid of values per slot.  A
-    float64 ``out`` takes the real part of each term."""
+    float64 ``out`` takes the real part of each term; given ``real_phase``
+    (the real part of ``phase``, bit for bit), a term with a real c adds
+    c * real_phase(g), which is Re(c * phase(g)) with no complex array."""
     for g, c in x.terms.items():
         # z lives until the next phase exists; freed inside the update,
         # its block would go back to the OS and be faulted in again
-        z = phase(g)
-        coef = float(c.re) if real else complex(c)
+        if real_phase is not None and c.is_real():
+            z, coef = real_phase(g), float(c.re)
+        else:
+            z, coef = phase(g), float(c.re) if real else complex(c)
         # c * z is freed at once: kept, it would add a block to the peak
         out[slot(g)] += coef * z if np.iscomplexobj(out) else (coef * z).real
 
@@ -253,6 +272,12 @@ def _operator_blocks(
     return blocks.reshape(count, rows * n, cols * n)
 
 
+def _is_diagonal(delta: RingMatrix) -> bool:
+    """Every off-diagonal entry of the square matrix delta is zero in the ring."""
+    d = delta.rows
+    return all(delta.entries[k][l].is_zero() for k in range(d) for l in range(d) if k != l)
+
+
 def _operator_eigenvalues(
     delta: RingMatrix,
     shape: tuple,
@@ -261,27 +286,28 @@ def _operator_eigenvalues(
     points: Sequence = ((),),
     part=lambda g: (),
     real: bool = False,
+    real_phase=None,
 ) -> np.ndarray:
     """Sorted eigenvalues of the ``_operator_blocks`` stack (same arguments).
 
-    At one point the blocks are d x d, and when every off-diagonal entry of
-    delta is zero in the ring they are diagonal: the eigenvalues are the
-    real parts of the diagonal symbols, each distinct diagonal entry
-    summed once from the real parts of its terms, and no LAPACK call is
-    made.  That is bit-identical to ``eigvalsh`` on the stack: LAPACK reads
-    only the real part of a Hermitian diagonal, ``?heevd`` reduces a
-    diagonal matrix with zero reflectors, and ``dsterf`` returns its 1 x 1
-    blocks as they are.  Every other operator is one batched ``eigvalsh``.
+    At one point the blocks are d x d, and when delta is diagonal
+    (``_is_diagonal``) so are they: the eigenvalues are the real parts of
+    the diagonal symbols, each distinct diagonal entry summed once in
+    float64 from the real parts of its terms, and no LAPACK call is made.
+    That is bit-identical to ``eigvalsh`` on the stack: LAPACK reads only
+    the real part of a Hermitian diagonal, ``?heevd`` reduces a diagonal
+    matrix with zero reflectors, and ``dsterf`` returns its 1 x 1 blocks as
+    they are.  There a term with a real coefficient reads
+    ``real_phase(g)``, when given, in place of ``phase(g)``
+    (``_add_symbol``).  Every other operator is one batched ``eigvalsh``.
     """
     d = delta.rows
-    if len(points) == 1 and all(
-        delta.entries[k][l].is_zero() for k in range(d) for l in range(d) if k != l
-    ):
+    if len(points) == 1 and _is_diagonal(delta):
         diagonal = [delta.entries[k][k] for k in range(d)]
         distinct = list(dict.fromkeys(diagonal))
         symbols = np.zeros((len(distinct),) + shape)
         for i, x in enumerate(distinct):
-            _add_symbol(symbols, x, phase, lambda g: i, real)
+            _add_symbol(symbols, x, phase, lambda g: i, real, real_phase)
         # the symbols in diagonal order, copied once and sorted in place
         flat = symbols.reshape(len(distinct), math.prod(shape))
         w = flat[[distinct.index(x) for x in diagonal]].ravel()
@@ -330,11 +356,18 @@ def _cyclic_split(group: Group) -> tuple:
     )
 
 
-def _cyclic_phase(e: int, n: int) -> np.ndarray:
-    """exp(-2 pi i k e / n) at the characters k = 0..n-1 of Z/n.  The float
-    expression k * (e / n) is kept as written: other forms of the same
-    value change the printed reports."""
-    return np.exp(-2j * np.pi * (np.arange(n, dtype=np.float64) * (e / n)))
+def _cyclic_phase(e: int, n: int, real: bool = False) -> np.ndarray:
+    """exp(-2 pi i k e / n) at the characters k = 0..n-1 of Z/n, or with
+    ``real`` its real part cos(theta), theta = -2 pi (k (e / n)): the angle
+    the complex form's exp reads, whose cosine is that exp's real part bit
+    for bit.  The float expression k * (e / n) is kept as written: other
+    forms of the same value change the printed reports."""
+    y = np.arange(n, dtype=np.float64)
+    y *= e / n
+    if not real:
+        return np.exp(-2j * np.pi * y)
+    y *= -2.0 * np.pi
+    return np.cos(y, out=y)
 
 
 def character_spectrum(delta: RingMatrix) -> np.ndarray:
@@ -354,8 +387,10 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
     h_group, orders, h_part, exponents = _cyclic_split(group)
     total = group.order // h_group.order
 
-    def phase(g):
-        return _broadcast_phase(exponents(g), lambda k, e: _cyclic_phase(e, orders[k]))
+    def phase(g, real=False):
+        return _broadcast_phase(
+            exponents(g), lambda k, e, real_1d: _cyclic_phase(e, orders[k], real_1d), real
+        )
 
     # with C trivial a table solves one real block when it can; cyclic
     # products keep the complex solve they have always had
@@ -365,7 +400,14 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
         and all(e.is_real() for row in delta.entries for e in row)
     )
     return _operator_eigenvalues(
-        delta, tuple(orders), phase, h_group, h_group.elements(), h_part, real
+        delta,
+        tuple(orders),
+        phase,
+        h_group,
+        h_group.elements(),
+        h_part,
+        real,
+        lambda g: phase(g, real=True),
     )
 
 

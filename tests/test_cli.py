@@ -622,6 +622,26 @@ S5_X_S5_INPUTS = {
     },
 }
 BLOCK_CAP_MESSAGE = "has 1 character blocks of 14400 x 14400 = 207360000 entries"
+# over Z^2 at grid 256, a 64 x 64 matrix has 2^22 eigenvalues (at the point
+# cap); unless it is diagonal, its stack of 64 x 64 symbols has 2^28 entries
+# (the complex's Laplacian is 8 x 8 at grid 724, quicker to assemble exactly)
+ONE = [{"word": [0, 0], "re": 1}]
+Z2 = {"type": "free_abelian", "rank": 2}
+WIDE_TORUS_INPUTS = {
+    "WIDE_TORUS": {
+        "group": Z2,
+        "matrix": {"entries": [[ONE if k == l or k + l == 1 else [] for l in range(64)] for k in range(64)]},
+    },
+    # degree 0 is the 8 x 8 rank-one Laplacian of a boundary 8 x 1
+    "WIDE_TORUS_CW": {
+        "group": Z2,
+        "cells": [8, 1],
+        "boundaries": [{"rows": 8, "cols": 1, "entries": [
+            [[{"word": [0, 0], "re": 1}, {"word": [1, 0], "re": -1}]] for _ in range(8)
+        ]}],
+    },
+}
+TORUS_CAP_MESSAGE = "oracle grid 256 has 65536 symbols of 64 x 64 = 268435456 entries"
 
 
 @pytest.mark.parametrize(
@@ -644,6 +664,10 @@ BLOCK_CAP_MESSAGE = "has 1 character blocks of 14400 x 14400 = 207360000 entries
         (["approx", "S5XS5_TOWER"], f"tower level 14400 {BLOCK_CAP_MESSAGE}"),
         (["cw", "S5XS5_CW"], BLOCK_CAP_MESSAGE),
         (["cw", "S5_WIDE_CW"], "has 1 character blocks of 4200 x 4200 = 17640000 entries"),
+        (["density", "WIDE_TORUS", "--grid", "256"], TORUS_CAP_MESSAGE),
+        (["approx", "WIDE_TORUS", "--levels", "2,4,8", "--grid", "256"], TORUS_CAP_MESSAGE),
+        (["cw", "WIDE_TORUS_CW", "--grid", "724"],
+         "oracle grid 724 has 524176 symbols of 8 x 8 = 33547264 entries"),
     ],
 )
 def test_solves_beyond_the_point_cap_exit_2_before_any_solve(
@@ -659,7 +683,7 @@ def test_solves_beyond_the_point_cap_exit_2_before_any_solve(
 
     for module in (oracles, spectral):
         monkeypatch.setattr(module, "_operator_eigenvalues", no_solve)
-    inputs = {"LADDER": TOWER_LADDER, **S5_X_S5_INPUTS}
+    inputs = {"LADDER": TOWER_LADDER, **S5_X_S5_INPUTS, **WIDE_TORUS_INPUTS}
     for name, problem in inputs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(problem))
     argv = [str(tmp_path / f"{a}.json") if a in inputs else a for a in argv]
@@ -689,6 +713,29 @@ def test_scipy_linalg_is_never_imported():
     calls LAPACK without it, so no run pays for it."""
     result = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, str(FIXTURES)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.split() == ["False"]
+
+
+POLYNOMIAL_PROBE = """
+import contextlib, io, sys
+from l2approx.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["approx", sys.argv[1] + "/zd_laplacian.json"]) == 0
+print("numpy.polynomial" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_numpy_polynomial_is_not_imported_by_a_tower_run():
+    """Only the sandwich polynomials use numpy.polynomial, and they import
+    it themselves: importing l2approx and running a tower does not."""
+    result = subprocess.run(
+        [sys.executable, "-c", POLYNOMIAL_PROBE, str(FIXTURES)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},

@@ -167,7 +167,9 @@ def test_cw_assembles_each_distinct_laplacian_once(monkeypatch, tmp_path):
     for degree 1, so 10 phases."""
     calls = []
     phase = oracles._grid_phase
-    monkeypatch.setattr(oracles, "_grid_phase", lambda theta, g: calls.append(g) or phase(theta, g))
+    monkeypatch.setattr(
+        oracles, "_grid_phase", lambda theta, g, **kw: calls.append(g) or phase(theta, g, **kw)
+    )
     torus = str(resources.files("l2approx") / "fixtures" / "torus.json")
     assert cli.main(["cw", torus, "--output", str(tmp_path / "torus.out")]) == 0
     assert len(calls) == 10

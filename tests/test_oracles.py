@@ -149,6 +149,24 @@ def test_grid_phase_matches_meshgrid_formula(g, m):
     assert np.max(np.abs(grid - _meshgrid_phase(theta_1d, g))) <= tol
 
 
+@pytest.mark.parametrize("m", [1, 2, 7, 1024, 2 ** 18])
+def test_grid_phase_real_form_is_bitwise_the_complex_real_part(m):
+    """With one moving axis the real phase cos(theta_1d e) is bit for bit
+    the real part of exp(i theta_1d e); with several it is the real part of
+    the complex product, and the identity's phase is 1 in both forms."""
+    theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+    for e in [e for e in (1, -1, 3, -3, 5, -5, 7, -7, m - 1) if e]:
+        for g in ((e,), (0, e)):
+            z = _grid_phase(theta_1d, g)
+            c = _grid_phase(theta_1d, g, real=True)
+            assert c.dtype == np.float64 and c.shape == z.shape
+            assert c.tobytes() == z.real.tobytes(), (e, g)
+    if m <= 1024:
+        z = _grid_phase(theta_1d, (1, -2))
+        assert _grid_phase(theta_1d, (1, -2), real=True).tobytes() == z.real.tobytes()
+    assert _grid_phase(theta_1d, (0, 0), real=True) == 1
+
+
 def test_grid_phase_rank_0_is_one_point():
     phase = _grid_phase(np.arange(4.0), ())
     assert np.ndim(phase) == 0 and phase == 1

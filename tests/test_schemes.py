@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,7 @@ from l2approx.schemes import (
     _band_eigenvalues,
     _band_shape,
     _box_band,
+    TAIL_CHUNK,
     _support_radius,
     compressed_trace_powers,
     density_tail_integral,
@@ -365,6 +367,17 @@ def test_solve_caps(z_laplacian):
         check_group_solve(CyclicGroup(2 ** 19), 6, "Z/2^19")
     with pytest.raises(SolveTooLarge, match="S5 x S5 has 1 character blocks of 14400 x 14400"):
         check_group_solve(product_group([s5, s5]), 1, "S5 x S5")
+    # a torus grid's stack of d x d symbols has at most MAX_BLOCK_ENTRIES
+    # entries, unless delta is diagonal and solved entry by entry
+    z2 = FreeAbelianGroup(2)
+    one, zero = RingElement.one(z2), RingElement.zero(z2)
+    diagonal = RingMatrix.identity(z2, 64)
+    wide = RingMatrix(z2, [[one if k == l or k + l == 1 else zero for l in range(64)] for k in range(64)])
+    assert 256 ** 2 * 64 == MAX_SOLVE_POINTS and 256 ** 2 * 64 ** 2 > MAX_BLOCK_ENTRIES
+    assert check_torus_grid(diagonal, 256) == 256 ** 2
+    with pytest.raises(SolveTooLarge, match="oracle grid 256 has 65536 symbols of 64 x 64 = 268435456 entries"):
+        check_torus_grid(wide, 256)
+    assert check_torus_grid(wide, 64) == 64 ** 2  # 2^24 entries: at the cap
 
 
 def test_box_defect_examples():
@@ -653,6 +666,71 @@ def test_density_tail_integral_matches_loop_bitwise(zd_reports, folner_reports):
             got = density_tail_integral(density, k)
             assert type(got) is float
             assert got == _tail_integral_loop(density, k)
+
+
+def _tail_integral_one_pass(density, k):
+    """The one-pass form that the chunked density_tail_integral replaced:
+    one mask, one list of every log, one cumsum; the reference below."""
+    slack = 1e-9 * max(1.0, k)
+    pos = density.positions
+    inside = (pos > 0.0) & (pos <= k + slack)
+    logs = np.fromiter(map(math.log, (k / pos[inside]).tolist()), dtype=np.float64)
+    terms = density.counts[inside] / density.denom * logs
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+
+
+def _random_jumps(rng, count):
+    positions = np.sort(rng.uniform(-0.5, 4.5, count))
+    return SpectralDensity(positions, rng.integers(1, 9, count), int(rng.integers(1, 10 ** 6)))
+
+
+def test_density_tail_integral_chunks_match_one_pass_bitwise():
+    """Summed TAIL_CHUNK jumps at a time, the running total carried over,
+    the integral is bit for bit the one-pass sum: 2^17 random jumps, K
+    inside, at and beyond the top, and slices that end on, just after and
+    just before a chunk boundary."""
+    rng = np.random.default_rng(SEED + 11)
+    density = _random_jumps(rng, 2 ** 17)
+    inside = density.positions[density.positions > 0.0]
+    ks = [4.5, 5.0, 1.0, float(inside[TAIL_CHUNK - 1]), float(inside[TAIL_CHUNK]), float(inside[2 * TAIL_CHUNK - 2])]
+    for k in ks:
+        got = density_tail_integral(density, k)
+        assert type(got) is float and got == _tail_integral_one_pass(density, k), k
+    assert density_tail_integral(density, -1.0) == 0.0 == _tail_integral_one_pass(density, -1.0)
+
+
+def test_density_tail_integral_memory_is_one_chunk():
+    """No list or array of every jump inside: on 2^17 jumps the integral
+    peaks under 1 MB, a few TAIL_CHUNK-sized temporaries."""
+    density = _random_jumps(np.random.default_rng(SEED + 12), 2 ** 17)
+    density_tail_integral(density, 4.5)  # warm
+    tracemalloc.start()
+    try:
+        density_tail_integral(density, 4.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_tower_level_memory_stays_near_its_spectrum():
+    """A one-point diagonal level builds its symbol from real cosine phases
+    and sorts its spectrum once: one Z/2^16 level of 2 - t^3 - t^-3 peaks
+    within 4.5 times the bytes of its eigenvalues."""
+    z = FreeAbelianGroup(1)
+    t3 = RingElement.delta(z, (3,))
+    delta = RingMatrix.from_element(2 * RingElement.one(z) - t3 - t3.star())
+    tower = QuotientTower.zn(1, [2 ** 16])
+    run_tower(delta, tower)  # warm: caches and lazy imports
+    tracemalloc.start()
+    try:
+        reports = run_tower(delta, tower)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    w = reports[0].eigen.eigenvalues
+    assert w.nbytes == 8 * 2 ** 16
+    assert peak <= 4.5 * w.nbytes
 
 
 def test_sintapr_hypothesis_violation(z_group):

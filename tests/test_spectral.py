@@ -200,9 +200,10 @@ def test_density_examples(z4_circulant):
 
 
 def test_log_det_in_place_is_bitwise_the_selected_log():
-    """log_det takes its log in place on the selected copy: bit for bit the
-    log of the selection, summed, over odd lengths, with values exactly at
-    the threshold (excluded) and below it, and the input left unchanged."""
+    """log_det takes the log of the sorted tail above the threshold, with no
+    mask or selected copy: bit for bit the log of the selection, summed,
+    over odd lengths, with values exactly at the threshold (excluded) and
+    below it, and the input left unchanged."""
     rng = np.random.default_rng(SEED)
     for n in (1, 3, 7, 101, 1001, 4097):
         thr = 1e-3
@@ -315,6 +316,23 @@ def test_negative_kernel_threshold_is_rejected():
         with pytest.raises(ValueError, match="kernel threshold"):
             EigenResult(w, 4, thr)
     assert density_from_eigs(EigenResult(w, 4, 0.0)).jumps == ((0.0, 2), (1.0, 1), (2.0, 1))
+
+
+def test_eigen_result_sorts_only_unsorted_input():
+    """EigenResult holds float64 eigenvalues in ascending order: a sorted
+    float64 array is kept as it is, with no copy; anything else is sorted
+    once, into a new array, leaving the input unchanged."""
+    rng = np.random.default_rng(SEED)
+    w = np.sort(rng.standard_normal(1001))
+    w[3:6] = w[4]  # ties are sorted
+    assert EigenResult(w, 7, 1e-9).eigenvalues is w
+    assert EigenResult(w[:0], 1, 0.0).eigenvalues.shape == (0,)
+    shuffled = rng.permutation(w)
+    kept = shuffled.copy()
+    got = EigenResult(shuffled, 7, 1e-9).eigenvalues
+    assert np.array_equal(got, w) and np.array_equal(shuffled, kept)
+    ints = EigenResult([2, 0, 1], 3, 0.0).eigenvalues
+    assert ints.dtype == np.float64 and ints.tolist() == [0.0, 1.0, 2.0]
 
 
 def _evaluate_loop(f: SpectralDensity, lam: float) -> float:
@@ -656,20 +674,50 @@ def _kmesh_character_spectrum(delta):
     [CyclicGroup(n) for n in (1, 2, 7, 1024)] + [TABLE_PRODUCTS["S3 x Z/4"]],
     ids=str,
 )
-def test_character_phase_is_bitwise_the_kmesh_form(group):
+def test_character_phase_is_bitwise_the_kmesh_form(group, monkeypatch):
     """With one cyclic factor, the per-factor phase exp(-2 pi i (k (e / n)))
     performs the float operations of the kmesh form, so the spectrum is bit
-    for bit the same: d = 1 (the diagonal rule at one point for Z/N) and a
-    non-diagonal d = 2 (a batched eigvalsh)."""
+    for bit the same: d = 1 (the diagonal rule at one point for Z/N, where
+    a real coefficient reads the cosine phase and a complex one the complex
+    phase) and a non-diagonal d = 2 (a batched eigvalsh), with integer and
+    Gaussian-rational coefficients."""
     rng = random.Random(SEED)
+    cyclic_phase = spectral._cyclic_phase
+    flags = []
+    monkeypatch.setattr(
+        spectral, "_cyclic_phase", lambda e, n, real=False: flags.append(real) or cyclic_phase(e, n, real)
+    )
     for d in (1, 2):
-        for _ in range(3):
-            delta = random_self_adjoint(group, rng, d=d)
-            if d == 2:
-                assert not delta.entries[0][1].is_zero()
-            got = character_spectrum(delta)
-            want = _kmesh_character_spectrum(delta)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for make in (random_self_adjoint, _gaussian_self_adjoint):
+            for _ in range(3):
+                delta = make(group, rng, d)
+                if d == 2:
+                    assert not delta.entries[0][1].is_zero()
+                flags.clear()
+                got = character_spectrum(delta)
+                want = _kmesh_character_spectrum(delta)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                if d == 1 and isinstance(group, CyclicGroup):
+                    # one phase per term off the identity, real for a real c
+                    terms = delta.entries[0][0].terms.items()
+                    assert sorted(flags) == sorted(c.is_real() for g, c in terms if g != 0)
+                    if make is _gaussian_self_adjoint and group.n > 2:
+                        assert False in flags
+                elif d == 2:
+                    assert not any(flags)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1024, 2 ** 18])
+def test_cyclic_phase_real_form_is_bitwise_the_complex_real_part(n):
+    """The real form cos(theta) is bit for bit the real part of the complex
+    form exp(-2 pi i (k (e / n))), which is itself unchanged from its
+    one-expression form."""
+    k = np.arange(n, dtype=np.float64)
+    for e in (0, 1, -1, 3, -3, 5, -5, 7, -7, n - 1):
+        z = spectral._cyclic_phase(e, n)
+        assert z.tobytes() == np.exp(-2j * np.pi * (k * (e / n))).tobytes()
+        c = spectral._cyclic_phase(e, n, real=True)
+        assert c.dtype == np.float64 and c.tobytes() == z.real.tobytes(), e
 
 
 def _gaussian_self_adjoint(group, rng, d):
@@ -733,20 +781,28 @@ def test_one_point_diagonal_rule_is_bitwise_eigvalsh(monkeypatch):
     """At one point a diagonal operator's eigenvalues are the sorted real
     parts of its diagonal symbols, d = 1 included, with no LAPACK call: bit
     for bit ``eigvalsh`` on the d x d stack, over magnitudes 1e-12 to 1e4,
-    with 1e-17j rounding noise in the imaginary parts, and for no points."""
+    with 1e-17j rounding noise in the imaginary parts, and for no points.
+    Given a real phase, terms with a real coefficient read it and a complex
+    coefficient keeps the complex phase; without one every term reads the
+    complex phase, as a custom phase callable does."""
     rng = np.random.default_rng(SEED)
     k = 1000
     solve = np.linalg.eigvalsh
     shapes = []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or solve(m))
-    for d in (1, 2, 3):
-        # entry (i, i) is the generator t_i of Z^d, whose phase at point j
-        # is the diagonal value diag[j, i]
+    complex_coef = GaussianRational.of(Fraction(3, 2), Fraction(-1, 3))
+    for d, mixed in itertools.product((1, 2, 3), (False, True)):
+        # entry (i, i) is c_i times the generator t_i of Z^d, whose phase at
+        # point j is the diagonal value diag[j, i]; with mixed, c_0 is complex
         z = FreeAbelianGroup(d)
         units = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+        coefs = [
+            complex_coef if mixed and i == 0 else GaussianRational.of(Fraction(1 + i, 2))
+            for i in range(d)
+        ]
         zero = RingElement.zero(z)
         delta = RingMatrix(z, [
-            [RingElement.delta(z, units[i]) if i == l else zero for l in range(d)]
+            [RingElement.delta(z, units[i], coefs[i]) if i == l else zero for l in range(d)]
             for i in range(d)
         ])
         diagonal = rng.standard_normal((k, d)) * 10.0 ** rng.integers(-12, 4, size=(k, d))
@@ -758,15 +814,20 @@ def test_one_point_diagonal_rule_is_bitwise_eigvalsh(monkeypatch):
             np.zeros((0, d)),
         ]
         for diag in diagonals:
-            b = np.zeros((len(diag), d, d), dtype=diag.dtype)
-            b[:, range(d), range(d)] = diag
+            # a real table keeps the real part of each coefficient
+            real = diag.dtype == np.float64
+            c = np.array([float(x.re) if real else complex(x) for x in coefs])
+            b = np.zeros((len(diag), d, d), dtype=np.result_type(diag, c))
+            b[:, range(d), range(d)] = c * diag
             want = np.sort(solve(b).ravel())
             columns = {u: diag[:, i] for i, u in enumerate(units)}
-            got = spectral._operator_eigenvalues(
-                delta, (len(diag),), columns.__getitem__, real=diag.dtype == np.float64
-            )
-            assert got.dtype == np.float64
-            assert np.array_equal(got, want)
+            real_columns = {u: diag[:, i].real for i, u in enumerate(units) if coefs[i].is_real()}
+            for real_phase in (None, real_columns.__getitem__):
+                got = spectral._operator_eigenvalues(
+                    delta, (len(diag),), columns.__getitem__, real=real, real_phase=real_phase
+                )
+                assert got.dtype == np.float64
+                assert np.array_equal(got, want)
     assert shapes == []
 
 
