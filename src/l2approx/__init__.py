@@ -46,6 +46,7 @@ from .schemes import (
     build_boxes_folner,
     build_sandwich,
     complex_check,
+    norms_check,
     run_folner,
     run_tower,
     sandwich_level_check,

@@ -45,6 +45,7 @@ from .schemes import (
     QuotientTower,
     build_boxes_folner,
     complex_check,
+    norms_check,
     run_folner,
     run_tower,
     sintapr_check,
@@ -250,11 +251,7 @@ def cmd_approx(args) -> int:
     if "traces" in checks:
         verdicts["traces"] = trace_gap_check(reports, delta)
     if "norms" in checks:
-        verdicts["norms"] = {
-            "ok": all(rep.norm_bound_ok for rep in reports),
-            "k_bound": k_bound(problem.matrix),
-            "max_eigenvalue": max(rep.max_eigenvalue for rep in reports),
-        }
+        verdicts["norms"] = norms_check(reports, k_bound(problem.matrix))
     if reports:
         report["levels"] = [
             level_report_to_json(

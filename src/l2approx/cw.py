@@ -19,7 +19,7 @@ from .groups import FreeAbelianGroup, Group
 from .matrices import RingMatrix, laplacian
 from .oracles import _positive_log_det, check_torus_grid, torus_eigen_result
 from .schemes import QuotientTower, run_tower, sintapr_check
-from .spectral import check_group_solve, finite_spectrum, log_det
+from .spectral import check_group_solve, check_solve_size, finite_spectrum, log_det
 
 ACYCLICITY_TOL = 0.01
 
@@ -140,19 +140,18 @@ def l2_invariants(
     validate(spec)
     if tower is not None and oracle_grid is not None:
         raise SchemeError("pick one of oracle_grid / tower, not both")
-    deltas = laplacians(spec)
-    # every solve is checked against the caps before the first solve of any
-    # degree, the widest Laplacian (max(dims) rows) first; on a torus grid
-    # each one, since its symbol stack is capped unless it is diagonal
+    # the caps that need only the widest Laplacian's max(dims) rows are
+    # checked before the exact Laplacians are built, and every cap before
+    # the first solve of any degree
     rows = max(spec.dims, default=0)
     group = spec.group
+    torus = tower is None and isinstance(group, FreeAbelianGroup) and group.rank > 0
     if tower is None:
         grid = int(oracle_grid) if oracle_grid is not None else 1024
         method = f"oracle(grid={grid})"
         degree = partial(_oracle_degree, grid=grid)
-        if isinstance(group, FreeAbelianGroup) and group.rank > 0:
-            for delta in sorted(deltas, key=lambda x: -x.rows):
-                check_torus_grid(delta, grid)
+        if torus:
+            check_solve_size(grid ** group.rank, rows, f"oracle grid {grid}")
         elif group.is_finite:
             check_group_solve(group, rows, f"group {group}")
     else:
@@ -160,6 +159,11 @@ def l2_invariants(
         degree = partial(_tower_degree, tower=tower, tol=tol)
         for phi, label in zip(tower.levels, tower.labels):
             check_group_solve(phi.target, rows, f"tower level {label}")
+    deltas = laplacians(spec)
+    if torus:
+        # the symbol stack cap exempts diagonal Laplacians, so it needs them
+        for delta in sorted(deltas, key=lambda x: -x.rows):
+            check_torus_grid(delta, grid)
     # equal Laplacians (the torus's degrees 0 and 2, the circle's 0 and 1)
     # are solved once
     solved = {delta: degree(delta) for delta in dict.fromkeys(deltas)}

@@ -20,9 +20,9 @@ from .spectral import (
     MAX_BLOCK_ENTRIES,
     EigenResult,
     SpectralDensity,
-    _broadcast_phase,
     _is_diagonal,
     _operator_eigenvalues,
+    _phase,
     check_solve_size,
     default_kernel_threshold,
     density_from_eigs,
@@ -113,22 +113,6 @@ def _require_free_abelian(delta: RingMatrix) -> int:
     return delta.group.rank
 
 
-def _grid_phase(theta_1d: np.ndarray, g, real: bool = False):
-    """exp(i theta.g) at every point theta of the grid theta_1d^n, n = len(g).
-
-    The phase is separable: the ``_broadcast_phase`` of the 1-d phases
-    exp(i theta_1d g_k), which broadcasts over the grid shape (m,)*n in the
-    (ij) order of the meshgrid.  The identity has the scalar phase 1.  With
-    ``real``, its real part: cos(theta_1d g_k) when one axis k moves, the
-    cosine of the angle whose exp the complex form takes.
-    """
-    return _broadcast_phase(
-        g,
-        lambda k, e, real_1d: np.cos(theta_1d * e) if real_1d else np.exp(1j * theta_1d * e),
-        real,
-    )
-
-
 def check_torus_grid(delta: RingMatrix, grid_per_dim: int) -> int:
     """The m^n points of the torus grid, m = grid_per_dim, once the solve of
     delta on them is checked against the caps: ``check_solve_size``, and
@@ -154,18 +138,15 @@ def torus_symbol_eigenvalues(delta: RingMatrix, grid_per_dim: int) -> np.ndarray
 
     Substitutes generator k -> z_k = exp(2*pi*i*(j_k + 1/2)/m) for every
     grid multi-index j and stacks the eigenvalues of the resulting d x d
-    Hermitian values; shape (m^n * d,), sorted ascending.  A diagonal delta
-    reads the real phases (``_grid_phase`` with ``real``) for its terms
-    with real coefficients.
+    Hermitian values; shape (m^n * d,), sorted ascending.  The phase
+    exp(i theta.g) is separable: the ``_phase`` of the angles theta_1d g_k
+    per axis, broadcast over the grid (m,)*n in (ij) meshgrid order.
     """
     check_torus_grid(delta, grid_per_dim)
     m = int(grid_per_dim)
     theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
     return _operator_eigenvalues(
-        delta,
-        (m,) * delta.group.rank,
-        lambda g: _grid_phase(theta_1d, g),
-        real_phase=lambda g: _grid_phase(theta_1d, g, real=True),
+        delta, (m,) * delta.group.rank, lambda g, real: _phase(g, lambda k, e: theta_1d * e, real)
     )
 
 

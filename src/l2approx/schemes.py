@@ -754,6 +754,16 @@ def complex_check(
     }
 
 
+def norms_check(reports: Sequence[LevelReport], k_bound: float) -> dict:
+    """Every level's spectrum lies below its a-priori norm bound; reports
+    ``k_bound`` and the largest eigenvalue of any level."""
+    return {
+        "ok": all(rep.norm_bound_ok for rep in reports),
+        "k_bound": k_bound,
+        "max_eigenvalue": max(rep.max_eigenvalue for rep in reports),
+    }
+
+
 def trace_gap_check(reports: Sequence[LevelReport], delta: RingMatrix) -> dict:
     """Folner trace convergence.
 

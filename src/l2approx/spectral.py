@@ -185,43 +185,44 @@ def log_det(e: EigenResult) -> float:
     return float(np.sum(np.log(positive))) / e.denom
 
 
-def _broadcast_phase(exponents: Sequence[int], phase_1d, real: bool = False):
-    """The product, in axis order, of the 1-d phases ``phase_1d(k, e, False)``
-    of the axes k with a nonzero exponent e, each on its own axis: an array
-    that broadcasts over the grid, or the scalar 1 when every e is 0.
+def _phase(exponents: Sequence[int], angle, real: bool):
+    """The product, in axis order, of exp(i angle(k, e)) over the axes k
+    with a nonzero exponent e, each on its own axis: an array that
+    broadcasts over the grid, or the scalar 1 when every e is 0.
 
-    With ``real``, its real part, bit for bit: the real 1-d phase
-    ``phase_1d(k, e, True)`` when one axis moves, the real part of the
-    complex product when several do."""
+    With ``real``, its real part, bit for bit: the cosine of the angle when
+    one axis moves, the real part of the complex product when several do."""
     n = len(exponents)
-    moving = [(k, e) for k, e in enumerate(exponents) if e]
-    if not moving:
+    angles = [
+        angle(k, e).reshape([-1 if j == k else 1 for j in range(n)])
+        for k, e in enumerate(exponents)
+        if e
+    ]
+    if not angles:
         return 1
-
-    def on_axis(k, e, real_1d):
-        return phase_1d(k, e, real_1d).reshape([-1 if j == k else 1 for j in range(n)])
-
-    if real and len(moving) == 1:
-        return on_axis(*moving[0], True)
-    z = reduce(np.multiply, [on_axis(k, e, False) for k, e in moving])
+    if real and len(angles) == 1:
+        return np.cos(angles[0], out=angles[0])
+    z = reduce(np.multiply, [np.exp(1j * a) for a in angles])
     return z.real if real else z
 
 
-def _add_symbol(out: np.ndarray, x, phase, slot, real: bool, real_phase=None) -> None:
+def _add_symbol(out: np.ndarray, x, phase, slot) -> None:
     """Add c * phase(g) to ``out[slot(g)]`` for every term c*g of the ring
-    element x, in term order: x's symbol, one grid of values per slot.  A
-    float64 ``out`` takes the real part of each term; given ``real_phase``
-    (the real part of ``phase``, bit for bit), a term with a real c adds
-    c * real_phase(g), which is Re(c * phase(g)) with no complex array."""
+    element x, in term order: x's symbol, one grid of values per slot.
+    ``phase(g, real)`` is the character at g, with ``real`` its real part
+    (``_phase``).  A float64 ``out`` takes the real part of each term: a
+    real c adds c * phase(g, True), which is Re(c * phase(g)) with no
+    complex array, any other c adds Re(complex(c) * phase(g, False))."""
+    real = not np.iscomplexobj(out)
     for g, c in x.terms.items():
         # z lives until the next phase exists; freed inside the update,
         # its block would go back to the OS and be faulted in again
-        if real_phase is not None and c.is_real():
-            z, coef = real_phase(g), float(c.re)
+        if real and c.is_real():
+            z, coef = phase(g, True), float(c.re)
         else:
-            z, coef = phase(g), float(c.re) if real else complex(c)
+            z, coef = phase(g, False), complex(c)
         # c * z is freed at once: kept, it would add a block to the peak
-        out[slot(g)] += coef * z if np.iscomplexobj(out) else (coef * z).real
+        out[slot(g)] += (coef * z).real if real else coef * z
 
 
 def _operator_blocks(
@@ -236,13 +237,13 @@ def _operator_blocks(
     """Stack of count = prod(shape) blocks of left multiplication over a
     point list, one per character of a grid of the given shape.
 
-    ``phase(g)``, the characters at group element g, broadcasts over
-    ``shape`` (``_broadcast_phase``).  Block entry ((k, u), (l, v))
-    sums c * phase(g) over the terms c*g of entry (k, l) with
+    ``phase(g, real)``, the characters at group element g, broadcasts over
+    ``shape`` (``_phase``).  Block entry ((k, u), (l, v)) sums
+    c * phase(g) over the terms c*g of entry (k, l) with
     ``group.multiply(part(g), points[v]) == points[u]``; the point list must
     be closed under every slot, the distinct values of ``part(g)``.  Real
-    float64 blocks when ``real`` (``phase`` must then be real), complex128
-    otherwise; shape (count, rows * |points|, cols * |points|).
+    float64 blocks when ``real``, where every coefficient of delta must be
+    real, complex128 otherwise; shape (count, rows * |points|, cols * |points|).
     """
     rows, cols, n = delta.rows, delta.cols, len(points)
     count = math.prod(shape)
@@ -254,9 +255,7 @@ def _operator_blocks(
     symbol = np.zeros((rows, cols, len(slots)) + shape, dtype=dtype)
     for k in range(rows):
         for l in range(cols):
-            _add_symbol(
-                symbol[k, l], delta.entries[k][l], phase, lambda g: slot_index[part(g)], real
-            )
+            _add_symbol(symbol[k, l], delta.entries[k][l], phase, lambda g: slot_index[part(g)])
     # viewed as (count, rows, cols, slots)
     symbol = symbol.reshape(rows, cols, len(slots), count).transpose(3, 0, 1, 2)
     if n == 1 and len(slots) == 1:
@@ -286,7 +285,6 @@ def _operator_eigenvalues(
     points: Sequence = ((),),
     part=lambda g: (),
     real: bool = False,
-    real_phase=None,
 ) -> np.ndarray:
     """Sorted eigenvalues of the ``_operator_blocks`` stack (same arguments).
 
@@ -297,8 +295,7 @@ def _operator_eigenvalues(
     That is bit-identical to ``eigvalsh`` on the stack: LAPACK reads only
     the real part of a Hermitian diagonal, ``?heevd`` reduces a diagonal
     matrix with zero reflectors, and ``dsterf`` returns its 1 x 1 blocks as
-    they are.  There a term with a real coefficient reads
-    ``real_phase(g)``, when given, in place of ``phase(g)``
+    they are.  There a term with a real coefficient reads the real phase
     (``_add_symbol``).  Every other operator is one batched ``eigvalsh``.
     """
     d = delta.rows
@@ -307,7 +304,7 @@ def _operator_eigenvalues(
         distinct = list(dict.fromkeys(diagonal))
         symbols = np.zeros((len(distinct),) + shape)
         for i, x in enumerate(distinct):
-            _add_symbol(symbols, x, phase, lambda g: i, real, real_phase)
+            _add_symbol(symbols, x, phase, lambda g: i)
         # the symbols in diagonal order, copied once and sorted in place
         flat = symbols.reshape(len(distinct), math.prod(shape))
         w = flat[[distinct.index(x) for x in diagonal]].ravel()
@@ -356,18 +353,15 @@ def _cyclic_split(group: Group) -> tuple:
     )
 
 
-def _cyclic_phase(e: int, n: int, real: bool = False) -> np.ndarray:
-    """exp(-2 pi i k e / n) at the characters k = 0..n-1 of Z/n, or with
-    ``real`` its real part cos(theta), theta = -2 pi (k (e / n)): the angle
-    the complex form's exp reads, whose cosine is that exp's real part bit
-    for bit.  The float expression k * (e / n) is kept as written: other
-    forms of the same value change the printed reports."""
+def _cyclic_angle(e: int, n: int) -> np.ndarray:
+    """The angles -2 pi (k (e / n)) of the characters k = 0..n-1 of Z/n at
+    exponent e, whose exp is exp(-2 pi i k e / n).  The float expression
+    k * (e / n) is kept as written: other forms of the same value change
+    the printed reports."""
     y = np.arange(n, dtype=np.float64)
     y *= e / n
-    if not real:
-        return np.exp(-2j * np.pi * y)
     y *= -2.0 * np.pi
-    return np.cos(y, out=y)
+    return y
 
 
 def character_spectrum(delta: RingMatrix) -> np.ndarray:
@@ -377,7 +371,7 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
     (``_cyclic_split``).  The characters of C block-diagonalise the left
     regular representation into |C| blocks of size d|H|: left
     multiplication over H, weighted by the character, on a grid with one
-    axis per cyclic factor (``_broadcast_phase``).  Cyclic products give
+    axis per cyclic factor (``_phase``).  Cyclic products give
     d x d blocks, a bare table one dense block, real when every
     coefficient is.  Spectrally identical to the left regular representation.
     """
@@ -387,10 +381,8 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
     h_group, orders, h_part, exponents = _cyclic_split(group)
     total = group.order // h_group.order
 
-    def phase(g, real=False):
-        return _broadcast_phase(
-            exponents(g), lambda k, e, real_1d: _cyclic_phase(e, orders[k], real_1d), real
-        )
+    def phase(g, real):
+        return _phase(exponents(g), lambda k, e: _cyclic_angle(e, orders[k]), real)
 
     # with C trivial a table solves one real block when it can; cyclic
     # products keep the complex solve they have always had
@@ -400,14 +392,7 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
         and all(e.is_real() for row in delta.entries for e in row)
     )
     return _operator_eigenvalues(
-        delta,
-        tuple(orders),
-        phase,
-        h_group,
-        h_group.elements(),
-        h_part,
-        real,
-        lambda g: phase(g, real=True),
+        delta, tuple(orders), phase, h_group, h_group.elements(), h_part, real
     )
 
 

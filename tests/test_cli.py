@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from l2approx import oracles, spectral, symmetric_group
+from l2approx import cw, oracles, spectral, symmetric_group
 from l2approx.cli import main
 from l2approx.verify import SUITES
 
@@ -691,6 +691,42 @@ def test_solves_beyond_the_point_cap_exit_2_before_any_solve(
     start = time.perf_counter()
     code = main([*argv, "--output", str(out)])
     assert code == 2 and time.perf_counter() - start < 0.5
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+# over Z^2, a 64 x 1 boundary of 1 - a: at grid 512 (or a level (Z/512)^2)
+# the widest Laplacian has 512^2 x 64 = 2^24 eigenvalues, beyond the cap,
+# and its exact assembly alone takes over a second
+NARROW_BOUNDARY_CW = {
+    "group": Z2,
+    "cells": [64, 1],
+    "boundaries": [{"rows": 64, "cols": 1, "entries": [
+        [[{"word": [0, 0], "re": 1}, {"word": [1, 0], "re": -1}]] for _ in range(64)
+    ]}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--grid", "512"], "oracle grid 512 has 262144 points x 64 rows"),
+        (["--levels", "8,512"], "tower level 512 has 262144 points x 64 rows"),
+    ],
+)
+def test_cw_checks_the_eigenvalue_cap_before_any_laplacian(argv, message, tmp_path, capsys, monkeypatch):
+    """The eigenvalue cap needs only the cell counts: cw exits 2 with no
+    report before it builds any exact Laplacian."""
+
+    def no_laplacians(spec):
+        raise AssertionError("a Laplacian was built before the cap was checked")
+
+    monkeypatch.setattr(cw, "laplacians", no_laplacians)
+    problem = tmp_path / "narrow.json"
+    problem.write_text(json.dumps(NARROW_BOUNDARY_CW))
+    out = tmp_path / "report.out"
+    assert main(["cw", str(problem), *argv, "--output", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

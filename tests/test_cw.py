@@ -166,9 +166,9 @@ def test_cw_assembles_each_distinct_laplacian_once(monkeypatch, tmp_path):
     assembles its 5-term symbol twice, once for degrees 0 and 2 and once
     for degree 1, so 10 phases."""
     calls = []
-    phase = oracles._grid_phase
+    phase = oracles._phase
     monkeypatch.setattr(
-        oracles, "_grid_phase", lambda theta, g, **kw: calls.append(g) or phase(theta, g, **kw)
+        oracles, "_phase", lambda g, angle, real: calls.append(g) or phase(g, angle, real)
     )
     torus = str(resources.files("l2approx") / "fixtures" / "torus.json")
     assert cli.main(["cw", torus, "--output", str(tmp_path / "torus.out")]) == 0

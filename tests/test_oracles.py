@@ -21,7 +21,8 @@ from l2approx import (
 )
 from l2approx.cw import laplacians
 from l2approx.errors import NotPSD, WrongGroup
-from l2approx.oracles import _char_poly, _grid_phase, torus_logdet_report, torus_symbol_eigenvalues
+from l2approx.oracles import _char_poly, torus_logdet_report, torus_symbol_eigenvalues
+from l2approx.spectral import _phase
 
 from conftest import SEED, fixture_complex
 from dense_reference import hermitian_eigenvalues, outer_phase, regular_representation, symbol_stack
@@ -137,7 +138,7 @@ def test_grid_phase_matches_meshgrid_formula(g, m):
     to the grid and raveled it is bit for bit the outer product of all n
     1-d phases, and exp(i theta.g) on the meshgrid to rounding."""
     theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-    phase = _grid_phase(theta_1d, g)
+    phase = _phase(g, lambda k, e: theta_1d * e, False)
     if any(g):
         assert phase.shape == tuple(m if e else 1 for e in g)
     else:
@@ -147,30 +148,6 @@ def test_grid_phase_matches_meshgrid_formula(g, m):
     # the reference rounds theta.g before exp, an error that grows with |g|
     tol = 1e-15 * max(1, sum(abs(e) for e in g))
     assert np.max(np.abs(grid - _meshgrid_phase(theta_1d, g))) <= tol
-
-
-@pytest.mark.parametrize("m", [1, 2, 7, 1024, 2 ** 18])
-def test_grid_phase_real_form_is_bitwise_the_complex_real_part(m):
-    """With one moving axis the real phase cos(theta_1d e) is bit for bit
-    the real part of exp(i theta_1d e); with several it is the real part of
-    the complex product, and the identity's phase is 1 in both forms."""
-    theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-    for e in [e for e in (1, -1, 3, -3, 5, -5, 7, -7, m - 1) if e]:
-        for g in ((e,), (0, e)):
-            z = _grid_phase(theta_1d, g)
-            c = _grid_phase(theta_1d, g, real=True)
-            assert c.dtype == np.float64 and c.shape == z.shape
-            assert c.tobytes() == z.real.tobytes(), (e, g)
-    if m <= 1024:
-        z = _grid_phase(theta_1d, (1, -2))
-        assert _grid_phase(theta_1d, (1, -2), real=True).tobytes() == z.real.tobytes()
-    assert _grid_phase(theta_1d, (0, 0), real=True) == 1
-
-
-def test_grid_phase_rank_0_is_one_point():
-    phase = _grid_phase(np.arange(4.0), ())
-    assert np.ndim(phase) == 0 and phase == 1
-    assert np.array_equal(np.broadcast_to(phase, ()).ravel(), np.ones(1))
 
 
 def test_torus_symbol_rank_3_laplacian():

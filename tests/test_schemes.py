@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from l2approx import (
     density_from_eigs,
     finite_spectrum,
     k_bound,
+    norms_check,
     positive_square,
     run_folner,
     run_tower,
@@ -854,3 +856,18 @@ def test_tower_moduli_must_be_finite(z_group):
     ident = Homomorphism(z_group, z_group, generator_images=[(1,)])
     with pytest.raises(SchemeError):
         QuotientTower(z_group, [ident])
+
+
+def test_norms_check_reads_every_level(z_laplacian):
+    """The verdict passes when every level is below its norm bound, reports
+    the bound it is given and the largest eigenvalue of any level, and fails
+    when one level exceeds its bound."""
+    reports = run_tower(z_laplacian, QuotientTower.zn(1, [4, 8, 16]))
+    verdict = norms_check(reports, 4.0)
+    assert verdict == {
+        "ok": True,
+        "k_bound": 4.0,
+        "max_eigenvalue": max(rep.max_eigenvalue for rep in reports),
+    }
+    reports[1] = replace(reports[1], norm_bound_ok=False)
+    assert norms_check(reports, 4.0)["ok"] is False

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2approx import (
     CyclicGroup,
@@ -655,7 +657,8 @@ def _kmesh_character_spectrum(delta):
     kmesh = np.indices(factors).reshape(len(factors), total).T.astype(np.float64, order="C")
     orders = np.asarray(factors, dtype=np.float64)
 
-    def phase(g):
+    def phase(g, real):
+        # the complex form for both: a float64 symbol keeps Re(c * phase)
         exps = np.asarray(exponents(g), dtype=np.float64)
         return np.exp(-2j * np.pi * (kmesh @ (exps / orders))) if total > 1 else np.ones(1)
 
@@ -682,11 +685,15 @@ def test_character_phase_is_bitwise_the_kmesh_form(group, monkeypatch):
     phase) and a non-diagonal d = 2 (a batched eigvalsh), with integer and
     Gaussian-rational coefficients."""
     rng = random.Random(SEED)
-    cyclic_phase = spectral._cyclic_phase
+    phase = spectral._phase
     flags = []
-    monkeypatch.setattr(
-        spectral, "_cyclic_phase", lambda e, n, real=False: flags.append(real) or cyclic_phase(e, n, real)
-    )
+
+    def recording_phase(exponents, angle, real):
+        if any(exponents):
+            flags.append(real)
+        return phase(exponents, angle, real)
+
+    monkeypatch.setattr(spectral, "_phase", recording_phase)
     for d in (1, 2):
         for make in (random_self_adjoint, _gaussian_self_adjoint):
             for _ in range(3):
@@ -707,17 +714,85 @@ def test_character_phase_is_bitwise_the_kmesh_form(group, monkeypatch):
                     assert not any(flags)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 1024, 2 ** 18])
-def test_cyclic_phase_real_form_is_bitwise_the_complex_real_part(n):
-    """The real form cos(theta) is bit for bit the real part of the complex
-    form exp(-2 pi i (k (e / n))), which is itself unchanged from its
-    one-expression form."""
-    k = np.arange(n, dtype=np.float64)
-    for e in (0, 1, -1, 3, -3, 5, -5, 7, -7, n - 1):
-        z = spectral._cyclic_phase(e, n)
-        assert z.tobytes() == np.exp(-2j * np.pi * (k * (e / n))).tobytes()
-        c = spectral._cyclic_phase(e, n, real=True)
-        assert c.dtype == np.float64 and c.tobytes() == z.real.tobytes(), e
+def _cyclic_reference(e, n):
+    """The one-expression complex form of the character values of Z/n at
+    exponent e."""
+    return np.exp(-2j * np.pi * (np.arange(n, dtype=np.float64) * (e / n)))
+
+
+def _angle_families(n):
+    """name -> (angle(k, e) as the library builds it, the one-expression
+    complex form of one axis as the reference) for the characters of Z/n
+    and for the torus grid of n midpoints."""
+    theta_1d = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    return {
+        "cyclic": (lambda k, e: spectral._cyclic_angle(e, n), lambda e: _cyclic_reference(e, n)),
+        "torus": (lambda k, e: theta_1d * e, lambda e: np.exp(1j * theta_1d * e)),
+    }
+
+
+def _check_real_form(z, exponents, angle):
+    """The real form of ``_phase`` is float64, of z's shape, and bit for
+    bit the real part of the complex form z."""
+    c = spectral._phase(exponents, angle, True)
+    assert c.dtype == np.float64 and c.shape == z.shape
+    assert c.tobytes() == z.real.tobytes(), exponents
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 100, 1024, 2 ** 17, 2 ** 18])
+def test_phase_contract_is_bitwise(n):
+    """For both angle families (the characters of Z/n and the torus grid
+    of n points):
+
+    - with one moving axis, exp(i angle) is bit for bit the one-expression
+      complex form, on its own axis, and the real form cos(angle) is bit for
+      bit its real part;
+    - with two moving axes (n <= 1024) the complex form is the outer product
+      of the 1-d forms and the real form is bit for bit its real part;
+    - the identity's phase, and the phase of rank 0, is the scalar 1 in
+      both forms."""
+    for name, (angle, reference) in _angle_families(n).items():
+        for e in (1, -1, 2, -2, 3, -3, 5, -5, 7, -7, n - 1, n + 1):
+            if not e:
+                continue
+            for exponents in ((e,), (0, e)):
+                z = spectral._phase(exponents, angle, False)
+                assert z.shape == (1,) * (len(exponents) - 1) + (n,)
+                assert z.ravel().tobytes() == reference(e).tobytes(), (name, e)
+                _check_real_form(z, exponents, angle)
+        if n <= 1024:
+            z = spectral._phase((1, -2), angle, False)
+            assert z.tobytes() == np.multiply.outer(reference(1), reference(-2)).tobytes()
+            _check_real_form(z, (1, -2), angle)
+        for exponents in ((0,), (0, 0), ()):
+            for real in (False, True):
+                phase = spectral._phase(exponents, angle, real)
+                assert np.ndim(phase) == 0 and phase == 1
+        assert np.array_equal(np.broadcast_to(spectral._phase((), angle, False), ()).ravel(), np.ones(1))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(["cyclic", "torus"]),
+    n=st.integers(1, 40),
+    exponents=st.lists(st.integers(-50, 50), min_size=1, max_size=3),
+)
+def test_phase_contract_random_exponents(family, n, exponents):
+    """For random exponent vectors of rank 1-3: the complex phase is an
+    array of length n on each moving axis and 1 on the others (the scalar 1
+    when none moves); broadcast to the grid it is the outer product of the
+    one-expression 1-d forms of every axis, zero exponents included; and its
+    real form is bit for bit its real part."""
+    angle, reference = _angle_families(n)[family]
+    exponents = tuple(exponents)
+    z = spectral._phase(exponents, angle, False)
+    if not any(exponents):
+        assert np.ndim(z) == 0 and z == 1 and spectral._phase(exponents, angle, True) == 1
+        return
+    assert z.shape == tuple(n if e else 1 for e in exponents)
+    grid = np.broadcast_to(z, (n,) * len(exponents)).ravel()
+    assert np.array_equal(grid, outer_phase([reference(e) for e in exponents]))
+    _check_real_form(z, exponents, angle)
 
 
 def _gaussian_self_adjoint(group, rng, d):
@@ -744,7 +819,7 @@ def _outer_cyclic_spectrum(delta):
     stack = symbol_stack(
         delta,
         math.prod(orders),
-        lambda g: outer_phase([spectral._cyclic_phase(e, n) for e, n in zip(exponents(g), orders)]),
+        lambda g: outer_phase([_cyclic_reference(e, n) for e, n in zip(exponents(g), orders)]),
     )
     return np.sort(np.linalg.eigvalsh(stack).ravel())
 
@@ -782,9 +857,10 @@ def test_one_point_diagonal_rule_is_bitwise_eigvalsh(monkeypatch):
     parts of its diagonal symbols, d = 1 included, with no LAPACK call: bit
     for bit ``eigvalsh`` on the d x d stack, over magnitudes 1e-12 to 1e4,
     with 1e-17j rounding noise in the imaginary parts, and for no points.
-    Given a real phase, terms with a real coefficient read it and a complex
-    coefficient keeps the complex phase; without one every term reads the
-    complex phase, as a custom phase callable does."""
+    Terms with a real coefficient read the real phase, which raises for a
+    term with a complex coefficient, and a complex coefficient reads the
+    complex phase; the real phase is given as its own table or as the real
+    part of the complex one."""
     rng = np.random.default_rng(SEED)
     k = 1000
     solve = np.linalg.eigvalsh
@@ -814,7 +890,7 @@ def test_one_point_diagonal_rule_is_bitwise_eigvalsh(monkeypatch):
             np.zeros((0, d)),
         ]
         for diag in diagonals:
-            # a real table keeps the real part of each coefficient
+            # for real phases d, Re(c * d) is Re(c) * d
             real = diag.dtype == np.float64
             c = np.array([float(x.re) if real else complex(x) for x in coefs])
             b = np.zeros((len(diag), d, d), dtype=np.result_type(diag, c))
@@ -822,10 +898,12 @@ def test_one_point_diagonal_rule_is_bitwise_eigvalsh(monkeypatch):
             want = np.sort(solve(b).ravel())
             columns = {u: diag[:, i] for i, u in enumerate(units)}
             real_columns = {u: diag[:, i].real for i, u in enumerate(units) if coefs[i].is_real()}
-            for real_phase in (None, real_columns.__getitem__):
-                got = spectral._operator_eigenvalues(
-                    delta, (len(diag),), columns.__getitem__, real=real, real_phase=real_phase
-                )
+            phases = (
+                lambda g, real_form: (real_columns if real_form else columns)[g],
+                lambda g, real_form: columns[g].real if real_form else columns[g],
+            )
+            for phase in phases:
+                got = spectral._operator_eigenvalues(delta, (len(diag),), phase)
                 assert got.dtype == np.float64
                 assert np.array_equal(got, want)
     assert shapes == []
