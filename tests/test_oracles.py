@@ -150,6 +150,35 @@ def test_grid_phase_matches_meshgrid_formula(g, m):
     assert np.max(np.abs(grid - _meshgrid_phase(theta_1d, g))) <= tol
 
 
+@pytest.mark.parametrize("m", [1, 2, 7, 1024, 2 ** 18])
+def test_grid_phase_real_form_is_bitwise_the_complex_real_part(m):
+    """On the torus grid, with one moving axis the real phase
+    cos(theta_1d e) is bit for bit the real part of exp(i theta_1d e); with
+    several it is the real part of the complex product, and the identity's
+    phase is 1 in both forms."""
+    theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+
+    def angle(k, e):
+        return theta_1d * e
+
+    for e in [e for e in (1, -1, 3, -3, 5, -5, 7, -7, m - 1) if e]:
+        for g in ((e,), (0, e)):
+            z = _phase(g, angle, False)
+            c = _phase(g, angle, True)
+            assert c.dtype == np.float64 and c.shape == z.shape
+            assert c.tobytes() == z.real.tobytes(), (e, g)
+    if m <= 1024:
+        z = _phase((1, -2), angle, False)
+        assert _phase((1, -2), angle, True).tobytes() == z.real.tobytes()
+    assert _phase((0, 0), angle, True) == 1
+
+
+def test_grid_phase_rank_0_is_one_point():
+    phase = _phase((), lambda k, e: np.arange(4.0) * e, False)
+    assert np.ndim(phase) == 0 and phase == 1
+    assert np.array_equal(np.broadcast_to(phase, ()).ravel(), np.ones(1))
+
+
 def test_torus_symbol_rank_3_laplacian():
     z3 = FreeAbelianGroup(3)
     gens = [RingElement.delta(z3, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]

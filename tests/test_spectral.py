@@ -795,6 +795,27 @@ def test_phase_contract_random_exponents(family, n, exponents):
     _check_real_form(z, exponents, angle)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 1024, 2 ** 18])
+def test_cyclic_phase_real_form_is_bitwise_the_complex_real_part(n):
+    """For the characters of Z/n the real form cos(theta) is bit for bit
+    the real part of the complex form exp(-2 pi i (k (e / n))), which is
+    itself unchanged from its one-expression form; exponent 0 is the
+    scalar 1 in both forms."""
+
+    def angle(k, e):
+        return spectral._cyclic_angle(e, n)
+
+    for e in (0, 1, -1, 3, -3, 5, -5, 7, -7, n - 1):
+        z = spectral._phase((e,), angle, False)
+        c = spectral._phase((e,), angle, True)
+        want = _cyclic_reference(e, n)
+        if not e:
+            assert z == 1 and c == 1 and want.tobytes() == np.ones(n, dtype=complex).tobytes()
+            continue
+        assert z.tobytes() == want.tobytes(), e
+        assert c.dtype == np.float64 and c.tobytes() == z.real.tobytes(), e
+
+
 def _gaussian_self_adjoint(group, rng, d):
     """A*A for a random d x d A over ``group`` with Gaussian-rational
     coefficients p/q + (r/s) i."""
