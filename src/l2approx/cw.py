@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import NotAComplex, SchemeError, WrongGroup
 from .groups import FreeAbelianGroup, Group
-from .matrices import RingMatrix, laplacian
+from .matrices import RingMatrix, k_bound, laplacian
 from .oracles import _positive_log_det, check_torus_grid, torus_eigen_result
 from .schemes import QuotientTower, run_tower, sintapr_check
 from .spectral import check_group_solve, check_solve_size, finite_spectrum, log_det
@@ -105,22 +105,15 @@ def _oracle_degree(delta: RingMatrix, grid: int):
         logdet = log_det(eig)
     else:
         raise WrongGroup(f"no oracle available for {group}")
-    # F(0) counts the sorted eigenvalues at or below the kernel threshold:
-    # the jumps of density_from_eigs below 0 and at 0, none above it
-    f0 = int(eig.eigenvalues.searchsorted(eig.kernel_threshold, "right")) / eig.denom
-    return f0, logdet, True
+    return eig.kernel_end() / eig.denom, logdet, True
 
 
 def _tower_degree(delta: RingMatrix, tower: QuotientTower, tol: float):
     reports = run_tower(delta, tower)
-    last = reports[-1]
     det_ok = all(rep.logdet >= -tol for rep in reports)
     if det_ok and delta.rows > 0:
-        kmax = max(rep.max_eigenvalue for rep in reports)
-        k_for_bound = max(kmax, 1.0) * (1.0 + 1e-9) + 1e-12
-        verdict = sintapr_check(reports, d=delta.rows, K=k_for_bound, tol=tol)
-        det_ok = verdict["ok"]
-    return last.f0, last.logdet, det_ok
+        det_ok = sintapr_check(reports, d=delta.rows, K=max(k_bound(delta), 1.0), tol=tol)["ok"]
+    return reports[-1].f0, reports[-1].logdet, det_ok
 
 
 def l2_invariants(

@@ -7,13 +7,12 @@ symbol quadrature on the torus for free abelian groups.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotPSD, SolveTooLarge, WrongGroup
+from .errors import NotHermitian, NotPSD, SolveTooLarge, WrongGroup
 from .groups import FreeAbelianGroup
 from .matrices import RingMatrix
 from .spectral import (
@@ -141,7 +140,10 @@ def torus_symbol_eigenvalues(delta: RingMatrix, grid_per_dim: int) -> np.ndarray
     Hermitian values; shape (m^n * d,), sorted ascending.  The phase
     exp(i theta.g) is separable: the ``_phase`` of the angles theta_1d g_k
     per axis, broadcast over the grid (m,)*n in (ij) meshgrid order.
+    Self-adjointness is checked exactly: ``eigvalsh`` reads one triangle.
     """
+    if not delta.is_self_adjoint():
+        raise NotHermitian(f"{delta} is not self-adjoint")
     check_torus_grid(delta, grid_per_dim)
     m = int(grid_per_dim)
     theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
@@ -171,7 +173,7 @@ def _positive_log_det(eig: EigenResult) -> float:
     with the grid.  Values that round to zero or below (only possible at an
     exact symbol kernel, which the midpoint grid avoids) are skipped.
     """
-    return log_det(replace(eig, kernel_threshold=0.0))
+    return log_det(eig, 0.0)
 
 
 def torus_logdet(delta: RingMatrix, grid_per_dim: int) -> float:

@@ -123,56 +123,34 @@ def build_boxes_folner(rank: int, m_values: Sequence[int]) -> FolnerExhaustion:
 
 @dataclass
 class LevelReport:
-    """One approximation level: kernel mass, log determinant, density."""
+    """One approximation level: its spectrum, density and exact traces.
+    f0 = kernel_end() / denom, logdet, the moments at the powers of
+    exact_traces, matrix_size, max_eigenvalue and norm_bound_ok are derived
+    from ``eigen`` when the report is made."""
 
     level: object
-    f0: float
-    logdet: float
-    density: SpectralDensity
-    matrix_size: int
-    wall_time: float
-    max_eigenvalue: float
-    norm_bound: float
-    norm_bound_ok: bool
     eigen: EigenResult = field(repr=False)
-    moments: dict = field(default_factory=dict)
+    density: SpectralDensity
+    norm_bound: float
+    wall_time: float
     exact_traces: dict = field(default_factory=dict)
     trace_certified: dict = field(default_factory=dict)
     defects: dict = field(default_factory=dict)
+    f0: float = field(init=False)
+    logdet: float = field(init=False)
+    moments: dict = field(init=False)
+    matrix_size: int = field(init=False)
+    max_eigenvalue: float = field(init=False)
+    norm_bound_ok: bool = field(init=False)
 
-
-def _level_report(
-    level,
-    eig: EigenResult,
-    norm_bound: float,
-    t0: float,
-    exact_traces: dict,
-    trace_certified: dict,
-    defects: Optional[dict] = None,
-) -> LevelReport:
-    """Assemble one level's report from its spectrum and exact traces; the
-    moments are taken at the powers of exact_traces and wall_time runs from
-    t0 to the end of the assembly."""
-    dens = density_from_eigs(eig)
-    f0 = betti(dens)
-    logdet = log_det(eig)
-    moments = {m: eig.moment(m) for m in exact_traces}
-    return LevelReport(
-        level=level,
-        f0=f0,
-        logdet=logdet,
-        density=dens,
-        matrix_size=len(eig.eigenvalues),
-        wall_time=time.perf_counter() - t0,
-        max_eigenvalue=eig.max_eigenvalue,
-        norm_bound=norm_bound,
-        norm_bound_ok=eig.max_eigenvalue <= norm_bound + NORM_SLACK,
-        eigen=eig,
-        moments=moments,
-        exact_traces=exact_traces,
-        trace_certified=trace_certified,
-        defects=defects or {},
-    )
+    def __post_init__(self):
+        eig = self.eigen
+        self.f0 = eig.kernel_end() / eig.denom
+        self.logdet = log_det(eig)
+        self.moments = {m: eig.moment(m) for m in self.exact_traces}
+        self.matrix_size = len(eig.eigenvalues)
+        self.max_eigenvalue = eig.max_eigenvalue
+        self.norm_bound_ok = self.max_eigenvalue <= self.norm_bound + NORM_SLACK
 
 
 def _diag_support(delta: RingMatrix) -> set:
@@ -243,7 +221,8 @@ def run_tower(
                     f"certified level {label} trace of power {m} "
                     f"({exact_traces[m]}) differs from the exact value {ref_traces[m]}"
                 )
-        reports.append(_level_report(label, eig, kb, t0, exact_traces, certified))
+        dens = density_from_eigs(eig)
+        reports.append(LevelReport(label, eig, dens, kb, time.perf_counter() - t0, exact_traces, certified))
     return reports
 
 
@@ -414,7 +393,9 @@ def run_folner(
         exact_traces = {k: GaussianRational.of(Fraction(1, nw)) * exact[k] for k in TRACE_POWERS}
         defects = {k: exhaustion.defect(i, max(1, k * support_radius)) for k in TRACE_POWERS}
         certified = {k: True for k in TRACE_POWERS}
-        reports.append(_level_report(m, eig, kb, t0, exact_traces, certified, defects))
+        dens = density_from_eigs(eig)
+        wall = time.perf_counter() - t0
+        reports.append(LevelReport(m, eig, dens, kb, wall, exact_traces, certified, defects))
     return reports
 
 
@@ -427,9 +408,9 @@ class SandwichPolynomial:
     """A polynomial certified to squeeze between two step functions.
 
     On [0, K] it satisfies  chi_[0,lam](x) <= p(x) <= (1/n) + chi_[0,lam+1/n](x),
-    verified on a dense grid with an explicit derivative-based margin so the
-    bound holds between grid points as well.  Coefficients are a Chebyshev
-    series on [0, K].
+    verified on a dense grid with a margin that bounds |p'| by the absolute
+    sum of its Chebyshev coefficients, so the bound holds between grid
+    points as well.  Coefficients are a Chebyshev series on [0, K].
     """
 
     lam: float
@@ -460,7 +441,10 @@ def _erf_vec(x: np.ndarray) -> np.ndarray:
 def _certify(coef: np.ndarray, lam: float, n: int, K: float, grid: int):
     """Grid certification with a derivative margin.
 
-    Returns (ok, shift, grid) where shift is the constant that must be added
+    Every x in [0, K] lies within h/2 of a grid point, and |p'| <= sum |c'_k|
+    on [0, K] for the Chebyshev coefficients c'_k of p' (|T_k| <= 1), so p
+    moves by at most margin = (h/2) sum |c'_k| between the grid and any x.
+    Returns (ok, shift, margin) where shift is the constant that must be added
     so the lower bound holds; the returned verdict applies to coef with that
     shift already folded in by the caller.
     """
@@ -468,11 +452,8 @@ def _certify(coef: np.ndarray, lam: float, n: int, K: float, grid: int):
 
     xs = np.linspace(0.0, K, grid)
     h = xs[1] - xs[0]
-    u = 2.0 * xs / K - 1.0
-    p = cheb.chebval(u, coef)
-    dcoef = cheb.chebder(coef) * (2.0 / K)
-    slope = float(np.max(np.abs(cheb.chebval(u, dcoef))))
-    margin = 0.55 * slope * h  # covers the worst drift inside one grid cell
+    p = cheb.chebval(2.0 * xs / K - 1.0, coef)
+    margin = 0.5 * h * float(np.sum(np.abs(cheb.chebder(coef) * (2.0 / K))))
     lower_band = xs <= lam + h
     tail_band = xs >= lam + 1.0 / n - h
     shift = max(0.0, float(1.0 + margin - np.min(p[lower_band])))

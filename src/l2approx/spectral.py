@@ -65,10 +65,10 @@ class EigenResult:
     The eigenvalues are float64 and sorted ascending: every backend
     (character blocks, torus symbols, banded Folner solves) returns them so,
     which one O(n) pass confirms, and any other input is sorted here once.
-    Spectral counts read them with ``searchsorted``.  The level trace of a
-    spectral function f is sum(f(eigenvalues)) / denom, so denom is |G| for
-    quotient levels, |X_m| for compressions, and the number of grid points
-    for torus quadrature.  The kernel threshold must be >= 0.
+    The level trace of a spectral function f is sum(f(eigenvalues)) / denom,
+    so denom is |G| for quotient levels, |X_m| for compressions, and the
+    number of grid points for torus quadrature.  The kernel threshold must
+    be >= 0; ``kernel_end`` cuts the spectrum there for every reader.
     """
 
     eigenvalues: np.ndarray
@@ -86,6 +86,14 @@ class EigenResult:
     @property
     def d(self) -> int:
         return len(self.eigenvalues) // self.denom
+
+    def kernel_end(self, cutoff: Optional[float] = None) -> int:
+        """The kernel split: the number of eigenvalues at or below cutoff,
+        by default the kernel threshold.  F(0) is kernel_end() / denom,
+        ``log_det`` sums the logs of the rest, and ``density_from_eigs``
+        ends its zero jump here."""
+        thr = self.kernel_threshold if cutoff is None else cutoff
+        return int(self.eigenvalues.searchsorted(thr, "right"))
 
     @property
     def max_eigenvalue(self) -> float:
@@ -152,12 +160,12 @@ def density_from_eigs(e: EigenResult) -> SpectralDensity:
     """
     w = e.eigenvalues
     thr = e.kernel_threshold
-    below = int(np.searchsorted(w, -thr, side="left"))
-    kernel = int(np.searchsorted(w, thr, side="right")) - below
+    below, end = int(w.searchsorted(-thr, "left")), e.kernel_end()
+    kernel = end - below
     # below the window: genuinely negative spectrum (non-positive input);
     # inside it: the kernel, since A*A spectra may round slightly negative
     neg, neg_counts = _cluster_jumps(w[:below], thr)
-    pos, pos_counts = _cluster_jumps(w[below + kernel:], thr)
+    pos, pos_counts = _cluster_jumps(w[end:], thr)
     at_zero = 1 if kernel else 0
     return SpectralDensity(
         np.concatenate((neg, np.zeros(at_zero), pos)),
@@ -171,18 +179,14 @@ def betti(f: SpectralDensity) -> float:
     return f.evaluate(0.0)
 
 
-def log_det(e: EigenResult) -> float:
-    """Normalized sum of log of the eigenvalues above the kernel threshold.
+def log_det(e: EigenResult, cutoff: Optional[float] = None) -> float:
+    """Normalized sum of log of the eigenvalues above cutoff, by default
+    the kernel threshold: eigenvalues[kernel_end(cutoff):].
 
     At a finite level this is always finite; an empty sum gives 0.  The
-    eigenvalues are sorted, so those above the threshold are the tail after
-    the last one at or below it: a view, whose log is the one new array.
+    tail is a view, whose log is the one new array.
     """
-    w = e.eigenvalues
-    positive = w[w.searchsorted(e.kernel_threshold, "right"):]
-    if len(positive) == 0:
-        return 0.0
-    return float(np.sum(np.log(positive))) / e.denom
+    return float(np.sum(np.log(e.eigenvalues[e.kernel_end(cutoff):]))) / e.denom
 
 
 def _phase(exponents: Sequence[int], angle, real: bool):

@@ -102,6 +102,27 @@ def test_approx_zd_fixture(tmp_path):
     assert "wall_time" not in report["levels"][0]
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[[{"word": [1], "re": 1}]]],
+        [[[{"word": [0], "re": 2}], [{"word": [1], "re": 1}]], [[], [{"word": [0], "re": 2}]]],
+    ],
+    ids=["t", "upper_triangular"],
+)
+def test_torus_density_of_non_self_adjoint_matrix_exits_3(entries, tmp_path, capsys):
+    """t (symbol z) and [[2, t], [0, 2]] (lower triangle 2 I) are not
+    self-adjoint: the torus oracle prints no density for them."""
+    path = tmp_path / "problem.json"
+    path.write_text(
+        json.dumps({"group": {"type": "free_abelian", "rank": 1}, "matrix": {"entries": entries}})
+    )
+    out = tmp_path / "density.csv"
+    assert main(["density", str(path), "--grid", "8", "--output", str(out)]) == 3
+    assert "NotHermitian" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_approx_single_level_squeeze_fails(capsys):
     code = main(["approx", fixture_path("zd_laplacian.json"), "--levels", "8"])
     assert code == 3

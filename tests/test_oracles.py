@@ -20,7 +20,7 @@ from l2approx import (
     torus_logdet,
 )
 from l2approx.cw import laplacians
-from l2approx.errors import NotPSD, WrongGroup
+from l2approx.errors import NotHermitian, NotPSD, WrongGroup
 from l2approx.oracles import _char_poly, torus_logdet_report, torus_symbol_eigenvalues
 from l2approx.spectral import _phase
 
@@ -126,6 +126,7 @@ def _outer_grid_phase(theta_1d, g):
     return outer_phase([np.exp(1j * theta_1d * e) for e in g])
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize(
     "g",
     [(1,), (-2,), (0,), (1, 0), (-1, 2), (0, 0), (2, -1, 0), (-1, 1, 1), (0, 0, 0)]
@@ -150,6 +151,7 @@ def test_grid_phase_matches_meshgrid_formula(g, m):
     assert np.max(np.abs(grid - _meshgrid_phase(theta_1d, g))) <= tol
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("m", [1, 2, 7, 1024, 2 ** 18])
 def test_grid_phase_real_form_is_bitwise_the_complex_real_part(m):
     """On the torus grid, with one moving axis the real phase
@@ -173,6 +175,7 @@ def test_grid_phase_real_form_is_bitwise_the_complex_real_part(m):
     assert _phase((0, 0), angle, True) == 1
 
 
+@pytest.mark.bitwise
 def test_grid_phase_rank_0_is_one_point():
     phase = _phase((), lambda k, e: np.arange(4.0) * e, False)
     assert np.ndim(phase) == 0 and phase == 1
@@ -231,6 +234,24 @@ def test_torus_wrong_group_raises():
         torus_density(m, 16)
     with pytest.raises(WrongGroup):
         torus_logdet(m, 16)
+
+
+def _not_self_adjoint(z_group):
+    """t, whose symbol is z, and [[2, t], [0, 2]], whose lower triangle
+    alone is the Hermitian 2 I."""
+    t = RingElement.delta(z_group, (1,))
+    two, zero = RingElement.scalar(z_group, 2), RingElement.scalar(z_group, 0)
+    return [RingMatrix.from_element(t), RingMatrix(z_group, [[two, t], [zero, two]])]
+
+
+def test_torus_oracle_refuses_non_self_adjoint_matrices(z_group):
+    """The symbol eigensolve reads one triangle, so a matrix that is not
+    self-adjoint would get a wrong density; every torus entry point checks
+    it exactly and raises NotHermitian."""
+    for m in _not_self_adjoint(z_group):
+        for solve in (torus_density, torus_logdet, torus_symbol_eigenvalues):
+            with pytest.raises(NotHermitian):
+                solve(m, 8)
 
 
 def test_torus_logdet_nonnegative_for_integer_matrices(z_group):
@@ -311,6 +332,7 @@ def _torus_diagonal_cases():
     }
 
 
+@pytest.mark.bitwise
 def test_torus_non_diagonal_symbol_is_bitwise_eigvalsh(monkeypatch):
     """A*A over Z^2 with A = [[1 - a, 1 - b], [2 - b, 3 + a]], and over Z^3
     with Gaussian-rational entries on several axes, are not diagonal: each
@@ -337,6 +359,7 @@ def test_torus_non_diagonal_symbol_is_bitwise_eigvalsh(monkeypatch):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.bitwise
 def test_torus_diagonal_symbol_is_bitwise_eigvalsh(monkeypatch):
     """A diagonal symbol (the torus Delta_1 = diag(Delta_0, Delta_0), the
     rank 3 Laplacian, Gaussian-rational entries on several axes) is the real
@@ -354,6 +377,7 @@ def test_torus_diagonal_symbol_is_bitwise_eigvalsh(monkeypatch):
         assert got.dtype == want.dtype and np.array_equal(got, want), (name, m)
 
 
+@pytest.mark.bitwise
 def test_torus_symbol_memory_stays_near_its_output():
     """No m^n complex temporary: solving the torus Delta_1 at m = 256 peaks
     within twice its 8 d m^2 bytes of output (the float64 symbol of the one

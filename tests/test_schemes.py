@@ -23,6 +23,7 @@ from l2approx import (
     density_from_eigs,
     finite_spectrum,
     k_bound,
+    log_det,
     norms_check,
     positive_square,
     run_folner,
@@ -273,6 +274,7 @@ def test_run_folner_edge_cases(z_group):
         assert np.allclose(rep.eigen.eigenvalues, expected, atol=1e-12)
 
 
+@pytest.mark.bitwise
 def test_band_eigenvalues_match_eig_banded(z_group, z_laplacian):
     """The direct ?sbevd/?hbevd call gives what scipy.linalg.eig_banded gives
     on the same band, bit for bit and in the same dtype, and rejects a band
@@ -869,5 +871,28 @@ def test_norms_check_reads_every_level(z_laplacian):
         "k_bound": 4.0,
         "max_eigenvalue": max(rep.max_eigenvalue for rep in reports),
     }
-    reports[1] = replace(reports[1], norm_bound_ok=False)
+    reports[1] = replace(reports[1], norm_bound=reports[1].max_eigenvalue / 2)
     assert norms_check(reports, 4.0)["ok"] is False
+
+
+def test_level_report_derives_its_numbers_from_its_spectrum(z_laplacian):
+    """A report's f0, logdet, moments, size, top eigenvalue and norm verdict
+    are read off its eigen at construction, so ``replace`` re-derives them:
+    a report cannot carry an f0 or a norm verdict its spectrum disagrees
+    with."""
+    rep = run_tower(z_laplacian, QuotientTower.zn(1, [16]))[0]
+    eig = rep.eigen
+    assert rep.f0 == eig.kernel_end() / eig.denom == betti(rep.density) == 1 / 16
+    assert rep.logdet == log_det(eig)
+    assert rep.moments == {m: eig.moment(m) for m in rep.exact_traces}
+    assert rep.matrix_size == 16 and rep.max_eigenvalue == eig.max_eigenvalue
+    assert rep.norm_bound_ok
+    low = replace(rep, norm_bound=rep.max_eigenvalue / 2)
+    assert low.norm_bound_ok is False and rep.norm_bound_ok is True
+    assert replace(low, norm_bound=rep.norm_bound).norm_bound_ok is True
+    # a wider kernel threshold moves F(0) and logdet together
+    wide = replace(rep, eigen=EigenResult(eig.eigenvalues, eig.denom, 1.0))
+    assert wide.f0 == eig.kernel_end(1.0) / 16 > rep.f0
+    assert wide.logdet == log_det(eig, 1.0)
+    with pytest.raises(ValueError):
+        replace(rep, f0=0.0)

@@ -201,6 +201,36 @@ def test_density_examples(z4_circulant):
     assert log_det(finite_spectrum(zero)) == 0.0
 
 
+@st.composite
+def _split_spectra(draw):
+    """An EigenResult with negatives, zeros and values exactly at -thr and
+    thr, for thresholds that include 0."""
+    thr = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.5]))
+    values = draw(
+        st.lists(
+            st.one_of(st.floats(-4.0, 4.0), st.sampled_from([-thr, -0.0, 0.0, thr])),
+            max_size=40,
+        )
+    )
+    return EigenResult(np.sort(values), draw(st.integers(1, 5)), thr)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(e=_split_spectra())
+def test_kernel_split_is_read_by_f0_density_and_log_det(e):
+    """One split: F(0) = kernel_end() / denom is betti of the clustered
+    density (its jumps below 0 and at 0 hold exactly the eigenvalues <= thr),
+    and log_det sums exactly the logs of eigenvalues[kernel_end():]."""
+    w, end = e.eigenvalues, e.kernel_end()
+    assert np.all(w[:end] <= e.kernel_threshold) and np.all(w[end:] > e.kernel_threshold)
+    f = density_from_eigs(e)
+    assert e.kernel_end() / e.denom == betti(f)
+    assert int(f.counts[f.positions <= 0.0].sum()) == end
+    assert log_det(e) == float(np.sum(np.log(w[end:]))) / e.denom
+    assert log_det(e, 0.0) == float(np.sum(np.log(w[w > 0.0]))) / e.denom
+
+
+@pytest.mark.bitwise
 def test_log_det_in_place_is_bitwise_the_selected_log():
     """log_det takes the log of the sorted tail above the threshold, with no
     mask or selected copy: bit for bit the log of the selection, summed,
@@ -672,6 +702,7 @@ def _kmesh_character_spectrum(delta):
     )
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize(
     "group",
     [CyclicGroup(n) for n in (1, 2, 7, 1024)] + [TABLE_PRODUCTS["S3 x Z/4"]],
@@ -739,6 +770,7 @@ def _check_real_form(z, exponents, angle):
     assert c.tobytes() == z.real.tobytes(), exponents
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 100, 1024, 2 ** 17, 2 ** 18])
 def test_phase_contract_is_bitwise(n):
     """For both angle families (the characters of Z/n and the torus grid
@@ -771,6 +803,7 @@ def test_phase_contract_is_bitwise(n):
         assert np.array_equal(np.broadcast_to(spectral._phase((), angle, False), ()).ravel(), np.ones(1))
 
 
+@pytest.mark.bitwise
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(
     family=st.sampled_from(["cyclic", "torus"]),
@@ -795,6 +828,7 @@ def test_phase_contract_random_exponents(family, n, exponents):
     _check_real_form(z, exponents, angle)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("n", [1, 2, 7, 1024, 2 ** 18])
 def test_cyclic_phase_real_form_is_bitwise_the_complex_real_part(n):
     """For the characters of Z/n the real form cos(theta) is bit for bit
@@ -853,6 +887,7 @@ CYCLIC_PRODUCTS = {
 }
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("name", sorted(CYCLIC_PRODUCTS))
 def test_cyclic_product_phase_is_bitwise_the_outer_product(name):
     """Over several cyclic factors each character phase broadcasts over the
@@ -873,6 +908,7 @@ def test_cyclic_product_phase_is_bitwise_the_outer_product(name):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.bitwise
 def test_one_point_diagonal_rule_is_bitwise_eigvalsh(monkeypatch):
     """At one point a diagonal operator's eigenvalues are the sorted real
     parts of its diagonal symbols, d = 1 included, with no LAPACK call: bit
