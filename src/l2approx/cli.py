@@ -38,7 +38,7 @@ from .jsonio import (
     parse_complex,
     parse_problem,
 )
-from .matrices import k_bound, positive_square
+from .matrices import RingMatrix, k_bound, positive_square
 from .oracles import check_torus_grid, torus_density, torus_eigen_result, torus_logdet_report
 from .schemes import (
     FolnerExhaustion,
@@ -55,6 +55,8 @@ from .schemes import (
 )
 from .spectral import density_from_eigs, finite_spectrum, subgroup_invariance_check
 from .verify import DEFAULT_SEED, SUITES, run_suite
+
+_KINDS = {QuotientTower: "tower", FolnerExhaustion: "folner"}
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -117,25 +119,32 @@ def _default_lambda_grid(problem: Problem) -> list:
     return [top * k / 8 for k in range(9)]
 
 
+def _operator(problem: Problem, checks) -> RingMatrix:
+    """A*A under the whitehead check, else A: the one operator of every
+    level, oracle, density and verdict."""
+    return positive_square(problem.matrix) if "whitehead" in checks else problem.matrix
+
+
 def cmd_density(args) -> int:
     problem = _load_problem(args.problem)
     scheme = problem.scheme
     if args.level is not None and scheme is None:
         raise ProblemFormatError("--level needs a problem 'scheme'")
+    delta = _operator(problem, _requested_checks(problem, _KINDS.get(type(scheme))))
     if args.grid is not None or (scheme is None and problem.oracle_grid is not None):
-        density = torus_density(problem.matrix, args.grid or problem.oracle_grid)
+        density = torus_density(delta, args.grid or problem.oracle_grid)
     elif scheme is not None:
         label = scheme.labels[-1] if args.level is None else args.level
         if label not in scheme.labels:
             raise ProblemFormatError(f"level {label} not in scheme levels {scheme.labels}")
         if isinstance(scheme, FolnerExhaustion):
-            reports = run_folner(problem.matrix, FolnerExhaustion(scheme.group, [label]))
+            reports = run_folner(delta, FolnerExhaustion(scheme.group, [label]))
         else:
             phi = scheme.levels[scheme.labels.index(label)]
-            reports = run_tower(problem.matrix, QuotientTower(scheme.source, [phi], [label]))
+            reports = run_tower(delta, QuotientTower(scheme.source, [phi], [label]))
         density = reports[0].density
     elif problem.group.is_finite:
-        density = density_from_eigs(finite_spectrum(problem.matrix))
+        density = density_from_eigs(finite_spectrum(delta))
     else:
         raise ProblemFormatError("problem has no scheme, oracle grid, or finite group")
     if args.json:
@@ -171,7 +180,7 @@ def cmd_approx(args) -> int:
         if not isinstance(problem.group, FreeAbelianGroup):
             raise ProblemFormatError("--boxes needs a free abelian group")
         scheme = build_boxes_folner(problem.group.rank, args.boxes)
-    kind = {QuotientTower: "tower", FolnerExhaustion: "folner"}.get(type(scheme))
+    kind = _KINDS.get(type(scheme))
     checks = _requested_checks(problem, kind)
     for name in checks:
         if kind not in CHECKS[name]:
@@ -184,8 +193,7 @@ def cmd_approx(args) -> int:
         raise ProblemFormatError("subgroup check needs an 'embedding'")
     if "whitehead" in checks and problem.inverse is None:
         raise ProblemFormatError("whitehead check needs an 'inverse' matrix")
-    # the levels, the oracle and every verdict refer to this one operator
-    delta = positive_square(problem.matrix) if "whitehead" in checks else problem.matrix
+    delta = _operator(problem, checks)
     oracle_available = (
         kind == "tower" and isinstance(problem.group, FreeAbelianGroup) and delta.is_self_adjoint()
     )
@@ -244,7 +252,6 @@ def cmd_approx(args) -> int:
         verdicts["sintapr"] = sintapr_check(
             reports,
             d=delta.rows,
-            K=max(k_bound(delta), 1.0),
             tol=tol,
             oracle_logdet=oracle["value"] if oracle else None,
         )

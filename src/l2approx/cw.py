@@ -16,8 +16,8 @@ from typing import Optional
 
 from .errors import NotAComplex, SchemeError, WrongGroup
 from .groups import FreeAbelianGroup, Group
-from .matrices import RingMatrix, k_bound, laplacian
-from .oracles import _positive_log_det, check_torus_grid, torus_eigen_result
+from .matrices import RingMatrix, laplacian
+from .oracles import check_torus_grid, torus_betti_logdet
 from .schemes import QuotientTower, run_tower, sintapr_check
 from .spectral import check_group_solve, check_solve_size, finite_spectrum, log_det
 
@@ -98,21 +98,18 @@ class L2Report:
 def _oracle_degree(delta: RingMatrix, grid: int):
     group = delta.group
     if isinstance(group, FreeAbelianGroup) and group.rank > 0:
-        eig = torus_eigen_result(delta, grid)
-        logdet = _positive_log_det(eig)
-    elif group.is_finite:
-        eig = finite_spectrum(delta)
-        logdet = log_det(eig)
-    else:
+        return (*torus_betti_logdet(delta, grid), True)
+    if not group.is_finite:
         raise WrongGroup(f"no oracle available for {group}")
-    return eig.kernel_end() / eig.denom, logdet, True
+    eig = finite_spectrum(delta)
+    return eig.kernel_end() / eig.denom, log_det(eig), True
 
 
 def _tower_degree(delta: RingMatrix, tower: QuotientTower, tol: float):
     reports = run_tower(delta, tower)
     det_ok = all(rep.logdet >= -tol for rep in reports)
     if det_ok and delta.rows > 0:
-        det_ok = sintapr_check(reports, d=delta.rows, K=max(k_bound(delta), 1.0), tol=tol)["ok"]
+        det_ok = sintapr_check(reports, d=delta.rows, tol=tol)["ok"]
     return reports[-1].f0, reports[-1].logdet, det_ok
 
 

@@ -163,23 +163,27 @@ def torus_density(delta: RingMatrix, grid_per_dim: int) -> SpectralDensity:
     return density_from_eigs(torus_eigen_result(delta, grid_per_dim))
 
 
-def _positive_log_det(eig: EigenResult) -> float:
-    """Normalized sum of log of every strictly positive eigenvalue.
+def torus_betti_logdet(delta: RingMatrix, grid_per_dim: int) -> tuple:
+    """(F(0) at the kernel threshold, log det) of one solve made here.
 
-    The torus logdet applies no magnitude cutoff: genuinely small
-    eigenvalues near a high-order zero of the symbol carry a real
-    contribution to the integral, and masking them by the density's kernel
-    threshold would bias the value upward by an amount that does not vanish
-    with the grid.  Values that round to zero or below (only possible at an
-    exact symbol kernel, which the midpoint grid avoids) are skipped.
+    The logdet applies no magnitude cutoff: genuinely small eigenvalues
+    near a high-order zero of the symbol carry a real contribution to the
+    integral, and masking them by the density's kernel threshold would bias
+    the value upward by an amount that does not vanish with the grid.
+    Values that round to zero or below (only possible at an exact symbol
+    kernel, which the midpoint grid avoids) are skipped: bit for bit
+    ``log_det(eig, 0.0)``, whose log overwrites the tail in place.
     """
-    return log_det(eig, 0.0)
+    eig = torus_eigen_result(delta, grid_per_dim)
+    betti, start = eig.kernel_end() / eig.denom, eig.kernel_end(0.0)
+    tail = eig.eigenvalues[start:]
+    return betti, float(np.sum(np.log(tail, out=tail))) / eig.denom
 
 
 def torus_logdet(delta: RingMatrix, grid_per_dim: int) -> float:
     """Quadrature approximation of the log Fuglede-Kadison determinant:
-    log of every strictly positive symbol eigenvalue (``_positive_log_det``)."""
-    return _positive_log_det(torus_eigen_result(delta, grid_per_dim))
+    log of every strictly positive symbol eigenvalue (``torus_betti_logdet``)."""
+    return torus_betti_logdet(delta, grid_per_dim)[1]
 
 
 def torus_logdet_report(
@@ -189,12 +193,12 @@ def torus_logdet_report(
 
     ``error_estimate`` is |fine - coarse|, the log determinants on the grid
     m and on the grid max(1, m // 2): an estimate of the quadrature error,
-    not a bound.  ``fine`` is ``torus_eigen_result(delta, grid_per_dim)``
-    when the caller already has it; it is solved here otherwise.
+    not a bound.  ``fine``, left unchanged, is ``torus_eigen_result(delta,
+    grid_per_dim)`` when the caller has it; it is solved here otherwise.
     """
     if fine is None:
         fine = torus_eigen_result(delta, grid_per_dim)
-    value = _positive_log_det(fine)
+    value = log_det(fine, 0.0)
     coarse_grid = max(1, grid_per_dim // 2)
     coarse = torus_logdet(delta, coarse_grid)
     return {

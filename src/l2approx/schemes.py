@@ -633,7 +633,6 @@ def density_tail_integral(density: SpectralDensity, k: float) -> float:
 def sintapr_check(
     reports: Sequence[LevelReport],
     d: int,
-    K: float,
     tol: float = 0.02,
     oracle_logdet: Optional[float] = None,
 ) -> dict:
@@ -643,7 +642,9 @@ def sintapr_check(
     hypothesis).  Per level checks the integral identity bound
     I_i <= ln(K)(d - F_i(0)) and the consistency of logdet with the
     integral; finally compares the tail-end logdet against the oracle.
+    K is max(norm_bound, 1), the k_bound of the operator every level ran.
     """
+    K = max(reports[0].norm_bound, 1.0)
     for rep in reports:
         if rep.logdet < -tol:
             raise HypothesisViolated(

@@ -304,14 +304,16 @@ def _operator_eigenvalues(
     """
     d = delta.rows
     if len(points) == 1 and _is_diagonal(delta):
-        diagonal = [delta.entries[k][k] for k in range(d)]
-        distinct = list(dict.fromkeys(diagonal))
-        symbols = np.zeros((len(distinct),) + shape)
-        for i, x in enumerate(distinct):
-            _add_symbol(symbols, x, phase, lambda g: i)
-        # the symbols in diagonal order, copied once and sorted in place
-        flat = symbols.reshape(len(distinct), math.prod(shape))
-        w = flat[[distinct.index(x) for x in diagonal]].ravel()
+        # one array from assembly to sort: a repeated entry copies its first row
+        w = np.zeros((d,) + shape)
+        first = {}
+        for k in range(d):
+            x = delta.entries[k][k]
+            if first.setdefault(x, k) < k:
+                w[k] = w[first[x]]
+            else:
+                _add_symbol(w, x, phase, lambda g: k)
+        w = w.ravel()
     else:
         w = np.linalg.eigvalsh(
             _operator_blocks(delta, shape, phase, group, points, part, real)

@@ -35,6 +35,17 @@ def test_density_tower_level_csv(tmp_path, capsys):
     assert float(lines[-1].split(",")[1]) == 1.0
 
 
+def test_density_of_whitehead_problem_is_the_density_of_a_star_a(capsys):
+    """A problem with an inverse has the whitehead check, under which approx
+    runs A*A: density runs the same operator, a 2 x 2 positive matrix with
+    total mass 2 and, A being invertible, no kernel."""
+    assert main(["density", fixture_path("whitehead_elementary.json"), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["total_mass"] == 2
+    assert math.isclose(sum(j["mass"] for j in payload["jumps"]), 2.0)
+    assert payload["jumps"][0]["lambda"] > 0
+
+
 def test_density_identity_matrix(tmp_path):
     problem = {
         "group": {"type": "cyclic", "n": 6},

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2approx import (
     FreeAbelianGroup,
@@ -19,10 +21,16 @@ from l2approx import (
     torus_density,
     torus_logdet,
 )
-from l2approx.cw import laplacians
+from l2approx.cw import _oracle_degree, laplacians
 from l2approx.errors import NotHermitian, NotPSD, WrongGroup
-from l2approx.oracles import _char_poly, torus_logdet_report, torus_symbol_eigenvalues
-from l2approx.spectral import _phase
+from l2approx.oracles import (
+    _char_poly,
+    torus_betti_logdet,
+    torus_eigen_result,
+    torus_logdet_report,
+    torus_symbol_eigenvalues,
+)
+from l2approx.spectral import _add_symbol, _phase, log_det
 
 from conftest import SEED, fixture_complex
 from dense_reference import hermitian_eigenvalues, outer_phase, regular_representation, symbol_stack
@@ -379,9 +387,10 @@ def test_torus_diagonal_symbol_is_bitwise_eigvalsh(monkeypatch):
 
 @pytest.mark.bitwise
 def test_torus_symbol_memory_stays_near_its_output():
-    """No m^n complex temporary: solving the torus Delta_1 at m = 256 peaks
-    within twice its 8 d m^2 bytes of output (the float64 symbol of the one
-    distinct diagonal entry is half of it)."""
+    """No m^n complex temporary and no second symbol array: solving the
+    torus Delta_1 at m = 256 peaks within 1.25 times its 8 d m^2 bytes of
+    output (its one distinct diagonal entry is assembled into the output's
+    first row and copied to the second)."""
     delta = laplacians(fixture_complex("torus"))[1]
     m = 256
     torus_symbol_eigenvalues(delta, m)  # warm: caches and lazy imports
@@ -392,4 +401,100 @@ def test_torus_symbol_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert w.nbytes == 8 * 2 * m * m
-    assert peak <= 2 * w.nbytes
+    assert peak <= 1.25 * w.nbytes
+
+
+@pytest.mark.bitwise
+def test_cw_torus_degree_memory_stays_near_its_spectrum():
+    """cw's oracle on the torus Delta_1 at m = 256, solve and log
+    determinant together, peaks within 1.25 times the 8 d m^2 bytes of its
+    eigenvalues: the log of the positive tail overwrites it."""
+    delta = laplacians(fixture_complex("torus"))[1]
+    m = 256
+    _oracle_degree(delta, m)  # warm: caches and lazy imports
+    tracemalloc.start()
+    try:
+        _oracle_degree(delta, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * 2 * m * m
+
+
+def _gather_diagonal_eigenvalues(delta, m):
+    """Reference: the diagonal route as one symbol per distinct diagonal
+    entry, gathered into diagonal order by a fancy-index copy, then sorted."""
+    theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+    shape = (m,) * delta.group.rank
+    diagonal = [delta.entries[k][k] for k in range(delta.rows)]
+    distinct = list(dict.fromkeys(diagonal))
+    symbols = np.zeros((len(distinct),) + shape)
+    for i, x in enumerate(distinct):
+        _add_symbol(symbols, x, lambda g, real: _phase(g, lambda k, e: theta_1d * e, real), lambda g: i)
+    flat = symbols.reshape(len(distinct), math.prod(shape))
+    w = flat[[distinct.index(x) for x in diagonal]].ravel()
+    w.sort()
+    return w
+
+
+_COEFFICIENTS = st.sampled_from(
+    [GaussianRational.of(c) for c in (1, -2, Fraction(3, 2))]
+    + [GaussianRational.of(Fraction(1, 2), Fraction(-1, 3)), GaussianRational.of(0, 1)]
+)
+
+
+@st.composite
+def _diagonal_operators(draw):
+    """A diagonal d x d matrix over Z^n, d = 1..3 and n = 1..2, whose
+    entries x + x* are drawn from a pool of one to three, so repeated and
+    distinct entries both occur, with real and complex coefficients."""
+    z = FreeAbelianGroup(draw(st.integers(1, 2)))
+    word = st.tuples(*[st.integers(-3, 3)] * z.rank)
+    elements = st.dictionaries(word, _COEFFICIENTS, min_size=1, max_size=3)
+    pool = []
+    for terms in draw(st.lists(elements, min_size=1, max_size=3)):
+        x = RingElement(z, terms)
+        pool.append(x + x.star())
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3))
+    zero = RingElement.zero(z)
+    return RingMatrix(z, [[pool[i] if k == l else zero for l in range(len(picks))] for k, i in enumerate(picks)])
+
+
+@pytest.mark.bitwise
+@settings(max_examples=60, deadline=None)
+@given(delta=_diagonal_operators(), m=st.sampled_from(ODD_AND_EVEN_GRIDS))
+def test_diagonal_route_is_bitwise_the_gather_form(delta, m):
+    """The one-point diagonal route assembles into one array, row by row,
+    and copies repeated entries: bit for bit the form that gathered one
+    symbol per distinct entry into diagonal order."""
+    got = torus_symbol_eigenvalues(delta, m)
+    want = _gather_diagonal_eigenvalues(delta, m)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.bitwise
+def test_torus_betti_logdet_is_the_kernel_split_and_log_det():
+    """torus_betti_logdet is (kernel_end() / denom, log_det(eig, 0.0)) of
+    the torus eigenvalues, bit for bit, after it overwrote the tail: on the
+    torus Laplacians, a non-diagonal A*A, 2 cos theta (negative half, and at
+    m = 2 and 6 a value 6e-17 kept by the cut at 0 but not by the kernel
+    threshold) and the zero matrix (no positive tail)."""
+    z1, z2 = FreeAbelianGroup(1), FreeAbelianGroup(2)
+    t = RingElement.delta(z1, (1,))
+    a, b = RingElement.delta(z2, (1, 0)), RingElement.delta(z2, (0, 1))
+    big_a = RingMatrix(z2, [[1 - a, 1 - b], [2 - b, 3 + a]])
+    cases = {
+        **_torus_diagonal_cases(),
+        "A*A": big_a.adjoint() @ big_a,
+        "2 cos": RingMatrix.from_element(t + t.star()),
+        "zero": RingMatrix.zero(z2, 2, 2),
+    }
+    splits = set()
+    for (name, delta), m in itertools.product(cases.items(), ODD_AND_EVEN_GRIDS + (2,)):
+        eig = torus_eigen_result(delta, m)
+        want = (eig.kernel_end() / eig.denom, log_det(eig, 0.0))
+        got = torus_betti_logdet(delta, m)
+        assert [type(x) for x in got] == [float, float]
+        assert got == want and torus_logdet(delta, m) == want[1], (name, m)
+        splits.add(eig.kernel_end() == eig.kernel_end(0.0))
+    assert splits == {True, False}

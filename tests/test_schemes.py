@@ -634,7 +634,9 @@ def test_sintapr_check(zd_reports, z_laplacian):
     oracle = torus_logdet(z_laplacian, 4096)
     # extend with deeper levels so the tail estimate clears the oracle bound
     deep = run_tower(z_laplacian, QuotientTower.zn(1, [512, 1024]))
-    verdict = sintapr_check(zd_reports + deep, d=1, K=4.0, oracle_logdet=oracle)
+    # K = max(norm_bound, 1) = 4: the norm bound of 2 - t - 1/t
+    assert {rep.norm_bound for rep in zd_reports + deep} == {4.0}
+    verdict = sintapr_check(zd_reports + deep, d=1, oracle_logdet=oracle)
     assert verdict["ok"]
     for row in verdict["rows"]:
         assert row["integral"] <= row["bound"] + 0.02
@@ -741,7 +743,7 @@ def test_sintapr_hypothesis_violation(z_group):
     half = RingMatrix.from_element(RingElement.scalar(z_group, Fraction(1, 2)))
     reports = run_tower(half, QuotientTower.zn(1, [4, 8, 16]))
     with pytest.raises(HypothesisViolated):
-        sintapr_check(reports, d=1, K=1.0)
+        sintapr_check(reports, d=1)
 
 
 def _whitehead(a, b, levels, oracle_grid=2048):
