@@ -827,6 +827,67 @@ def test_unknown_checks_exit_2(checks, tmp_path, capsys):
     assert "checks must be a list" in capsys.readouterr().err
 
 
+NO_SCHEME = "no scheme given (problem 'scheme' or --levels/--boxes)"
+CHECK_SCHEMES = {
+    "none": None,
+    "tower": {"type": "tower", "levels": [8, 16, 32]},
+    "folner": {"type": "folner", "boxes": [2, 4, 8]},
+}
+# the input error of each check on zd_laplacian (no inverse, no embedding)
+# under each scheme, or None where the check runs
+CHECK_ERRORS = {
+    "subgroup": dict.fromkeys(CHECK_SCHEMES, "subgroup check needs an 'embedding'"),
+    "whitehead": {
+        "none": NO_SCHEME,
+        "tower": "whitehead check needs an 'inverse' matrix",
+        "folner": "whitehead check needs a tower scheme",
+    },
+    **{
+        name: {"none": NO_SCHEME, "tower": None, "folner": f"{name} check needs a tower scheme"}
+        for name in ("complex", "squeeze", "sintapr")
+    },
+    "traces": {"none": NO_SCHEME, "tower": "traces check needs a folner scheme", "folner": None},
+    "norms": {"none": NO_SCHEME, "tower": None, "folner": None},
+}
+
+
+def _approx_with_checks(tmp_path, checks, scheme, matrix=None):
+    problem = json.loads((FIXTURES / "zd_laplacian.json").read_text())
+    del problem["scheme"]
+    if scheme is not None:
+        problem["scheme"] = scheme
+    if matrix is not None:
+        problem["matrix"] = matrix
+    problem["checks"] = checks
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    return main(["approx", str(path)])
+
+
+@pytest.mark.parametrize("scheme", list(CHECK_SCHEMES))
+@pytest.mark.parametrize("check", list(CHECK_ERRORS))
+def test_check_requirements_exit_2_with_their_message(check, scheme, tmp_path, capsys):
+    """A check its scheme does not serve, or whose inverse or embedding is
+    missing, exits 2 with one message and no report; any other check runs."""
+    code = _approx_with_checks(tmp_path, [check], CHECK_SCHEMES[scheme])
+    out, err = capsys.readouterr()
+    message = CHECK_ERRORS[check][scheme]
+    if message is None:
+        assert code in (0, 1) and err == ""
+        assert list(json.loads(out)["verdicts"]) == [check]
+    else:
+        assert (code, out, err) == (2, "", f"l2approx: input error: {message}\n")
+
+
+@pytest.mark.parametrize("check", ["complex", "squeeze"])
+def test_oracle_checks_need_a_self_adjoint_matrix(check, tmp_path, capsys):
+    # 1 - t over Z is not self-adjoint, so no torus oracle serves it
+    matrix = {"entries": [[[{"word": [0], "re": 1}, {"word": [1], "re": -1}]]]}
+    code = _approx_with_checks(tmp_path, [check], CHECK_SCHEMES["tower"], matrix)
+    message = f"{check} needs a self-adjoint matrix over a free abelian group"
+    assert (code, *capsys.readouterr()) == (2, "", f"l2approx: input error: {message}\n")
+
+
 def test_density_json_mode(capsys):
     assert main(["density", fixture_path("zd_laplacian.json"), "--grid", "8", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
