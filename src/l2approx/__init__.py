@@ -45,15 +45,9 @@ from .schemes import (
     SandwichPolynomial,
     build_boxes_folner,
     build_sandwich,
-    complex_check,
-    norms_check,
     run_folner,
     run_tower,
     sandwich_level_check,
-    sintapr_check,
-    squeeze_check,
-    trace_gap_check,
-    whitehead_check,
 )
 from .spectral import (
     EigenResult,
@@ -62,7 +56,7 @@ from .spectral import (
     density_from_eigs,
     finite_spectrum,
     log_det,
-    subgroup_invariance_check,
 )
+from .verdicts import VERDICTS, Context
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,12 +23,10 @@ import sys
 
 from . import __version__
 from .cw import l2_invariants
-from .errors import L2ApproxError, SolveTooLarge
+from .errors import L2ApproxError, ProblemFormatError, SolveTooLarge
 from .groups import FreeAbelianGroup
 from .jsonio import (
-    CHECKS,
     Problem,
-    ProblemFormatError,
     canonical_dumps,
     density_csv,
     density_to_json,
@@ -40,20 +38,9 @@ from .jsonio import (
 )
 from .matrices import RingMatrix, k_bound, positive_square
 from .oracles import check_torus_grid, torus_density, torus_eigen_result, torus_logdet_report
-from .schemes import (
-    FolnerExhaustion,
-    QuotientTower,
-    build_boxes_folner,
-    complex_check,
-    norms_check,
-    run_folner,
-    run_tower,
-    sintapr_check,
-    squeeze_check,
-    trace_gap_check,
-    whitehead_check,
-)
-from .spectral import density_from_eigs, finite_spectrum, subgroup_invariance_check
+from .schemes import FolnerExhaustion, QuotientTower, build_boxes_folner, run_folner, run_tower
+from .spectral import density_from_eigs, finite_spectrum
+from .verdicts import VERDICTS, Context, require
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 _KINDS = {QuotientTower: "tower", FolnerExhaustion: "folner"}
@@ -92,7 +79,8 @@ def _flag(parse, ok, what: str):
 
 
 def _split(parse):
-    return lambda text: [parse(x) for x in text.split(",") if x.strip()]
+    # None for an empty list, which _flag rejects like a malformed one
+    return lambda text: [parse(x) for x in text.split(",") if x.strip()] or None
 
 
 _levels = _flag(_split(int), lambda v: all(n >= 1 for n in v), "comma-separated integers >= 1")
@@ -112,11 +100,6 @@ _finite_list = _flag(
 
 def _load_problem(path: str) -> Problem:
     return parse_problem(load_json(path))
-
-
-def _default_lambda_grid(problem: Problem) -> list:
-    top = k_bound(problem.matrix)
-    return [top * k / 8 for k in range(9)]
 
 
 def _operator(problem: Problem, checks) -> RingMatrix:
@@ -182,37 +165,26 @@ def cmd_approx(args) -> int:
         scheme = build_boxes_folner(problem.group.rank, args.boxes)
     kind = _KINDS.get(type(scheme))
     checks = _requested_checks(problem, kind)
-    for name in checks:
-        if kind not in CHECKS[name]:
-            raise ProblemFormatError(
-                f"{name} check needs a {CHECKS[name][0]} scheme"
-                if kind
-                else "no scheme given (problem 'scheme' or --levels/--boxes)"
-            )
-    if "subgroup" in checks and problem.embedding is None:
-        raise ProblemFormatError("subgroup check needs an 'embedding'")
-    if "whitehead" in checks and problem.inverse is None:
-        raise ProblemFormatError("whitehead check needs an 'inverse' matrix")
     delta = _operator(problem, checks)
     oracle_available = (
         kind == "tower" and isinstance(problem.group, FreeAbelianGroup) and delta.is_self_adjoint()
     )
-    for name in ("complex", "squeeze"):
-        if name in checks and not oracle_available:
-            raise ProblemFormatError(
-                f"{name} needs a self-adjoint matrix over a free abelian group"
-            )
+    require(
+        checks, kind, embedding=problem.embedding is not None,
+        inverse=problem.inverse is not None, oracle=oracle_available,
+    )
     tol = args.tol
     grid = next(g for g in (args.grid, problem.oracle_grid, 2048) if g is not None)
     if oracle_available:
         check_torus_grid(delta, grid)  # the oracle's cap, before the scheme runs
-    lam_grid = args.lambda_grid or problem.lambda_grid or _default_lambda_grid(problem)
+    kb = k_bound(problem.matrix)
+    lam_grid = args.lambda_grid or problem.lambda_grid or [kb * k / 8 for k in range(9)]
     report: dict = {
         "tool": {"name": "l2approx", "version": __version__},
         "problem": {
             "group": group_to_json(problem.group),
             "matrix_shape": list(problem.matrix.shape),
-            "k_bound": k_bound(problem.matrix),
+            "k_bound": kb,
         },
         "defaults": {
             "tol": tol,
@@ -220,45 +192,25 @@ def cmd_approx(args) -> int:
             "lambda_grid": lam_grid,
             "eps_ker": args.eps_ker,
         },
-        "verdicts": {},
     }
-    verdicts = report["verdicts"]
-    if "subgroup" in checks:
-        ok, dev = subgroup_invariance_check(problem.matrix, problem.embedding)
-        verdicts["subgroup"] = {"ok": ok, "max_deviation": dev}
     reports = []
     if kind is not None:
         report["scheme"] = {"type": kind, "levels" if kind == "tower" else "boxes": scheme.labels}
         run = run_tower if kind == "tower" else run_folner
         reports = run(delta, scheme, kernel_threshold=args.eps_ker)
-    oracle = None
+    oracle_eig = oracle = None
     if oracle_available:
         # one fine-grid solve serves the oracle logdet and the oracle density
         oracle_eig = torus_eigen_result(delta, grid)
         oracle = torus_logdet_report(delta, grid, oracle_eig)
         if "whitehead" not in checks:
             report["oracle"] = oracle
-        if "complex" in checks or "squeeze" in checks:
-            oracle_density = density_from_eigs(oracle_eig)
-    if "whitehead" in checks:
-        verdicts["whitehead"] = whitehead_check(
-            problem.matrix, problem.inverse, reports, oracle, tol=tol
-        )
-    if "complex" in checks:
-        verdicts["complex"] = complex_check(reports, oracle_density, grid, tol=tol)
-    if "squeeze" in checks:
-        verdicts["squeeze"] = squeeze_check(reports, oracle_density, lam_grid, tol=tol)
-    if "sintapr" in checks:
-        verdicts["sintapr"] = sintapr_check(
-            reports,
-            d=delta.rows,
-            tol=tol,
-            oracle_logdet=oracle["value"] if oracle else None,
-        )
-    if "traces" in checks:
-        verdicts["traces"] = trace_gap_check(reports, delta)
-    if "norms" in checks:
-        verdicts["norms"] = norms_check(reports, k_bound(problem.matrix))
+    ctx = Context(
+        problem.matrix, delta, reports, inverse=problem.inverse, embedding=problem.embedding,
+        oracle_eig=oracle_eig, oracle=oracle, grid=grid, lambda_grid=lam_grid, tol=tol, k_bound=kb,
+    )
+    verdicts = {name: verdict(ctx) for name, (_, _, verdict) in VERDICTS.items() if name in checks}
+    report["verdicts"] = verdicts
     if reports:
         report["levels"] = [
             level_report_to_json(

@@ -18,8 +18,9 @@ from .errors import NotAComplex, SchemeError, WrongGroup
 from .groups import FreeAbelianGroup, Group
 from .matrices import RingMatrix, laplacian
 from .oracles import check_torus_grid, torus_betti_logdet
-from .schemes import QuotientTower, run_tower, sintapr_check
+from .schemes import QuotientTower, run_tower
 from .spectral import check_group_solve, check_solve_size, finite_spectrum, log_det
+from .verdicts import Context, sintapr
 
 ACYCLICITY_TOL = 0.01
 
@@ -109,7 +110,7 @@ def _tower_degree(delta: RingMatrix, tower: QuotientTower, tol: float):
     reports = run_tower(delta, tower)
     det_ok = all(rep.logdet >= -tol for rep in reports)
     if det_ok and delta.rows > 0:
-        det_ok = sintapr_check(reports, d=delta.rows, tol=tol)["ok"]
+        det_ok = sintapr(Context(delta, delta, reports, tol=tol))["ok"]
     return reports[-1].f0, reports[-1].logdet, det_ok
 
 

@@ -5,6 +5,10 @@ class L2ApproxError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ProblemFormatError(L2ApproxError):
+    """The problem file does not match the expected schema."""
+
+
 class MismatchedGroup(L2ApproxError):
     """An element or operand does not belong to the expected group."""
 

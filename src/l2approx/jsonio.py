@@ -18,7 +18,7 @@ from functools import partial
 from typing import Optional
 
 from .cw import ChainComplexSpec
-from .errors import L2ApproxError, MalformedGroup, MismatchedGroup, SchemeError, UndefinedGenerator
+from .errors import MalformedGroup, MismatchedGroup, ProblemFormatError, SchemeError, UndefinedGenerator
 from .groupring import GaussianRational, RingElement
 from .groups import (
     CyclicGroup,
@@ -33,19 +33,7 @@ from .groups import (
 )
 from .matrices import RingMatrix
 from .schemes import QuotientTower, build_boxes_folner
-
-
-class ProblemFormatError(L2ApproxError):
-    """The problem file does not match the expected schema."""
-
-
-# each check name with the schemes that serve it (None: no scheme given)
-CHECKS = {
-    "subgroup": (None, "tower", "folner"),
-    **dict.fromkeys(("whitehead", "complex", "squeeze", "sintapr"), ("tower",)),
-    "traces": ("folner",),
-    "norms": ("tower", "folner"),
-}
+from .verdicts import VERDICTS
 
 
 def _int(x, what: str) -> int:
@@ -297,8 +285,8 @@ def parse_problem(obj: dict) -> Problem:
             raise ProblemFormatError(f"lambda_grid must be a list of finite numbers, got {lambda_grid!r}")
         lambda_grid = [float(x) for x in lambda_grid]
     checks = _list(obj.get("checks", []), "checks")
-    if any(type(c) is not str or c not in CHECKS for c in checks):
-        raise ProblemFormatError(f"checks must be a list of names from {list(CHECKS)}: {checks!r}")
+    if any(type(c) is not str or c not in VERDICTS for c in checks):
+        raise ProblemFormatError(f"checks must be a list of names from {list(VERDICTS)}: {checks!r}")
     return Problem(
         group=group,
         matrix=matrix,

@@ -1,15 +1,11 @@
-"""Approximation pipelines and their certification checks.
+"""Approximation pipelines.
 
 Two pipelines produce per-level spectral reports for a positive self-adjoint
 group-ring matrix: quotient towers (push the matrix onto finite quotients,
 take the regular representation) and box Folner exhaustions over Z^n
-(band compressions of the operator to boxes).  On top of the reports sit the
-certification checks, each a function of the reports and, where it needs
-one, the oracle: sandwich polynomials squeezing characteristic functions,
-the two-sided density squeeze against an oracle, the determinant
-semicontinuity estimate, the Whitehead-determinant test for invertible
-integer matrices, the kernel comparison for complex coefficients and the
-Folner trace gaps.
+(band compressions of the operator to boxes).  Sandwich polynomials,
+certified to squeeze characteristic functions, are evaluated on the
+reports; the verdicts on them live in ``verdicts``.
 """
 
 from __future__ import annotations
@@ -30,11 +26,8 @@ import numpy as np
 from .errors import (
     BoxTooLarge,
     CertificationFailed,
-    HypothesisViolated,
     InjectivityUncertified,
-    InsufficientLevels,
     MismatchedGroup,
-    NotInverse,
     SchemeError,
     WrongGroup,
 )
@@ -44,7 +37,6 @@ from .matrices import RingMatrix, k_bound, trace
 from .spectral import (
     EigenResult,
     SpectralDensity,
-    betti,
     check_group_solve,
     default_kernel_threshold,
     density_from_eigs,
@@ -160,7 +152,7 @@ def _diag_support(delta: RingMatrix) -> set:
     return s
 
 
-def _reference_traces(delta: RingMatrix, powers) -> tuple:
+def reference_traces(delta: RingMatrix, powers) -> tuple:
     """Exact tr of Delta^m and the diagonal supports, for m in powers."""
     traces = {}
     supports = {}
@@ -199,14 +191,14 @@ def run_tower(
         check_group_solve(phi.target, delta.rows, f"tower level {label}")
     kb = k_bound(delta)
     thr = kernel_threshold if kernel_threshold is not None else default_kernel_threshold(delta)
-    ref_traces, ref_supports = _reference_traces(delta, TRACE_POWERS)
+    ref_traces, ref_supports = reference_traces(delta, TRACE_POWERS)
 
     reports = []
     for phi, label in zip(tower.levels, tower.labels):
         t0 = time.perf_counter()
         delta_i = delta.push_forward(phi)
         eig = finite_spectrum(delta_i, kernel_threshold=thr)
-        exact_traces, _ = _reference_traces(delta_i, TRACE_POWERS)
+        exact_traces, _ = reference_traces(delta_i, TRACE_POWERS)
         certified = {}
         for m in TRACE_POWERS:
             ok = phi.kernel_avoids(ref_supports[m])
@@ -549,215 +541,3 @@ def sandwich_level_check(
             }
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# convergence and determinant checks
-# ---------------------------------------------------------------------------
-
-def _tail(reports: Sequence[LevelReport]) -> Sequence[LevelReport]:
-    count = max(1, math.ceil(len(reports) / 3))
-    return reports[-count:]
-
-
-def squeeze_check(
-    reports: Sequence[LevelReport],
-    oracle_density: SpectralDensity,
-    lambda_grid: Sequence[float],
-    tol: float = 0.02,
-) -> dict:
-    """Two-sided squeeze of the level densities against an oracle density.
-
-    Over the tail (last third) of the levels, the upper envelope at lambda
-    must not exceed the oracle there, and the oracle must not exceed the
-    lower envelope at the next grid point, both up to tol.
-    """
-    if len(reports) < 3:
-        raise InsufficientLevels(f"squeeze needs >= 3 levels, got {len(reports)}")
-    tail = _tail(reports)
-    grid = sorted(float(x) for x in lambda_grid)
-    rows = []
-    all_ok = True
-    for idx, lam in enumerate(grid):
-        fbar = max(rep.density.evaluate(lam) for rep in tail)
-        f_oracle = oracle_density.evaluate(lam)
-        upper_ok = fbar <= f_oracle + tol
-        if idx + 1 < len(grid):
-            flow_next = min(rep.density.evaluate(grid[idx + 1]) for rep in tail)
-            lower_ok = f_oracle <= flow_next + tol
-        else:
-            flow_next = None
-            lower_ok = True
-        ok = upper_ok and lower_ok
-        all_ok = all_ok and ok
-        rows.append(
-            {
-                "lambda": lam,
-                "fbar": fbar,
-                "oracle": f_oracle,
-                "flow_next": flow_next,
-                "ok": ok,
-            }
-        )
-    return {"ok": all_ok, "tol": tol, "rows": rows}
-
-
-TAIL_CHUNK = 8192  # jumps per step of density_tail_integral
-
-
-def density_tail_integral(density: SpectralDensity, k: float) -> float:
-    """integral over (0, K] of (F(lambda) - F(0)) / lambda d lambda for a
-    step function, evaluated exactly from the jumps.
-
-    Jumps within rounding slack of K count as inside, so a spectrum whose
-    top eigenvalue equals K stays consistent with the logdet identity.
-    The positions ascend, so the jumps inside are one slice; it is summed
-    TAIL_CHUNK jumps at a time, the running total carried into each chunk.
-    """
-    slack = 1e-9 * max(1.0, k)
-    pos = density.positions
-    lo, hi = pos.searchsorted(0.0, "right"), pos.searchsorted(k + slack, "right")
-    total = 0.0
-    for start in range(lo, hi, TAIL_CHUNK):
-        chunk = slice(start, min(start + TAIL_CHUNK, hi))
-        # math.log, not np.log, whose last bit differs on some inputs
-        logs = np.fromiter(map(math.log, (k / pos[chunk]).tolist()), dtype=np.float64)
-        terms = density.counts[chunk] / density.denom * logs
-        # a running sum in jump order, from the total so far; np.sum would
-        # add pairwise
-        terms[0] += total
-        total = float(np.cumsum(terms, out=terms)[-1])
-    return total
-
-
-def sintapr_check(
-    reports: Sequence[LevelReport],
-    d: int,
-    tol: float = 0.02,
-    oracle_logdet: Optional[float] = None,
-) -> dict:
-    """Determinant semicontinuity certification.
-
-    Requires every level log determinant to be >= -tol (the semi-integral
-    hypothesis).  Per level checks the integral identity bound
-    I_i <= ln(K)(d - F_i(0)) and the consistency of logdet with the
-    integral; finally compares the tail-end logdet against the oracle.
-    K is max(norm_bound, 1), the k_bound of the operator every level ran.
-    """
-    K = max(reports[0].norm_bound, 1.0)
-    for rep in reports:
-        if rep.logdet < -tol:
-            raise HypothesisViolated(
-                f"level {rep.level} has logdet {rep.logdet:.6g} < {-tol}"
-            )
-        if rep.max_eigenvalue > K + 1e-9:
-            raise SchemeError(
-                f"level {rep.level} spectrum exceeds K={K}: {rep.max_eigenvalue}"
-            )
-    rows = []
-    all_ok = True
-    for rep in reports:
-        integral = density_tail_integral(rep.density, K)
-        bound = math.log(K) * (d - rep.f0)
-        identity_gap = abs(rep.logdet - (bound - integral))
-        ok = integral <= bound + tol and identity_gap <= 1e-8
-        all_ok = all_ok and ok
-        rows.append(
-            {
-                "level": rep.level,
-                "integral": integral,
-                "bound": bound,
-                "logdet": rep.logdet,
-                "identity_gap": identity_gap,
-                "ok": ok,
-            }
-        )
-    limsup_estimate = reports[-1].logdet
-    oracle_ok = True
-    if oracle_logdet is not None:
-        oracle_ok = limsup_estimate <= oracle_logdet + tol
-    return {
-        "ok": all_ok and oracle_ok,
-        "tol": tol,
-        "rows": rows,
-        "limsup_estimate": limsup_estimate,
-        "oracle_logdet": oracle_logdet,
-        "oracle_ok": oracle_ok,
-    }
-
-
-def whitehead_check(
-    a: RingMatrix,
-    b: RingMatrix,
-    reports: Sequence[LevelReport],
-    oracle: Optional[dict],
-    tol: float = 0.02,
-) -> dict:
-    """Vanishing of the determinant on invertible matrices.
-
-    Verifies A B = B A = I exactly over the ring; every level log
-    determinant in ``reports`` (the tower run on A*A) and the torus oracle
-    value of A*A (``oracle``, a ``torus_logdet_report``; None off Z^n) must
-    vanish within tolerance.  Non-integral inputs are accepted but flagged,
-    since the vanishing statement needs integer entries.
-    """
-    ident = RingMatrix.identity(a.group, a.rows)
-    if a @ b != ident or b @ a != ident:
-        raise NotInverse("A and B are not exact two-sided inverses")
-    levels_ok = all(abs(rep.logdet) <= tol for rep in reports)
-    oracle_ok = oracle is None or abs(oracle["value"]) <= tol / 2
-    return {
-        "ok": levels_ok and oracle_ok,
-        "integral": a.is_integral() and b.is_integral(),
-        "levels_ok": levels_ok,
-        "logdets": [rep.logdet for rep in reports],
-        "oracle": oracle,
-        "oracle_ok": oracle_ok,
-        "tol": tol,
-    }
-
-
-def complex_check(
-    reports: Sequence[LevelReport],
-    oracle_density: SpectralDensity,
-    oracle_grid: int,
-    tol: float = 0.02,
-) -> dict:
-    """Tail F(0) of a tower run against the torus-density oracle; valid over
-    Z^n without any integrality assumption, so it serves complex coefficients."""
-    tail_f0 = reports[-1].f0
-    oracle_f0 = betti(oracle_density)
-    return {
-        "ok": abs(tail_f0 - oracle_f0) <= tol,
-        "tail_f0": tail_f0,
-        "oracle_f0": oracle_f0,
-        "tol": tol,
-        "oracle_grid": oracle_grid,
-    }
-
-
-def norms_check(reports: Sequence[LevelReport], k_bound: float) -> dict:
-    """Every level's spectrum lies below its a-priori norm bound; reports
-    ``k_bound`` and the largest eigenvalue of any level."""
-    return {
-        "ok": all(rep.norm_bound_ok for rep in reports),
-        "k_bound": k_bound,
-        "max_eigenvalue": max(rep.max_eigenvalue for rep in reports),
-    }
-
-
-def trace_gap_check(reports: Sequence[LevelReport], delta: RingMatrix) -> dict:
-    """Folner trace convergence.
-
-    At every box, the gap between each exact compressed trace and the exact
-    trace of Delta^m upstairs; the worst gap must not grow along the
-    exhaustion and must end below 1e-2.
-    """
-    ref, _ = _reference_traces(delta, TRACE_POWERS)
-    rows = []
-    for rep in reports:
-        gaps = {str(m): abs(float(t.re) - float(ref[m].re)) for m, t in rep.exact_traces.items()}
-        rows.append({"level": rep.level, "trace_gaps": gaps})
-    worst = [max(row["trace_gaps"].values()) for row in rows]
-    shrinking = all(b <= a + 1e-12 for a, b in zip(worst, worst[1:]))
-    return {"ok": bool(worst) and shrinking and worst[-1] < 1e-2, "rows": rows}

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InfiniteGroup, MalformedGroup, NotHermitian, SolveTooLarge
-from .groups import CyclicGroup, DirectProductGroup, Group, Homomorphism, TrivialGroup, product_group
+from .errors import InfiniteGroup, NotHermitian, SolveTooLarge
+from .groups import CyclicGroup, DirectProductGroup, Group, TrivialGroup, product_group
 from .matrices import RingMatrix, k_bound
 
 KERNEL_THRESHOLD_FACTOR = 1e-9
@@ -414,51 +414,3 @@ def finite_spectrum(delta: RingMatrix, kernel_threshold: Optional[float] = None)
     if kernel_threshold is None:
         kernel_threshold = default_kernel_threshold(delta)
     return EigenResult(character_spectrum(delta), group.order, kernel_threshold)
-
-
-def densities_match(f1: SpectralDensity, f2: SpectralDensity, atol: float = 1e-9):
-    """Compare two step functions up to jitter atol in jump positions.
-
-    Walks both jump lists and merges clusters of jump positions closer than
-    atol, then compares cumulative masses after each cluster.  Returns
-    (matched, max_deviation).
-    """
-    events = sorted(
-        [(pos, 0, count) for pos, count in f1.jumps]
-        + [(pos, 1, count) for pos, count in f2.jumps]
-    )
-    acc = [0, 0]
-    maxdev = 0.0
-    i = 0
-    while i < len(events):
-        start = events[i][0]
-        while i < len(events) and events[i][0] - start <= atol:
-            _, which, count = events[i]
-            acc[which] += count
-            i += 1
-        dev = abs(acc[0] / f1.denom - acc[1] / f2.denom)
-        maxdev = max(maxdev, dev)
-    maxdev = max(maxdev, abs(f1.total_mass - f2.total_mass))
-    return maxdev <= atol * 10 + 1e-12, maxdev
-
-
-def subgroup_invariance_check(
-    delta_u: RingMatrix, embedding: Homomorphism, tol: float = 1e-9
-):
-    """Induce a matrix along a finite-group embedding and compare densities.
-
-    The spectral density of a matrix over U and of the induced matrix over
-    the ambient group agree; returns (ok, max deviation at jump points).
-    """
-    if embedding.source != delta_u.group:
-        raise MalformedGroup("embedding source does not match the matrix group")
-    if not embedding.source.is_finite or not embedding.target.is_finite:
-        raise InfiniteGroup("subgroup invariance check needs finite groups")
-    # a homomorphism is injective iff its kernel is trivial
-    if not embedding.kernel_avoids(embedding.source.elements()):
-        raise MalformedGroup("the supplied homomorphism is not injective")
-    thr = default_kernel_threshold(delta_u)
-    delta_pi = delta_u.push_forward(embedding)
-    f_u = density_from_eigs(finite_spectrum(delta_u, kernel_threshold=thr))
-    f_pi = density_from_eigs(finite_spectrum(delta_pi, kernel_threshold=thr))
-    return densities_match(f_u, f_pi, atol=tol)

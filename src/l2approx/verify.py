@@ -19,20 +19,12 @@ from .groups import CyclicGroup, FreeAbelianGroup, Homomorphism, symmetric_group
 from .matrices import RingMatrix, positive_square, trace
 from .oracles import (
     nonzero_eigenvalue_product_exact,
-    torus_density,
+    torus_eigen_result,
     torus_logdet,
     torus_logdet_report,
 )
-from .schemes import (
-    QuotientTower,
-    build_boxes_folner,
-    run_folner,
-    run_tower,
-    sintapr_check,
-    squeeze_check,
-    whitehead_check,
-)
-from .spectral import subgroup_invariance_check
+from .schemes import QuotientTower, build_boxes_folner, run_folner, run_tower
+from .verdicts import Context, sintapr, squeeze, subgroup, whitehead
 
 DEFAULT_SEED = 20260808
 
@@ -118,10 +110,10 @@ def suite_squeeze(seed: int) -> list:
         delta = _random_delta(rng)
         tower = QuotientTower.zn(1, [16, 32, 64, 128, 256])
         reports = run_tower(delta, tower)
-        oracle = torus_density(delta, 2048)
+        oracle_eig = torus_eigen_result(delta, 2048)
         top = max(rep.max_eigenvalue for rep in reports) + 1.0
         grid = [top * k / 8 for k in range(9)]
-        verdict = squeeze_check(reports, oracle, grid)
+        verdict = squeeze(Context(delta, delta, reports, oracle_eig=oracle_eig, lambda_grid=grid))
         lines.append(
             CheckLine(f"squeeze[{trial}]", verdict["ok"], f"grid of {len(grid)} points")
         )
@@ -156,7 +148,7 @@ def suite_determinant(seed: int) -> list:
     # semicontinuity hypothesis holds along towers of integer matrices
     delta = _random_delta(rng)
     reports = run_tower(delta, QuotientTower.zn(1, [16, 64, 256]))
-    verdict = sintapr_check(reports, d=delta.rows, oracle_logdet=None)
+    verdict = sintapr(Context(delta, delta, reports))
     lines.append(CheckLine("sintapr-level-bounds", verdict["ok"]))
     return lines
 
@@ -164,7 +156,8 @@ def suite_determinant(seed: int) -> list:
 def _whitehead_verdict(a: RingMatrix, b: RingMatrix, oracle_grid: int = 2048) -> dict:
     delta = positive_square(a)
     reports = run_tower(delta, QuotientTower.zn(1, [16, 64, 256]))
-    return whitehead_check(a, b, reports, torus_logdet_report(delta, oracle_grid))
+    oracle = torus_logdet_report(delta, oracle_grid)
+    return whitehead(Context(a, delta, reports, inverse=b, oracle=oracle))
 
 
 def suite_whitehead(seed: int) -> list:
@@ -191,6 +184,11 @@ def suite_whitehead(seed: int) -> list:
     return lines
 
 
+def _subgroup_line(name: str, delta: RingMatrix, emb: Homomorphism) -> CheckLine:
+    verdict = subgroup(Context(delta, embedding=emb))
+    return CheckLine(name, verdict["ok"], f"max deviation {verdict['max_deviation']:.2e}")
+
+
 def suite_subgroup(seed: int) -> list:
     rng = random.Random(seed)
     lines = []
@@ -204,8 +202,7 @@ def suite_subgroup(seed: int) -> list:
             sub, {g: rng.randint(-2, 2) for g in sub.elements()}
         )
         delta = positive_square(RingMatrix.from_element(x))
-        ok, dev = subgroup_invariance_check(delta, emb)
-        lines.append(CheckLine(f"cyclic-embedding[{trial}]", ok, f"max deviation {dev:.2e}"))
+        lines.append(_subgroup_line(f"cyclic-embedding[{trial}]", delta, emb))
     s3 = symmetric_group(3)
     three_cycle = next(
         g for g in s3.elements() if s3.multiply(g, s3.multiply(g, g)) == s3.identity() and g != s3.identity()
@@ -213,8 +210,7 @@ def suite_subgroup(seed: int) -> list:
     emb = Homomorphism(CyclicGroup(3), s3, generator_images=[three_cycle])
     x = RingElement(CyclicGroup(3), {0: 1, 1: -1})
     delta = positive_square(RingMatrix.from_element(x))
-    ok, dev = subgroup_invariance_check(delta, emb)
-    lines.append(CheckLine("cyclic-into-s3", ok, f"max deviation {dev:.2e}"))
+    lines.append(_subgroup_line("cyclic-into-s3", delta, emb))
     return lines
 
 

@@ -25,7 +25,6 @@ from l2approx import (
     betti,
     build_boxes_folner,
     build_sandwich,
-    complex_check,
     density_from_eigs,
     finite_spectrum,
     k_bound,
@@ -34,13 +33,13 @@ from l2approx import (
     run_folner,
     run_tower,
     sandwich_level_check,
-    subgroup_invariance_check,
     torus_density,
     torus_logdet,
-    whitehead_check,
 )
+from l2approx import verdicts
 from l2approx.cw import l2_invariants
-from l2approx.oracles import torus_logdet_report
+from l2approx.oracles import torus_eigen_result, torus_logdet_report
+from l2approx.verdicts import Context
 
 from conftest import fixture_complex, trace_power_exact
 
@@ -148,8 +147,9 @@ def test_criterion_5_subgroup_invariance():
     s = RingElement.delta(z2, 1)
     delta = RingMatrix.from_element(2 - s - s.star())
     embedding = Homomorphism(z2, CyclicGroup(4), generator_images=[2])
-    ok, deviation = subgroup_invariance_check(delta, embedding, tol=1e-9)
-    assert ok and deviation <= 1e-9
+    verdict = verdicts.subgroup(Context(delta, embedding=embedding))
+    deviation = verdict["max_deviation"]
+    assert verdict["ok"] and deviation <= 1e-9
     f = density_from_eigs(finite_spectrum(delta))
     assert f.jumps == ((0.0, 1), (4.0, 1))
     print(f"ACCEPTANCE 5 PASS: Z/2 -> Z/4 densities identical (dev {deviation:.1e})")
@@ -190,7 +190,8 @@ def test_criterion_8_whitehead_triviality(z_group):
     e_inv = RingMatrix(z_group, [[one, t - 1], [zero, one]])
     delta = positive_square(e)
     reports = run_tower(delta, QuotientTower.zn(1, TOWER_LEVELS))
-    verdict = whitehead_check(e, e_inv, reports, torus_logdet_report(delta, 2048), tol=0.02)
+    oracle = torus_logdet_report(delta, 2048)
+    verdict = verdicts.whitehead(Context(e, delta, reports, inverse=e_inv, oracle=oracle, tol=0.02))
     assert verdict["ok"] and verdict["integral"]
     assert all(-0.02 <= v <= 0.02 for v in verdict["logdets"])
     assert -0.01 <= verdict["oracle"]["value"] <= 0.01
@@ -205,13 +206,15 @@ def test_criterion_9_complex_approximation(z_group):
     alpha = RingElement.scalar(z_group, complex(0.5, 0.5))
     kernel_free = positive_square(RingMatrix.from_element(1 - alpha * t))
     reports = run_tower(kernel_free, QuotientTower.zn(1, TOWER_LEVELS))
-    verdict = complex_check(reports, torus_density(kernel_free, 2048), 2048)
+    oracle_eig = torus_eigen_result(kernel_free, 2048)
+    verdict = verdicts.complex(Context(kernel_free, kernel_free, reports, oracle_eig=oracle_eig, grid=2048))
     assert all(rep.f0 == 0.0 for rep in reports)
     assert verdict["oracle_f0"] == 0.0 and verdict["ok"]
 
     unit_root = positive_square(RingMatrix.from_element(1 - t))
     reports = run_tower(unit_root, QuotientTower.zn(1, TOWER_LEVELS))
-    verdict = complex_check(reports, torus_density(unit_root, 2048), 2048)
+    oracle_eig = torus_eigen_result(unit_root, 2048)
+    verdict = verdicts.complex(Context(unit_root, unit_root, reports, oracle_eig=oracle_eig, grid=2048))
     assert [rep.f0 for rep in reports] == [1.0 / n for n in TOWER_LEVELS]
     assert verdict["ok"]
     print("ACCEPTANCE 9 PASS: complex-coefficient F_N(0) sequences as predicted")

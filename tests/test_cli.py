@@ -593,6 +593,11 @@ def test_hostile_problem_file_exits_2(case, tmp_path, capsys):
         ["density", "zd_laplacian.json", "--grid", "8", "--level", "64"],
         ["cw", "circle.json", "--grid", "8", "--levels", "8,16"],
         ["approx", "zd_laplacian.json", "--levels", "8,16,32", "--boxes", "2,4"],
+        # an empty list is rejected, never read as "no override"
+        ["approx", "zd_laplacian.json", "--levels", ","],
+        ["approx", "zd_folner.json", "--boxes", ","],
+        ["approx", "zd_laplacian.json", "--lambda-grid", ","],
+        ["cw", "circle.json", "--levels", ","],
     ],
     ids=" ".join,
 )

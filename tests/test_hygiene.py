@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from l2approx.verdicts import VERDICTS
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "l2approx"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -30,7 +32,7 @@ def test_exports_have_a_library_caller():
     is named in some library module, so no public name is reached by tests
     alone."""
     # the sandwich polynomials wait to be made rigorous and wired into a
-    # check (ROADMAP item 6); nothing else may be public for tests only
+    # check (ROADMAP item 11); nothing else may be public for tests only
     allowed = {"build_sandwich", "sandwich_level_check"}
     public = set()
     named = set()
@@ -49,3 +51,13 @@ def test_exports_have_a_library_caller():
     uncalled = public - named
     assert uncalled - allowed == set(), f"public names with no library caller: {sorted(uncalled - allowed)}"
     assert allowed <= uncalled, f"allow-listed names now have a caller: {sorted(allowed - uncalled)}"
+
+
+def test_cmd_approx_picks_its_verdicts_from_the_table():
+    """cmd_approx names no check but whitehead, which picks the operator and
+    where the oracle is reported: every check is validated and run through
+    ``VERDICTS``, so a new verdict touches only verdicts.py."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    cmd = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "cmd_approx")
+    named = {n.value for n in ast.walk(cmd) if isinstance(n, ast.Constant) and n.value in VERDICTS}
+    assert named == {"whitehead"}

@@ -19,21 +19,14 @@ from l2approx import (
     build_boxes_folner,
     betti,
     build_sandwich,
-    complex_check,
     density_from_eigs,
     finite_spectrum,
     k_bound,
     log_det,
-    norms_check,
     positive_square,
     run_folner,
     run_tower,
     sandwich_level_check,
-    sintapr_check,
-    squeeze_check,
-    torus_density,
-    torus_logdet,
-    whitehead_check,
 )
 from l2approx.cw import laplacians
 from l2approx.errors import (
@@ -47,19 +40,19 @@ from l2approx.errors import (
 )
 from l2approx.groupring import GaussianRational
 from l2approx.groups import CyclicGroup, product_group, symmetric_group
-from l2approx.oracles import check_torus_grid, torus_logdet_report
+from l2approx.oracles import check_torus_grid, torus_eigen_result, torus_logdet_report
 from l2approx.schemes import (
     MAX_BAND_ENTRIES,
     MAX_BOX_ROWS,
     _band_eigenvalues,
     _band_shape,
     _box_band,
-    TAIL_CHUNK,
     _support_radius,
     compressed_trace_powers,
-    density_tail_integral,
 )
 from l2approx.spectral import MAX_BLOCK_ENTRIES, MAX_SOLVE_POINTS, check_group_solve
+from l2approx import verdicts
+from l2approx.verdicts import TAIL_CHUNK, Context, density_tail_integral
 
 from conftest import SEED, fixture_complex, random_element, random_self_adjoint
 from dense_reference import hermitian_eigenvalues, translation_matrix
@@ -108,8 +101,9 @@ def test_constant_tower_is_stationary(s3):
     ident = Homomorphism(s3, s3, element_map={g: g for g in s3.elements()})
     tower = QuotientTower(s3, [ident] * 3)
     reports = run_tower(delta, tower)
-    oracle = density_from_eigs(finite_spectrum(delta))
-    verdict = squeeze_check(reports, oracle, [0.0, 1.0, 2.0, 5.0, 10.0, 40.0], tol=1e-9)
+    grid = [0.0, 1.0, 2.0, 5.0, 10.0, 40.0]
+    ctx = Context(delta, delta, reports, oracle_eig=finite_spectrum(delta), lambda_grid=grid, tol=1e-9)
+    verdict = verdicts.squeeze(ctx)
     assert verdict["ok"]
     assert len({r.f0 for r in reports}) == 1
 
@@ -397,7 +391,7 @@ def test_box_defect_examples():
 
 def _defect_brute(n, points, k: int) -> float:
     """|N_k(X)| / |X| for any finite X in Z^n, by enumerating the k-collar:
-    the reference for the closed-form box defect."""
+    the reference for ``_defect_dilations``."""
     pts = set(points)
     if k == 0:
         return 0.0
@@ -426,13 +420,50 @@ def _defect_brute(n, points, k: int) -> float:
     return collar / len(pts)
 
 
+def _dilate(mask, k: int, outside: bool):
+    """The points of the array within sup-distance k of a True entry, the
+    entries beyond its edges counting as ``outside``: one OR of 2k + 1
+    shifts per axis."""
+    for axis in range(mask.ndim):
+        pad = [(k, k) if a == axis else (0, 0) for a in range(mask.ndim)]
+        padded = np.pad(mask, pad, constant_values=outside)
+        grown = np.zeros_like(mask)
+        for shift in range(2 * k + 1):
+            grown |= np.take(padded, range(shift, shift + mask.shape[axis]), axis=axis)
+        mask = grown
+    return mask
+
+
+def _defect_dilations(n, points, k: int) -> float:
+    """|N_k(X)| / |X| for any finite X in Z^n, N_k(X) the dilation of X by
+    the sup-norm k-ball intersected with the dilation of its complement: the
+    reference for the closed-form box defect, on a grid that holds the
+    dilation of X."""
+    pts = np.array(sorted(points)).reshape(-1, n)
+    low = pts.min(axis=0) - k
+    inside = np.zeros(tuple(pts.max(axis=0) - low + k + 1), dtype=bool)
+    inside[tuple((pts - low).T)] = True
+    collar = _dilate(inside, k, False) & _dilate(~inside, k, True)
+    return int(collar.sum()) / len(pts)
+
+
+def test_dilation_defect_matches_brute_force_on_random_sets():
+    # sets in Z^1 and Z^2 that are not boxes, some with holes
+    rng = random.Random(SEED)
+    for _ in range(40):
+        n = rng.choice((1, 2))
+        points = {tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(1, 12))}
+        k = rng.randint(0, 3)
+        assert _defect_dilations(n, points, k) == _defect_brute(n, points, k), (points, k)
+
+
 def test_box_defect_matches_brute_force():
     # k > m covers boxes whose inner box [-(m - k), m - k]^n is empty
     for rank in (1, 2, 3):
         for m in range(5):
             boxes = build_boxes_folner(rank, [m])
             for k in range(m + 3):
-                assert boxes.defect(0, k) == _defect_brute(rank, _box(rank, m), k)
+                assert boxes.defect(0, k) == _defect_dilations(rank, _box(rank, m), k)
 
 
 def test_folner_nestedness_enforced():
@@ -623,25 +654,26 @@ def test_sandwich_trace_inequality(zd_reports):
 
 
 def test_squeeze_check(zd_reports, z_laplacian):
-    oracle = torus_density(z_laplacian, 4096)
-    verdict = squeeze_check(zd_reports, oracle, [0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4])
-    assert verdict["ok"]
+    oracle_eig = torus_eigen_result(z_laplacian, 4096)
+    grid = [0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4]
+    ctx = Context(z_laplacian, z_laplacian, zd_reports, oracle_eig=oracle_eig, lambda_grid=grid)
+    assert verdicts.squeeze(ctx)["ok"]
     with pytest.raises(InsufficientLevels):
-        squeeze_check(zd_reports[:2], oracle, [0.0])
+        verdicts.squeeze(replace(ctx, reports=zd_reports[:2], lambda_grid=[0.0]))
 
 
 def test_sintapr_check(zd_reports, z_laplacian):
-    oracle = torus_logdet(z_laplacian, 4096)
+    oracle = torus_logdet_report(z_laplacian, 4096)
     # extend with deeper levels so the tail estimate clears the oracle bound
     deep = run_tower(z_laplacian, QuotientTower.zn(1, [512, 1024]))
     # K = max(norm_bound, 1) = 4: the norm bound of 2 - t - 1/t
     assert {rep.norm_bound for rep in zd_reports + deep} == {4.0}
-    verdict = sintapr_check(zd_reports + deep, d=1, oracle_logdet=oracle)
+    verdict = verdicts.sintapr(Context(z_laplacian, z_laplacian, zd_reports + deep, oracle=oracle))
     assert verdict["ok"]
     for row in verdict["rows"]:
         assert row["integral"] <= row["bound"] + 0.02
         assert row["identity_gap"] <= 1e-8
-    assert verdict["limsup_estimate"] <= oracle + 0.02
+    assert verdict["limsup_estimate"] <= oracle["value"] + 0.02
 
 
 def _tail_integral_loop(density, k):
@@ -743,14 +775,15 @@ def test_sintapr_hypothesis_violation(z_group):
     half = RingMatrix.from_element(RingElement.scalar(z_group, Fraction(1, 2)))
     reports = run_tower(half, QuotientTower.zn(1, [4, 8, 16]))
     with pytest.raises(HypothesisViolated):
-        sintapr_check(reports, d=1)
+        verdicts.sintapr(Context(half, half, reports))
 
 
 def _whitehead(a, b, levels, oracle_grid=2048):
     # the CLI's pipeline: one tower run and one oracle for A*A, then the verdict
     delta = positive_square(a)
     reports = run_tower(delta, QuotientTower.zn(1, levels))
-    return whitehead_check(a, b, reports, torus_logdet_report(delta, oracle_grid))
+    oracle = torus_logdet_report(delta, oracle_grid)
+    return verdicts.whitehead(Context(a, delta, reports, inverse=b, oracle=oracle))
 
 
 def test_whitehead_elementary(z_group):
@@ -794,7 +827,8 @@ def test_whitehead_non_integral_flagged(z_group):
 
 def _complex(delta, levels, oracle_grid):
     reports = run_tower(delta, QuotientTower.zn(1, levels))
-    return reports, complex_check(reports, torus_density(delta, oracle_grid), oracle_grid)
+    oracle_eig = torus_eigen_result(delta, oracle_grid)
+    return reports, verdicts.complex(Context(delta, delta, reports, oracle_eig=oracle_eig, grid=oracle_grid))
 
 
 def test_complex_tower_runs(z_group):
@@ -867,14 +901,15 @@ def test_norms_check_reads_every_level(z_laplacian):
     the bound it is given and the largest eigenvalue of any level, and fails
     when one level exceeds its bound."""
     reports = run_tower(z_laplacian, QuotientTower.zn(1, [4, 8, 16]))
-    verdict = norms_check(reports, 4.0)
+    ctx = Context(z_laplacian, z_laplacian, reports, k_bound=4.0)
+    verdict = verdicts.norms(ctx)
     assert verdict == {
         "ok": True,
         "k_bound": 4.0,
         "max_eigenvalue": max(rep.max_eigenvalue for rep in reports),
     }
     reports[1] = replace(reports[1], norm_bound=reports[1].max_eigenvalue / 2)
-    assert norms_check(reports, 4.0)["ok"] is False
+    assert verdicts.norms(ctx)["ok"] is False
 
 
 def test_level_report_derives_its_numbers_from_its_spectrum(z_laplacian):

@@ -29,14 +29,14 @@ from l2approx import (
     positive_square,
     product_group,
     run_folner,
-    subgroup_invariance_check,
     symmetric_group,
 )
-from l2approx import spectral
+from l2approx import spectral, verdicts
 from l2approx.cw import laplacians
 from l2approx.errors import InfiniteGroup, NotHermitian
 from l2approx.oracles import torus_symbol_eigenvalues
-from l2approx.spectral import _cyclic_split, character_spectrum, densities_match
+from l2approx.spectral import _cyclic_split, character_spectrum
+from l2approx.verdicts import Context, densities_match
 
 from conftest import SEED, fixture_complex, random_group_element, random_self_adjoint, trace_power_exact
 from dense_reference import (
@@ -486,8 +486,8 @@ def test_subgroup_invariance_examples(s3):
     s = RingElement.delta(z2, 1)
     delta = RingMatrix.from_element(2 - s - s.star())
     emb = Homomorphism(z2, CyclicGroup(4), generator_images=[2])
-    ok, dev = subgroup_invariance_check(delta, emb)
-    assert ok and dev <= 1e-9
+    verdict = verdicts.subgroup(Context(delta, embedding=emb))
+    assert verdict["ok"] and verdict["max_deviation"] <= 1e-9
     f = density_from_eigs(finite_spectrum(delta))
     assert f.jumps == ((0.0, 1), (4.0, 1))
 
@@ -501,12 +501,11 @@ def test_subgroup_invariance_examples(s3):
         ],
     )
     emb2 = Homomorphism(triv, s3, element_map={(): s3.identity()})
-    ok, dev = subgroup_invariance_check(m, emb2)
-    assert ok and dev <= 1e-9
+    verdict = verdicts.subgroup(Context(m, embedding=emb2))
+    assert verdict["ok"] and verdict["max_deviation"] <= 1e-9
 
     ident = RingMatrix.identity(z2, 2)
-    ok, _ = subgroup_invariance_check(ident, emb)
-    assert ok
+    assert verdicts.subgroup(Context(ident, embedding=emb))["ok"]
 
 
 def test_densities_match_detects_difference():
