@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import __version__
 from .cw import l2_invariants
@@ -305,11 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """One stderr line per warning, in the form of the CLI's errors."""
+    print(f"l2approx: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except (ProblemFormatError, SolveTooLarge, json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
         print(f"l2approx: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

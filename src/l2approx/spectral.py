@@ -26,6 +26,9 @@ KERNEL_THRESHOLD_FACTOR = 1e-9
 MAX_SOLVE_POINTS = 2 ** 22
 # entries of the character blocks of a finite group G = H x C: |C| (d |H|)^2
 MAX_BLOCK_ENTRIES = 2 ** 24
+# elements per step of a pass over a spectrum: the sortedness check, and
+# the gap test and the division of density_from_eigs
+CHUNK = 8192
 
 
 def check_solve_size(points: int, rows: int, what: str) -> None:
@@ -64,7 +67,8 @@ class EigenResult:
 
     The eigenvalues are float64 and sorted ascending: every backend
     (character blocks, torus symbols, banded Folner solves) returns them so,
-    which one O(n) pass confirms, and any other input is sorted here once.
+    which one O(n) pass confirms, CHUNK pairs at a time, and any other
+    input (or one with a NaN) is sorted here once.
     The level trace of a spectral function f is sum(f(eigenvalues)) / denom,
     so denom is |G| for quotient levels, |X_m| for compressions, and the
     number of grid points for torus quadrature.  The kernel threshold must
@@ -79,7 +83,8 @@ class EigenResult:
         if not self.kernel_threshold >= 0.0:
             raise ValueError(f"kernel threshold must be >= 0, got {self.kernel_threshold}")
         w = np.asarray(self.eigenvalues, dtype=np.float64)
-        if not np.all(w[:-1] <= w[1:]):
+        a, b = w[:-1], w[1:]
+        if not all(np.all(a[i:i + CHUNK] <= b[i:i + CHUNK]) for i in range(0, len(a), CHUNK)):
             w = np.sort(w)
         object.__setattr__(self, "eigenvalues", w)
 
@@ -112,15 +117,27 @@ class SpectralDensity:
 
     Jumps are ascending float64 positions with integer counts; every count
     carries mass 1/denom, which keeps the total mass exactly d for d*denom
-    eigenvalues.  F is read from the cumulative counts by binary search.
+    eigenvalues.  Only the positions and the cumulative counts are stored,
+    16 bytes per jump; F is read from the cumulative counts by binary
+    search, and ``counts`` is their difference.
     """
 
     def __init__(self, positions, counts, denom: int):
         self.positions = np.asarray(positions, dtype=np.float64)
-        self.counts = np.asarray(counts, dtype=np.int64)
-        self.denom = denom
         # _cumulative[j]: the count of the first j jumps
-        self._cumulative = np.concatenate(([0], np.cumsum(self.counts)))
+        self._cumulative = np.concatenate(([0], np.cumsum(np.asarray(counts, dtype=np.int64))))
+        self.denom = denom
+
+    @classmethod
+    def _from_cumulative(cls, positions: np.ndarray, cumulative: np.ndarray, denom: int):
+        """The density of these positions and cumulative counts, kept as they are."""
+        f = cls.__new__(cls)
+        f.positions, f._cumulative, f.denom = positions, cumulative, denom
+        return f
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self._cumulative)
 
     @property
     def jumps(self) -> tuple:
@@ -139,14 +156,20 @@ class SpectralDensity:
         return list(zip(self.positions.tolist(), (self._cumulative[1:] / self.denom).tolist()))
 
 
-def _cluster_jumps(seg: np.ndarray, thr: float) -> tuple:
-    """(means, counts) of the jumps of a sorted segment, split where a gap
-    exceeds thr."""
-    if not len(seg):
-        return np.empty(0), np.empty(0, dtype=np.int64)
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(seg) > thr) + 1))
-    counts = np.diff(np.append(starts, len(seg)))
-    return np.add.reduceat(seg, starts) / counts, counts
+def _jump_starts(w: np.ndarray, thr: float, below: int, end: int) -> np.ndarray:
+    """The index of the first eigenvalue of every jump, then len(w): one
+    jump starts at 0, below and end, and one at each i in (0, below) or
+    (end, len(w)) with w[i] - w[i - 1] > thr, tested CHUNK gaps at a time
+    into one mask."""
+    n = len(w)
+    starts = np.zeros(n + 1, dtype=bool)
+    starts[[0, below, end, n]] = True
+    gap = np.empty(min(n, CHUNK))
+    for lo, hi in ((0, below), (end, n)):
+        for i in range(lo + 1, hi, CHUNK):
+            j = min(i + CHUNK, hi)
+            np.greater(np.subtract(w[i:j], w[i - 1:j - 1], out=gap[:j - i]), thr, out=starts[i:j])
+    return np.flatnonzero(starts)
 
 
 def density_from_eigs(e: EigenResult) -> SpectralDensity:
@@ -156,22 +179,23 @@ def density_from_eigs(e: EigenResult) -> SpectralDensity:
     form one jump at exactly 0.  Outside it, a new jump starts wherever the
     gap to the previous eigenvalue exceeds thr, so one jump can span more
     than thr; the kernel window cuts such chains.  Each jump sits at the
-    mean of its eigenvalues, summed in ascending order.
+    mean of its eigenvalues, summed in ascending order.  The jump starts
+    are the density's cumulative counts, and the means are summed and
+    divided in its positions array: no other array of jump or eigenvalue
+    length outlives a step.
     """
     w = e.eigenvalues
     thr = e.kernel_threshold
-    below, end = int(w.searchsorted(-thr, "left")), e.kernel_end()
-    kernel = end - below
     # below the window: genuinely negative spectrum (non-positive input);
     # inside it: the kernel, since A*A spectra may round slightly negative
-    neg, neg_counts = _cluster_jumps(w[:below], thr)
-    pos, pos_counts = _cluster_jumps(w[end:], thr)
-    at_zero = 1 if kernel else 0
-    return SpectralDensity(
-        np.concatenate((neg, np.zeros(at_zero), pos)),
-        np.concatenate((neg_counts, np.full(at_zero, kernel), pos_counts)),
-        e.denom,
-    )
+    below, end = int(w.searchsorted(-thr, "left")), e.kernel_end()
+    cumulative = _jump_starts(w, thr, below, end)
+    positions = np.add.reduceat(w, cumulative[:-1], out=np.empty(len(cumulative) - 1))
+    for i in range(0, len(positions), CHUNK):
+        positions[i:i + CHUNK] /= np.diff(cumulative[i:i + CHUNK + 1])
+    if end > below:
+        positions[cumulative.searchsorted(below)] = 0.0
+    return SpectralDensity._from_cumulative(positions, cumulative, e.denom)
 
 
 def betti(f: SpectralDensity) -> float:

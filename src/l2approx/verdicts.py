@@ -201,10 +201,10 @@ def density_tail_integral(density: SpectralDensity, k: float) -> float:
     lo, hi = pos.searchsorted(0.0, "right"), pos.searchsorted(k + slack, "right")
     total = 0.0
     for start in range(lo, hi, TAIL_CHUNK):
-        chunk = slice(start, min(start + TAIL_CHUNK, hi))
+        stop = min(start + TAIL_CHUNK, hi)
         # math.log, not np.log, whose last bit differs on some inputs
-        logs = np.fromiter(map(math.log, (k / pos[chunk]).tolist()), dtype=np.float64)
-        terms = density.counts[chunk] / density.denom * logs
+        logs = np.fromiter(map(math.log, (k / pos[start:stop]).tolist()), dtype=np.float64)
+        terms = np.diff(density._cumulative[start:stop + 1]) / density.denom * logs
         # a running sum in jump order, from the total so far; np.sum would
         # add pairwise
         terms[0] += total

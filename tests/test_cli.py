@@ -11,6 +11,8 @@ import pytest
 
 from l2approx import cw, oracles, spectral, symmetric_group
 from l2approx.cli import main
+from l2approx.errors import InjectivityUncertified
+from l2approx.schemes import QuotientTower, run_tower
 from l2approx.verify import SUITES
 
 FIXTURES = resources.files("l2approx") / "fixtures"
@@ -337,6 +339,26 @@ def test_verify_determinant_suite(capsys):
 def test_verify_suite_passes_at_default_seed(suite, capsys):
     assert main(["verify", suite]) == 0
     assert f"PASS suite={suite}" in capsys.readouterr().out
+
+
+def test_approx_prints_each_warning_on_one_stderr_line(tmp_path, capsys, z_laplacian):
+    """Level Z/2 of 2 - t - 1/t cannot certify injectivity for its trace
+    powers: approx prints each InjectivityUncertified as one line of the
+    CLI's own form, with no source line, while the library still warns
+    with the category."""
+    laplacian = [{"word": [0], "re": 2}, {"word": [1], "re": -1}, {"word": [-1], "re": -1}]
+    path = tmp_path / "low_level.json"
+    path.write_text(json.dumps(_z_problem(
+        matrix={"entries": [[laplacian]]}, scheme={"type": "tower", "levels": [2, 64]},
+    )))
+    assert main(["approx", str(path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(
+        line.startswith("l2approx: warning: level 2 does not certify injectivity for power ")
+        for line in err
+    ), err
+    with pytest.warns(InjectivityUncertified, match="level 2 does not certify"):
+        run_tower(z_laplacian, QuotientTower.zn(1, [2]))
 
 
 def test_verify_unknown_suite_exits_2():

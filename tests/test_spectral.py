@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -365,6 +366,129 @@ def test_eigen_result_sorts_only_unsorted_input():
     assert np.array_equal(got, w) and np.array_equal(shuffled, kept)
     ints = EigenResult([2, 0, 1], 3, 0.0).eigenvalues
     assert ints.dtype == np.float64 and ints.tolist() == [0.0, 1.0, 2.0]
+
+
+def test_eigen_result_sortedness_check_runs_in_chunks(monkeypatch):
+    """The order is checked CHUNK pairs at a time: one pair out of order
+    inside a chunk, across a chunk boundary or at the very end, or a NaN
+    anywhere, makes EigenResult sort; a sorted array passes as it is."""
+    monkeypatch.setattr(spectral, "CHUNK", 4)
+    w = np.arange(13, dtype=np.float64)
+    assert EigenResult(w, 1, 0.0).eigenvalues is w
+    for i in (1, 3, 4, 7, 11):
+        swapped = w.copy()
+        swapped[[i, i + 1]] = swapped[[i + 1, i]]
+        assert np.array_equal(EigenResult(swapped, 1, 0.0).eigenvalues, w), i
+    for i in (0, 4, 12):
+        holed = w.copy()
+        holed[i] = np.nan
+        got = EigenResult(holed, 1, 0.0).eigenvalues
+        assert got is not holed and np.isnan(got[-1]) and np.array_equal(got[:-1], np.delete(w, i))
+
+
+def _density_concatenated(e: EigenResult) -> SpectralDensity:
+    """The build that density_from_eigs replaced: each segment outside the
+    kernel window clustered by a float diff, its start indices and counts,
+    and the three parts concatenated; the reference below."""
+
+    def cluster(seg, thr):
+        if not len(seg):
+            return np.empty(0), np.empty(0, dtype=np.int64)
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(seg) > thr) + 1))
+        counts = np.diff(np.append(starts, len(seg)))
+        return np.add.reduceat(seg, starts) / counts, counts
+
+    w, thr = e.eigenvalues, e.kernel_threshold
+    below, end = int(w.searchsorted(-thr, "left")), e.kernel_end()
+    neg, neg_counts = cluster(w[:below], thr)
+    pos, pos_counts = cluster(w[end:], thr)
+    at_zero = 1 if end > below else 0
+    return SpectralDensity(
+        np.concatenate((neg, np.zeros(at_zero), pos)),
+        np.concatenate((neg_counts, np.full(at_zero, end - below), pos_counts)),
+        e.denom,
+    )
+
+
+@st.composite
+def _chunked_spectra(draw):
+    """(CHUNK, EigenResult): sorted spectra with negative parts, kernel
+    windows, ties, clusters, all-kernel input, an empty negative or
+    positive segment, a single eigenvalue and lengths of CHUNK - 1, CHUNK
+    and CHUNK + 1, for a CHUNK small enough that many chunks run."""
+    chunk = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    thr = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.25]))
+    n = draw(st.one_of(st.integers(0, 5 * chunk + 3), st.sampled_from([chunk - 1, chunk, chunk + 1])))
+    value = st.one_of(
+        st.floats(-3.0, 3.0),
+        st.floats(-2.0 * thr, 2.0 * thr),
+        st.sampled_from([-thr, -0.0, 0.0, thr, -1.0, 1.0, 1.0 + thr / 2]),
+    )
+    values = np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=np.float64)
+    sign = draw(st.sampled_from(["both", "nonnegative", "nonpositive", "kernel"]))
+    if sign == "nonnegative":
+        values = np.abs(values)
+    elif sign == "nonpositive":
+        values = -np.abs(values)
+    elif sign == "kernel":
+        values = np.clip(values, -thr, thr)
+    return chunk, EigenResult(np.sort(values), draw(st.integers(1, 5)), thr)
+
+
+@pytest.mark.bitwise
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=_chunked_spectra())
+def test_density_in_place_is_bitwise_the_concatenated_build(case):
+    """density_from_eigs, with its gap test and division run CHUNK at a
+    time and the jump starts written into the cumulative counts, is bit for
+    bit the concatenated build: the same positions and counts, jumps,
+    rows, total mass and F at every jump and between them."""
+    chunk, e = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "CHUNK", chunk)
+        got = density_from_eigs(e)
+    want = _density_concatenated(e)
+    assert got.positions.dtype == np.float64 and got.counts.dtype == np.int64
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert np.array_equal(got.counts, want.counts)
+    assert got.jumps == want.jumps and got.rows() == want.rows()
+    assert got.total_mass == want.total_mass and got.denom == want.denom
+    probes = [-np.inf, -0.0, 0.0, np.inf] + want.positions.tolist()
+    probes += [float(np.nextafter(p, -np.inf)) for p in want.positions.tolist()]
+    for lam in probes:
+        assert got.evaluate(lam) == want.evaluate(lam), lam
+
+
+def test_density_build_memory_stays_near_its_spectrum():
+    """The Z/2^18 level of 2 - t^3 - t^-3 (about 2^17 jumps, most of two
+    eigenvalues):
+    density_from_eigs peaks within 1.25 times the eigenvalue bytes and
+    keeps 1.05 times, its positions and cumulative counts (the concatenated
+    build peaked at 3.0 and kept 1.5 times).  EigenResult confirms a sorted
+    2^20 spectrum with one CHUNK of comparisons at a time."""
+    z = FreeAbelianGroup(1)
+    t3 = RingElement.delta(z, (3,))
+    delta = RingMatrix.from_element(2 * RingElement.one(z) - t3 - t3.star())
+    e = finite_spectrum(delta.push_forward(free_abelian_quotient(1, 2 ** 18)))
+    eig_bytes = e.eigenvalues.nbytes
+    density_from_eigs(e)  # warm
+    tracemalloc.start()
+    try:
+        f = density_from_eigs(e)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 2 ** 17 - 8 <= len(f.positions) <= 2 ** 17 + 1
+    assert peak <= 1.25 * eig_bytes and kept <= 1.05 * eig_bytes, (peak / eig_bytes, kept / eig_bytes)
+    w = np.sort(np.random.default_rng(SEED).standard_normal(2 ** 20))
+    EigenResult(w, 1, 0.0)  # warm
+    tracemalloc.start()
+    try:
+        assert EigenResult(w, 1, 0.0).eigenvalues is w
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * spectral.CHUNK, peak
 
 
 def _evaluate_loop(f: SpectralDensity, lam: float) -> float:
