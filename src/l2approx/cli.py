@@ -16,7 +16,7 @@ Exit codes: 0 success, 1 property/verdict failure, 2 input error,
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import math
 import os
 import sys
@@ -44,8 +44,6 @@ from .spectral import density_from_eigs, finite_spectrum
 from .verdicts import VERDICTS, Context, require
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
-_KINDS = {QuotientTower: "tower", FolnerExhaustion: "folner"}
-
 EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
@@ -54,8 +52,11 @@ EXIT_COMPUTE = 3
 
 def _write_output(text: str, path):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ProblemFormatError(str(exc)) from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -114,7 +115,7 @@ def cmd_density(args) -> int:
     scheme = problem.scheme
     if args.level is not None and scheme is None:
         raise ProblemFormatError("--level needs a problem 'scheme'")
-    delta = _operator(problem, _requested_checks(problem, _KINDS.get(type(scheme))))
+    delta = _operator(problem, _requested_checks(problem, scheme))
     if args.grid is not None or (scheme is None and problem.oracle_grid is not None):
         density = torus_density(delta, args.grid or problem.oracle_grid)
     elif scheme is not None:
@@ -138,13 +139,13 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _requested_checks(problem: Problem, kind) -> list:
-    """The problem's checks, or the defaults for a scheme of this kind."""
-    if problem.checks:
+def _requested_checks(problem: Problem, scheme) -> list:
+    """The problem's checks, or the defaults for this scheme (None: none)."""
+    if problem.checks is not None:
         return problem.checks
-    if kind == "folner":
+    if isinstance(scheme, FolnerExhaustion):
         return ["traces", "norms"]
-    if kind is None and problem.embedding is not None:
+    if scheme is None and problem.embedding is not None:
         return ["subgroup"]
     if problem.inverse is not None:
         return ["whitehead", "norms"]
@@ -164,8 +165,8 @@ def cmd_approx(args) -> int:
         if not isinstance(problem.group, FreeAbelianGroup):
             raise ProblemFormatError("--boxes needs a free abelian group")
         scheme = build_boxes_folner(problem.group.rank, args.boxes)
-    kind = _KINDS.get(type(scheme))
-    checks = _requested_checks(problem, kind)
+    kind = None if scheme is None else scheme.kind
+    checks = _requested_checks(problem, scheme)
     delta = _operator(problem, checks)
     oracle_available = (
         kind == "tower" and isinstance(problem.group, FreeAbelianGroup) and delta.is_self_adjoint()
@@ -196,7 +197,7 @@ def cmd_approx(args) -> int:
     }
     reports = []
     if kind is not None:
-        report["scheme"] = {"type": kind, "levels" if kind == "tower" else "boxes": scheme.labels}
+        report["scheme"] = {"type": kind, scheme.key: scheme.labels}
         run = run_tower if kind == "tower" else run_folner
         reports = run(delta, scheme, kernel_threshold=args.eps_ker)
     oracle_eig = oracle = None
@@ -231,31 +232,17 @@ def cmd_cw(args) -> int:
             raise ProblemFormatError("--levels needs a free abelian group")
         tower = QuotientTower.zn(spec.group.rank, args.levels)
     rep = l2_invariants(spec, oracle_grid=args.grid, tower=tower, tol=args.tol)
-    out = {
-        "betti": rep.betti,
-        "logdet": rep.logdet,
-        "det_class": rep.det_class,
-        "torsion": rep.torsion,
-        "acyclic": rep.acyclic,
-        "euler_l2": rep.euler_l2,
-        "euler_cells": rep.euler_cells,
-        "method": rep.method,
-        "dims": rep.details["dims"],
-    }
-    _write_output(canonical_dumps(out) + "\n", args.output)
+    _write_output(canonical_dumps(dataclasses.asdict(rep)) + "\n", args.output)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("L2APPROX_SEED", DEFAULT_SEED))
-    passed, lines = run_suite(args.suite, seed)
+    passed, lines = run_suite(args.suite, args.seed)
     for line in lines:
         status = "PASS" if line.ok else "FAIL"
         detail = f"  ({line.detail})" if line.detail else ""
         print(f"{status} {line.name}{detail}")
-    print(f"{'PASS' if passed else 'FAIL'} suite={args.suite} seed={seed}")
+    print(f"{'PASS' if passed else 'FAIL'} suite={args.suite} seed={args.seed}")
     return EXIT_OK if passed else EXIT_PROPERTY
 
 
@@ -301,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a bundled property suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p.add_argument("--seed", type=int, help="override L2APPROX_SEED")
+    # argparse converts a string default with type: a malformed L2APPROX_SEED exits 2
+    seed = os.environ.get("L2APPROX_SEED", DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=seed, help=f"default: L2APPROX_SEED or {DEFAULT_SEED}")
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -318,10 +307,10 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return args.func(args)
-    except (ProblemFormatError, SolveTooLarge, json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (ProblemFormatError, SolveTooLarge) as exc:
         print(f"l2approx: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (L2ApproxError, ValueError, ArithmeticError) as exc:
+    except (L2ApproxError, ValueError, ArithmeticError, KeyError) as exc:
         print(f"l2approx: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -93,7 +93,7 @@ class L2Report:
     euler_l2: float
     euler_cells: int
     method: str
-    details: dict
+    dims: list
 
 
 def _oracle_degree(delta: RingMatrix, grid: int):
@@ -177,6 +177,6 @@ def l2_invariants(
         euler_l2=euler_l2,
         euler_cells=euler_cells,
         method=method,
-        details={"dims": list(spec.dims)},
+        dims=list(spec.dims),
     )
 

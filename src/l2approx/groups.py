@@ -255,35 +255,6 @@ class FreeGroup(Group):
         return f"F_{self.rank}"
 
 
-def _light_associativity(t: np.ndarray, ident: int) -> None:
-    """Light's associativity test on a Latin square t with identity ident.
-
-    The elements a with (x a) y == x (a y) for all x, y are closed under
-    multiplication, so checking a generating set suffices.  Raises
-    MalformedGroup with a witness (x, a, y) on failure.
-    """
-    n = len(t)
-    inside = np.zeros(n, dtype=bool)
-    inside[ident] = True
-    members = np.array([ident])
-    while not inside.all():
-        a = int(np.argmin(inside))
-        bad = np.argwhere(t[t[:, a]] != t[:, t[a]])
-        if len(bad):
-            x, y = bad[0].tolist()
-            raise MalformedGroup(f"table is not associative at ({x},{a},{y})")
-        # close members + {a} under multiplication, one frontier at a time
-        frontier = np.array([a])
-        inside[a] = True
-        while len(frontier):
-            members = np.concatenate((members, frontier))
-            products = np.concatenate(
-                (t[np.ix_(frontier, members)].ravel(), t[np.ix_(members, frontier)].ravel())
-            )
-            frontier = np.unique(products[~inside[products]])
-            inside[frontier] = True
-
-
 def _table_rows(table) -> tuple:
     """The rows of a table as tuples of Python ints; an entry that is not an
     integer (bool and float included) is rejected, never truncated."""
@@ -302,11 +273,13 @@ class FiniteTableGroup(Group):
     two-sided inverses, and associativity (fail fast on malformed input);
     entries must be integers (bool and float are rejected, not truncated).
     Associativity is Light's test: if (x a) y == x (a y) for every x, y and
-    every a in a generating set, the operation is associative.  Generators
-    are chosen greedily, each the smallest element outside the sub-table
-    the previous ones generate; a proper sub-table of a Latin square has at
-    most half its order, so at most log2(n) generators are checked and the
-    whole validation is O(n^2 log n).
+    every a in a generating set, the operation is associative.  The set is
+    ``_greedy_generators``, as for element maps.  It generates even a table
+    not yet known to be associative: its span grows from the identity by
+    right multiplication until it covers the table, so every element is a
+    left-nested product of generators, and the elements that pass Light's
+    test are closed under products.  A group has at most log2(n) of them,
+    so the whole validation is O(n^2 log n).
     """
 
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None):
@@ -334,12 +307,16 @@ class FiniteTableGroup(Group):
         bad = np.flatnonzero(t[inv, full] != ident)
         if len(bad):
             raise MalformedGroup(f"element {bad[0]} has no two-sided inverse")
-        _light_associativity(t, ident)
+        self.table = rows
+        self._identity = ident
+        for a in _greedy_generators(self):
+            bad = np.argwhere(t[t[:, a]] != t[:, t[a]])
+            if len(bad):
+                x, y = bad[0].tolist()
+                raise MalformedGroup(f"table is not associative at ({x},{a},{y})")
         if names is not None and len(names) != n:
             raise MalformedGroup("names length does not match table order")
-        self.table = rows
         self.names = tuple(names) if names is not None else None
-        self._identity = ident
         self._inverse = tuple(inv.tolist())
 
     def contains(self, g):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Optional
@@ -216,25 +216,28 @@ def parse_scheme(group: Group, obj):
     if not isinstance(obj, dict) or "type" not in obj:
         raise ProblemFormatError(f"scheme must be an object with a 'type': {obj!r}")
     kind = obj["type"]
-    if kind == "tower" and "maps" in obj:
-        homs = [parse_homomorphism(group, h) for h in _list(obj["maps"], "maps")]
-        labels = obj.get("labels")
-        labels = None if labels is None else _ints(labels, "tower label")
-        build = partial(QuotientTower, group, homs, labels=labels)
-    elif kind == "tower":
-        levels = _ints(obj["levels"], "tower level")
-        if not isinstance(group, FreeAbelianGroup):
-            raise ProblemFormatError(
-                "tower levels as moduli need a free abelian group; supply 'maps'"
-            )
-        build = partial(QuotientTower.zn, group.rank, levels)
-    elif kind == "folner":
-        boxes = _ints(obj["boxes"], "box size")
-        if not isinstance(group, FreeAbelianGroup):
-            raise ProblemFormatError("folner boxes need a free abelian group")
-        build = partial(build_boxes_folner, group.rank, boxes)
-    else:
-        raise ProblemFormatError(f"unknown scheme type {kind!r}")
+    try:
+        if kind == "tower" and "maps" in obj:
+            homs = [parse_homomorphism(group, h) for h in _list(obj["maps"], "maps")]
+            labels = obj.get("labels")
+            labels = None if labels is None else _ints(labels, "tower label")
+            build = partial(QuotientTower, group, homs, labels=labels)
+        elif kind == "tower":
+            levels = _ints(obj["levels"], "tower level")
+            if not isinstance(group, FreeAbelianGroup):
+                raise ProblemFormatError(
+                    "tower levels as moduli need a free abelian group; supply 'maps'"
+                )
+            build = partial(QuotientTower.zn, group.rank, levels)
+        elif kind == "folner":
+            boxes = _ints(obj["boxes"], "box size")
+            if not isinstance(group, FreeAbelianGroup):
+                raise ProblemFormatError("folner boxes need a free abelian group")
+            build = partial(build_boxes_folner, group.rank, boxes)
+        else:
+            raise ProblemFormatError(f"unknown scheme type {kind!r}")
+    except KeyError as exc:
+        raise ProblemFormatError(f"{kind} scheme is missing field {exc}") from exc
     try:
         scheme = build()
     except (MalformedGroup, SchemeError) as exc:
@@ -255,7 +258,7 @@ class Problem:
     scheme: object = None
     oracle_grid: Optional[int] = None
     lambda_grid: Optional[list] = None
-    checks: list = field(default_factory=list)
+    checks: Optional[list] = None  # None: the defaults; [] runs no verdict
     inverse: Optional[RingMatrix] = None
     embedding: Optional[Homomorphism] = None
 
@@ -284,8 +287,10 @@ def parse_problem(obj: dict) -> Problem:
         if any(type(x) not in (int, float) or not math.isfinite(x) for x in lambda_grid):
             raise ProblemFormatError(f"lambda_grid must be a list of finite numbers, got {lambda_grid!r}")
         lambda_grid = [float(x) for x in lambda_grid]
-    checks = _list(obj.get("checks", []), "checks")
-    if any(type(c) is not str or c not in VERDICTS for c in checks):
+    checks = obj.get("checks")
+    if checks is not None and any(
+        type(c) is not str or c not in VERDICTS for c in _list(checks, "checks")
+    ):
         raise ProblemFormatError(f"checks must be a list of names from {list(VERDICTS)}: {checks!r}")
     return Problem(
         group=group,
@@ -316,8 +321,13 @@ def parse_complex(obj: dict) -> ChainComplexSpec:
 
 
 def load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The parsed JSON of a file; a file that cannot be read, or is not
+    UTF-8 JSON, is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProblemFormatError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +404,7 @@ def level_report_to_json(rep, include_timing: bool = False, include_density: boo
         "norm_bound_ok": rep.norm_bound_ok,
         "moments": {str(k): v for k, v in rep.moments.items()},
         "trace_certified": {str(k): v for k, v in rep.trace_certified.items()},
-        "exact_traces": {
-            str(k): {"re": rational_to_json(v.re), "im": rational_to_json(v.im)}
-            for k, v in rep.exact_traces.items()
-        },
+        "exact_traces": {str(k): v for k, v in rep.exact_traces.items()},
     }
     if rep.defects:
         out["defects"] = {str(k): v for k, v in rep.defects.items()}

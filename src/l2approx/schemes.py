@@ -56,6 +56,8 @@ TRACE_POWERS = (1, 2, 3)
 class QuotientTower:
     """An ordered family of surjections from one group onto finite groups."""
 
+    kind, key = "tower", "levels"  # its scheme type and the report key of its labels
+
     def __init__(self, source: Group, levels: Sequence[Homomorphism], labels=None):
         levels = list(levels)
         for phi in levels:
@@ -80,6 +82,8 @@ class FolnerExhaustion:
     """The boxes [-m, m]^n in Z^n with the sup-norm word metric, for
     strictly increasing m."""
 
+    kind, key = "folner", "boxes"
+
     def __init__(self, group: Group, box_sizes):
         if not isinstance(group, FreeAbelianGroup):
             raise WrongGroup(f"Folner exhaustions are built in for Z^n only, got {group}")
@@ -87,8 +91,7 @@ class FolnerExhaustion:
         if any(m < 0 for m in sizes) or any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise SchemeError("box sizes must be strictly increasing and >= 0")
         self.group = group
-        self.box_sizes = sizes
-        self.labels = list(sizes)
+        self.labels = sizes
 
     def defect(self, index: int, k: int) -> float:
         """|N_k(X)| / |X| where N_k(X) is the two-sided k-collar of the
@@ -98,7 +101,7 @@ class FolnerExhaustion:
         if k == 0:
             return 0.0
         n = self.group.rank
-        m = self.box_sizes[index]
+        m = self.labels[index]
         outer = (2 * (m + k) + 1) ** n
         inner = (2 * (m - k) + 1) ** n if m - k >= 0 else 0
         return (outer - inner) / (2 * m + 1) ** n
@@ -370,14 +373,14 @@ def run_folner(
     if not delta.is_self_adjoint():
         raise SchemeError("run_folner expects a self-adjoint matrix")
     rank = exhaustion.group.rank
-    _band_shape(delta, rank, exhaustion.box_sizes[-1])  # caps, before any level runs
+    _band_shape(delta, rank, exhaustion.labels[-1])  # caps, before any level runs
     kb = k_bound(delta)
     thr = kernel_threshold if kernel_threshold is not None else default_kernel_threshold(delta)
     support_radius = _support_radius(delta)
     real = all(e.is_real() for row in delta.entries for e in row)
 
     reports = []
-    for i, m in enumerate(exhaustion.box_sizes):
+    for i, m in enumerate(exhaustion.labels):
         t0 = time.perf_counter()
         nw = (2 * m + 1) ** rank
         eig = EigenResult(_band_eigenvalues(_box_band(delta, rank, m, real)), nw, thr)

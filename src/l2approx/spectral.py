@@ -26,8 +26,8 @@ KERNEL_THRESHOLD_FACTOR = 1e-9
 MAX_SOLVE_POINTS = 2 ** 22
 # entries of the character blocks of a finite group G = H x C: |C| (d |H|)^2
 MAX_BLOCK_ENTRIES = 2 ** 24
-# elements per step of a pass over a spectrum: the sortedness check, and
-# the gap test and the division of density_from_eigs
+# elements per step of a pass over a spectrum: the sortedness check,
+# density_from_eigs and verdicts.density_tail_integral
 CHUNK = 8192
 
 

@@ -31,6 +31,7 @@ from .groups import Homomorphism
 from .matrices import RingMatrix
 from .schemes import TRACE_POWERS, LevelReport, reference_traces
 from .spectral import (
+    CHUNK,
     EigenResult,
     SpectralDensity,
     betti,
@@ -184,9 +185,6 @@ def squeeze(ctx: Context) -> dict:
     return {"ok": all(row["ok"] for row in rows), "tol": tol, "rows": rows}
 
 
-TAIL_CHUNK = 8192  # jumps per step of density_tail_integral
-
-
 def density_tail_integral(density: SpectralDensity, k: float) -> float:
     """integral over (0, K] of (F(lambda) - F(0)) / lambda d lambda for a
     step function, evaluated exactly from the jumps.
@@ -194,14 +192,14 @@ def density_tail_integral(density: SpectralDensity, k: float) -> float:
     Jumps within rounding slack of K count as inside, so a spectrum whose
     top eigenvalue equals K stays consistent with the logdet identity.
     The positions ascend, so the jumps inside are one slice; it is summed
-    TAIL_CHUNK jumps at a time, the running total carried into each chunk.
+    CHUNK jumps at a time, the running total carried into each chunk.
     """
     slack = 1e-9 * max(1.0, k)
     pos = density.positions
     lo, hi = pos.searchsorted(0.0, "right"), pos.searchsorted(k + slack, "right")
     total = 0.0
-    for start in range(lo, hi, TAIL_CHUNK):
-        stop = min(start + TAIL_CHUNK, hi)
+    for start in range(lo, hi, CHUNK):
+        stop = min(start + CHUNK, hi)
         # math.log, not np.log, whose last bit differs on some inputs
         logs = np.fromiter(map(math.log, (k / pos[start:stop]).tolist()), dtype=np.float64)
         terms = np.diff(density._cumulative[start:stop + 1]) / density.denom * logs

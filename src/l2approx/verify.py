@@ -225,12 +225,5 @@ SUITES = {
 
 def run_suite(name: str, seed: int = DEFAULT_SEED):
     """Run one suite (or 'all'); returns (passed, list of CheckLine)."""
-    if name == "all":
-        lines = []
-        for key in SUITES:
-            lines.extend(SUITES[key](seed))
-        return all(line.ok for line in lines), lines
-    if name not in SUITES:
-        raise KeyError(name)
-    lines = SUITES[name](seed)
+    lines = [line for key in (SUITES if name == "all" else [name]) for line in SUITES[key](seed)]
     return all(line.ok for line in lines), lines

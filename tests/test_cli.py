@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from l2approx import cw, oracles, spectral, symmetric_group
+from l2approx import cli, cw, oracles, spectral, symmetric_group
 from l2approx.cli import main
 from l2approx.errors import InjectivityUncertified
 from l2approx.schemes import QuotientTower, run_tower
-from l2approx.verify import SUITES
+from l2approx.verify import SUITES, CheckLine
 
 FIXTURES = resources.files("l2approx") / "fixtures"
 SEED_REPORTS = Path(__file__).resolve().parent.parent / "benchmarks" / "seed_reports"
@@ -97,6 +97,35 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 
 def test_missing_file_exits_2(capsys):
     assert main(["approx", "/nonexistent/problem.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "case", ["problem-is-a-directory", "complex-is-a-directory", "not-utf-8", "output-is-a-directory"]
+)
+def test_unreadable_input_or_output_exits_2(case, tmp_path, capsys):
+    """A problem that cannot be read or decoded, and an --output that cannot
+    be written, are input errors: exit 2, one stderr line, no report."""
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"group": "\xe9"}')
+    argv = {
+        "problem-is-a-directory": ["approx", str(tmp_path)],
+        "complex-is-a-directory": ["cw", str(tmp_path)],
+        "not-utf-8": ["density", str(latin1)],
+        "output-is-a-directory": [
+            "density", fixture_path("zd_laplacian.json"), "--output", str(tmp_path)
+        ],
+    }[case]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("l2approx: input error: ") and err.count("\n") == 1
+
+
+def test_key_error_in_the_library_exits_3(monkeypatch, capsys):
+    """Only ProblemFormatError and SolveTooLarge are input errors: a
+    KeyError from library code is a computation error."""
+    monkeypatch.setattr(cli, "l2_invariants", lambda *args, **kwargs: {}["levels"])
+    assert main(["cw", fixture_path("point.json")]) == 3
+    assert capsys.readouterr() == ("", "l2approx: KeyError: 'levels'\n")
 
 
 def test_approx_zd_fixture(tmp_path):
@@ -361,6 +390,29 @@ def test_approx_prints_each_warning_on_one_stderr_line(tmp_path, capsys, z_lapla
         run_tower(z_laplacian, QuotientTower.zn(1, [2]))
 
 
+def test_verify_all_runs_each_suite_at_the_seed(monkeypatch, capsys):
+    """verify all runs every suite in table order at one seed and passes only
+    if every line does; --seed defaults to L2APPROX_SEED, and a malformed
+    L2APPROX_SEED is a usage error like a malformed --seed."""
+    for name in SUITES:
+        monkeypatch.setitem(
+            SUITES, name, lambda seed, name=name: [CheckLine(f"{name}[{seed}]", True)]
+        )
+    monkeypatch.setenv("L2APPROX_SEED", "7")
+    assert main(["verify", "all"]) == 0
+    expected = [f"PASS {name}[7]" for name in SUITES] + ["PASS suite=all seed=7"]
+    assert capsys.readouterr().out.splitlines() == expected
+    monkeypatch.setitem(SUITES, "squeeze", lambda seed: [CheckLine("squeeze", False)])
+    assert main(["verify", "all", "--seed", "3"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL suite=all seed=3"
+    monkeypatch.setenv("L2APPROX_SEED", "abc")
+    assert main(["verify", "traces", "--seed", "3"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "traces"])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "unknown-suite"])
@@ -591,6 +643,15 @@ def test_hostile_problem_file_exits_2(case, tmp_path, capsys):
     path.write_text(json.dumps(problem))
     assert main([command, str(path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, field", [("tower", "levels"), ("folner", "boxes")])
+def test_missing_scheme_field_is_named(kind, field, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_z_problem(scheme={"type": kind})))
+    assert main(["approx", str(path)]) == 2
+    message = f"{kind} scheme is missing field '{field}'"
+    assert capsys.readouterr() == ("", f"l2approx: input error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -854,6 +915,25 @@ def test_unknown_checks_exit_2(checks, tmp_path, capsys):
     assert "checks must be a list" in capsys.readouterr().err
 
 
+def test_empty_checks_run_no_verdict(tmp_path, capsys):
+    """"checks": [] runs no verdict; with the key absent a self-adjoint tower
+    over Z runs its defaults, and squeeze needs three levels."""
+    laplacian = [{"word": [0], "re": 2}, {"word": [1], "re": -1}, {"word": [-1], "re": -1}]
+    problem = _z_problem(
+        matrix={"entries": [[laplacian]]}, scheme={"type": "tower", "levels": [64]}, checks=[]
+    )
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main(["approx", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"] == {} and [level["level"] for level in report["levels"]] == [64]
+    del problem["checks"]
+    path.write_text(json.dumps(problem))
+    assert main(["approx", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "l2approx: InsufficientLevels: squeeze needs >= 3 levels, got 1\n"
+
+
 NO_SCHEME = "no scheme given (problem 'scheme' or --levels/--boxes)"
 CHECK_SCHEMES = {
     "none": None,
@@ -952,3 +1032,37 @@ def test_fixture_density_matches_seed(name, mode, capsys):
     argv = ["density", fixture_path(f"{name}.json")] + (["--json"] if mode == "json" else [])
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (DENSITY_SEED / f"{name}.{mode}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["subgroup_z2_z4", "whitehead_elementary", "zd_folner", "zd_laplacian"]
+)
+def test_fixture_checks_are_the_defaults(name, tmp_path, capsys):
+    """Without its checks each fixture runs the defaults of its problem (an
+    embedding, an inverse, a Folner scheme, a self-adjoint matrix over Z^n),
+    which are its checks: the report is the seed report, byte for byte."""
+    problem = json.loads((FIXTURES / f"{name}.json").read_text())
+    del problem["checks"]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(problem))
+    assert main(["approx", str(path)]) == 0
+    assert capsys.readouterr().out.encode() == (SEED_REPORTS / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["zd_folner", "zd_laplacian"])
+def test_timings_and_densities_add_only_their_level_field(name, capsys):
+    """--timings adds only wall_time to each level and --densities only its
+    density, the one `density --json --level L` prints for that level."""
+    path = fixture_path(f"{name}.json")
+    reports = {}
+    for flag in ("", "--timings", "--densities"):
+        assert main(["approx", path, *filter(None, [flag])]) == 0
+        reports[flag] = json.loads(capsys.readouterr().out)
+    for flag, field in (("--timings", "wall_time"), ("--densities", "density")):
+        levels = reports[flag]["levels"]
+        stripped = [{k: v for k, v in level.items() if k != field} for level in levels]
+        assert {**reports[flag], "levels": stripped} == reports[""]
+        assert all(field in level for level in levels)
+    for level in reports["--densities"]["levels"]:
+        assert main(["density", path, "--json", "--level", str(level["level"])]) == 0
+        assert json.loads(capsys.readouterr().out) == level["density"]

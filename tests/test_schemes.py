@@ -50,9 +50,9 @@ from l2approx.schemes import (
     _support_radius,
     compressed_trace_powers,
 )
-from l2approx.spectral import MAX_BLOCK_ENTRIES, MAX_SOLVE_POINTS, check_group_solve
+from l2approx.spectral import CHUNK, MAX_BLOCK_ENTRIES, MAX_SOLVE_POINTS, check_group_solve
 from l2approx import verdicts
-from l2approx.verdicts import TAIL_CHUNK, Context, density_tail_integral
+from l2approx.verdicts import Context, density_tail_integral
 
 from conftest import SEED, fixture_complex, random_element, random_self_adjoint
 from dense_reference import hermitian_eigenvalues, translation_matrix
@@ -385,7 +385,7 @@ def test_box_defect_examples():
     exh2 = build_boxes_folner(2, [3])
     assert exh2.defect(0, 0) == 0.0
     exh = build_boxes_folner(1, [2, 4, 8, 16, 32])
-    profile = [exh.defect(i, 1) for i in range(len(exh.box_sizes))]
+    profile = [exh.defect(i, 1) for i in range(len(exh.labels))]
     assert all(a > b for a, b in zip(profile, profile[1:]))
 
 
@@ -723,14 +723,14 @@ def _random_jumps(rng, count):
 
 
 def test_density_tail_integral_chunks_match_one_pass_bitwise():
-    """Summed TAIL_CHUNK jumps at a time, the running total carried over,
+    """Summed CHUNK jumps at a time, the running total carried over,
     the integral is bit for bit the one-pass sum: 2^17 random jumps, K
     inside, at and beyond the top, and slices that end on, just after and
     just before a chunk boundary."""
     rng = np.random.default_rng(SEED + 11)
     density = _random_jumps(rng, 2 ** 17)
     inside = density.positions[density.positions > 0.0]
-    ks = [4.5, 5.0, 1.0, float(inside[TAIL_CHUNK - 1]), float(inside[TAIL_CHUNK]), float(inside[2 * TAIL_CHUNK - 2])]
+    ks = [4.5, 5.0, 1.0, float(inside[CHUNK - 1]), float(inside[CHUNK]), float(inside[2 * CHUNK - 2])]
     for k in ks:
         got = density_tail_integral(density, k)
         assert type(got) is float and got == _tail_integral_one_pass(density, k), k
@@ -739,7 +739,7 @@ def test_density_tail_integral_chunks_match_one_pass_bitwise():
 
 def test_density_tail_integral_memory_is_one_chunk():
     """No list or array of every jump inside: on 2^17 jumps the integral
-    peaks under 1 MB, a few TAIL_CHUNK-sized temporaries."""
+    peaks under 1 MB, a few CHUNK-sized temporaries."""
     density = _random_jumps(np.random.default_rng(SEED + 12), 2 ** 17)
     density_tail_integral(density, 4.5)  # warm
     tracemalloc.start()
