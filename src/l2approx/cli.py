@@ -50,6 +50,23 @@ EXIT_INPUT = 2
 EXIT_COMPUTE = 3
 
 
+def _check_output(path) -> None:
+    """Open --output for appending and close it again, before any work: a
+    path that cannot be written is an input error with the message its
+    final write would give, and an existing file is left as it is until the
+    report replaces it.  A file the check creates is removed again."""
+    if not path:
+        return
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ProblemFormatError(str(exc)) from exc
+    if not existed:
+        os.remove(path)
+
+
 def _write_output(text: str, path):
     if path:
         try:
@@ -306,6 +323,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
+            _check_output(getattr(args, "output", None))
             return args.func(args)
     except (ProblemFormatError, SolveTooLarge) as exc:
         print(f"l2approx: input error: {exc}", file=sys.stderr)

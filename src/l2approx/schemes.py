@@ -118,14 +118,16 @@ def build_boxes_folner(rank: int, m_values: Sequence[int]) -> FolnerExhaustion:
 
 @dataclass
 class LevelReport:
-    """One approximation level: its spectrum, density and exact traces.
+    """One approximation level: its spectrum and exact traces.
     f0 = kernel_end() / denom, logdet, the moments at the powers of
-    exact_traces, matrix_size, max_eigenvalue and norm_bound_ok are derived
-    from ``eigen`` when the report is made."""
+    exact_traces, matrix_size, max_eigenvalue, norm_bound_ok and the
+    density are derived from ``eigen`` when the report is made, so a report
+    cannot carry a density its spectrum disagrees with.  The density comes
+    last: the log and power temporaries of logdet and the moments are freed
+    before it exists.  wall_time is the caller's to set."""
 
     level: object
     eigen: EigenResult = field(repr=False)
-    density: SpectralDensity
     norm_bound: float
     wall_time: float
     exact_traces: dict = field(default_factory=dict)
@@ -137,6 +139,7 @@ class LevelReport:
     matrix_size: int = field(init=False)
     max_eigenvalue: float = field(init=False)
     norm_bound_ok: bool = field(init=False)
+    density: SpectralDensity = field(init=False)
 
     def __post_init__(self):
         eig = self.eigen
@@ -146,6 +149,7 @@ class LevelReport:
         self.matrix_size = len(eig.eigenvalues)
         self.max_eigenvalue = eig.max_eigenvalue
         self.norm_bound_ok = self.max_eigenvalue <= self.norm_bound + NORM_SLACK
+        self.density = density_from_eigs(eig)
 
 
 def _diag_support(delta: RingMatrix) -> set:
@@ -216,8 +220,9 @@ def run_tower(
                     f"certified level {label} trace of power {m} "
                     f"({exact_traces[m]}) differs from the exact value {ref_traces[m]}"
                 )
-        dens = density_from_eigs(eig)
-        reports.append(LevelReport(label, eig, dens, kb, time.perf_counter() - t0, exact_traces, certified))
+        rep = LevelReport(label, eig, kb, 0.0, exact_traces, certified)
+        rep.wall_time = time.perf_counter() - t0  # the whole level, density included
+        reports.append(rep)
     return reports
 
 
@@ -388,9 +393,9 @@ def run_folner(
         exact_traces = {k: GaussianRational.of(Fraction(1, nw)) * exact[k] for k in TRACE_POWERS}
         defects = {k: exhaustion.defect(i, max(1, k * support_radius)) for k in TRACE_POWERS}
         certified = {k: True for k in TRACE_POWERS}
-        dens = density_from_eigs(eig)
-        wall = time.perf_counter() - t0
-        reports.append(LevelReport(m, eig, dens, kb, wall, exact_traces, certified, defects))
+        rep = LevelReport(m, eig, kb, 0.0, exact_traces, certified, defects)
+        rep.wall_time = time.perf_counter() - t0  # the whole level, density included
+        reports.append(rep)
     return reports
 
 

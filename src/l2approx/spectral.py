@@ -237,20 +237,34 @@ def _phase(exponents: Sequence[int], angle, real: bool):
 def _add_symbol(out: np.ndarray, x, phase, slot) -> None:
     """Add c * phase(g) to ``out[slot(g)]`` for every term c*g of the ring
     element x, in term order: x's symbol, one grid of values per slot.
+    ``slot(g)`` indexes the first axis of ``out``, and
     ``phase(g, real)`` is the character at g, with ``real`` its real part
     (``_phase``).  A float64 ``out`` takes the real part of each term: a
     real c adds c * phase(g, True), which is Re(c * phase(g)) with no
-    complex array, any other c adds Re(complex(c) * phase(g, False))."""
+    complex array, any other c adds Re(complex(c) * phase(g, False)).
+
+    A real c with a one-axis float64 phase z of the slot's length (a rank-1
+    level) is added CHUNK elements at a time: each element is one float64
+    multiply and one add, the bits of ``out[slot(g)] += c * z``, with no
+    product of z's size.  Phases are only read, and each is dropped before
+    the next is built, so such a term holds the target and one phase."""
     real = not np.iscomplexobj(out)
     for g, c in x.terms.items():
-        # z lives until the next phase exists; freed inside the update,
-        # its block would go back to the OS and be faulted in again
-        if real and c.is_real():
+        s = slot(g)
+        chunked = real and c.is_real()
+        if chunked:
             z, coef = phase(g, True), float(c.re)
+            chunked = np.ndim(z) == 1 and z.shape == out.shape[1:] and z.dtype == np.float64
         else:
             z, coef = phase(g, False), complex(c)
-        # c * z is freed at once: kept, it would add a block to the peak
-        out[slot(g)] += (coef * z).real if real else coef * z
+        if chunked:
+            t = out[s]
+            for i in range(0, len(t), CHUNK):
+                t[i:i + CHUNK] += coef * z[i:i + CHUNK]
+        else:
+            # c * z is freed at once: kept, it would add a block to the peak
+            out[s] += (coef * z).real if real else coef * z
+        del z
 
 
 def _operator_blocks(

@@ -120,6 +120,51 @@ def test_unreadable_input_or_output_exits_2(case, tmp_path, capsys):
     assert out == "" and err.startswith("l2approx: input error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approx", fixture_path("zd_folner.json")],
+        ["approx", fixture_path("zd_laplacian.json")],
+        ["density", fixture_path("zd_laplacian.json")],
+        ["cw", fixture_path("circle.json")],
+    ],
+    ids=["approx-folner", "approx-tower", "density", "cw"],
+)
+def test_unwritable_output_exits_2_before_any_level(argv, tmp_path, monkeypatch, capsys):
+    """An --output that cannot be written (a directory, a missing parent)
+    exits 2 with the one stderr line its write would give, before any
+    level or invariant is computed."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("work ran before the output was checked")
+
+    for name in ("run_folner", "run_tower", "l2_invariants"):
+        monkeypatch.setattr(cli, name, no_run)
+    for output in (tmp_path, tmp_path / "missing" / "report.out"):
+        assert main([*argv, "--output", str(output)]) == 2
+        out, err = capsys.readouterr()
+        with pytest.raises(OSError) as write_error:
+            open(output, "w")
+        assert (out, err) == ("", f"l2approx: input error: {write_error.value}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_is_untouched_by_a_failed_run(tmp_path, capsys):
+    """The output check neither truncates an existing file nor leaves a new
+    one behind: a run that fails after it keeps the old report or no file,
+    and a run that succeeds replaces the report."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"group": 1}')
+    kept = tmp_path / "kept.out"
+    kept.write_text("old report\n")
+    assert main(["density", str(bad), "--output", str(kept)]) == 2
+    assert main(["density", str(bad), "--output", str(tmp_path / "new.out")]) == 2
+    assert capsys.readouterr().err.count("input error") == 2
+    assert kept.read_text() == "old report\n" and not (tmp_path / "new.out").exists()
+    assert main(["cw", fixture_path("point.json"), "--output", str(kept)]) == 0
+    assert kept.read_bytes() == (SEED_REPORTS / "point.out").read_bytes()
+
+
 def test_key_error_in_the_library_exits_3(monkeypatch, capsys):
     """Only ProblemFormatError and SolveTooLarge are input errors: a
     KeyError from library code is a computation error."""

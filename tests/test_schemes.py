@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -12,6 +13,7 @@ from l2approx import (
     EigenResult,
     FreeAbelianGroup,
     Homomorphism,
+    LevelReport,
     QuotientTower,
     RingElement,
     RingMatrix,
@@ -51,7 +53,7 @@ from l2approx.schemes import (
     compressed_trace_powers,
 )
 from l2approx.spectral import CHUNK, MAX_BLOCK_ENTRIES, MAX_SOLVE_POINTS, check_group_solve
-from l2approx import verdicts
+from l2approx import schemes, verdicts
 from l2approx.verdicts import Context, density_tail_integral
 
 from conftest import SEED, fixture_complex, random_element, random_self_adjoint
@@ -751,15 +753,15 @@ def test_density_tail_integral_memory_is_one_chunk():
     assert peak < 2 ** 20
 
 
-def test_tower_level_memory_stays_near_its_spectrum():
-    """A one-point diagonal level builds its symbol from real cosine phases,
-    sorts its spectrum once and writes its density in place: one Z/2^16
-    level of 2 - t^3 - t^-3 peaks within 3.5 times the bytes of its
-    eigenvalues (3.0; 4.0 with a density built by concatenation)."""
+def _cubic_shift_laplacian():
+    """2 - t^3 - t^-3 over Z: a one-point diagonal level at every Z/N."""
     z = FreeAbelianGroup(1)
     t3 = RingElement.delta(z, (3,))
-    delta = RingMatrix.from_element(2 * RingElement.one(z) - t3 - t3.star())
-    tower = QuotientTower.zn(1, [2 ** 16])
+    return RingMatrix.from_element(2 * RingElement.one(z) - t3 - t3.star())
+
+
+def _traced_tower_peak(delta, tower) -> tuple:
+    """(reports, tracemalloc peak) of a run_tower call after a warm one."""
     run_tower(delta, tower)  # warm: caches and lazy imports
     tracemalloc.start()
     try:
@@ -767,9 +769,52 @@ def test_tower_level_memory_stays_near_its_spectrum():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return reports, peak
+
+
+def test_tower_level_memory_stays_near_its_spectrum():
+    """A one-point diagonal level adds its real cosine phases into the
+    spectrum CHUNK elements at a time, dropping each phase before the next,
+    sorts it once, takes its logdet and moments, and only then writes its
+    density in place: one Z/2^16 level of 2 - t^3 - t^-3 peaks within 2.5
+    times the bytes of its eigenvalues (2.27; 3.0 with whole-array symbol
+    updates and the density built first, 4.0 with a density built by
+    concatenation)."""
+    reports, peak = _traced_tower_peak(_cubic_shift_laplacian(), QuotientTower.zn(1, [2 ** 16]))
     w = reports[0].eigen.eigenvalues
     assert w.nbytes == 8 * 2 ** 16
-    assert peak <= 3.5 * w.nbytes
+    assert peak <= 2.5 * w.nbytes
+
+
+def test_tower_ladder_memory_stays_near_its_top_spectrum():
+    """A ladder Z/2^10 ... Z/2^16 of 2 - t^3 - t^-3 keeps every level's
+    spectrum and density, and its top level runs at about twice its
+    eigenvalue bytes: the whole run peaks within 4.5 times the top level's
+    eigenvalue bytes (4.27; 5.02 with whole-array symbol updates and the
+    density built first)."""
+    tower = QuotientTower.zn(1, [2 ** k for k in range(10, 17)])
+    reports, peak = _traced_tower_peak(_cubic_shift_laplacian(), tower)
+    w = reports[-1].eigen.eigenvalues
+    assert w.nbytes == 8 * 2 ** 16
+    assert peak <= 4.5 * w.nbytes
+
+
+def test_wall_time_spans_the_whole_level(z_laplacian, monkeypatch):
+    """A level's wall_time runs from its solve to the end of its report:
+    the logdet, moments and density the report derives are inside it, in
+    both schemes."""
+    pause = 0.05
+    log_det = schemes.log_det
+
+    def slow_log_det(*args):
+        time.sleep(pause)
+        return log_det(*args)
+
+    monkeypatch.setattr(schemes, "log_det", slow_log_det)
+    towers = run_tower(z_laplacian, QuotientTower.zn(1, [8, 16]))
+    boxes = run_folner(z_laplacian, build_boxes_folner(1, [2, 3]))
+    for rep in towers + boxes:
+        assert rep.wall_time >= pause, rep.level
 
 
 def test_sintapr_hypothesis_violation(z_group):
@@ -934,3 +979,21 @@ def test_level_report_derives_its_numbers_from_its_spectrum(z_laplacian):
     assert wide.logdet == log_det(eig, 1.0)
     with pytest.raises(ValueError):
         replace(rep, f0=0.0)
+
+
+def test_level_report_derives_its_density_from_its_spectrum(z_laplacian):
+    """The density is derived from eigen too, after the other numbers: it
+    is ``density_from_eigs`` of the spectrum, ``replace`` with another
+    spectrum re-derives it with F(0) = f0, and no caller can hand a report
+    a density of its own."""
+    rep = run_tower(z_laplacian, QuotientTower.zn(1, [16]))[0]
+    eig = rep.eigen
+    want = density_from_eigs(eig)
+    assert rep.density.positions.tobytes() == want.positions.tobytes()
+    assert rep.density.jumps == want.jumps
+    wide = replace(rep, eigen=EigenResult(eig.eigenvalues, eig.denom, 1.0))
+    assert betti(wide.density) == wide.f0 == 5 / 16
+    with pytest.raises(ValueError):
+        replace(rep, density=want)
+    with pytest.raises(TypeError):
+        LevelReport(16, eig, rep.norm_bound, 0.0, density=want)

@@ -1089,6 +1089,73 @@ def test_one_point_diagonal_rule_is_bitwise_eigvalsh(monkeypatch):
     assert shapes == []
 
 
+_UPDATE_COEFFICIENTS = [GaussianRational.of(c) for c in (1, -1, 2, Fraction(3, 2))] + [
+    GaussianRational.of(Fraction(1, 2), Fraction(-1, 3)),
+    GaussianRational.of(0, 1),
+]
+
+
+@st.composite
+def _symbol_updates(draw):
+    """(CHUNK, length, ring element over Z, slot of each term, complex
+    phase of each term, real form of each phase, complex target): up to
+    five terms sharing up to three slots, lengths 0 to 3 CHUNK, phases of
+    every magnitude, the identity's phase the scalar 1, and real forms that
+    are strided views of the complex phases or contiguous copies."""
+    chunk = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 3 * chunk))
+    z = FreeAbelianGroup(1)
+    keys = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5, unique=True))
+    x = sum(
+        (RingElement.delta(z, (k,), draw(st.sampled_from(_UPDATE_COEFFICIENTS))) for k in keys),
+        RingElement.zero(z),
+    )
+    slots = {g: draw(st.integers(0, 2)) for g in x.terms}
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    strided = draw(st.booleans())
+    phases, real_phases = {}, {}
+    for g in x.terms:
+        if g == (0,):
+            phases[g] = real_phases[g] = 1
+            continue
+        scale = 10.0 ** rng.integers(-12, 4, size=(2, n))
+        phases[g] = rng.standard_normal(n) * scale[0] + 1j * rng.standard_normal(n) * scale[1]
+        real = phases[g].real
+        real_phases[g] = real if strided else real.copy()
+    return chunk, n, x, slots, phases, real_phases, draw(st.booleans())
+
+
+@pytest.mark.bitwise
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_symbol_updates())
+def test_chunked_symbol_update_is_bitwise_the_whole_array_update(case):
+    """``_add_symbol`` adds a real coefficient times a one-axis real phase
+    CHUNK elements at a time: the target is bit for bit the one that
+    ``out[slot] += c * z`` per term gives (Re(c * z) for a complex c into a
+    real target, c * z into a complex one), and no phase array of the
+    caller changes."""
+    chunk, n, x, slots, phases, real_phases, complex_out = case
+    dtype = np.complex128 if complex_out else np.float64
+    want = np.zeros((3, n), dtype=dtype)
+    for g, c in x.terms.items():
+        if complex_out:
+            want[slots[g]] += complex(c) * phases[g]
+        elif c.is_real():
+            want[slots[g]] += float(c.re) * real_phases[g]
+        else:
+            want[slots[g]] += (complex(c) * phases[g]).real
+    before = [np.array(z, copy=True) for z in (*phases.values(), *real_phases.values())]
+    got = np.zeros((3, n), dtype=dtype)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "CHUNK", chunk)
+        spectral._add_symbol(
+            got, x, lambda g, real: (real_phases if real else phases)[g], slots.__getitem__
+        )
+    assert got.tobytes() == want.tobytes()
+    after = (*phases.values(), *real_phases.values())
+    assert all(a.tobytes() == np.asarray(b).tobytes() for a, b in zip(before, after))
+
+
 def test_diagonal_operators_skip_lapack(monkeypatch):
     """Diagonal d x d character blocks (H trivial, off-diagonal entries
     zero in the ring) are solved per diagonal entry, bit-identical to
