@@ -42,12 +42,9 @@ from .schemes import (
     FolnerExhaustion,
     LevelReport,
     QuotientTower,
-    SandwichPolynomial,
     build_boxes_folner,
-    build_sandwich,
     run_folner,
     run_tower,
-    sandwich_level_check,
 )
 from .spectral import (
     EigenResult,

@@ -110,7 +110,6 @@ _boxes = _flag(
     "comma-separated strictly increasing integers >= 0",
 )
 _grid = _flag(int, lambda n: n >= 1, "an integer >= 1")
-_finite = _flag(float, math.isfinite, "a finite number")
 _threshold = _flag(float, lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
 _finite_list = _flag(
     _split(float), lambda v: all(map(math.isfinite, v)), "comma-separated finite numbers"
@@ -133,8 +132,12 @@ def cmd_density(args) -> int:
     if args.level is not None and scheme is None:
         raise ProblemFormatError("--level needs a problem 'scheme'")
     delta = _operator(problem, _requested_checks(problem, scheme))
-    if args.grid is not None or (scheme is None and problem.oracle_grid is not None):
-        density = torus_density(delta, args.grid or problem.oracle_grid)
+    grid = args.grid or (problem.oracle_grid if scheme is None else None)
+    if grid is not None:
+        if not isinstance(problem.group, FreeAbelianGroup):
+            what = "--grid" if args.grid else "oracle grid"
+            raise ProblemFormatError(f"{what} needs a free abelian group")
+        density = torus_density(delta, grid)
     elif scheme is not None:
         label = scheme.labels[-1] if args.level is None else args.level
         if label not in scheme.labels:
@@ -287,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     one.add_argument("--boxes", type=_boxes, help="comma-separated Folner box sizes override")
     p.add_argument("--lambda-grid", type=_finite_list, help="comma-separated evaluation points")
     p.add_argument("--grid", type=_grid, help="oracle grid per dimension")
-    p.add_argument("--tol", type=_finite, default=0.02)
+    p.add_argument("--tol", type=_threshold, default=0.02)
     p.add_argument("--eps-ker", type=_threshold, help="kernel threshold override, >= 0")
     p.add_argument("--timings", action="store_true", help="include wall times (non-reproducible)")
     p.add_argument("--densities", action="store_true", help="include full densities per level")
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     one = p.add_mutually_exclusive_group()
     one.add_argument("--grid", type=_grid, help="oracle grid per dimension")
     one.add_argument("--levels", type=_levels, help="tower moduli (uses the tower route)")
-    p.add_argument("--tol", type=_finite, default=0.02)
+    p.add_argument("--tol", type=_threshold, default=0.02)
     p.add_argument("--output")
     p.set_defaults(func=cmd_cw)
 

@@ -42,10 +42,6 @@ class NotPSD(L2ApproxError):
     """An integer matrix claimed positive semidefinite is not."""
 
 
-class CertificationFailed(L2ApproxError):
-    """No polynomial up to the degree cap certified the sandwich bounds."""
-
-
 class InsufficientLevels(L2ApproxError):
     """A convergence check needs more approximation levels than provided."""
 

@@ -18,7 +18,14 @@ from functools import partial
 from typing import Optional
 
 from .cw import ChainComplexSpec
-from .errors import MalformedGroup, MismatchedGroup, ProblemFormatError, SchemeError, UndefinedGenerator
+from .errors import (
+    DimensionMismatch,
+    MalformedGroup,
+    MismatchedGroup,
+    ProblemFormatError,
+    SchemeError,
+    UndefinedGenerator,
+)
 from .groupring import GaussianRational, RingElement
 from .groups import (
     CyclicGroup,
@@ -144,7 +151,10 @@ def parse_rational(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ProblemFormatError(f"coefficient {x!r} is not a rational") from exc
     raise ProblemFormatError(
         f"rational coefficients must be ints or 'p/q' strings, got {x!r}"
     )
@@ -179,8 +189,12 @@ def parse_matrix(group: Group, obj) -> RingMatrix:
     cols = obj.get("cols")
     if cols is not None and _int(cols, "cols") < 0:
         raise ProblemFormatError(f"declared cols={cols} is negative")
-    # a matrix with no rows has only its declared column count
-    m = RingMatrix(group, [[parse_ring_element(group, e) for e in row] for row in grid], cols or 0)
+    entries = [[parse_ring_element(group, e) for e in row] for row in grid]
+    try:
+        # a matrix with no rows has only its declared column count
+        m = RingMatrix(group, entries, cols or 0)
+    except DimensionMismatch as exc:
+        raise ProblemFormatError(f"matrix: {exc}") from exc
     if rows is not None and _int(rows, "rows") != m.rows:
         raise ProblemFormatError(f"declared rows={rows} but found {m.rows}")
     if cols is not None and _int(cols, "cols") != m.cols:

