@@ -11,15 +11,21 @@ L2-acyclic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
-from .errors import NotAComplex, SchemeError, WrongGroup
+from .errors import NotAComplex, ProblemFormatError, SchemeError
 from .groups import FreeAbelianGroup, Group
 from .matrices import RingMatrix, laplacian
-from .oracles import check_torus_grid, torus_betti_logdet
+from .oracles import check_torus_grid, torus_kernel_logdet
 from .schemes import QuotientTower, run_tower
-from .spectral import check_group_solve, check_solve_size, finite_spectrum, log_det
+from .spectral import (
+    _is_diagonal,
+    check_group_solve,
+    check_solve_size,
+    default_kernel_threshold,
+    finite_spectrum,
+    log_det,
+)
 from .verdicts import Context, sintapr
 
 ACYCLICITY_TOL = 0.01
@@ -96,14 +102,51 @@ class L2Report:
     dims: list
 
 
-def _oracle_degree(delta: RingMatrix, grid: int):
-    group = delta.group
+def _summands(delta: RingMatrix) -> list:
+    """The direct summands of delta: its 1 x 1 diagonal entries when it is
+    diagonal (``_is_diagonal``), else delta itself."""
+    if _is_diagonal(delta):
+        return [RingMatrix.from_element(delta.entries[k][k]) for k in range(delta.rows)]
+    return [delta]
+
+
+def _summand_solve(x: RingMatrix, grid: int, thresholds: list) -> dict:
+    """{t: (kernel count at t, log det)} for every t in thresholds, from one
+    solve of x: on the torus the log det keeps every positive eigenvalue
+    (``torus_kernel_logdet``), on a finite group it drops those up to t."""
+    group = x.group
     if isinstance(group, FreeAbelianGroup) and group.rank > 0:
-        return (*torus_betti_logdet(delta, grid), True)
-    if not group.is_finite:
-        raise WrongGroup(f"no oracle available for {group}")
-    eig = finite_spectrum(delta)
-    return eig.kernel_end() / eig.denom, log_det(eig), True
+        counts, logdet = torus_kernel_logdet(x, grid, thresholds)
+        return {t: (count, logdet) for t, count in zip(thresholds, counts)}
+    eig = finite_spectrum(x)
+    return {t: (eig.kernel_end(t), log_det(eig, t)) for t in thresholds}
+
+
+def _oracle_degrees(deltas: list, grid: int, denom: int) -> list:
+    """(F(0), log det, True) of each Laplacian, from its direct summands.
+
+    b^(2) and the Fuglede-Kadison determinant are additive over direct sums,
+    so each distinct summand of the complex is solved once: the torus's
+    Delta_1 = Delta_0 + Delta_0 solves nothing of its own.  Each Laplacian
+    keeps its own kernel threshold, whose k_bound carries its d^2, and a
+    summand's solve reads its kernel count at the threshold of every
+    Laplacian that holds it.  F(0) is the integer sum of the counts over
+    denom (grid points or |G|), bit for bit the whole operator's; the log
+    det is the sum of the summands', which may differ from the whole
+    operator's in the last bits."""
+    split = {
+        delta: (default_kernel_threshold(delta), _summands(delta)) for delta in dict.fromkeys(deltas)
+    }
+    need = {}
+    for t, xs in split.values():
+        for x in xs:
+            need.setdefault(x, set()).add(t)
+    solved = {x: _summand_solve(x, grid, sorted(ts)) for x, ts in need.items()}
+    degrees = {}
+    for delta, (t, xs) in split.items():
+        parts = [solved[x][t] for x in xs]
+        degrees[delta] = (sum(c for c, _ in parts) / denom, sum((ld for _, ld in parts), 0.0), True)
+    return [degrees[delta] for delta in deltas]
 
 
 def _tower_degree(delta: RingMatrix, tower: QuotientTower, tol: float):
@@ -140,14 +183,16 @@ def l2_invariants(
     if tower is None:
         grid = int(oracle_grid) if oracle_grid is not None else 1024
         method = f"oracle(grid={grid})"
-        degree = partial(_oracle_degree, grid=grid)
         if torus:
             check_solve_size(grid ** group.rank, rows, f"oracle grid {grid}")
         elif group.is_finite:
             check_group_solve(group, rows, f"group {group}")
+        else:
+            raise ProblemFormatError(
+                f"the oracle route needs a free abelian or finite group, got {group}"
+            )
     else:
         method = f"tower(levels={tower.labels})"
-        degree = partial(_tower_degree, tower=tower, tol=tol)
         for phi, label in zip(tower.levels, tower.labels):
             check_group_solve(phi.target, rows, f"tower level {label}")
     deltas = laplacians(spec)
@@ -155,10 +200,14 @@ def l2_invariants(
         # the symbol stack cap exempts diagonal Laplacians, so it needs them
         for delta in sorted(deltas, key=lambda x: -x.rows):
             check_torus_grid(delta, grid)
-    # equal Laplacians (the torus's degrees 0 and 2, the circle's 0 and 1)
-    # are solved once
-    solved = {delta: degree(delta) for delta in dict.fromkeys(deltas)}
-    results = [solved[delta] for delta in deltas]
+    if tower is None:
+        results = _oracle_degrees(deltas, grid, grid ** group.rank if torus else group.order)
+    else:
+        # the tower route runs each distinct Laplacian whole (the circle's
+        # Delta_0 and Delta_1 are one run): its sintapr determinant-class
+        # verdict is defined on the whole operator, not on its summands
+        solved = {delta: _tower_degree(delta, tower, tol) for delta in dict.fromkeys(deltas)}
+        results = [solved[delta] for delta in deltas]
     bettis = [b for b, _, _ in results]
     logdets = [ld for _, ld, _ in results]
     det_class = [ok for _, _, ok in results]

@@ -151,6 +151,10 @@ def parse_rational(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        # Fraction builds 10^e of an exponent string exactly, so a short
+        # "1e100000000" would stall the parser: refuse every exponent
+        if "e" in x or "E" in x:
+            raise ProblemFormatError(f"coefficient {x!r} has an exponent; write it as 'p/q'")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

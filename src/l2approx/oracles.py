@@ -163,8 +163,8 @@ def torus_density(delta: RingMatrix, grid_per_dim: int) -> SpectralDensity:
     return density_from_eigs(torus_eigen_result(delta, grid_per_dim))
 
 
-def torus_betti_logdet(delta: RingMatrix, grid_per_dim: int) -> tuple:
-    """(F(0) at the kernel threshold, log det) of one solve made here.
+def torus_kernel_logdet(delta: RingMatrix, grid_per_dim: int, thresholds) -> tuple:
+    """(kernel count at each of ``thresholds``, log det) of one solve made here.
 
     The logdet applies no magnitude cutoff: genuinely small eigenvalues
     near a high-order zero of the symbol carry a real contribution to the
@@ -172,18 +172,19 @@ def torus_betti_logdet(delta: RingMatrix, grid_per_dim: int) -> tuple:
     the value upward by an amount that does not vanish with the grid.
     Values that round to zero or below (only possible at an exact symbol
     kernel, which the midpoint grid avoids) are skipped: bit for bit
-    ``log_det(eig, 0.0)``, whose log overwrites the tail in place.
+    ``log_det(eig, 0.0)``.  Every count is read before the log overwrites
+    the positive tail in place, so the spectrum is the one array of its size.
     """
     eig = torus_eigen_result(delta, grid_per_dim)
-    betti, start = eig.kernel_end() / eig.denom, eig.kernel_end(0.0)
-    tail = eig.eigenvalues[start:]
-    return betti, float(np.sum(np.log(tail, out=tail))) / eig.denom
+    counts = [eig.kernel_end(t) for t in thresholds]
+    tail = eig.eigenvalues[eig.kernel_end(0.0):]
+    return counts, float(np.sum(np.log(tail, out=tail))) / eig.denom
 
 
 def torus_logdet(delta: RingMatrix, grid_per_dim: int) -> float:
     """Quadrature approximation of the log Fuglede-Kadison determinant:
-    log of every strictly positive symbol eigenvalue (``torus_betti_logdet``)."""
-    return torus_betti_logdet(delta, grid_per_dim)[1]
+    log of every strictly positive symbol eigenvalue (``torus_kernel_logdet``)."""
+    return torus_kernel_logdet(delta, grid_per_dim, [])[1]
 
 
 def torus_logdet_report(

@@ -776,6 +776,41 @@ def test_density_torus_grid_needs_a_free_abelian_group(flags, problem, tmp_path,
     assert capsys.readouterr() == ("", f"l2approx: input error: {what} needs a free abelian group\n")
 
 
+def test_cw_oracle_route_over_a_free_group_exits_2(tmp_path, capsys, monkeypatch):
+    """No oracle serves a group that is neither free abelian nor finite:
+    without --levels cw says so as an input error before it builds any
+    Laplacian, as density --grid does."""
+
+    def no_laplacians(spec):
+        raise AssertionError("a Laplacian was built before the route was checked")
+
+    monkeypatch.setattr(cw, "laplacians", no_laplacians)
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"group": {"type": "free", "rank": 1}, "cells": [1], "boundaries": []}))
+    out = tmp_path / "report.out"
+    for flags in ([], ["--grid", "8"]):
+        assert main(["cw", str(path), *flags, "--output", str(out)]) == 2
+        assert not out.exists()
+        message = "the oracle route needs a free abelian or finite group, got F_1"
+        assert capsys.readouterr() == ("", f"l2approx: input error: {message}\n")
+
+
+def test_exponent_coefficient_exits_2_at_once(tmp_path, capsys):
+    """A coefficient "1e100000000" would make Fraction build 10^(10^8):
+    it is an input error, found before any arithmetic on it."""
+    path = tmp_path / "problem.json"
+    problem = _z_problem()
+    problem["matrix"]["entries"][0][0][0]["re"] = "1e100000000"
+    path.write_text(json.dumps(problem))
+    start = time.perf_counter()
+    code = main(["approx", str(path)])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "",
+        "l2approx: input error: coefficient '1e100000000' has an exponent; write it as 'p/q'\n",
+    )
+
+
 def test_approx_boxes_beyond_caps_exit_2_before_any_level(tmp_path, capsys):
     out = tmp_path / "report.out"
     start = time.perf_counter()

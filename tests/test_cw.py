@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -19,8 +20,9 @@ from l2approx import (
     validate,
 )
 from l2approx import cli, cw, oracles
-from l2approx.cw import _oracle_degree, _tower_degree, laplacians
+from l2approx.cw import _oracle_degrees, _tower_degree, laplacians
 from l2approx.oracles import torus_eigen_result
+from l2approx.spectral import log_det
 from l2approx.errors import NotAComplex
 
 from conftest import SEED, fixture_complex, random_element
@@ -147,12 +149,11 @@ def test_oracle_f0_counts_eigenvalues_up_to_the_threshold():
     cases.append((_finite_torus(), None))
     kernels = []
     for spec, grid in cases:
+        torus = isinstance(spec.group, FreeAbelianGroup) and spec.group.rank > 0
+        denom = grid ** spec.group.rank if torus else spec.group.order
         for delta in laplacians(spec):
-            f0, _, _ = _oracle_degree(delta, grid)
-            if isinstance(spec.group, FreeAbelianGroup) and spec.group.rank > 0:
-                eig = torus_eigen_result(delta, grid)
-            else:
-                eig = finite_spectrum(delta)
+            (f0, _, _), = _oracle_degrees([delta], grid, denom)
+            eig = torus_eigen_result(delta, grid) if torus else finite_spectrum(delta)
             assert type(f0) is float
             assert f0 == betti(density_from_eigs(eig))
             kernels.append(f0)
@@ -163,8 +164,8 @@ def test_oracle_f0_counts_eigenvalues_up_to_the_threshold():
 def test_cw_assembles_each_distinct_laplacian_once(monkeypatch, tmp_path):
     """The torus's Laplacians hold one ring element 4 - a - 1/a - b - 1/b
     four times (degree 0, both diagonal entries of degree 1, degree 2): cw
-    assembles its 5-term symbol twice, once for degrees 0 and 2 and once
-    for degree 1, so 10 phases."""
+    solves each distinct direct summand once, so it assembles the 5-term
+    symbol once, 5 phases."""
     calls = []
     phase = oracles._phase
     monkeypatch.setattr(
@@ -172,7 +173,55 @@ def test_cw_assembles_each_distinct_laplacian_once(monkeypatch, tmp_path):
     )
     torus = str(resources.files("l2approx") / "fixtures" / "torus.json")
     assert cli.main(["cw", torus, "--output", str(tmp_path / "torus.out")]) == 0
-    assert len(calls) == 10
+    assert len(calls) == 5
+
+
+def _two_circles() -> ChainComplexSpec:
+    """Two circles side by side over Z: Delta_0 = Delta_1 = diag(D, D) with
+    D = 2 - t - 1/t."""
+    z = FreeAbelianGroup(1)
+    t = RingElement.delta(z, (1,))
+    zero = RingElement.zero(z)
+    spec = ChainComplexSpec(z, (2, 2), (RingMatrix(z, [[1 - t, zero], [zero, 1 - t]]),))
+    validate(spec)
+    return spec
+
+
+def test_each_laplacian_keeps_its_own_kernel_threshold():
+    """At grid 32768 the two smallest symbol values of D = 2 - t - 1/t,
+    about (pi/32768)^2 = 9.2e-9, lie above D's own threshold 4e-9 and below
+    the 1.6e-8 of diag(D, D), whose k_bound carries d^2 = 4.  The whole
+    operator's rule counts them in diag(D, D): F(0) = 4/32768, where each
+    summand's own threshold would give 0.  One solve of D serves both
+    thresholds when D is also a Laplacian of its own."""
+    m = 32768
+    spec = _two_circles()
+    rep = l2_invariants(spec, oracle_grid=m)
+    assert rep.betti == [4 / m, 4 / m]
+    diag = laplacians(spec)[0]
+    whole = torus_eigen_result(diag, m)
+    assert whole.kernel_end() == 4
+    one = RingMatrix.from_element(diag.entries[0][0])
+    (f0_one, ld_one, _), (f0_diag, ld_diag, _) = _oracle_degrees([one, diag], m, m)
+    assert (f0_one, f0_diag) == (0.0, 4 / m)
+    assert ld_diag == 2 * ld_one == pytest.approx(log_det(whole, 0.0), rel=1e-12)
+
+
+def test_cw_torus_memory_stays_near_one_summand():
+    """cw's oracle route on the torus at m = 256 solves the one distinct
+    summand 4 - a - 1/a - b - 1/b once and logs its tail in place: the whole
+    run peaks within 1.25 times its 8 m^2 bytes, where solving Delta_1 whole
+    held 8 * 2 m^2."""
+    spec = fixture_complex("torus")
+    m = 256
+    l2_invariants(spec, oracle_grid=m)  # warm: caches and lazy imports
+    tracemalloc.start()
+    try:
+        l2_invariants(spec, oracle_grid=m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * m * m
 
 
 def test_cw_runs_one_tower_per_distinct_laplacian(monkeypatch, tmp_path):

@@ -94,6 +94,14 @@ def test_rational_parsing():
     assert rational_to_json(Fraction(1, 3)) == "1/3"
 
 
+@pytest.mark.parametrize("text", ["1e3", "2E-1", "-1.5e2", "1e100000000"])
+def test_exponent_strings_are_not_rationals(text):
+    """Fraction would build 10^e exactly, so "1e100000000" would stall:
+    every string with an exponent is refused at once."""
+    with pytest.raises(ProblemFormatError, match="exponent"):
+        parse_rational(text)
+
+
 def test_ring_element_roundtrip():
     z = FreeAbelianGroup(1)
     x = RingElement(

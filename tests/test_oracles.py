@@ -21,12 +21,12 @@ from l2approx import (
     torus_density,
     torus_logdet,
 )
-from l2approx.cw import _oracle_degree, laplacians
+from l2approx.cw import _oracle_degrees, laplacians
 from l2approx.errors import NotHermitian, NotPSD, WrongGroup
 from l2approx.oracles import (
     _char_poly,
-    torus_betti_logdet,
     torus_eigen_result,
+    torus_kernel_logdet,
     torus_logdet_report,
     torus_symbol_eigenvalues,
 )
@@ -408,13 +408,14 @@ def test_torus_symbol_memory_stays_near_its_output():
 def test_cw_torus_degree_memory_stays_near_its_spectrum():
     """cw's oracle on the torus Delta_1 at m = 256, solve and log
     determinant together, peaks within 1.25 times the 8 d m^2 bytes of its
-    eigenvalues: the log of the positive tail overwrites it."""
+    eigenvalues: it solves its one distinct summand once, and the log of
+    the positive tail overwrites that spectrum."""
     delta = laplacians(fixture_complex("torus"))[1]
     m = 256
-    _oracle_degree(delta, m)  # warm: caches and lazy imports
+    _oracle_degrees([delta], m, m * m)  # warm: caches and lazy imports
     tracemalloc.start()
     try:
-        _oracle_degree(delta, m)
+        _oracle_degrees([delta], m, m * m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -472,13 +473,26 @@ def test_diagonal_route_is_bitwise_the_gather_form(delta, m):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(delta=_diagonal_operators(), m=st.sampled_from(ODD_AND_EVEN_GRIDS))
+def test_direct_summands_give_the_whole_operator(delta, m):
+    """cw solves a diagonal operator as its 1 x 1 entries: F(0) at the
+    whole operator's threshold is the whole operator's, bit for bit, and the
+    log det, a sum of the summands', agrees to 1e-12 relative."""
+    (f0, logdet, det_class), = _oracle_degrees([delta], m, m ** delta.group.rank)
+    whole = torus_eigen_result(delta, m)
+    assert f0 == whole.kernel_end() / whole.denom and det_class
+    assert logdet == pytest.approx(log_det(whole, 0.0), rel=1e-12, abs=0)
+
+
 @pytest.mark.bitwise
-def test_torus_betti_logdet_is_the_kernel_split_and_log_det():
-    """torus_betti_logdet is (kernel_end() / denom, log_det(eig, 0.0)) of
-    the torus eigenvalues, bit for bit, after it overwrote the tail: on the
-    torus Laplacians, a non-diagonal A*A, 2 cos theta (negative half, and at
-    m = 2 and 6 a value 6e-17 kept by the cut at 0 but not by the kernel
-    threshold) and the zero matrix (no positive tail)."""
+def test_torus_kernel_logdet_is_the_kernel_split_and_log_det():
+    """torus_kernel_logdet is ([kernel_end(t) for each t], log_det(eig,
+    0.0)) of the torus eigenvalues, bit for bit, with every count read
+    before it overwrote the tail: on the torus Laplacians, a non-diagonal
+    A*A, 2 cos theta (negative half, and at m = 2 and 6 a value 6e-17 kept
+    by the cut at 0 but not by the kernel threshold) and the zero matrix
+    (no positive tail)."""
     z1, z2 = FreeAbelianGroup(1), FreeAbelianGroup(2)
     t = RingElement.delta(z1, (1,))
     a, b = RingElement.delta(z2, (1, 0)), RingElement.delta(z2, (0, 1))
@@ -492,9 +506,10 @@ def test_torus_betti_logdet_is_the_kernel_split_and_log_det():
     splits = set()
     for (name, delta), m in itertools.product(cases.items(), ODD_AND_EVEN_GRIDS + (2,)):
         eig = torus_eigen_result(delta, m)
-        want = (eig.kernel_end() / eig.denom, log_det(eig, 0.0))
-        got = torus_betti_logdet(delta, m)
-        assert [type(x) for x in got] == [float, float]
+        thresholds = [eig.kernel_threshold, 0.0, 4 * eig.kernel_threshold]
+        want = ([eig.kernel_end(t) for t in thresholds], log_det(eig, 0.0))
+        got = torus_kernel_logdet(delta, m, thresholds)
+        assert type(got[1]) is float
         assert got == want and torus_logdet(delta, m) == want[1], (name, m)
         splits.add(eig.kernel_end() == eig.kernel_end(0.0))
     assert splits == {True, False}
