@@ -132,8 +132,9 @@ def _oracle_degrees(deltas: list, grid: int, denom: int) -> list:
     summand's solve reads its kernel count at the threshold of every
     Laplacian that holds it.  F(0) is the integer sum of the counts over
     denom (grid points or |G|), bit for bit the whole operator's; the log
-    det is the sum of the summands', which may differ from the whole
-    operator's in the last bits."""
+    det is the sum of the summands', each on the torus a sum over the
+    grid's slabs (``torus_kernel_logdet``), which may differ from the
+    whole operator's sorted sum in the last bits."""
     split = {
         delta: (default_kernel_threshold(delta), _summands(delta)) for delta in dict.fromkeys(deltas)
     }

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -145,6 +146,10 @@ def parse_element(group: Group, obj):
 # coefficients, ring elements, matrices
 # ---------------------------------------------------------------------------
 
+# an integer or "p/q" string, ASCII digits only
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(x) -> Fraction:
     if isinstance(x, bool):
         raise ProblemFormatError(f"boolean is not a rational: {x!r}")
@@ -155,6 +160,10 @@ def parse_rational(x) -> Fraction:
         # "1e100000000" would stall the parser: refuse every exponent
         if "e" in x or "E" in x:
             raise ProblemFormatError(f"coefficient {x!r} has an exponent; write it as 'p/q'")
+        # Fraction also takes decimals, "_" separators, padding and
+        # non-ASCII digits, none of which the format has
+        if not _RATIONAL.fullmatch(x):
+            raise ProblemFormatError(f"coefficient {x!r} is not a rational: write it as 'p/q'")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

@@ -106,6 +106,10 @@ def nonzero_eigenvalue_product_exact(rows: Sequence[Sequence]) -> int:
 # free abelian groups: torus symbol quadrature
 # ---------------------------------------------------------------------------
 
+# eigenvalues per slab of ``torus_kernel_logdet``: 512 KiB of float64
+SLAB_EIGENVALUES = 2 ** 16
+
+
 def _require_free_abelian(delta: RingMatrix) -> int:
     if not isinstance(delta.group, FreeAbelianGroup):
         raise WrongGroup(f"torus oracle needs a free abelian group, got {delta.group}")
@@ -132,24 +136,42 @@ def check_torus_grid(delta: RingMatrix, grid_per_dim: int) -> int:
     return points
 
 
-def torus_symbol_eigenvalues(delta: RingMatrix, grid_per_dim: int) -> np.ndarray:
-    """Eigenvalues of the Fourier symbol on the midpoint torus grid.
+def _torus_slab(delta: RingMatrix, m: int, rows: slice) -> np.ndarray:
+    """Sorted eigenvalues of delta's symbol at the midpoint torus grid points
+    whose first index lies in ``rows``, a slice of range(m): the grid
+    (len(rows),) + (m,) * (n - 1), or the one point () when n = 0.
 
     Substitutes generator k -> z_k = exp(2*pi*i*(j_k + 1/2)/m) for every
     grid multi-index j and stacks the eigenvalues of the resulting d x d
-    Hermitian values; shape (m^n * d,), sorted ascending.  The phase
-    exp(i theta.g) is separable: the ``_phase`` of the angles theta_1d g_k
-    per axis, broadcast over the grid (m,)*n in (ij) meshgrid order.
-    Self-adjointness is checked exactly: ``eigvalsh`` reads one triangle.
-    """
+    Hermitian values.  The phase exp(i theta.g) is separable: the
+    ``_phase`` of the angles theta_1d g_k per axis, those of axis 0 cut to
+    ``rows``, broadcast over the grid in (ij) meshgrid order.  Each value
+    is the whole grid's at the same point, bit for bit."""
+    theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+    first = theta_1d[rows]
+    n = delta.group.rank
+    shape = (len(first),) + (m,) * (n - 1) if n else ()
+    return _operator_eigenvalues(
+        delta, shape, lambda g, real: _phase(g, lambda k, e: (theta_1d if k else first) * e, real)
+    )
+
+
+def _check_torus_solve(delta: RingMatrix, grid_per_dim: int) -> int:
+    """``check_torus_grid``, once self-adjointness is checked exactly:
+    ``eigvalsh`` reads one triangle."""
     if not delta.is_self_adjoint():
         raise NotHermitian(f"{delta} is not self-adjoint")
-    check_torus_grid(delta, grid_per_dim)
+    return check_torus_grid(delta, grid_per_dim)
+
+
+def torus_symbol_eigenvalues(delta: RingMatrix, grid_per_dim: int) -> np.ndarray:
+    """Eigenvalues of the Fourier symbol on the whole midpoint torus grid,
+    one slab (``_torus_slab``) of every row; shape (m^n * d,), sorted
+    ascending.  ``approx``'s fine oracle clusters them into its density.
+    """
+    _check_torus_solve(delta, grid_per_dim)
     m = int(grid_per_dim)
-    theta_1d = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-    return _operator_eigenvalues(
-        delta, (m,) * delta.group.rank, lambda g, real: _phase(g, lambda k, e: theta_1d * e, real)
-    )
+    return _torus_slab(delta, m, slice(0, m))
 
 
 def torus_eigen_result(delta: RingMatrix, grid_per_dim: int) -> EigenResult:
@@ -164,21 +186,38 @@ def torus_density(delta: RingMatrix, grid_per_dim: int) -> SpectralDensity:
 
 
 def torus_kernel_logdet(delta: RingMatrix, grid_per_dim: int, thresholds) -> tuple:
-    """(kernel count at each of ``thresholds``, log det) of one solve made here.
+    """(kernel count at each of ``thresholds``, log det) of the torus
+    spectrum, solved here one slab at a time.
+
+    A slab is a run of whole rows of the first grid axis (``_torus_slab``),
+    about SLAB_EIGENVALUES eigenvalues and at least one row; the last may be
+    partial.  Each slab adds its count at every threshold, an exact integer,
+    and then the sum of the log of its positive tail, taken in place: no
+    array of the grid's size is built and the whole spectrum is never
+    sorted.  The counts are ``kernel_end(t)`` of ``torus_eigen_result``
+    exactly; the log det is ``log_det(eig, 0.0)`` bit for bit on one slab
+    (every rank-1 grid of up to SLAB_EIGENVALUES / d points) and agrees to
+    rounding otherwise, since it sums the slabs in turn.
 
     The logdet applies no magnitude cutoff: genuinely small eigenvalues
     near a high-order zero of the symbol carry a real contribution to the
     integral, and masking them by the density's kernel threshold would bias
     the value upward by an amount that does not vanish with the grid.
     Values that round to zero or below (only possible at an exact symbol
-    kernel, which the midpoint grid avoids) are skipped: bit for bit
-    ``log_det(eig, 0.0)``.  Every count is read before the log overwrites
-    the positive tail in place, so the spectrum is the one array of its size.
+    kernel, which the midpoint grid avoids) are skipped.
     """
-    eig = torus_eigen_result(delta, grid_per_dim)
-    counts = [eig.kernel_end(t) for t in thresholds]
-    tail = eig.eigenvalues[eig.kernel_end(0.0):]
-    return counts, float(np.sum(np.log(tail, out=tail))) / eig.denom
+    points = _check_torus_solve(delta, grid_per_dim)
+    m, n = int(grid_per_dim), delta.group.rank
+    step = max(1, SLAB_EIGENVALUES // (m ** (n - 1) * max(1, delta.rows))) if n else m
+    counts, total = [0] * len(thresholds), 0.0
+    for lo in range(0, m, step):
+        w = _torus_slab(delta, m, slice(lo, lo + step))
+        for i, t in enumerate(thresholds):
+            counts[i] += int(w.searchsorted(t, "right"))
+        tail = w[w.searchsorted(0.0, "right"):]
+        total += float(np.sum(np.log(tail, out=tail)))
+        del w, tail  # before the next slab is solved
+    return counts, total / points
 
 
 def torus_logdet(delta: RingMatrix, grid_per_dim: int) -> float:

@@ -17,6 +17,7 @@ from l2approx import (
     symmetric_group,
     trace,
 )
+from l2approx import oracles
 from l2approx.jsonio import ProblemFormatError, load_json, parse_complex, rational_to_json
 
 SEED = 617
@@ -73,6 +74,20 @@ def random_group_element(group, rng):
 def random_self_adjoint(group, rng, d=1):
     rows = [[random_element(group, rng) for _ in range(d)] for _ in range(d)]
     return positive_square(RingMatrix(group, rows))
+
+
+def record_torus_slabs(monkeypatch) -> list:
+    """Record the (grid, first row, end row) of every torus slab solved
+    from now on (``oracles._torus_slab``), in order."""
+    slabs = []
+    solve = oracles._torus_slab
+
+    def recorded(delta, m, rows):
+        slabs.append((m, rows.start, min(rows.stop, m)))
+        return solve(delta, m, rows)
+
+    monkeypatch.setattr(oracles, "_torus_slab", recorded)
+    return slabs
 
 
 def fixture_complex(name):

@@ -15,6 +15,8 @@ from l2approx.errors import InjectivityUncertified
 from l2approx.schemes import QuotientTower, run_tower
 from l2approx.verify import SUITES, CheckLine
 
+from conftest import record_torus_slabs
+
 FIXTURES = resources.files("l2approx") / "fixtures"
 SEED_REPORTS = Path(__file__).resolve().parent.parent / "benchmarks" / "seed_reports"
 
@@ -273,17 +275,12 @@ ORACLE_GRIDS = {
 @pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
 def test_approx_complex_solves_oracle_grid_once(name, monkeypatch, capsys):
     # every verdict and the oracle logdet share one fine-grid solve;
-    # the coarse grid is the logdet's error estimate
-    grids = []
-    solve = oracles.torus_symbol_eigenvalues
-
-    def counted(delta, grid_per_dim):
-        grids.append(grid_per_dim)
-        return solve(delta, grid_per_dim)
-
-    monkeypatch.setattr(oracles, "torus_symbol_eigenvalues", counted)
+    # the coarse grid is the logdet's error estimate.  Each grid is one
+    # pass over its rows, in slabs (the fine grid is one slab)
+    slabs = record_torus_slabs(monkeypatch)
     assert main(["approx", fixture_path(f"{name}.json")]) == 0
-    assert grids == ORACLE_GRIDS[name]
+    rows = [(m, row) for m, lo, hi in slabs for row in range(lo, hi)]
+    assert rows == [(m, row) for m in ORACLE_GRIDS[name] for row in range(m)]
     assert capsys.readouterr().out.encode() == (SEED_REPORTS / f"{name}.out").read_bytes()
 
 

@@ -21,11 +21,11 @@ from l2approx import (
 )
 from l2approx import cli, cw, oracles
 from l2approx.cw import _oracle_degrees, _tower_degree, laplacians
-from l2approx.oracles import torus_eigen_result
+from l2approx.oracles import SLAB_EIGENVALUES, torus_eigen_result
 from l2approx.spectral import log_det
 from l2approx.errors import NotAComplex
 
-from conftest import SEED, fixture_complex, random_element
+from conftest import SEED, fixture_complex, random_element, record_torus_slabs
 
 
 def test_validate_fixtures():
@@ -164,16 +164,20 @@ def test_oracle_f0_counts_eigenvalues_up_to_the_threshold():
 def test_cw_assembles_each_distinct_laplacian_once(monkeypatch, tmp_path):
     """The torus's Laplacians hold one ring element 4 - a - 1/a - b - 1/b
     four times (degree 0, both diagonal entries of degree 1, degree 2): cw
-    solves each distinct direct summand once, so it assembles the 5-term
-    symbol once, 5 phases."""
+    solves each distinct direct summand once, one pass over the rows of
+    the default grid 1024 in slabs, so it assembles the 5-term symbol once
+    per slab, 5 phases each."""
     calls = []
     phase = oracles._phase
     monkeypatch.setattr(
         oracles, "_phase", lambda g, angle, real: calls.append(g) or phase(g, angle, real)
     )
+    slabs = record_torus_slabs(monkeypatch)
     torus = str(resources.files("l2approx") / "fixtures" / "torus.json")
     assert cli.main(["cw", torus, "--output", str(tmp_path / "torus.out")]) == 0
-    assert len(calls) == 5
+    assert len(slabs) > 1
+    assert [row for _, lo, hi in slabs for row in range(lo, hi)] == list(range(1024))
+    assert len(calls) == 5 * len(slabs)
 
 
 def _two_circles() -> ChainComplexSpec:
@@ -208,12 +212,13 @@ def test_each_laplacian_keeps_its_own_kernel_threshold():
 
 
 def test_cw_torus_memory_stays_near_one_summand():
-    """cw's oracle route on the torus at m = 256 solves the one distinct
-    summand 4 - a - 1/a - b - 1/b once and logs its tail in place: the whole
-    run peaks within 1.25 times its 8 m^2 bytes, where solving Delta_1 whole
-    held 8 * 2 m^2."""
+    """cw's oracle route on the torus at m = 1024 solves the one distinct
+    summand 4 - a - 1/a - b - 1/b once, a slab of SLAB_EIGENVALUES at a
+    time, and logs each slab's tail in place: the whole run peaks within
+    two slabs' bytes (measured: 1.20 slabs), where one whole-grid solve
+    holds 8 m^2 bytes, 16 slabs."""
     spec = fixture_complex("torus")
-    m = 256
+    m = 1024
     l2_invariants(spec, oracle_grid=m)  # warm: caches and lazy imports
     tracemalloc.start()
     try:
@@ -221,7 +226,7 @@ def test_cw_torus_memory_stays_near_one_summand():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * m * m
+    assert peak <= 2 * 8 * SLAB_EIGENVALUES < 8 * m * m
 
 
 def test_cw_runs_one_tower_per_distinct_laplacian(monkeypatch, tmp_path):

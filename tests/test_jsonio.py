@@ -102,6 +102,16 @@ def test_exponent_strings_are_not_rationals(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("text", ["0.1", "1_000", " 3 ", "3\n", "\u0663", "\u0661/\u0662", "+-1", "1/+2", "/2", "1/"])
+def test_rational_strings_are_ascii_integers_or_fractions(text):
+    """Only [+-]?[0-9]+(/[0-9]+)? is a rational string: decimals, digit
+    separators, padding and non-ASCII digits, which Fraction would take,
+    are refused."""
+    with pytest.raises(ProblemFormatError, match="is not a rational"):
+        parse_rational(text)
+    assert parse_rational("+12/34") == Fraction(6, 17) and parse_rational("-007") == -7
+
+
 def test_ring_element_roundtrip():
     z = FreeAbelianGroup(1)
     x = RingElement(

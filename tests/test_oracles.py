@@ -24,6 +24,7 @@ from l2approx import (
 from l2approx.cw import _oracle_degrees, laplacians
 from l2approx.errors import NotHermitian, NotPSD, WrongGroup
 from l2approx.oracles import (
+    SLAB_EIGENVALUES,
     _char_poly,
     torus_eigen_result,
     torus_kernel_logdet,
@@ -32,7 +33,7 @@ from l2approx.oracles import (
 )
 from l2approx.spectral import _add_symbol, _phase, log_det
 
-from conftest import SEED, fixture_complex
+from conftest import SEED, fixture_complex, record_torus_slabs
 from dense_reference import hermitian_eigenvalues, outer_phase, regular_representation, symbol_stack
 
 
@@ -406,12 +407,14 @@ def test_torus_symbol_memory_stays_near_its_output():
 
 @pytest.mark.bitwise
 def test_cw_torus_degree_memory_stays_near_its_spectrum():
-    """cw's oracle on the torus Delta_1 at m = 256, solve and log
-    determinant together, peaks within 1.25 times the 8 d m^2 bytes of its
-    eigenvalues: it solves its one distinct summand once, and the log of
-    the positive tail overwrites that spectrum."""
+    """cw's oracle on the torus Delta_1 at m = 1024, solve and log
+    determinant together, peaks within two slabs' bytes, 8 *
+    SLAB_EIGENVALUES each (measured: 1.18 slabs): it solves its one
+    distinct summand once, one slab at a time, and the log of each slab's
+    positive tail overwrites that slab.  A whole-grid solve holds 8 m^2
+    bytes, 16 slabs."""
     delta = laplacians(fixture_complex("torus"))[1]
-    m = 256
+    m = 1024
     _oracle_degrees([delta], m, m * m)  # warm: caches and lazy imports
     tracemalloc.start()
     try:
@@ -419,7 +422,7 @@ def test_cw_torus_degree_memory_stays_near_its_spectrum():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * 2 * m * m
+    assert peak <= 2 * 8 * SLAB_EIGENVALUES < 8 * m * m
 
 
 def _gather_diagonal_eigenvalues(delta, m):
@@ -513,3 +516,40 @@ def test_torus_kernel_logdet_is_the_kernel_split_and_log_det():
         assert got == want and torus_logdet(delta, m) == want[1], (name, m)
         splits.add(eig.kernel_end() == eig.kernel_end(0.0))
     assert splits == {True, False}
+
+
+def test_torus_kernel_logdet_over_several_slabs_is_the_whole_grid(monkeypatch):
+    """On grids of several slabs, the last one partial where the rows do
+    not divide m, torus_kernel_logdet reads every row of the first axis
+    once, in order: each count is kernel_end(t) of the whole grid exactly,
+    at thresholds from the kernel cut to the top eigenvalue, and the log
+    det is log_det(eig, 0.0) to 1e-12 relative.  Cases: the torus Delta_0
+    at m = 1024 (16 slabs of 64 rows), its Delta_1 (d = 2) at m = 1000
+    (31 slabs of 32 rows and one of 8), 2 - t - 1/t at m = 3 * 2^16 + 5
+    (3 slabs and one of 5 points) and a non-diagonal d = 2 A*A over Z^2 at
+    m = 300 (slabs of 109 rows, the last of 82)."""
+    z1, z2 = FreeAbelianGroup(1), FreeAbelianGroup(2)
+    t = RingElement.delta(z1, (1,))
+    a, b = RingElement.delta(z2, (1, 0)), RingElement.delta(z2, (0, 1))
+    big_a = RingMatrix(z2, [[1 - a, 1 - b], [2 - b, 3 + a]])
+    torus = laplacians(fixture_complex("torus"))
+    cases = [
+        ("torus Delta_0", torus[0], 1024, False),
+        ("torus Delta_1", torus[1], 1000, True),
+        ("2 - t - 1/t", RingMatrix.from_element(2 - t - t.star()), 3 * 2 ** 16 + 5, True),
+        ("A*A", big_a.adjoint() @ big_a, 300, True),
+    ]
+    for name, delta, m, partial in cases:
+        eig = torus_eigen_result(delta, m)
+        w = eig.eigenvalues
+        thresholds = [eig.kernel_threshold, 0.0, w[len(w) // 3], w[2 * len(w) // 3], w[-1]]
+        slabs = record_torus_slabs(monkeypatch)
+        counts, logdet = torus_kernel_logdet(delta, m, thresholds)
+        monkeypatch.undo()
+        assert counts == [eig.kernel_end(t) for t in thresholds], name
+        assert counts[-1] == len(w)
+        assert logdet == pytest.approx(log_det(eig, 0.0), rel=1e-12, abs=0), name
+        assert [row for _, lo, hi in slabs for row in range(lo, hi)] == list(range(m)), name
+        sizes = [hi - lo for _, lo, hi in slabs]
+        assert len(sizes) > 1, name
+        assert (sizes[-1] < sizes[0]) == partial and len(set(sizes[:-1])) == 1, name
