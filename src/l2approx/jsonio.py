@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -61,6 +62,21 @@ def _ints(x, what: str) -> list:
     return [_int(v, what) for v in _list(x, what)]
 
 
+def _table(table) -> list:
+    """A JSON list of integer rows, as it is.  The error names the first
+    offending row, column and entry, never the whole table."""
+    what = "table must be a list of integer rows"
+    if not isinstance(table, list):
+        raise ProblemFormatError(f"{what}, got {type(table).__name__}")
+    for i, row in enumerate(table):
+        if not isinstance(row, list):
+            raise ProblemFormatError(f"{what}: row {i} is {type(row).__name__}")
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                raise ProblemFormatError(f"{what}: row {i}, column {j} is {reprlib.repr(x)}")
+    return table
+
+
 # what the group and homomorphism constructors raise on content that does
 # not describe a group, an element or a homomorphism: an input error
 _GROUP_ERRORS = (MalformedGroup, MismatchedGroup, UndefinedGenerator)
@@ -84,13 +100,7 @@ def parse_group(obj) -> Group:
         if kind == "free":
             return FreeGroup(_int(obj["rank"], "rank"))
         if kind == "finite_table":
-            table = obj["table"]
-            if (
-                not isinstance(table, list)
-                or not all(isinstance(row, list) for row in table)
-                or any(type(x) is not int for row in table for x in row)
-            ):
-                raise ProblemFormatError(f"table must be a list of integer rows: {table!r}")
+            table = _table(obj["table"])
             names = obj.get("names")
             if names is not None and any(type(x) is not str for x in _list(names, "names")):
                 raise ProblemFormatError(f"names must be strings: {names!r}")

@@ -15,7 +15,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
 from typing import Optional, Sequence
@@ -116,16 +116,18 @@ def build_boxes_folner(rank: int, m_values: Sequence[int]) -> FolnerExhaustion:
 
 @dataclass
 class LevelReport:
-    """One approximation level: its spectrum and exact traces.
-    f0 = kernel_end() / denom, logdet, the moments at the powers of
-    exact_traces, matrix_size, max_eigenvalue, norm_bound_ok and the
-    density are derived from ``eigen`` when the report is made, so a report
-    cannot carry a density its spectrum disagrees with.  The density comes
-    last: the log and power temporaries of logdet and the moments are freed
-    before it exists.  wall_time is the caller's to set."""
+    """One approximation level: its exact traces and the numbers its
+    spectrum gives.  f0 = kernel_end() / denom, logdet, the moments at the
+    powers of exact_traces, matrix_size, max_eigenvalue, norm_bound_ok and
+    the density are derived from the init-only ``eigen`` when the report is
+    made, and the spectrum is not kept: a report holds its density but not
+    its eigenvalues.  ``dataclasses.replace`` must be given ``eigen`` again,
+    so a report cannot carry a number its spectrum disagrees with.  The
+    density comes last: the log and power temporaries of logdet and the
+    moments are freed before it exists.  wall_time is the caller's to set."""
 
     level: object
-    eigen: EigenResult = field(repr=False)
+    eigen: InitVar[EigenResult]
     norm_bound: float
     wall_time: float
     exact_traces: dict = field(default_factory=dict)
@@ -139,8 +141,7 @@ class LevelReport:
     norm_bound_ok: bool = field(init=False)
     density: SpectralDensity = field(init=False)
 
-    def __post_init__(self):
-        eig = self.eigen
+    def __post_init__(self, eig: EigenResult):
         self.f0 = eig.kernel_end() / eig.denom
         self.logdet = log_det(eig)
         self.moments = {m: eig.moment(m) for m in self.exact_traces}
@@ -187,6 +188,16 @@ def run_tower(
     and spectral moments.  Whenever the level certifies injectivity on the
     support of Delta^m, the exact level trace of Delta_i^m is compared with
     the exact trace upstairs and must match exactly.
+
+    Two passes.  The first, in scheme order, pushes every level forward,
+    takes its exact traces and certifies them, so the warnings come in
+    scheme order and a trace mismatch fails before any eigensolve.  The
+    second solves the levels largest first (a stable sort, so equal orders
+    keep scheme order) and makes each report straight from its spectrum,
+    which the report does not keep: each smaller level is solved next to
+    the larger levels' densities, not their spectra, and a ladder peaks at
+    its top level.  Reports come back in scheme order; a level's wall_time
+    is the sum of its two passes.
     """
     if delta.group != tower.source:
         raise MismatchedGroup(f"matrix over {delta.group}, tower from {tower.source}")
@@ -198,11 +209,10 @@ def run_tower(
     thr = kernel_threshold if kernel_threshold is not None else default_kernel_threshold(delta)
     ref_traces, ref_supports = reference_traces(delta, TRACE_POWERS)
 
-    reports = []
+    levels = []  # (pushed-forward matrix, exact traces, certified, seconds) per level
     for phi, label in zip(tower.levels, tower.labels):
         t0 = time.perf_counter()
         delta_i = delta.push_forward(phi)
-        eig = finite_spectrum(delta_i, kernel_threshold=thr)
         exact_traces, _ = reference_traces(delta_i, TRACE_POWERS)
         certified = {}
         for m in TRACE_POWERS:
@@ -218,9 +228,22 @@ def run_tower(
                     f"certified level {label} trace of power {m} "
                     f"({exact_traces[m]}) differs from the exact value {ref_traces[m]}"
                 )
-        rep = LevelReport(label, eig, kb, 0.0, exact_traces, certified)
-        rep.wall_time = time.perf_counter() - t0  # the whole level, density included
-        reports.append(rep)
+        levels.append((delta_i, exact_traces, certified, time.perf_counter() - t0))
+
+    reports = [None] * len(levels)
+    for i in sorted(range(len(levels)), key=lambda j: -tower.levels[j].target.order):
+        delta_i, exact_traces, certified, seconds = levels[i]
+        t0 = time.perf_counter()
+        rep = LevelReport(
+            tower.labels[i],
+            finite_spectrum(delta_i, kernel_threshold=thr),
+            kb,
+            0.0,
+            exact_traces,
+            certified,
+        )
+        rep.wall_time = seconds + time.perf_counter() - t0  # the whole level, density included
+        reports[i] = rep
     return reports
 
 
@@ -386,12 +409,19 @@ def run_folner(
     for i, m in enumerate(exhaustion.labels):
         t0 = time.perf_counter()
         nw = (2 * m + 1) ** rank
-        eig = EigenResult(_band_eigenvalues(_box_band(delta, rank, m, real)), nw, thr)
         exact = compressed_trace_powers(delta, m, TRACE_POWERS)
         exact_traces = {k: GaussianRational.of(Fraction(1, nw)) * exact[k] for k in TRACE_POWERS}
         defects = {k: exhaustion.defect(i, max(1, k * support_radius)) for k in TRACE_POWERS}
         certified = {k: True for k in TRACE_POWERS}
-        rep = LevelReport(m, eig, kb, 0.0, exact_traces, certified, defects)
+        rep = LevelReport(
+            m,
+            EigenResult(_band_eigenvalues(_box_band(delta, rank, m, real)), nw, thr),
+            kb,
+            0.0,
+            exact_traces,
+            certified,
+            defects,
+        )
         rep.wall_time = time.perf_counter() - t0  # the whole level, density included
         reports.append(rep)
     return reports

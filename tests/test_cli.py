@@ -473,6 +473,27 @@ def test_table_entry_not_an_integer_exits_2(entry, tmp_path, capsys):
     assert "table must be a list of integer rows" in capsys.readouterr().err
 
 
+def test_bad_table_entry_names_its_place_not_the_table(tmp_path, capsys):
+    """One non-integer entry of the S5 table is one short stderr line that
+    names its row, column and value; the table itself (about 59 kB) is not
+    echoed."""
+    table = [list(row) for row in symmetric_group(5).table]
+    table[7][3] = 3.5
+    problem = {
+        "group": {"type": "finite_table", "table": table},
+        "matrix": {"entries": [[[{"word": 0, "re": 1}]]]},
+    }
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(problem))
+    assert main(["density", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert len(line) < 200
+    assert "table must be a list of integer rows" in line
+    assert "row 7, column 3 is 3.5" in line
+
+
 def _cyclic_problem(n=4, word=0, **matrix):
     return {
         "group": {"type": "cyclic", "n": n},

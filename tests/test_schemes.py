@@ -3,6 +3,7 @@ import math
 import random
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from l2approx.cw import laplacians
 from l2approx.errors import (
     BoxTooLarge,
     HypothesisViolated,
+    InjectivityUncertified,
     InsufficientLevels,
     NotInverse,
     SchemeError,
@@ -49,7 +51,13 @@ from l2approx.schemes import (
     _support_radius,
     compressed_trace_powers,
 )
-from l2approx.spectral import CHUNK, MAX_BLOCK_ENTRIES, MAX_SOLVE_POINTS, check_group_solve
+from l2approx.spectral import (
+    CHUNK,
+    MAX_BLOCK_ENTRIES,
+    MAX_SOLVE_POINTS,
+    check_group_solve,
+    default_kernel_threshold,
+)
 from l2approx import schemes, verdicts
 from l2approx.verdicts import Context, density_tail_integral
 
@@ -118,6 +126,27 @@ def shift(k):
 def _band(delta, m):
     real = all(e.is_real() for row in delta.entries for e in row)
     return _box_band(delta, delta.group.rank, m, real)
+
+
+def _box_spectrum(delta, m):
+    """The spectrum run_folner solves at the box m, solved on its own."""
+    nw = (2 * m + 1) ** delta.group.rank
+    return EigenResult(_band_eigenvalues(_band(delta, m)), nw, default_kernel_threshold(delta))
+
+
+def _level_spectrum(delta, phi):
+    """The spectrum run_tower solves at the level phi, solved on its own."""
+    return finite_spectrum(delta.push_forward(phi), kernel_threshold=default_kernel_threshold(delta))
+
+
+def _assert_same_numbers(rep, want):
+    """rep carries want's numbers and density, bit for bit."""
+    assert rep.level == want.level and rep.matrix_size == want.matrix_size
+    assert rep.f0 == want.f0 and rep.logdet == want.logdet
+    assert rep.moments == want.moments and rep.max_eigenvalue == want.max_eigenvalue
+    assert rep.exact_traces == want.exact_traces and rep.trace_certified == want.trace_certified
+    assert rep.density.positions.tobytes() == want.density.positions.tobytes()
+    assert rep.density.counts.tobytes() == want.density.counts.tobytes()
 
 
 def _band_to_dense(ab, d):
@@ -228,7 +257,9 @@ def test_run_folner_eigenvalues_match_dense_reference(z_group, z_laplacian):
         reports = run_folner(delta, exhaustion)
         for i, rep in enumerate(reports):
             ref = hermitian_eigenvalues(translation_matrix(delta, _box(delta.group.rank, rep.level)))
-            assert np.array_equal(rep.eigen.eigenvalues, ref)
+            eig = _box_spectrum(delta, rep.level)
+            assert np.array_equal(eig.eigenvalues, ref)
+            assert rep.max_eigenvalue == ref[-1] and rep.f0 == eig.kernel_end() / eig.denom
     wide = [
         (random_self_adjoint(z_group, rng, d=2), build_boxes_folner(1, [2, 5])),
         (positive_square(RingMatrix.from_element(1 - alpha * a + b)), build_boxes_folner(2, [1, 3])),
@@ -239,8 +270,10 @@ def test_run_folner_eigenvalues_match_dense_reference(z_group, z_laplacian):
         scale = max(1.0, k_bound(delta))
         for i, rep in enumerate(reports):
             ref = hermitian_eigenvalues(translation_matrix(delta, _box(delta.group.rank, rep.level)))
-            assert np.max(np.abs(rep.eigen.eigenvalues - ref)) <= 1e-12 * scale
-            ref_density = density_from_eigs(EigenResult(ref, rep.eigen.denom, rep.eigen.kernel_threshold))
+            eig = _box_spectrum(delta, rep.level)
+            assert np.max(np.abs(eig.eigenvalues - ref)) <= 1e-12 * scale
+            assert rep.max_eigenvalue == eig.max_eigenvalue
+            ref_density = density_from_eigs(EigenResult(ref, eig.denom, eig.kernel_threshold))
             assert [c for _, c in rep.density.jumps] == [c for _, c in ref_density.jumps]
             assert rep.f0 == betti(ref_density)
 
@@ -248,13 +281,16 @@ def test_run_folner_eigenvalues_match_dense_reference(z_group, z_laplacian):
 def test_run_folner_edge_cases(z_group):
     # a one-point box: the band is the d x d matrix itself
     t = RingElement.delta(z_group, (1,))
-    (rep,) = run_folner(RingMatrix.from_element(5 - t - t.star()), build_boxes_folner(1, [0]))
-    assert rep.eigen.eigenvalues.tolist() == [5.0] and rep.matrix_size == 1
+    point = RingMatrix.from_element(5 - t - t.star())
+    (rep,) = run_folner(point, build_boxes_folner(1, [0]))
+    assert _band_eigenvalues(_band(point, 0)).tolist() == [5.0]
+    assert rep.max_eigenvalue == 5.0 and rep.matrix_size == 1
     # the zero matrix: an all-zero band and an all-zero spectrum
     zero = RingMatrix.zero(FreeAbelianGroup(2), 2, 2)
     assert not _band(zero, 2).any()
     for rep in run_folner(zero, build_boxes_folner(2, [0, 2])):
-        assert not rep.eigen.eigenvalues.any()
+        assert not _band_eigenvalues(_band(zero, rep.level)).any()
+        assert rep.max_eigenvalue == 0.0
         assert rep.f0 == 2.0 and rep.logdet == 0.0
         assert rep.matrix_size == 2 * (2 * rep.level + 1) ** 2
     # a complex Hermitian band: i (t - 1/t) on a path of L points is unitarily
@@ -264,7 +300,8 @@ def test_run_folner_edge_cases(z_group):
     for rep in run_folner(i_shift, build_boxes_folner(1, [0, 3, 20])):
         size = 2 * rep.level + 1
         expected = np.sort(2 * np.cos(np.pi * np.arange(1, size + 1) / (size + 1)))
-        assert np.allclose(rep.eigen.eigenvalues, expected, atol=1e-12)
+        assert np.allclose(_band_eigenvalues(_band(i_shift, rep.level)), expected, atol=1e-12)
+        assert abs(rep.max_eigenvalue - expected[-1]) <= 1e-12
 
 
 @pytest.mark.bitwise
@@ -476,7 +513,7 @@ def folner_reports(z_laplacian):
     return run_folner(z_laplacian, exh)
 
 
-def test_folner_closed_forms(folner_reports):
+def test_folner_closed_forms(z_laplacian, folner_reports):
     for rep in folner_reports:
         m = rep.level
         s = 2 * m + 1
@@ -486,9 +523,10 @@ def test_folner_closed_forms(folner_reports):
         assert rep.f0 == 0.0  # the truncated operator is positive definite
         assert rep.norm_bound_ok
         # Dirichlet eigenvalues of the tridiagonal compression
-        w = np.sort(rep.eigen.eigenvalues)
+        w = _band_eigenvalues(_band(z_laplacian, m))
         expected = 2 - 2 * np.cos(np.pi * np.arange(1, s + 1) / (s + 1))
         assert np.allclose(w, np.sort(expected), atol=1e-9)
+        assert rep.max_eigenvalue == w[-1]
 
 
 def test_folner_trace_gap_bounded_by_defect(z_laplacian, folner_reports):
@@ -744,23 +782,108 @@ def test_tower_level_memory_stays_near_its_spectrum():
     times the bytes of its eigenvalues (2.27; 3.0 with whole-array symbol
     updates and the density built first, 4.0 with a density built by
     concatenation)."""
-    reports, peak = _traced_tower_peak(_cubic_shift_laplacian(), QuotientTower.zn(1, [2 ** 16]))
-    w = reports[0].eigen.eigenvalues
-    assert w.nbytes == 8 * 2 ** 16
+    delta, tower = _cubic_shift_laplacian(), QuotientTower.zn(1, [2 ** 16])
+    reports, peak = _traced_tower_peak(delta, tower)
+    w = _level_spectrum(delta, tower.levels[0]).eigenvalues
+    assert w.nbytes == 8 * 2 ** 16 == 8 * reports[0].matrix_size
     assert peak <= 2.5 * w.nbytes
 
 
 def test_tower_ladder_memory_stays_near_its_top_spectrum():
-    """A ladder Z/2^10 ... Z/2^16 of 2 - t^3 - t^-3 keeps every level's
-    spectrum and density, and its top level runs at about twice its
-    eigenvalue bytes: the whole run peaks within 4.5 times the top level's
-    eigenvalue bytes (4.27; 5.02 with whole-array symbol updates and the
-    density built first)."""
-    tower = QuotientTower.zn(1, [2 ** k for k in range(10, 17)])
-    reports, peak = _traced_tower_peak(_cubic_shift_laplacian(), tower)
-    w = reports[-1].eigen.eigenvalues
-    assert w.nbytes == 8 * 2 ** 16
-    assert peak <= 4.5 * w.nbytes
+    """A report keeps its density but not its spectrum, and the levels are
+    solved largest first, so every smaller level runs next to the larger
+    levels' densities only: a ladder Z/2^10 ... Z/2^16 of 2 - t^3 - t^-3
+    peaks within the single-level bound, 2.5 times the top level's
+    eigenvalue bytes (2.29; 4.04 with every report keeping its spectrum,
+    3.29 with the levels solved smallest first, 4.27 with both)."""
+    delta, tower = _cubic_shift_laplacian(), QuotientTower.zn(1, [2 ** k for k in range(10, 17)])
+    reports, peak = _traced_tower_peak(delta, tower)
+    w = _level_spectrum(delta, tower.levels[-1]).eigenvalues
+    assert w.nbytes == 8 * 2 ** 16 == 8 * reports[-1].matrix_size
+    assert peak <= 2.5 * w.nbytes
+
+
+def _record_solves(monkeypatch) -> list:
+    """The group of every level ``run_tower`` solves, in solve order."""
+    solved = []
+    solve = schemes.finite_spectrum
+
+    def recording(delta, *args, **kwargs):
+        solved.append(delta.group)
+        return solve(delta, *args, **kwargs)
+
+    monkeypatch.setattr(schemes, "finite_spectrum", recording)
+    return solved
+
+
+def _s3_by_cyclic_tower(orders) -> tuple:
+    """(A*A for A = 2 + a - b over F2, the tower F2 -> S3 x Z/k for k in
+    orders), a sending to (transposition, 1) and b to (3-cycle, 0)."""
+    from l2approx import FreeGroup
+
+    f2 = FreeGroup(2)
+    a = RingElement.delta(f2, (1,))
+    b = RingElement.delta(f2, (2,))
+    s3 = symmetric_group(3)
+    swap = next(g for g in s3.elements() if g != s3.identity() and s3.multiply(g, g) == s3.identity())
+    cycle = next(g for g in s3.elements() if s3.multiply(g, g) != s3.identity())
+    levels = [
+        Homomorphism(f2, product_group([s3, CyclicGroup(k)]), generator_images=[(swap, 1 % k), (cycle, 0)])
+        for k in orders
+    ]
+    tower = QuotientTower(f2, levels, labels=[f"S3 x Z/{k}" for k in orders])
+    return positive_square(RingMatrix.from_element(2 + a - b)), tower
+
+
+def test_tower_solves_largest_first_and_reports_in_scheme_order(z_laplacian, monkeypatch):
+    """run_tower solves its levels largest first, equal orders in scheme
+    order, and returns the reports in scheme order, each bit for bit the
+    report of its level run alone: on Z -> Z/64, Z/8, Z/32 of 2 - t - 1/t,
+    and on F2 -> S3 x Z/k for k = 2, 4, 1, 3, 2 (orders 12, 24, 6, 18, 12)."""
+    solved = _record_solves(monkeypatch)
+    ladder = QuotientTower.zn(1, [64, 8, 32])
+    dense, s3k = _s3_by_cyclic_tower([2, 4, 1, 3, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InjectivityUncertified)  # high powers cannot certify on S3 x Z/k
+        for delta, tower, order in ((z_laplacian, ladder, [0, 2, 1]), (dense, s3k, [1, 3, 0, 4, 2])):
+            solved.clear()
+            reports = run_tower(delta, tower)
+            assert solved == [tower.levels[i].target for i in order]
+            assert [rep.level for rep in reports] == tower.labels
+            for phi, label, rep in zip(tower.levels, tower.labels, reports):
+                (alone,) = run_tower(delta, QuotientTower(tower.source, [phi], labels=[label]))
+                _assert_same_numbers(rep, alone)
+
+
+def test_tower_warnings_come_in_scheme_order(z_laplacian):
+    """Certification runs before any solve, in scheme order, so the
+    uncertified-injectivity warnings keep scheme order while the levels are
+    solved largest first."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_tower(z_laplacian, QuotientTower.zn(1, [2, 8, 3]))
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (InjectivityUncertified, "level 2 does not certify injectivity for power 2"),
+        (InjectivityUncertified, "level 2 does not certify injectivity for power 3"),
+        (InjectivityUncertified, "level 3 does not certify injectivity for power 3"),
+    ]
+
+
+def test_certified_trace_mismatch_fails_before_any_solve(z_laplacian, monkeypatch):
+    """A certified level trace that differs from the trace upstairs raises
+    before any level is solved.  A false certificate (every kernel avoided)
+    makes Z/2 certify power 2, where 2 - 2t has trace 8, not 6."""
+    solved = _record_solves(monkeypatch)
+    tower = QuotientTower.zn(1, [2 ** 12, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InjectivityUncertified)
+        run_tower(z_laplacian, tower)
+    assert len(solved) == 2  # the counter counts
+    solved.clear()
+    monkeypatch.setattr(Homomorphism, "kernel_avoids", lambda self, elements: True)
+    with pytest.raises(SchemeError, match=r"certified level 2 trace of power 2 \(8\)"):
+        run_tower(z_laplacian, tower)
+    assert solved == []
 
 
 def test_wall_time_spans_the_whole_level(z_laplacian, monkeypatch):
@@ -886,10 +1009,8 @@ def test_tower_free_group_to_table_group(s3):
     )
     phi = Homomorphism(f2, s3, generator_images=[transposition, cycle])
     tower = QuotientTower(f2, [phi], labels=["s3"])
-    import warnings as warnings_mod
-
-    with warnings_mod.catch_warnings():
-        warnings_mod.simplefilter("ignore")  # high powers cannot certify here
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # high powers cannot certify here
         reports = run_tower(delta, tower)
     rep = reports[0]
     assert rep.matrix_size == 6
@@ -910,7 +1031,8 @@ def test_norms_check_reads_every_level(z_laplacian):
     """The verdict passes when every level is below its norm bound, reports
     the bound it is given and the largest eigenvalue of any level, and fails
     when one level exceeds its bound."""
-    reports = run_tower(z_laplacian, QuotientTower.zn(1, [4, 8, 16]))
+    tower = QuotientTower.zn(1, [4, 8, 16])
+    reports = run_tower(z_laplacian, tower)
     ctx = Context(z_laplacian, z_laplacian, reports, k_bound=4.0)
     verdict = verdicts.norms(ctx)
     assert verdict == {
@@ -918,46 +1040,53 @@ def test_norms_check_reads_every_level(z_laplacian):
         "k_bound": 4.0,
         "max_eigenvalue": max(rep.max_eigenvalue for rep in reports),
     }
-    reports[1] = replace(reports[1], norm_bound=reports[1].max_eigenvalue / 2)
+    eig = _level_spectrum(z_laplacian, tower.levels[1])
+    reports[1] = replace(reports[1], eigen=eig, norm_bound=reports[1].max_eigenvalue / 2)
     assert verdicts.norms(ctx)["ok"] is False
 
 
 def test_level_report_derives_its_numbers_from_its_spectrum(z_laplacian):
     """A report's f0, logdet, moments, size, top eigenvalue and norm verdict
-    are read off its eigen at construction, so ``replace`` re-derives them:
-    a report cannot carry an f0 or a norm verdict its spectrum disagrees
+    are read off the spectrum it is made from, which it does not keep, so
+    ``replace`` must be given the spectrum again and re-derives them: a
+    report cannot carry an f0 or a norm verdict its spectrum disagrees
     with."""
-    rep = run_tower(z_laplacian, QuotientTower.zn(1, [16]))[0]
-    eig = rep.eigen
+    tower = QuotientTower.zn(1, [16])
+    rep = run_tower(z_laplacian, tower)[0]
+    eig = _level_spectrum(z_laplacian, tower.levels[0])
+    assert not hasattr(rep, "eigen")
     assert rep.f0 == eig.kernel_end() / eig.denom == betti(rep.density) == 1 / 16
     assert rep.logdet == log_det(eig)
     assert rep.moments == {m: eig.moment(m) for m in rep.exact_traces}
     assert rep.matrix_size == 16 and rep.max_eigenvalue == eig.max_eigenvalue
     assert rep.norm_bound_ok
-    low = replace(rep, norm_bound=rep.max_eigenvalue / 2)
+    with pytest.raises(ValueError, match="InitVar 'eigen'"):
+        replace(rep, norm_bound=rep.max_eigenvalue / 2)  # no spectrum, no report
+    low = replace(rep, eigen=eig, norm_bound=rep.max_eigenvalue / 2)
     assert low.norm_bound_ok is False and rep.norm_bound_ok is True
-    assert replace(low, norm_bound=rep.norm_bound).norm_bound_ok is True
+    assert replace(low, eigen=eig, norm_bound=rep.norm_bound).norm_bound_ok is True
     # a wider kernel threshold moves F(0) and logdet together
     wide = replace(rep, eigen=EigenResult(eig.eigenvalues, eig.denom, 1.0))
     assert wide.f0 == eig.kernel_end(1.0) / 16 > rep.f0
     assert wide.logdet == log_det(eig, 1.0)
-    with pytest.raises(ValueError):
-        replace(rep, f0=0.0)
+    with pytest.raises(ValueError, match="init=False"):
+        replace(rep, eigen=eig, f0=0.0)
 
 
 def test_level_report_derives_its_density_from_its_spectrum(z_laplacian):
-    """The density is derived from eigen too, after the other numbers: it
-    is ``density_from_eigs`` of the spectrum, ``replace`` with another
-    spectrum re-derives it with F(0) = f0, and no caller can hand a report
-    a density of its own."""
-    rep = run_tower(z_laplacian, QuotientTower.zn(1, [16]))[0]
-    eig = rep.eigen
+    """The density is derived from the spectrum too, after the other
+    numbers: it is ``density_from_eigs`` of the spectrum, ``replace`` with
+    another spectrum re-derives it with F(0) = f0, and no caller can hand a
+    report a density of its own."""
+    tower = QuotientTower.zn(1, [16])
+    rep = run_tower(z_laplacian, tower)[0]
+    eig = _level_spectrum(z_laplacian, tower.levels[0])
     want = density_from_eigs(eig)
     assert rep.density.positions.tobytes() == want.positions.tobytes()
     assert rep.density.jumps == want.jumps
     wide = replace(rep, eigen=EigenResult(eig.eigenvalues, eig.denom, 1.0))
     assert betti(wide.density) == wide.f0 == 5 / 16
-    with pytest.raises(ValueError):
-        replace(rep, density=want)
+    with pytest.raises(ValueError, match="init=False"):
+        replace(rep, eigen=eig, density=want)
     with pytest.raises(TypeError):
         LevelReport(16, eig, rep.norm_bound, 0.0, density=want)
