@@ -24,7 +24,7 @@ import warnings
 
 from . import __version__
 from .cw import l2_invariants
-from .errors import L2ApproxError, ProblemFormatError, SolveTooLarge
+from .errors import L2ApproxError, ProblemFormatError, SolveTooLarge, shown
 from .groups import FreeAbelianGroup
 from .jsonio import (
     Problem,
@@ -141,7 +141,7 @@ def cmd_density(args) -> int:
     elif scheme is not None:
         label = scheme.labels[-1] if args.level is None else args.level
         if label not in scheme.labels:
-            raise ProblemFormatError(f"level {label} not in scheme levels {scheme.labels}")
+            raise ProblemFormatError(f"level {label} not in scheme levels {shown(scheme.labels)}")
         if isinstance(scheme, FolnerExhaustion):
             reports = run_folner(delta, FolnerExhaustion(scheme.group, [label]))
         else:

@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show
+a value they reject."""
+
+import reprlib
+
+# the most characters of a rejected value that an error message shows
+SHOWN_CHARS = 80
+
+
+def shown(x) -> str:
+    """A rejected value as an error message shows it: reprlib's
+    abbreviation, cut to SHOWN_CHARS characters, so no error echoes a whole
+    input."""
+    text = reprlib.repr(x)
+    return text if len(text) <= SHOWN_CHARS else text[: SHOWN_CHARS - 3] + "..."
 
 
 class L2ApproxError(Exception):

@@ -22,13 +22,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     InfiniteGroup,
     MalformedGroup,
     MismatchedGroup,
     UndefinedGenerator,
+    shown,
 )
 
 
@@ -65,7 +65,7 @@ class Group:
 
     def check(self, g):
         if not self.contains(g):
-            raise MismatchedGroup(f"payload {g!r} is not an element of {self}")
+            raise MismatchedGroup(f"payload {shown(g)} is not an element of {self}")
         return g
 
     def power(self, g, k: int):
@@ -262,7 +262,7 @@ def _table_rows(table) -> tuple:
     odd = [x for row in rows for x in row if type(x) is not int]
     for x in odd:
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-            raise MalformedGroup(f"table entry {x!r} is not an integer")
+            raise MalformedGroup(f"table entry {shown(x)} is not an integer")
     return tuple(tuple(map(int, row)) for row in rows) if odd else rows
 
 
@@ -453,7 +453,7 @@ class Homomorphism:
             emap = dict(element_map)
             for g in source.elements():
                 if g not in emap:
-                    raise UndefinedGenerator(f"element {g!r} lacks an image")
+                    raise UndefinedGenerator(f"element {shown(g)} lacks an image")
                 target.check(emap[g])
             if emap[source.identity()] != target.identity():
                 raise MalformedGroup("element map does not send identity to identity")
@@ -464,7 +464,7 @@ class Homomorphism:
                     lhs = emap[source.multiply(a, b)]
                     rhs = target.multiply(emap[a], emap[b])
                     if lhs != rhs:
-                        raise MalformedGroup(f"element map is not multiplicative at ({a!r},{b!r})")
+                        raise MalformedGroup(f"element map is not multiplicative at ({shown(a)},{shown(b)})")
             self.element_map = emap
             return
         if generator_images is None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -27,6 +26,7 @@ from .errors import (
     ProblemFormatError,
     SchemeError,
     UndefinedGenerator,
+    shown,
 )
 from .groupring import GaussianRational, RingElement
 from .groups import (
@@ -48,13 +48,13 @@ from .verdicts import VERDICTS
 def _int(x, what: str) -> int:
     """A JSON integer; bool, float and string are rejected, never converted."""
     if type(x) is not int:
-        raise ProblemFormatError(f"{what} must be an integer, got {x!r}")
+        raise ProblemFormatError(f"{what} must be an integer, got {shown(x)}")
     return x
 
 
 def _list(x, what: str) -> list:
     if not isinstance(x, list):
-        raise ProblemFormatError(f"{what} must be a list, got {x!r}")
+        raise ProblemFormatError(f"{what} must be a list, got {shown(x)}")
     return x
 
 
@@ -73,7 +73,7 @@ def _table(table) -> list:
             raise ProblemFormatError(f"{what}: row {i} is {type(row).__name__}")
         for j, x in enumerate(row):
             if type(x) is not int:
-                raise ProblemFormatError(f"{what}: row {i}, column {j} is {reprlib.repr(x)}")
+                raise ProblemFormatError(f"{what}: row {i}, column {j} is {shown(x)}")
     return table
 
 
@@ -88,7 +88,7 @@ _GROUP_ERRORS = (MalformedGroup, MismatchedGroup, UndefinedGenerator)
 
 def parse_group(obj) -> Group:
     if not isinstance(obj, dict) or "type" not in obj:
-        raise ProblemFormatError(f"group must be an object with a 'type': {obj!r}")
+        raise ProblemFormatError(f"group must be an object with a 'type': {shown(obj)}")
     kind = obj["type"]
     try:
         if kind == "trivial":
@@ -103,15 +103,15 @@ def parse_group(obj) -> Group:
             table = _table(obj["table"])
             names = obj.get("names")
             if names is not None and any(type(x) is not str for x in _list(names, "names")):
-                raise ProblemFormatError(f"names must be strings: {names!r}")
+                raise ProblemFormatError(f"names must be strings: {shown(names)}")
             return FiniteTableGroup(table, names=names)
         if kind == "product":
             return product_group([parse_group(f) for f in _list(obj["factors"], "factors")])
     except KeyError as exc:
-        raise ProblemFormatError(f"group {kind!r} is missing field {exc}") from exc
+        raise ProblemFormatError(f"group {shown(kind)} is missing field {exc}") from exc
     except _GROUP_ERRORS as exc:
         raise ProblemFormatError(str(exc)) from exc
-    raise ProblemFormatError(f"unknown group type {kind!r}")
+    raise ProblemFormatError(f"unknown group type {shown(kind)}")
 
 
 def group_to_json(group: Group):
@@ -142,7 +142,7 @@ def parse_element(group: Group, obj):
         payload = tuple(_ints(obj, "word"))
     elif isinstance(group, DirectProductGroup):
         if not isinstance(obj, list) or len(obj) != len(group.factors):
-            raise ProblemFormatError(f"element of {group} needs one entry per factor: {obj!r}")
+            raise ProblemFormatError(f"element of {group} needs one entry per factor: {shown(obj)}")
         payload = tuple(parse_element(f, x) for f, x in zip(group.factors, obj))
     else:
         raise ProblemFormatError(f"cannot parse elements of {group}")
@@ -162,24 +162,24 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 def parse_rational(x) -> Fraction:
     if isinstance(x, bool):
-        raise ProblemFormatError(f"boolean is not a rational: {x!r}")
+        raise ProblemFormatError(f"boolean is not a rational: {shown(x)}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
         # Fraction builds 10^e of an exponent string exactly, so a short
         # "1e100000000" would stall the parser: refuse every exponent
         if "e" in x or "E" in x:
-            raise ProblemFormatError(f"coefficient {x!r} has an exponent; write it as 'p/q'")
+            raise ProblemFormatError(f"coefficient {shown(x)} has an exponent; write it as 'p/q'")
         # Fraction also takes decimals, "_" separators, padding and
         # non-ASCII digits, none of which the format has
         if not _RATIONAL.fullmatch(x):
-            raise ProblemFormatError(f"coefficient {x!r} is not a rational: write it as 'p/q'")
+            raise ProblemFormatError(f"coefficient {shown(x)} is not a rational: write it as 'p/q'")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ProblemFormatError(f"coefficient {x!r} is not a rational") from exc
+            raise ProblemFormatError(f"coefficient {shown(x)} is not a rational") from exc
     raise ProblemFormatError(
-        f"rational coefficients must be ints or 'p/q' strings, got {x!r}"
+        f"rational coefficients must be ints or 'p/q' strings, got {shown(x)}"
     )
 
 
@@ -193,7 +193,7 @@ def parse_ring_element(group: Group, obj) -> RingElement:
     terms = {}
     for term in _list(obj, "ring element"):
         if not isinstance(term, dict) or "word" not in term:
-            raise ProblemFormatError(f"term must be an object with a 'word': {term!r}")
+            raise ProblemFormatError(f"term must be an object with a 'word': {shown(term)}")
         g = parse_element(group, term["word"])
         re = parse_rational(term.get("re", 0))
         im = parse_rational(term.get("im", 0))
@@ -206,12 +206,12 @@ def parse_ring_element(group: Group, obj) -> RingElement:
 
 def parse_matrix(group: Group, obj) -> RingMatrix:
     if not isinstance(obj, dict) or "entries" not in obj:
-        raise ProblemFormatError(f"matrix must be an object with 'entries': {obj!r}")
+        raise ProblemFormatError(f"matrix must be an object with 'entries': {shown(obj)}")
     grid = [_list(row, "matrix row") for row in _list(obj["entries"], "matrix entries")]
     rows = obj.get("rows")
     cols = obj.get("cols")
     if cols is not None and _int(cols, "cols") < 0:
-        raise ProblemFormatError(f"declared cols={cols} is negative")
+        raise ProblemFormatError(f"declared cols={shown(cols)} is negative")
     entries = [[parse_ring_element(group, e) for e in row] for row in grid]
     try:
         # a matrix with no rows has only its declared column count
@@ -219,9 +219,9 @@ def parse_matrix(group: Group, obj) -> RingMatrix:
     except DimensionMismatch as exc:
         raise ProblemFormatError(f"matrix: {exc}") from exc
     if rows is not None and _int(rows, "rows") != m.rows:
-        raise ProblemFormatError(f"declared rows={rows} but found {m.rows}")
+        raise ProblemFormatError(f"declared rows={shown(rows)} but found {m.rows}")
     if cols is not None and _int(cols, "cols") != m.cols:
-        raise ProblemFormatError(f"declared cols={cols} but found {m.cols}")
+        raise ProblemFormatError(f"declared cols={shown(cols)} but found {m.cols}")
     return m
 
 
@@ -231,7 +231,7 @@ def parse_matrix(group: Group, obj) -> RingMatrix:
 
 def parse_homomorphism(source: Group, obj) -> Homomorphism:
     if not isinstance(obj, dict) or "target" not in obj:
-        raise ProblemFormatError(f"homomorphism must be an object with a 'target': {obj!r}")
+        raise ProblemFormatError(f"homomorphism must be an object with a 'target': {shown(obj)}")
     target = parse_group(obj["target"])
     try:
         if "images" in obj:
@@ -241,7 +241,7 @@ def parse_homomorphism(source: Group, obj) -> Homomorphism:
             pairs = [_list(p, "element_map entry") for p in _list(obj["element_map"], "element_map")]
             bad = [p for p in pairs if len(p) != 2]
             if bad:
-                raise ProblemFormatError(f"element_map entries must be [source, image] pairs, got {bad[0]!r}")
+                raise ProblemFormatError(f"element_map entries must be [source, image] pairs, got {shown(bad[0])}")
             emap = {parse_element(source, k): parse_element(target, v) for k, v in pairs}
             return Homomorphism(source, target, element_map=emap)
     except _GROUP_ERRORS as exc:
@@ -251,7 +251,7 @@ def parse_homomorphism(source: Group, obj) -> Homomorphism:
 
 def parse_scheme(group: Group, obj):
     if not isinstance(obj, dict) or "type" not in obj:
-        raise ProblemFormatError(f"scheme must be an object with a 'type': {obj!r}")
+        raise ProblemFormatError(f"scheme must be an object with a 'type': {shown(obj)}")
     kind = obj["type"]
     try:
         if kind == "tower" and "maps" in obj:
@@ -272,7 +272,7 @@ def parse_scheme(group: Group, obj):
                 raise ProblemFormatError("folner boxes need a free abelian group")
             build = partial(build_boxes_folner, group.rank, boxes)
         else:
-            raise ProblemFormatError(f"unknown scheme type {kind!r}")
+            raise ProblemFormatError(f"unknown scheme type {shown(kind)}")
     except KeyError as exc:
         raise ProblemFormatError(f"{kind} scheme is missing field {exc}") from exc
     try:
@@ -311,10 +311,10 @@ def parse_problem(obj: dict) -> Problem:
     scheme = parse_scheme(group, obj["scheme"]) if "scheme" in obj else None
     oracle = obj.get("oracle", {})
     if not isinstance(oracle, dict):
-        raise ProblemFormatError(f"oracle must be an object, got {oracle!r}")
+        raise ProblemFormatError(f"oracle must be an object, got {shown(oracle)}")
     oracle_grid = _int(oracle["grid"], "oracle grid") if "grid" in oracle else None
     if oracle_grid is not None and oracle_grid < 1:
-        raise ProblemFormatError(f"oracle grid must be >= 1, got {oracle_grid}")
+        raise ProblemFormatError(f"oracle grid must be >= 1, got {shown(oracle_grid)}")
     inverse = parse_matrix(group, obj["inverse"]) if "inverse" in obj else None
     embedding = parse_homomorphism(group, obj["embedding"]) if "embedding" in obj else None
     lambda_grid = obj.get("lambda_grid")
@@ -322,13 +322,13 @@ def parse_problem(obj: dict) -> Problem:
         lambda_grid = _list(lambda_grid, "lambda_grid")
         # json reads NaN and Infinity, which are not JSON numbers
         if any(type(x) not in (int, float) or not math.isfinite(x) for x in lambda_grid):
-            raise ProblemFormatError(f"lambda_grid must be a list of finite numbers, got {lambda_grid!r}")
+            raise ProblemFormatError(f"lambda_grid must be a list of finite numbers, got {shown(lambda_grid)}")
         lambda_grid = [float(x) for x in lambda_grid]
     checks = obj.get("checks")
     if checks is not None and any(
         type(c) is not str or c not in VERDICTS for c in _list(checks, "checks")
     ):
-        raise ProblemFormatError(f"checks must be a list of names from {list(VERDICTS)}: {checks!r}")
+        raise ProblemFormatError(f"checks must be a list of names from {list(VERDICTS)}: {shown(checks)}")
     return Problem(
         group=group,
         matrix=matrix,
@@ -348,7 +348,7 @@ def parse_complex(obj: dict) -> ChainComplexSpec:
         group = parse_group(obj["group"])
         dims = tuple(_ints(obj["cells"], "cell count"))
         if any(n < 0 for n in dims):
-            raise ProblemFormatError(f"cell counts must be >= 0, got {list(dims)}")
+            raise ProblemFormatError(f"cell counts must be >= 0, got {shown(list(dims))}")
         boundaries = tuple(
             parse_matrix(group, b) for b in _list(obj.get("boundaries", []), "boundaries")
         )
@@ -358,12 +358,14 @@ def parse_complex(obj: dict) -> ChainComplexSpec:
 
 
 def load_json(path: str) -> dict:
-    """The parsed JSON of a file; a file that cannot be read, or is not
-    UTF-8 JSON, is an input error."""
+    """The parsed JSON of a file; a file that cannot be read, is not UTF-8
+    JSON, nests too deep or holds an integer past Python's digit limit is an
+    input error.  ``ValueError`` covers the decoding errors and the digit
+    limit."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ProblemFormatError(str(exc)) from exc
 
 

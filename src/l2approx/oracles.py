@@ -10,8 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import NotHermitian, NotPSD, SolveTooLarge, WrongGroup
 from .groups import FreeAbelianGroup
 from .matrices import RingMatrix

@@ -9,19 +9,15 @@ reports live in ``verdicts``.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
 import time
 import warnings
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from typing import Optional, Sequence
 
-import numpy as np
-
+from ._lazy import flapack, np
 from .errors import (
     BoxTooLarge,
     InjectivityUncertified,
@@ -309,22 +305,6 @@ def _box_band(delta: RingMatrix, rank: int, m: int, real: bool) -> np.ndarray:
     return ab
 
 
-@cache
-def _flapack():
-    """scipy's f2py LAPACK wrapper ``scipy.linalg._flapack``, loaded from its
-    file.  Importing ``scipy.linalg`` instead runs its ``__init__``, which
-    takes about a quarter second (it loads numpy.f2py, numpy.testing and
-    more through scipy's array API layer) for a solve that needs none of it."""
-    where = [
-        os.path.join(path, "linalg")
-        for path in importlib.util.find_spec("scipy").submodule_search_locations
-    ]
-    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", where)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _band_eigenvalues(ab: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian matrix whose lower band is ab
     (``_box_band``): ``dsbevd`` for a real band, ``zhbevd`` for a complex one.
@@ -333,7 +313,7 @@ def _band_eigenvalues(ab: np.ndarray) -> np.ndarray:
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
     name = "zhbevd" if np.iscomplexobj(ab) else "dsbevd"
-    w, _, info = getattr(_flapack(), name)(ab, compute_v=0, lower=1, overwrite_ab=0)
+    w, _, info = getattr(flapack(), name)(ab, compute_v=0, lower=1, overwrite_ab=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"{name} failed (LAPACK info={info})")
     return w

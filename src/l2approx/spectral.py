@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import InfiniteGroup, NotHermitian, SolveTooLarge
 from .groups import CyclicGroup, DirectProductGroup, Group, TrivialGroup, product_group
 from .matrices import RingMatrix, k_bound

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     HypothesisViolated,
     InfiniteGroup,

@@ -12,8 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .groupring import RingElement
 from .groups import CyclicGroup, FreeAbelianGroup, Homomorphism, symmetric_group
 from .matrices import RingMatrix, positive_square

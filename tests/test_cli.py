@@ -494,6 +494,71 @@ def test_bad_table_entry_names_its_place_not_the_table(tmp_path, capsys):
     assert "row 7, column 3 is 3.5" in line
 
 
+S5_TABLE = [list(row) for row in symmetric_group(5).table]
+ONE = {"entries": [[[{"word": [0], "re": 1}]]]}
+Z_TOWER = {"type": "tower", "levels": [4, 8, 16]}
+LONG_ECHOES = {
+    "typeless_group": (
+        {"group": {"table": S5_TABLE}, "matrix": ONE}, "group must be an object with a 'type'"
+    ),
+    "lambda_grid": (
+        {"group": {"type": "free_abelian", "rank": 1}, "matrix": ONE, "scheme": Z_TOWER,
+         "lambda_grid": [0] * 50000 + ["x"]},
+        "lambda_grid must be a list of finite numbers",
+    ),
+    "long_coefficient": (
+        {"group": {"type": "cyclic", "n": 2},
+         "matrix": {"entries": [[[{"word": 0, "re": "1" * 100000 + "x"}]]]}},
+        "is not a rational",
+    ),
+    "matrix_without_entries": (
+        {"group": {"type": "cyclic", "n": 2}, "matrix": {"rows": S5_TABLE}},
+        "matrix must be an object with 'entries'",
+    ),
+    "typeless_scheme": (
+        {"group": {"type": "free_abelian", "rank": 1}, "matrix": ONE,
+         "scheme": {"levels": list(range(1, 50001))}},
+        "scheme must be an object with a 'type'",
+    ),
+    "long_word": (
+        {"group": {"type": "free_abelian", "rank": 1},
+         "matrix": {"entries": [[[{"word": [1] * 50000, "re": 1}]]]}},
+        "is not an element of Z^1",
+    ),
+}
+
+
+@pytest.mark.parametrize("problem, prefix", LONG_ECHOES.values(), ids=LONG_ECHOES)
+def test_input_errors_never_echo_a_whole_input(problem, prefix, tmp_path, capsys):
+    """An input error names the value it rejects in a bounded abbreviation:
+    one short stderr line, however large the value."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main(["density", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert len(line) < 300
+    assert prefix in line
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[" * 100000 + "]" * 100000, "recursion"), ('{"n": ' + "1" * 5000 + "}", "4300 digits")],
+    ids=["deep_nesting", "long_integer"],
+)
+def test_unreadable_json_is_an_input_error(text, message, tmp_path, capsys):
+    """JSON that nests past the recursion limit, or holds an integer past
+    Python's digit limit, is an input error like any other unreadable file."""
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    assert main(["density", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert message in line and len(line) < 300
+
+
 def _cyclic_problem(n=4, word=0, **matrix):
     return {
         "group": {"type": "cyclic", "n": n},
@@ -854,7 +919,7 @@ TOWER_LADDER = {
 
 # S5 x S5 has |G| = 14400 points, below the point cap, but H = S5 x S5 is
 # not cyclic: one dense 14400 x 14400 block, far beyond the block cap
-S5 = {"type": "finite_table", "table": [list(row) for row in symmetric_group(5).table]}
+S5 = {"type": "finite_table", "table": S5_TABLE}
 S5_X_S5 = {"type": "product", "factors": [S5, S5]}
 S5_X_S5_INPUTS = {
     "S5XS5_DENSITY": {"group": S5_X_S5, "matrix": {"entries": [[[{"word": [0, 0], "re": 1}]]]}},
@@ -1033,6 +1098,72 @@ def test_numpy_polynomial_is_not_imported_by_a_tower_run():
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr.split() == ["False"]
+
+
+LAZY_NUMPY_PROBE = """
+import contextlib, io, sys
+from pathlib import Path
+import l2approx
+from l2approx.cli import main
+from l2approx.jsonio import load_json, parse_complex, parse_problem
+fixtures, out, bad = Path(sys.argv[1]), sys.argv[2], sys.argv[3:]
+for path in sorted(fixtures.glob("*.json")):
+    obj = load_json(str(path))
+    (parse_complex if "cells" in obj else parse_problem)(obj)
+assert len(list(fixtures.glob("*.json"))) == 8
+print("parse", "numpy.linalg" in sys.modules)
+with contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["approx", path]) for path in bad]
+print("errors", *codes, "numpy.linalg" in sys.modules)
+print("report", main(["approx", str(fixtures / "zd_laplacian.json"), "--output", out]),
+      "numpy.linalg" in sys.modules)
+"""
+
+
+def test_numpy_is_loaded_on_first_numeric_use(tmp_path):
+    """Importing l2approx, parsing every fixture and every input error (a
+    missing file, a group with no type, a bad coefficient) leave numpy
+    unloaded: numpy's __init__ imports numpy.linalg, so its absence shows
+    that __init__ never ran.  A report then loads numpy and prints the
+    seed report."""
+    typeless = tmp_path / "typeless.json"
+    typeless.write_text(json.dumps({"group": {"n": 2}, "matrix": {"entries": []}}))
+    coefficient = tmp_path / "coefficient.json"
+    coefficient.write_text(json.dumps(
+        {"group": {"type": "cyclic", "n": 2}, "matrix": {"entries": [[[{"word": 0, "re": "1/x"}]]]}}
+    ))
+    out = tmp_path / "zd_laplacian.out"
+    bad = [str(tmp_path / "missing.json"), str(typeless), str(coefficient)]
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_NUMPY_PROBE, str(FIXTURES), str(out), *bad],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "parse False",
+        "errors 2 2 2 False",
+        "report 0 True",
+    ]
+    assert out.read_bytes() == (SEED_REPORTS / "zd_laplacian.out").read_bytes()
+
+
+def test_a_blocked_numpy_fails_the_import():
+    """With numpy blocked in sys.modules, importing l2approx raises
+    ImportError at once, as an eager ``import numpy`` would; the lazy
+    loader never hands back None."""
+    probe = 'import sys; sys.modules["numpy"] = None\ntry:\n    import l2approx\nexcept ImportError:\n    print("ImportError")'
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["ImportError"]
 
 
 @pytest.mark.parametrize("checks", [["bogus"], "norms", ["norms", 3], [["norms"]]])

@@ -57,3 +57,34 @@ def test_cmd_approx_picks_its_verdicts_from_the_table():
     cmd = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "cmd_approx")
     named = {n.value for n in ast.walk(cmd) if isinstance(n, ast.Constant) and n.value in VERDICTS}
     assert named == {"whitehead"}
+
+
+def _import_time_nodes(tree):
+    """The nodes that run when the module is imported: everything but the
+    bodies of functions and lambdas."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "_lazy.py"], ids=lambda p: p.name
+)
+def test_numpy_and_scipy_are_imported_only_lazily(path):
+    """Only ``_lazy`` imports numpy or scipy at module level, so importing
+    l2approx, set-up and input errors never load them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    eager = []
+    for node in _import_time_nodes(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        eager += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] in ("numpy", "scipy")]
+    assert not eager, f"{path.name} imports at module level: {eager}"
