@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from ._lazy import np
 from .errors import (
     InfiniteGroup,
     MalformedGroup,
@@ -256,14 +257,62 @@ class FreeGroup(Group):
 
 
 def _table_rows(table) -> tuple:
-    """The rows of a table as tuples of Python ints; an entry that is not an
-    integer (bool and float included) is rejected, never truncated."""
+    """The rows of a table as tuples of Python ints; an entry that is not
+    integer-like (``operator.index``; bool and float included) is rejected,
+    never truncated."""
     rows = tuple(tuple(row) for row in table)
-    odd = [x for row in rows for x in row if type(x) is not int]
-    for x in odd:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-            raise MalformedGroup(f"table entry {shown(x)} is not an integer")
-    return tuple(tuple(map(int, row)) for row in rows) if odd else rows
+    if all(type(x) is int for row in rows for x in row):
+        return rows
+    return tuple(tuple(map(_table_entry, row)) for row in rows)
+
+
+def _table_entry(x) -> int:
+    """An integer-like entry (numpy's integers included) as a Python int."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise MalformedGroup(f"table entry {shown(x)} is not an integer")
+
+
+@lru_cache(maxsize=4)
+def _validate_table(rows: tuple) -> tuple:
+    """(identity, inverses) of the group whose multiplication table is
+    ``rows``, or MalformedGroup naming the first defect: square, rows and
+    columns permutations, a two-sided identity, two-sided inverses, and
+    Light's associativity test.  Memoised, so a problem that repeats one
+    table validates it once."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise MalformedGroup("multiplication table is not square")
+    full = list(range(n))
+    for i, row in enumerate(rows):
+        if sorted(row) != full:
+            raise MalformedGroup(f"row {i} is not a permutation")
+    for j, column in enumerate(zip(*rows)):
+        if sorted(column) != full:
+            raise MalformedGroup(f"column {j} is not a permutation")
+    # in a Latin square at most one row is the identity row
+    identity_row = tuple(full)
+    ident = next((e for e, row in enumerate(rows) if row == identity_row), None)
+    if ident is None or any(row[ident] != x for x, row in enumerate(rows)):
+        raise MalformedGroup("table has no two-sided identity")
+    inverses = tuple(row.index(ident) for row in rows)
+    for x, y in enumerate(inverses):
+        if rows[y][x] != ident:
+            raise MalformedGroup(f"element {x} has no two-sided inverse")
+    elements = [ident] + [x for x in range(n) if x != ident]
+    for a in _greedy_generators(elements, lambda x, s: rows[x][s]):
+        # x (a y) for every y, gathered from row x at row a, against row x a,
+        # which is (x a) y for every y: both the gather and the compare run in C
+        times_a = operator.itemgetter(*rows[a])
+        for x, row in enumerate(rows):
+            left = rows[row[a]]
+            if times_a(row) != left:
+                y = next(y for y, z in enumerate(rows[a]) if row[z] != left[y])
+                raise MalformedGroup(f"table is not associative at ({x},{a},{y})")
+    return ident, inverses
 
 
 class FiniteTableGroup(Group):
@@ -279,45 +328,17 @@ class FiniteTableGroup(Group):
     right multiplication until it covers the table, so every element is a
     left-nested product of generators, and the elements that pass Light's
     test are closed under products.  A group has at most log2(n) of them,
-    so the whole validation is O(n^2 log n).
+    so the whole validation is O(n^2 log n).  It is plain Python, memoised
+    on the table (``_validate_table``).
     """
 
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None):
-        n = len(table)
         rows = _table_rows(table)
-        if any(len(row) != n for row in rows):
-            raise MalformedGroup("multiplication table is not square")
-        try:
-            t = np.array(rows, dtype=np.int64).reshape(n, n)
-        except OverflowError:
-            # beyond int64 is out of range anyway; -1 keeps such entries out
-            t = np.array([[x if 0 <= x < n else -1 for x in row] for row in rows])
-        full = np.arange(n)
-        bad = np.flatnonzero((np.sort(t, axis=1) != full).any(axis=1))
-        if len(bad):
-            raise MalformedGroup(f"row {bad[0]} is not a permutation")
-        bad = np.flatnonzero((np.sort(t, axis=0) != full[:, None]).any(axis=0))
-        if len(bad):
-            raise MalformedGroup(f"column {bad[0]} is not a permutation")
-        two_sided = (t == full).all(axis=1) & (t == full[:, None]).all(axis=0)
-        if not two_sided.any():
-            raise MalformedGroup("table has no two-sided identity")
-        ident = int(np.argmax(two_sided))
-        inv = np.argmax(t == ident, axis=1)
-        bad = np.flatnonzero(t[inv, full] != ident)
-        if len(bad):
-            raise MalformedGroup(f"element {bad[0]} has no two-sided inverse")
-        self.table = rows
-        self._identity = ident
-        for a in _greedy_generators(self):
-            bad = np.argwhere(t[t[:, a]] != t[:, t[a]])
-            if len(bad):
-                x, y = bad[0].tolist()
-                raise MalformedGroup(f"table is not associative at ({x},{a},{y})")
-        if names is not None and len(names) != n:
+        self._identity, self._inverse = _validate_table(rows)
+        if names is not None and len(names) != len(rows):
             raise MalformedGroup("names length does not match table order")
+        self.table = rows
         self.names = tuple(names) if names is not None else None
-        self._inverse = tuple(inv.tolist())
 
     def contains(self, g):
         return isinstance(g, int) and not isinstance(g, bool) and 0 <= g < len(self.table)
@@ -405,22 +426,22 @@ def symmetric_group(n: int) -> FiniteTableGroup:
     """S_n as a table group; element i is the i-th permutation of range(n)
     in lexicographic order (so the identity is element 0)."""
     perms = sorted(itertools.permutations(range(n)))
-    a = np.array(perms, dtype=np.int64).reshape(len(perms), n)
-    # a permutation read as a base-n numeral ranks it lexicographically
-    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    # product p*q is k -> p[q[k]]
-    products = a[:, a] @ weights
-    table = np.searchsorted(a @ weights, products).tolist()
+    rank = {p: i for i, p in enumerate(perms)}
+    # product p*q is k -> p[q[k]], the entries of p at q, gathered in C; below
+    # n = 2 itemgetter would not return a tuple, and the one q is the identity
+    at = [operator.itemgetter(*q) if n > 1 else tuple for q in perms]
+    table = [[rank[get(p)] for get in at] for p in perms]
     names = ["".join(str(x) for x in p) for p in perms]
     return FiniteTableGroup(table, names=names)
 
 
-def _greedy_generators(group: Group) -> list:
-    """A generating set of a finite group: each element the first one
-    outside the subgroup the previous ones generate.  Each subgroup at least
-    doubles, so there are at most log2 |G| of them."""
-    gens, span = [], {group.identity()}
-    for g in group.elements():
+def _greedy_generators(elements: list, multiply) -> list:
+    """A generating set of a finite group, given its elements (identity
+    first) and its product: each element the first one outside the subgroup
+    the previous ones generate.  Each subgroup at least doubles, so there
+    are at most log2 |G| of them."""
+    gens, span = [], {elements[0]}
+    for g in elements:
         if g in span:
             continue
         gens.append(g)
@@ -428,7 +449,7 @@ def _greedy_generators(group: Group) -> list:
         # finite group that is the subgroup they generate
         frontier = span
         while frontier:
-            frontier = {group.multiply(x, s) for x in frontier for s in gens} - span
+            frontier = {multiply(x, s) for x in frontier for s in gens} - span
             span |= frontier
     return gens
 
@@ -459,7 +480,7 @@ class Homomorphism:
                 raise MalformedGroup("element map does not send identity to identity")
             # the b with f(ab) = f(a) f(b) for every a are closed under
             # products, so checking b over a generating set covers the group
-            for b in _greedy_generators(source):
+            for b in _greedy_generators(source.elements(), source.multiply):
                 for a in source.elements():
                     lhs = emap[source.multiply(a, b)]
                     rhs = target.multiply(emap[a], emap[b])

@@ -1112,6 +1112,25 @@ for path in sorted(fixtures.glob("*.json")):
     (parse_complex if "cells" in obj else parse_problem)(obj)
 assert len(list(fixtures.glob("*.json"))) == 8
 print("parse", "numpy.linalg" in sys.modules)
+# F2 -> S5 x Z/k, k = 1, 2, 4, 8, 12, the shape of dense-finite: one S5
+# table repeated in all 5 maps, validated once
+import itertools
+from l2approx.groups import _validate_table
+s5 = sorted(itertools.permutations(range(5)))
+rank = {p: i for i, p in enumerate(s5)}
+table = [[rank[tuple(p[k] for k in q)] for q in s5] for p in s5]
+maps = [
+    {"target": {"type": "product", "factors": [{"type": "finite_table", "table": table},
+                                               {"type": "cyclic", "n": k}]},
+     "images": [[1, 0], [rank[(1, 2, 3, 4, 0)], k - 1]]}
+    for k in (1, 2, 4, 8, 12)
+]
+_validate_table.cache_clear()
+parse_problem({"group": {"type": "free", "rank": 2},
+               "matrix": {"entries": [[[{"word": [], "re": 4}, {"word": [1], "re": -1}]]]},
+               "scheme": {"type": "tower", "maps": maps}})
+info = _validate_table.cache_info()
+print("table", info.misses, info.hits, "numpy.linalg" in sys.modules)
 with contextlib.redirect_stderr(io.StringIO()):
     codes = [main(["approx", path]) for path in bad]
 print("errors", *codes, "numpy.linalg" in sys.modules)
@@ -1121,11 +1140,12 @@ print("report", main(["approx", str(fixtures / "zd_laplacian.json"), "--output",
 
 
 def test_numpy_is_loaded_on_first_numeric_use(tmp_path):
-    """Importing l2approx, parsing every fixture and every input error (a
-    missing file, a group with no type, a bad coefficient) leave numpy
-    unloaded: numpy's __init__ imports numpy.linalg, so its absence shows
-    that __init__ never ran.  A report then loads numpy and prints the
-    seed report."""
+    """Importing l2approx, parsing every fixture, a tower onto S5 x Z/k
+    that repeats one finite table, and every input error (a missing file, a
+    group with no type, a bad coefficient) leave numpy unloaded: numpy's
+    __init__ imports numpy.linalg, so its absence shows that __init__ never
+    ran.  The repeated table is validated once.  A report then loads numpy
+    and prints the seed report."""
     typeless = tmp_path / "typeless.json"
     typeless.write_text(json.dumps({"group": {"n": 2}, "matrix": {"entries": []}}))
     coefficient = tmp_path / "coefficient.json"
@@ -1144,6 +1164,7 @@ def test_numpy_is_loaded_on_first_numeric_use(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
         "parse False",
+        "table 1 4 False",
         "errors 2 2 2 False",
         "report 0 True",
     ]

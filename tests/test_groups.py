@@ -1,6 +1,8 @@
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,10 @@ from l2approx import (
     symmetric_group,
 )
 from l2approx.errors import InfiniteGroup, MalformedGroup, MismatchedGroup, UndefinedGenerator
-from l2approx.groups import _greedy_generators, reduce_word
+from l2approx.groups import _greedy_generators, _validate_table, reduce_word
 
 from conftest import SEED, random_group_element
+from table_reference import numpy_table_validation
 
 ALL_GROUPS = [
     TrivialGroup(),
@@ -257,7 +260,7 @@ def test_element_map_wrong_at_one_product_is_rejected():
     s3z4 = product_group([symmetric_group(3), CyclicGroup(4)])
     cases = [(s4, CyclicGroup(2), sign), (s3z4, s3z4, {g: g for g in s3z4.elements()})]
     for group, target, good in cases:
-        gens = _greedy_generators(group)
+        gens = _greedy_generators(group.elements(), group.multiply)
         others = [g for g in group.elements() if g not in gens and g != group.identity()]
         assert others
         for x in others:
@@ -268,7 +271,7 @@ def test_element_map_wrong_at_one_product_is_rejected():
     # every generator is checked: Z/2 x Z/2 -> Z/4 with f(a u) = f(a) + 2 for
     # one generator u passes every product by u, but f(v) + f(v) = 2 != f(v v)
     klein = product_group([CyclicGroup(2), CyclicGroup(2)])
-    gens = _greedy_generators(klein)
+    gens = _greedy_generators(klein.elements(), klein.multiply)
     assert len(gens) == 2
     for u, v in (gens, gens[::-1]):
         skew = {klein.identity(): 0, u: 2, v: 1, klein.multiply(v, u): 3}
@@ -495,6 +498,109 @@ def test_table_checks_match_seed_messages(data):
     else:
         table[i][j] = data.draw(st.sampled_from([-1, n, 2**70]))
     _assert_same_verdict(table)
+
+
+def _relabel(table, perm):
+    """The same operation with element x renamed perm[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[perm[x]][perm[y]] = perm[table[x][y]]
+    return out
+
+
+def _loop_isotope(square, i0, j0):
+    """The principal loop isotope of a Latin square: x o y is
+    square[r(x)][c(y)], where r inverts x -> square[x][j0] and c inverts
+    y -> square[i0][y]; its identity is square[i0][j0]."""
+    n = len(square)
+    r = {square[x][j0]: x for x in range(n)}
+    c = {square[i0][y]: y for y in range(n)}
+    return [[square[r[x]][c[y]] for y in range(n)] for x in range(n)]
+
+
+def _small_group_tables():
+    """Small group tables: cyclic, S3, S4 and products of two."""
+    small = [_cyclic_table(n) for n in (1, 2, 3, 4, 5, 6, 8)] + [GROUP_TABLES["S3"]]
+    pairs = [_product_table(a, b) for a in small[:4] for b in small[1:] if len(a) * len(b) <= 24]
+    return small + [GROUP_TABLES["S4"]] + pairs
+
+
+SMALL_GROUP_TABLES = _small_group_tables()
+TABLE_FAMILIES = ("group", "linear", "isotope", "loop", "cell", "ragged")
+
+
+def _draw_table(data, family):
+    if family == "ragged":
+        n = data.draw(st.integers(0, 5))
+        entries = st.integers(-1, n)
+        return [data.draw(st.lists(entries, min_size=0, max_size=n + 1)) for _ in range(n)]
+    if family == "linear":
+        # (a x + b y + c) mod n: Latin iff a and b are units, a group iff
+        # a = b = 1, else at most a one-sided identity
+        n = data.draw(st.integers(1, 12))
+        a, b, c = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        table = [[(a * x + b * y + c) % n for y in range(n)] for x in range(n)]
+    elif family == "loop":
+        # a group with one intercalate swapped, or a known loop, made a loop
+        # with any identity: then inverses or associativity fail
+        name = data.draw(st.sampled_from(sorted(INTERCALATES)))
+        square = _swap_intercalate(GROUP_TABLES[name], data.draw(st.sampled_from(INTERCALATES[name])))
+        square = data.draw(st.sampled_from([square, ORDER5_LOOP, ONE_SIDED_INVERSES]))
+        corner = st.integers(0, len(square) - 1)
+        table = _loop_isotope(square, data.draw(corner), data.draw(corner))
+    else:
+        table = [list(r) for r in data.draw(st.sampled_from(SMALL_GROUP_TABLES))]
+    n = len(table)
+    if family == "isotope":
+        # rows and columns permuted apart: Latin, rarely with an identity
+        rows, cols = data.draw(st.permutations(range(n))), data.draw(st.permutations(range(n)))
+        table = [[table[rows[x]][cols[y]] for y in range(n)] for x in range(n)]
+    elif family == "cell":
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table[i][j] = data.draw(st.sampled_from([-1, n, 2**70, table[i][(j + 1) % n]]))
+        return table
+    return _relabel(table, data.draw(st.permutations(range(n))))
+
+
+def test_table_validation_matches_numpy_reference():
+    """The pure-Python validator accepts exactly the tables the numpy one
+    accepted, with the same identity and inverses, and rejects the rest
+    with the same message: same first row, column, element or (x, a, y).
+    The generated tables reach acceptance and every kind of rejection."""
+    verdicts = set()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def agree(data):
+        family = data.draw(st.sampled_from(TABLE_FAMILIES))
+        rows = tuple(tuple(row) for row in _draw_table(data, family))
+        want = _outcome(numpy_table_validation, rows)
+        assert _outcome(_validate_table.__wrapped__, rows) == want
+        verdicts.add("ok" if want[0] == "ok" else re.sub(r"\d", "", want[1]))
+
+    agree()
+    assert verdicts == {
+        "ok",
+        "multiplication table is not square",
+        "row  is not a permutation",
+        "column  is not a permutation",
+        "table has no two-sided identity",
+        "element  has no two-sided inverse",
+        "table is not associative at (,,)",
+    }
+
+
+def test_table_entries_are_integer_like():
+    """numpy's integers are accepted and stored as Python ints; bool, float
+    and their numpy kinds are rejected, never truncated."""
+    g = FiniteTableGroup([[np.int64(0), np.int64(1)], [np.int32(1), 0]])
+    assert g.table == ((0, 1), (1, 0))
+    assert all(type(x) is int for row in g.table for x in row)
+    for entry in (True, np.bool_(True), 1.0, np.float64(1.0)):
+        with pytest.raises(MalformedGroup, match="is not an integer"):
+            FiniteTableGroup([[0, entry], [1, 0]])
 
 
 def test_table_group_payloads_are_python_ints():

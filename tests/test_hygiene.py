@@ -88,3 +88,12 @@ def test_numpy_and_scipy_are_imported_only_lazily(path):
         eager += [f"{name} (line {node.lineno})" for name in names
                   if name.split(".")[0] in ("numpy", "scipy")]
     assert not eager, f"{path.name} imports at module level: {eager}"
+
+
+def test_groups_never_touches_numpy():
+    """groups.py neither imports from ``_lazy`` nor names ``np``, so building
+    any group, a finite table included, never loads numpy."""
+    tree = ast.parse((SRC / "groups.py").read_text())
+    lazy = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == "_lazy"]
+    named = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "np"]
+    assert not lazy and not named, f"groups.py imports _lazy at {lazy}, names np at {named}"

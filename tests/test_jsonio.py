@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from l2approx import (
     CyclicGroup,
+    DirectProductGroup,
+    FiniteTableGroup,
     FreeAbelianGroup,
     FreeGroup,
     GaussianRational,
@@ -54,6 +56,42 @@ GROUPS = [
 @pytest.mark.parametrize("group", GROUPS, ids=str)
 def test_group_roundtrip(group):
     assert parse_group(group_to_json(group)) == group
+
+
+# (table, names): Z/1, Z/4 with identity 1, and S3
+NAMED_TABLES = [
+    (((0,),), ("e",)),
+    (((3, 0, 1, 2), (0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1)), ("a", "e", "b", "c")),
+    (symmetric_group(3).table, symmetric_group(3).names),
+]
+
+GROUP_STRATEGY = st.recursive(
+    st.one_of(
+        st.just(TrivialGroup()),
+        st.integers(1, 12).map(CyclicGroup),
+        st.integers(0, 3).map(FreeAbelianGroup),
+        st.integers(1, 3).map(FreeGroup),
+        st.builds(
+            lambda named, keep: FiniteTableGroup(named[0], names=named[1] if keep else None),
+            st.sampled_from(NAMED_TABLES),
+            st.booleans(),
+        ),
+    ),
+    lambda inner: st.lists(inner, min_size=2, max_size=3).map(lambda fs: DirectProductGroup(tuple(fs))),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(group=GROUP_STRATEGY)
+def test_group_json_roundtrip_property(group):
+    """parse_group inverts group_to_json through JSON text, for every group
+    family, finite tables with and without names, and nested products."""
+    obj = group_to_json(group)
+    back = parse_group(json.loads(json.dumps(obj)))
+    assert back == group
+    # FiniteTableGroup equality ignores names: compare the JSON too
+    assert group_to_json(back) == obj
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=str)
