@@ -35,7 +35,6 @@ from .matrices import (
 )
 from .oracles import (
     nonzero_eigenvalue_product_exact,
-    torus_density,
     torus_logdet,
 )
 from .schemes import (

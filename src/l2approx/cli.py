@@ -38,7 +38,7 @@ from .jsonio import (
     parse_problem,
 )
 from .matrices import RingMatrix, k_bound, positive_square
-from .oracles import check_torus_grid, torus_density, torus_eigen_result, torus_logdet_report
+from .oracles import check_torus_grid, torus_eigen_result, torus_logdet_report
 from .schemes import FolnerExhaustion, QuotientTower, build_boxes_folner, run_folner, run_tower
 from .spectral import density_from_eigs, finite_spectrum
 from .verdicts import VERDICTS, Context, require
@@ -137,7 +137,7 @@ def cmd_density(args) -> int:
         if not isinstance(problem.group, FreeAbelianGroup):
             what = "--grid" if args.grid else "oracle grid"
             raise ProblemFormatError(f"{what} needs a free abelian group")
-        density = torus_density(delta, grid)
+        density = density_from_eigs(torus_eigen_result(delta, grid))
     elif scheme is not None:
         label = scheme.labels[-1] if args.level is None else args.level
         if label not in scheme.labels:

@@ -19,6 +19,7 @@ from .matrices import RingMatrix, laplacian
 from .oracles import check_torus_grid, torus_kernel_logdet
 from .schemes import QuotientTower, run_tower
 from .spectral import (
+    EigenResult,
     _is_diagonal,
     check_group_solve,
     check_solve_size,
@@ -113,13 +114,15 @@ def _summands(delta: RingMatrix) -> list:
 def _summand_solve(x: RingMatrix, grid: int, thresholds: list) -> dict:
     """{t: (kernel count at t, log det)} for every t in thresholds, from one
     solve of x: on the torus the log det keeps every positive eigenvalue
-    (``torus_kernel_logdet``), on a finite group it drops those up to t."""
+    (``torus_kernel_logdet``), on a finite group it drops those up to t,
+    read through an EigenResult with threshold t on the one spectrum."""
     group = x.group
     if isinstance(group, FreeAbelianGroup) and group.rank > 0:
         counts, logdet = torus_kernel_logdet(x, grid, thresholds)
         return {t: (count, logdet) for t, count in zip(thresholds, counts)}
     eig = finite_spectrum(x)
-    return {t: (eig.kernel_end(t), log_det(eig, t)) for t in thresholds}
+    cuts = [EigenResult(eig.eigenvalues, eig.denom, t) for t in thresholds]
+    return {cut.kernel_threshold: (cut.kernel_end(), log_det(cut)) for cut in cuts}
 
 
 def _oracle_degrees(deltas: list, grid: int, denom: int) -> list:

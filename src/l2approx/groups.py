@@ -278,11 +278,13 @@ def _table_entry(x) -> int:
 
 @lru_cache(maxsize=4)
 def _validate_table(rows: tuple) -> tuple:
-    """(identity, inverses) of the group whose multiplication table is
+    """(rows, identity, inverses) of the group whose multiplication table is
     ``rows``, or MalformedGroup naming the first defect: square, rows and
     columns permutations, a two-sided identity, two-sided inverses, and
-    Light's associativity test.  Memoised, so a problem that repeats one
-    table validates it once."""
+    Light's associativity test.  The rows returned hold the same values as
+    those given, each value one int object, ``range(n)``'s own: a table read
+    from JSON has a separate object for every entry of 257 and above.
+    Memoised, so a problem that repeats one table validates it once."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise MalformedGroup("multiplication table is not square")
@@ -290,6 +292,8 @@ def _validate_table(rows: tuple) -> tuple:
     for i, row in enumerate(rows):
         if sorted(row) != full:
             raise MalformedGroup(f"row {i} is not a permutation")
+    if n > 1:  # itemgetter of one index returns a bare value, not a tuple
+        rows = tuple(operator.itemgetter(*row)(full) for row in rows)
     for j, column in enumerate(zip(*rows)):
         if sorted(column) != full:
             raise MalformedGroup(f"column {j} is not a permutation")
@@ -298,7 +302,7 @@ def _validate_table(rows: tuple) -> tuple:
     ident = next((e for e, row in enumerate(rows) if row == identity_row), None)
     if ident is None or any(row[ident] != x for x, row in enumerate(rows)):
         raise MalformedGroup("table has no two-sided identity")
-    inverses = tuple(row.index(ident) for row in rows)
+    inverses = tuple(full[row.index(ident)] for row in rows)
     for x, y in enumerate(inverses):
         if rows[y][x] != ident:
             raise MalformedGroup(f"element {x} has no two-sided inverse")
@@ -312,7 +316,7 @@ def _validate_table(rows: tuple) -> tuple:
             if times_a(row) != left:
                 y = next(y for y, z in enumerate(rows[a]) if row[z] != left[y])
                 raise MalformedGroup(f"table is not associative at ({x},{a},{y})")
-    return ident, inverses
+    return rows, ident, inverses
 
 
 class FiniteTableGroup(Group):
@@ -333,8 +337,7 @@ class FiniteTableGroup(Group):
     """
 
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None):
-        rows = _table_rows(table)
-        self._identity, self._inverse = _validate_table(rows)
+        rows, self._identity, self._inverse = _validate_table(_table_rows(table))
         if names is not None and len(names) != len(rows):
             raise MalformedGroup("names length does not match table order")
         self.table = rows

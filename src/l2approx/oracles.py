@@ -8,7 +8,7 @@ symbol quadrature on the torus for free abelian groups.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._lazy import np
 from .errors import NotHermitian, NotPSD, SolveTooLarge, WrongGroup
@@ -17,13 +17,11 @@ from .matrices import RingMatrix
 from .spectral import (
     MAX_BLOCK_ENTRIES,
     EigenResult,
-    SpectralDensity,
     _is_diagonal,
     _operator_eigenvalues,
     _phase,
     check_solve_size,
     default_kernel_threshold,
-    density_from_eigs,
     log_det,
 )
 
@@ -109,23 +107,21 @@ def nonzero_eigenvalue_product_exact(rows: Sequence[Sequence]) -> int:
 SLAB_EIGENVALUES = 2 ** 16
 
 
-def _require_free_abelian(delta: RingMatrix) -> int:
-    if not isinstance(delta.group, FreeAbelianGroup):
-        raise WrongGroup(f"torus oracle needs a free abelian group, got {delta.group}")
-    return delta.group.rank
-
-
 def check_torus_grid(delta: RingMatrix, grid_per_dim: int) -> int:
     """The m^n points of the torus grid, m = grid_per_dim, once the solve of
-    delta on them is checked against the caps: ``check_solve_size``, and
-    MAX_BLOCK_ENTRIES on the m^n d^2 entries of the stack of d x d symbols,
-    unless delta is diagonal (``_is_diagonal``: no stack, one float64
-    symbol per distinct diagonal entry)."""
-    n = _require_free_abelian(delta)
+    delta on them is checked: delta self-adjoint, exactly (``eigvalsh``
+    reads one triangle), over a free abelian group, then the caps:
+    ``check_solve_size``, and MAX_BLOCK_ENTRIES on the m^n d^2 entries of
+    the stack of d x d symbols, unless delta is diagonal (``_is_diagonal``:
+    no stack, one float64 symbol per distinct diagonal entry)."""
+    if not delta.is_self_adjoint():
+        raise NotHermitian(f"{delta} is not self-adjoint")
+    if not isinstance(delta.group, FreeAbelianGroup):
+        raise WrongGroup(f"torus oracle needs a free abelian group, got {delta.group}")
     m = int(grid_per_dim)
     if m < 1:
         raise ValueError("grid_per_dim must be >= 1")
-    points, d = m ** n, delta.rows
+    points, d = m ** delta.group.rank, delta.rows
     check_solve_size(points, d, f"oracle grid {m}")
     if points * d * d > MAX_BLOCK_ENTRIES and not _is_diagonal(delta):
         raise SolveTooLarge(
@@ -155,33 +151,15 @@ def _torus_slab(delta: RingMatrix, m: int, rows: slice) -> np.ndarray:
     )
 
 
-def _check_torus_solve(delta: RingMatrix, grid_per_dim: int) -> int:
-    """``check_torus_grid``, once self-adjointness is checked exactly:
-    ``eigvalsh`` reads one triangle."""
-    if not delta.is_self_adjoint():
-        raise NotHermitian(f"{delta} is not self-adjoint")
-    return check_torus_grid(delta, grid_per_dim)
-
-
-def torus_symbol_eigenvalues(delta: RingMatrix, grid_per_dim: int) -> np.ndarray:
-    """Eigenvalues of the Fourier symbol on the whole midpoint torus grid,
-    one slab (``_torus_slab``) of every row; shape (m^n * d,), sorted
-    ascending.  ``approx``'s fine oracle clusters them into its density.
-    """
-    _check_torus_solve(delta, grid_per_dim)
-    m = int(grid_per_dim)
-    return _torus_slab(delta, m, slice(0, m))
-
-
 def torus_eigen_result(delta: RingMatrix, grid_per_dim: int) -> EigenResult:
-    n = _require_free_abelian(delta)
-    w = torus_symbol_eigenvalues(delta, grid_per_dim)
-    return EigenResult(w, int(grid_per_dim) ** n, default_kernel_threshold(delta))
-
-
-def torus_density(delta: RingMatrix, grid_per_dim: int) -> SpectralDensity:
-    """Quadrature approximation of the spectral density over Z^n."""
-    return density_from_eigs(torus_eigen_result(delta, grid_per_dim))
+    """Eigenvalues of the Fourier symbol on the whole midpoint torus grid,
+    one slab (``_torus_slab``) of every row, sorted ascending, with the
+    grid's point count as denominator and delta's default kernel
+    threshold.  Clustered (``density_from_eigs``) it is the quadrature
+    approximation of the spectral density over Z^n."""
+    points = check_torus_grid(delta, grid_per_dim)
+    m = int(grid_per_dim)
+    return EigenResult(_torus_slab(delta, m, slice(0, m)), points, default_kernel_threshold(delta))
 
 
 def torus_kernel_logdet(delta: RingMatrix, grid_per_dim: int, thresholds) -> tuple:
@@ -193,10 +171,11 @@ def torus_kernel_logdet(delta: RingMatrix, grid_per_dim: int, thresholds) -> tup
     partial.  Each slab adds its count at every threshold, an exact integer,
     and then the sum of the log of its positive tail, taken in place: no
     array of the grid's size is built and the whole spectrum is never
-    sorted.  The counts are ``kernel_end(t)`` of ``torus_eigen_result``
-    exactly; the log det is ``log_det(eig, 0.0)`` bit for bit on one slab
-    (every rank-1 grid of up to SLAB_EIGENVALUES / d points) and agrees to
-    rounding otherwise, since it sums the slabs in turn.
+    sorted.  Each count is exactly ``kernel_end()`` of ``torus_eigen_result``
+    with threshold t; the log det is its ``log_det`` with threshold 0, bit
+    for bit on one slab (every rank-1 grid of up to SLAB_EIGENVALUES / d
+    points), and agrees to rounding otherwise, since it sums the slabs in
+    turn.
 
     The logdet applies no magnitude cutoff: genuinely small eigenvalues
     near a high-order zero of the symbol carry a real contribution to the
@@ -205,7 +184,7 @@ def torus_kernel_logdet(delta: RingMatrix, grid_per_dim: int, thresholds) -> tup
     Values that round to zero or below (only possible at an exact symbol
     kernel, which the midpoint grid avoids) are skipped.
     """
-    points = _check_torus_solve(delta, grid_per_dim)
+    points = check_torus_grid(delta, grid_per_dim)
     m, n = int(grid_per_dim), delta.group.rank
     step = max(1, SLAB_EIGENVALUES // (m ** (n - 1) * max(1, delta.rows))) if n else m
     counts, total = [0] * len(thresholds), 0.0
@@ -225,19 +204,15 @@ def torus_logdet(delta: RingMatrix, grid_per_dim: int) -> float:
     return torus_kernel_logdet(delta, grid_per_dim, [])[1]
 
 
-def torus_logdet_report(
-    delta: RingMatrix, grid_per_dim: int, fine: Optional[EigenResult] = None
-) -> dict:
+def torus_logdet_report(delta: RingMatrix, grid_per_dim: int, fine: EigenResult) -> dict:
     """Log determinant with a two-grid error estimate.
 
     ``error_estimate`` is |fine - coarse|, the log determinants on the grid
     m and on the grid max(1, m // 2): an estimate of the quadrature error,
-    not a bound.  ``fine``, left unchanged, is ``torus_eigen_result(delta,
-    grid_per_dim)`` when the caller has it; it is solved here otherwise.
+    not a bound.  ``fine`` is ``torus_eigen_result(delta, grid_per_dim)``,
+    read at threshold 0 through a view that shares its array.
     """
-    if fine is None:
-        fine = torus_eigen_result(delta, grid_per_dim)
-    value = log_det(fine, 0.0)
+    value = log_det(EigenResult(fine.eigenvalues, fine.denom, 0.0))
     coarse_grid = max(1, grid_per_dim // 2)
     coarse = torus_logdet(delta, coarse_grid)
     return {
@@ -246,4 +221,3 @@ def torus_logdet_report(
         "value": value,
         "error_estimate": abs(value - coarse),
     }
-

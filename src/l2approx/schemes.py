@@ -270,13 +270,14 @@ def _band_shape(delta: RingMatrix, rank: int, m: int) -> tuple:
     """(N, bandwidth) of the compression of Delta to the box [-m, m]^rank.
 
     The bandwidth is the largest |band row| of a term of Delta, at most
-    N - 1.  BoxTooLarge beyond MAX_BOX_ROWS rows or MAX_BAND_ENTRIES band
-    entries."""
+    N - 1 and at least 0: a matrix with no rows has a (1, 0) band, whose
+    solve returns no eigenvalues.  BoxTooLarge beyond MAX_BOX_ROWS rows or
+    MAX_BAND_ENTRIES band entries."""
     side = 2 * m + 1
     size = delta.rows * side ** rank
     weights = [side ** (rank - 1 - c) for c in range(rank)]
     reach = max((abs(row) for row, *_ in _band_terms(delta, weights)), default=0)
-    bw = min(size - 1, reach)
+    bw = max(0, min(size - 1, reach))
     if size > MAX_BOX_ROWS or size * (bw + 1) > MAX_BAND_ENTRIES:
         raise BoxTooLarge(
             f"box m={m} has {size} rows and {size * (bw + 1)} band entries; "

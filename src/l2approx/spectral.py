@@ -71,7 +71,9 @@ class EigenResult:
     The level trace of a spectral function f is sum(f(eigenvalues)) / denom,
     so denom is |G| for quotient levels, |X_m| for compressions, and the
     number of grid points for torus quadrature.  The kernel threshold must
-    be >= 0; ``kernel_end`` cuts the spectrum there for every reader.
+    be >= 0; ``kernel_end`` cuts the spectrum there for every reader.  A
+    reader that needs another cut builds another EigenResult on the same
+    array, which is already sorted and is not copied.
     """
 
     eigenvalues: np.ndarray
@@ -87,17 +89,12 @@ class EigenResult:
             w = np.sort(w)
         object.__setattr__(self, "eigenvalues", w)
 
-    @property
-    def d(self) -> int:
-        return len(self.eigenvalues) // self.denom
-
-    def kernel_end(self, cutoff: Optional[float] = None) -> int:
-        """The kernel split: the number of eigenvalues at or below cutoff,
-        by default the kernel threshold.  F(0) is kernel_end() / denom,
-        ``log_det`` sums the logs of the rest, and ``density_from_eigs``
-        ends its zero jump here."""
-        thr = self.kernel_threshold if cutoff is None else cutoff
-        return int(self.eigenvalues.searchsorted(thr, "right"))
+    def kernel_end(self) -> int:
+        """The kernel split: the number of eigenvalues at or below the
+        kernel threshold.  F(0) is kernel_end() / denom, ``log_det`` sums
+        the logs of the rest, and ``density_from_eigs`` ends its zero jump
+        here."""
+        return int(self.eigenvalues.searchsorted(self.kernel_threshold, "right"))
 
     @property
     def max_eigenvalue(self) -> float:
@@ -113,22 +110,13 @@ class SpectralDensity:
     Jumps are ascending float64 positions with integer counts; every count
     carries mass 1/denom, which keeps the total mass exactly d for d*denom
     eigenvalues.  Only the positions and the cumulative counts are stored,
-    16 bytes per jump; F is read from the cumulative counts by binary
-    search, and ``counts`` is their difference.
+    kept as given, 16 bytes per jump: ``cumulative[j]`` is the count of the
+    first j jumps, one entry longer than ``positions``.  F is read from the
+    cumulative counts by binary search, and ``counts`` is their difference.
     """
 
-    def __init__(self, positions, counts, denom: int):
-        self.positions = np.asarray(positions, dtype=np.float64)
-        # _cumulative[j]: the count of the first j jumps
-        self._cumulative = np.concatenate(([0], np.cumsum(np.asarray(counts, dtype=np.int64))))
-        self.denom = denom
-
-    @classmethod
-    def _from_cumulative(cls, positions: np.ndarray, cumulative: np.ndarray, denom: int):
-        """The density of these positions and cumulative counts, kept as they are."""
-        f = cls.__new__(cls)
-        f.positions, f._cumulative, f.denom = positions, cumulative, denom
-        return f
+    def __init__(self, positions: np.ndarray, cumulative: np.ndarray, denom: int):
+        self.positions, self._cumulative, self.denom = positions, cumulative, denom
 
     @property
     def counts(self) -> np.ndarray:
@@ -190,7 +178,7 @@ def density_from_eigs(e: EigenResult) -> SpectralDensity:
         positions[i:i + CHUNK] /= np.diff(cumulative[i:i + CHUNK + 1])
     if end > below:
         positions[cumulative.searchsorted(below)] = 0.0
-    return SpectralDensity._from_cumulative(positions, cumulative, e.denom)
+    return SpectralDensity(positions, cumulative, e.denom)
 
 
 def betti(f: SpectralDensity) -> float:
@@ -198,14 +186,14 @@ def betti(f: SpectralDensity) -> float:
     return f.evaluate(0.0)
 
 
-def log_det(e: EigenResult, cutoff: Optional[float] = None) -> float:
-    """Normalized sum of log of the eigenvalues above cutoff, by default
-    the kernel threshold: eigenvalues[kernel_end(cutoff):].
+def log_det(e: EigenResult) -> float:
+    """Normalized sum of log of the eigenvalues above the kernel threshold:
+    eigenvalues[kernel_end():].
 
     At a finite level this is always finite; an empty sum gives 0.  The
     tail is a view, whose log is the one new array.
     """
-    return float(np.sum(np.log(e.eigenvalues[e.kernel_end(cutoff):]))) / e.denom
+    return float(np.sum(np.log(e.eigenvalues[e.kernel_end():]))) / e.denom
 
 
 def _phase(exponents: Sequence[int], angle, real: bool):

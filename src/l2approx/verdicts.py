@@ -34,7 +34,6 @@ from .spectral import (
     EigenResult,
     SpectralDensity,
     betti,
-    default_kernel_threshold,
     density_from_eigs,
     finite_spectrum,
 )
@@ -108,10 +107,11 @@ def subgroup(ctx: Context) -> dict:
     # a homomorphism is injective iff its kernel is trivial
     if not embedding.kernel_avoids(embedding.source.elements()):
         raise MalformedGroup("the supplied homomorphism is not injective")
-    thr = default_kernel_threshold(delta_u)
+    # injective, so push-forward keeps every coefficient, in term order, and
+    # both operators have the same default kernel threshold
     delta_pi = delta_u.push_forward(embedding)
-    f_u = density_from_eigs(finite_spectrum(delta_u, kernel_threshold=thr))
-    f_pi = density_from_eigs(finite_spectrum(delta_pi, kernel_threshold=thr))
+    f_u = density_from_eigs(finite_spectrum(delta_u))
+    f_pi = density_from_eigs(finite_spectrum(delta_pi))
     ok, dev = densities_match(f_u, f_pi)
     return {"ok": ok, "max_deviation": dev}
 

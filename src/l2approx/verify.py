@@ -154,7 +154,7 @@ def suite_determinant(seed: int) -> list:
 def _whitehead_verdict(a: RingMatrix, b: RingMatrix, oracle_grid: int = 2048) -> dict:
     delta = positive_square(a)
     reports = run_tower(delta, QuotientTower.zn(1, [16, 64, 256]))
-    oracle = torus_logdet_report(delta, oracle_grid)
+    oracle = torus_logdet_report(delta, oracle_grid, torus_eigen_result(delta, oracle_grid))
     return whitehead(Context(a, delta, reports, inverse=b, oracle=oracle))
 
 

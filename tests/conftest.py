@@ -1,6 +1,7 @@
 import random
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from l2approx import (
@@ -10,15 +11,18 @@ from l2approx import (
     FreeAbelianGroup,
     FreeGroup,
     Group,
+    Homomorphism,
     RingElement,
     RingMatrix,
     TrivialGroup,
     positive_square,
+    product_group,
     symmetric_group,
     trace,
 )
 from l2approx import oracles
 from l2approx.jsonio import ProblemFormatError, load_json, parse_complex, rational_to_json
+from l2approx.spectral import EigenResult, SpectralDensity
 
 SEED = 617
 
@@ -88,6 +92,29 @@ def record_torus_slabs(monkeypatch) -> list:
 
     monkeypatch.setattr(oracles, "_torus_slab", recorded)
     return slabs
+
+
+def f2_to_s3_products() -> list:
+    """Homomorphisms F2 -> S3 x Z/k, k = 1, 4, 6, by generator images: a
+    transposition and a 3-cycle of S3, each with a shift in Z/k."""
+    s3 = symmetric_group(3)
+    return [
+        Homomorphism(
+            FreeGroup(2), product_group([s3, CyclicGroup(k)]), generator_images=[(1, 1 % k), (3, k - 1)]
+        )
+        for k in (1, 4, 6)
+    ]
+
+
+def density_of_counts(positions, counts, denom: int) -> SpectralDensity:
+    """The density with jumps at ``positions`` of the given integer counts."""
+    cumulative = np.concatenate(([0], np.cumsum(np.asarray(counts, dtype=np.int64))))
+    return SpectralDensity(np.asarray(positions, dtype=np.float64), cumulative, denom)
+
+
+def at_threshold(eig: EigenResult, threshold: float) -> EigenResult:
+    """The spectrum of ``eig`` cut at another kernel threshold, its array shared."""
+    return EigenResult(eig.eigenvalues, eig.denom, threshold)
 
 
 def fixture_complex(name):

@@ -31,7 +31,6 @@ from l2approx import (
     positive_square,
     run_folner,
     run_tower,
-    torus_density,
     torus_logdet,
 )
 from l2approx import verdicts
@@ -65,7 +64,7 @@ def test_criterion_1_residual_betti_approximation(tower_run, z_laplacian):
     reports, elapsed = tower_run
     for rep in reports:
         assert abs(rep.f0 - 1.0 / rep.level) <= 1e-9
-    oracle_f0 = betti(torus_density(z_laplacian, 4096))
+    oracle_f0 = betti(density_from_eigs(torus_eigen_result(z_laplacian, 4096)))
     assert oracle_f0 == 0.0
     assert abs(reports[-1].f0 - oracle_f0) <= 0.001
     assert elapsed < 30.0
@@ -175,7 +174,7 @@ def test_criterion_8_whitehead_triviality(z_group):
     e_inv = RingMatrix(z_group, [[one, t - 1], [zero, one]])
     delta = positive_square(e)
     reports = run_tower(delta, QuotientTower.zn(1, TOWER_LEVELS))
-    oracle = torus_logdet_report(delta, 2048)
+    oracle = torus_logdet_report(delta, 2048, torus_eigen_result(delta, 2048))
     verdict = verdicts.whitehead(Context(e, delta, reports, inverse=e_inv, oracle=oracle, tol=0.02))
     assert verdict["ok"] and verdict["integral"]
     assert all(-0.02 <= v <= 0.02 for v in verdict["logdets"])

@@ -25,7 +25,7 @@ from l2approx.oracles import SLAB_EIGENVALUES, torus_eigen_result
 from l2approx.spectral import log_det
 from l2approx.errors import NotAComplex
 
-from conftest import SEED, fixture_complex, random_element, record_torus_slabs
+from conftest import SEED, at_threshold, fixture_complex, random_element, record_torus_slabs
 
 
 def test_validate_fixtures():
@@ -208,7 +208,7 @@ def test_each_laplacian_keeps_its_own_kernel_threshold():
     one = RingMatrix.from_element(diag.entries[0][0])
     (f0_one, ld_one, _), (f0_diag, ld_diag, _) = _oracle_degrees([one, diag], m, m)
     assert (f0_one, f0_diag) == (0.0, 4 / m)
-    assert ld_diag == 2 * ld_one == pytest.approx(log_det(whole, 0.0), rel=1e-12)
+    assert ld_diag == 2 * ld_one == pytest.approx(log_det(at_threshold(whole, 0.0)), rel=1e-12)
 
 
 def test_cw_torus_memory_stays_near_one_summand():

@@ -25,9 +25,9 @@ import math
 
 import pytest
 
-from l2approx import FreeAbelianGroup, QuotientTower, RingElement, RingMatrix
+from l2approx import FreeAbelianGroup, QuotientTower, RingElement, RingMatrix, density_from_eigs
 from l2approx.cw import l2_invariants
-from l2approx.oracles import torus_density
+from l2approx.oracles import torus_eigen_result
 from l2approx.schemes import build_boxes_folner, run_folner, run_tower
 
 from conftest import fixture_complex
@@ -86,7 +86,7 @@ def test_bi_laplacian_box_is_injective():
 
 @_kernel_xfail("item 15", "gives F(0) = 14/4096 where b^(2) = 0")
 def test_bi_laplacian_oracle_betti_is_zero():
-    assert torus_density(BI_LAPLACIAN, 4096).evaluate(0.0) == 0
+    assert density_from_eigs(torus_eigen_result(BI_LAPLACIAN, 4096)).evaluate(0.0) == 0
 
 
 @_kernel_xfail("items 1 and 21", "gives F·N = 3")

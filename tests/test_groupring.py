@@ -8,13 +8,15 @@ from l2approx import (
     FreeAbelianGroup,
     FreeGroup,
     GaussianRational,
+    Homomorphism,
     RingElement,
     free_abelian_quotient,
+    product_group,
     symmetric_group,
 )
 from l2approx.errors import MismatchedGroup
 
-from conftest import SEED, random_element
+from conftest import SEED, f2_to_s3_products, random_element
 
 
 def test_gaussian_rational_exactness():
@@ -115,15 +117,29 @@ def test_trace_is_tracial(group):
         assert (x * y).trace_coeff() == (y * x).trace_coeff()
 
 
-def test_push_forward_is_star_ring_hom(z_group):
+def _sign(s3, g) -> int:
+    """0 for an even permutation of ``symmetric_group(3)``, 1 for an odd one."""
+    p = s3.names[g]
+    return sum(a > b for i, a in enumerate(p) for b in p[i + 1:]) % 2
+
+
+def test_push_forward_is_star_ring_hom():
+    """Along Z -> Z/6, F2 -> S3 x Z/k by generator images, and the element
+    maps sign: S3 -> Z/2 and the projection S3 x Z/4 -> S3."""
     rng = random.Random(SEED + 2)
-    q = free_abelian_quotient(1, 6)
-    for _ in range(60):
-        x = random_element(z_group, rng)
-        y = random_element(z_group, rng)
-        assert (x * y).push_forward(q) == x.push_forward(q) * y.push_forward(q)
-        assert (x + y).push_forward(q) == x.push_forward(q) + y.push_forward(q)
-        assert x.star().push_forward(q) == x.push_forward(q).star()
+    s3 = symmetric_group(3)
+    s3_z4 = product_group([s3, CyclicGroup(4)])
+    homs = [free_abelian_quotient(1, 6)] + f2_to_s3_products() + [
+        Homomorphism(s3, CyclicGroup(2), element_map={g: _sign(s3, g) for g in s3.elements()}),
+        Homomorphism(s3_z4, s3, element_map={g: g[0] for g in s3_z4.elements()}),
+    ]
+    for q in homs:
+        for _ in range(60):
+            x = random_element(q.source, rng)
+            y = random_element(q.source, rng)
+            assert (x * y).push_forward(q) == x.push_forward(q) * y.push_forward(q)
+            assert (x + y).push_forward(q) == x.push_forward(q) + y.push_forward(q)
+            assert x.star().push_forward(q) == x.push_forward(q).star()
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=str)
@@ -143,12 +159,19 @@ def test_no_zero_terms_stored(z_group):
     assert (0,) not in y.terms
 
 
-def test_bilinearity(z_group):
+def test_bilinearity():
+    """Both distributive laws and associativity over Z, Z/5, F2, S3 and
+    finite products, where the order of factors matters."""
     rng = random.Random(SEED + 4)
-    for _ in range(40):
-        x = random_element(z_group, rng)
-        y = random_element(z_group, rng)
-        z = random_element(z_group, rng)
-        assert x * (y + z) == x * y + x * z
-        assert (x + y) * z == x * z + y * z
-        assert (x * y) * z == x * (y * z)
+    products = [
+        product_group([symmetric_group(3), CyclicGroup(4)]),
+        product_group([CyclicGroup(2), symmetric_group(3), CyclicGroup(3)]),
+    ]
+    for group in GROUPS + products:
+        for _ in range(40):
+            x = random_element(group, rng)
+            y = random_element(group, rng)
+            z = random_element(group, rng)
+            assert x * (y + z) == x * y + x * z
+            assert (x + y) * z == x * z + y * z
+            assert (x * y) * z == x * (y * z)

@@ -38,9 +38,8 @@ from l2approx.jsonio import (
     rational_to_json,
 )
 from l2approx.schemes import FolnerExhaustion, QuotientTower
-from l2approx.spectral import SpectralDensity
 
-from conftest import element_to_json, matrix_to_json, ring_element_to_json
+from conftest import density_of_counts, element_to_json, matrix_to_json, ring_element_to_json
 
 GROUPS = [
     TrivialGroup(),
@@ -246,7 +245,7 @@ def test_canonical_dumps_is_deterministic_and_fixed_precision():
 
 
 def test_density_csv_format():
-    f = SpectralDensity([0.0, 2.0, 4.0], [1, 2, 1], 4)
+    f = density_of_counts([0.0, 2.0, 4.0], [1, 2, 1], 4)
     text = density_csv(f)
     assert text.splitlines() == ["lambda,F", "0,0.25", "2,0.75", "4,1"]
 

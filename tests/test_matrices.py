@@ -13,11 +13,13 @@ from l2approx import (
     k_bound,
     laplacian,
     positive_square,
+    product_group,
+    symmetric_group,
     trace,
 )
 from l2approx.errors import DimensionMismatch, MismatchedGroup
 
-from conftest import SEED, random_element, random_self_adjoint, trace_power_exact
+from conftest import SEED, f2_to_s3_products, random_element, random_self_adjoint, trace_power_exact
 from dense_reference import regular_representation
 
 
@@ -129,13 +131,22 @@ def test_trace_poly_examples(z_group):
             assert trace_power_exact(ident, m) == float(d)
 
 
+def _random_matrix(group, rng, d=2):
+    return RingMatrix(group, [[random_element(group, rng) for _ in range(d)] for _ in range(d)])
+
+
 def test_adjoint_antihomomorphism_randomized():
+    """(MN)* = N*M*, associativity and both distributive laws for 2 x 2
+    matrices over F2, S3 and S3 x Z/4."""
     rng = random.Random(SEED + 1)
-    group = FreeGroup(2)
-    for _ in range(30):
-        m = RingMatrix(group, [[random_element(group, rng) for _ in range(2)] for _ in range(2)])
-        n = RingMatrix(group, [[random_element(group, rng) for _ in range(2)] for _ in range(2)])
-        assert (m @ n).adjoint() == n.adjoint() @ m.adjoint()
+    s3 = symmetric_group(3)
+    for group in (FreeGroup(2), s3, product_group([s3, CyclicGroup(4)])):
+        for _ in range(30):
+            m, n, p = (_random_matrix(group, rng) for _ in range(3))
+            assert (m @ n).adjoint() == n.adjoint() @ m.adjoint()
+            assert (m @ n) @ p == m @ (n @ p)
+            assert m @ (n + p) == m @ n + m @ p
+            assert (m + n) @ p == m @ p + n @ p
 
 
 def test_trace_real_for_self_adjoint():
@@ -159,14 +170,18 @@ def test_push_forward_matrix_examples(z_group):
     assert ident.push_forward(q4) == RingMatrix.identity(q4.target, 3)
 
 
-def test_push_forward_commutes_with_star_and_product(z_group):
+def test_push_forward_commutes_with_star_and_product():
+    """Along Z -> Z/8 and F2 -> S3 x Z/k (generator images)."""
     rng = random.Random(SEED + 3)
-    q = free_abelian_quotient(1, 8)
-    for _ in range(20):
-        a = RingMatrix(z_group, [[random_element(z_group, rng) for _ in range(2)] for _ in range(2)])
-        pushed_square = positive_square(a).push_forward(q)
-        square_pushed = positive_square(a.push_forward(q))
-        assert pushed_square == square_pushed
+    for q in [free_abelian_quotient(1, 8)] + f2_to_s3_products():
+        for _ in range(20):
+            a, b = _random_matrix(q.source, rng), _random_matrix(q.source, rng)
+            pushed_square = positive_square(a).push_forward(q)
+            square_pushed = positive_square(a.push_forward(q))
+            assert pushed_square == square_pushed
+            assert (a @ b).push_forward(q) == a.push_forward(q) @ b.push_forward(q)
+            assert (a + b).push_forward(q) == a.push_forward(q) + b.push_forward(q)
+            assert a.adjoint().push_forward(q) == a.push_forward(q).adjoint()
 
 
 def test_finite_group_trace_against_regular_representation(s3):

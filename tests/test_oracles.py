@@ -15,10 +15,10 @@ from l2approx import (
     RingElement,
     RingMatrix,
     betti,
+    density_from_eigs,
     free_abelian_quotient,
     nonzero_eigenvalue_product_exact,
     positive_square,
-    torus_density,
     torus_logdet,
 )
 from l2approx.cw import _oracle_degrees, laplacians
@@ -26,14 +26,14 @@ from l2approx.errors import NotHermitian, NotPSD, WrongGroup
 from l2approx.oracles import (
     SLAB_EIGENVALUES,
     _char_poly,
+    check_torus_grid,
     torus_eigen_result,
     torus_kernel_logdet,
     torus_logdet_report,
-    torus_symbol_eigenvalues,
 )
 from l2approx.spectral import _add_symbol, _phase, log_det
 
-from conftest import SEED, fixture_complex, record_torus_slabs
+from conftest import SEED, at_threshold, fixture_complex, record_torus_slabs
 from dense_reference import hermitian_eigenvalues, outer_phase, regular_representation, symbol_stack
 
 
@@ -78,13 +78,13 @@ def test_integrality_on_random_gram_matrices():
 
 def test_torus_density_examples(z_laplacian, z_group):
     for grid in (64, 256, 1024):
-        f = torus_density(z_laplacian, grid)
+        f = density_from_eigs(torus_eigen_result(z_laplacian, grid))
         assert betti(f) == 0.0  # midpoint grid never hits the symbol kernel
         assert f.total_mass == 1.0
     zero = RingMatrix.zero(z_group, 1, 1)
-    assert betti(torus_density(zero, 128)) == 1.0
+    assert betti(density_from_eigs(torus_eigen_result(zero, 128))) == 1.0
     ident = RingMatrix.identity(z_group, 3)
-    f = torus_density(ident, 64)
+    f = density_from_eigs(torus_eigen_result(ident, 64))
     assert f.jumps == ((1.0, 3 * 64),)
     assert f.total_mass == 3.0
 
@@ -101,7 +101,7 @@ def test_torus_logdet_examples(z_laplacian, z_group):
 
 
 def test_torus_logdet_report_has_error_estimate(z_laplacian):
-    rep = torus_logdet_report(z_laplacian, 1024)
+    rep = torus_logdet_report(z_laplacian, 1024, torus_eigen_result(z_laplacian, 1024))
     assert rep["grid"] == 1024
     assert rep["method"] == "torus_quadrature"
     assert rep["error_estimate"] >= 0.0
@@ -113,10 +113,10 @@ def test_torus_two_variables():
     a = RingElement.delta(z2, (1, 0))
     b = RingElement.delta(z2, (0, 1))
     delta = RingMatrix.from_element(4 - a - a.star() - b - b.star())
-    f = torus_density(delta, 64)
+    f = density_from_eigs(torus_eigen_result(delta, 64))
     assert f.total_mass == 1.0
     assert betti(f) == 0.0
-    w = torus_symbol_eigenvalues(delta, 32)
+    w = torus_eigen_result(delta, 32).eigenvalues
     assert len(w) == 32 * 32
     assert w.min() > 0 and w.max() <= 8 + 1e-9
 
@@ -196,7 +196,7 @@ def test_torus_symbol_rank_3_laplacian():
     gens = [RingElement.delta(z3, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     delta = RingMatrix.from_element(6 - sum(t + t.star() for t in gens))
     m = 6
-    w = torus_symbol_eigenvalues(delta, m)
+    w = torus_eigen_result(delta, m).eigenvalues
     assert len(w) == m ** 3
     assert w.min() >= 0 and w.max() <= 12
     # the symbol is 6 - 2 sum_k cos(theta_k) on the midpoint grid
@@ -220,7 +220,7 @@ def test_torus_symbol_matches_dense_regular_representation():
 
     for m in (4, 8, 16):
         fine = dense(2 * m)
-        union = np.sort(np.concatenate([dense(m), torus_symbol_eigenvalues(delta, m)]))
+        union = np.sort(np.concatenate([dense(m), torus_eigen_result(delta, m).eigenvalues]))
         assert np.allclose(fine, union, rtol=0, atol=1e-12)
 
 
@@ -240,7 +240,7 @@ def test_torus_wrong_group_raises():
 
     m = RingMatrix.identity(CyclicGroup(4), 1)
     with pytest.raises(WrongGroup):
-        torus_density(m, 16)
+        torus_eigen_result(m, 16)
     with pytest.raises(WrongGroup):
         torus_logdet(m, 16)
 
@@ -258,7 +258,7 @@ def test_torus_oracle_refuses_non_self_adjoint_matrices(z_group):
     self-adjoint would get a wrong density; every torus entry point checks
     it exactly and raises NotHermitian."""
     for m in _not_self_adjoint(z_group):
-        for solve in (torus_density, torus_logdet, torus_symbol_eigenvalues):
+        for solve in (check_torus_grid, torus_eigen_result, torus_logdet):
             with pytest.raises(NotHermitian):
                 solve(m, 8)
 
@@ -362,7 +362,7 @@ def test_torus_non_diagonal_symbol_is_bitwise_eigvalsh(monkeypatch):
         solve = np.linalg.eigvalsh
         calls = []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda s: calls.append(s.shape) or solve(s))
-        got = torus_symbol_eigenvalues(delta, m)
+        got = torus_eigen_result(delta, m).eigenvalues
         monkeypatch.setattr(np.linalg, "eigvalsh", solve)
         assert calls == [(m ** delta.group.rank, 2, 2)]
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -381,7 +381,7 @@ def test_torus_diagonal_symbol_is_bitwise_eigvalsh(monkeypatch):
     for (name, delta), m in itertools.product(_torus_diagonal_cases().items(), ODD_AND_EVEN_GRIDS):
         want = _outer_symbol_eigenvalues(delta, m)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        got = torus_symbol_eigenvalues(delta, m)
+        got = torus_eigen_result(delta, m).eigenvalues
         monkeypatch.undo()
         assert got.dtype == want.dtype and np.array_equal(got, want), (name, m)
 
@@ -394,10 +394,10 @@ def test_torus_symbol_memory_stays_near_its_output():
     first row and copied to the second)."""
     delta = laplacians(fixture_complex("torus"))[1]
     m = 256
-    torus_symbol_eigenvalues(delta, m)  # warm: caches and lazy imports
+    torus_eigen_result(delta, m)  # warm: caches and lazy imports
     tracemalloc.start()
     try:
-        w = torus_symbol_eigenvalues(delta, m)
+        w = torus_eigen_result(delta, m).eigenvalues
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -471,7 +471,7 @@ def test_diagonal_route_is_bitwise_the_gather_form(delta, m):
     """The one-point diagonal route assembles into one array, row by row,
     and copies repeated entries: bit for bit the form that gathered one
     symbol per distinct entry into diagonal order."""
-    got = torus_symbol_eigenvalues(delta, m)
+    got = torus_eigen_result(delta, m).eigenvalues
     want = _gather_diagonal_eigenvalues(delta, m)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -485,14 +485,14 @@ def test_direct_summands_give_the_whole_operator(delta, m):
     (f0, logdet, det_class), = _oracle_degrees([delta], m, m ** delta.group.rank)
     whole = torus_eigen_result(delta, m)
     assert f0 == whole.kernel_end() / whole.denom and det_class
-    assert logdet == pytest.approx(log_det(whole, 0.0), rel=1e-12, abs=0)
+    assert logdet == pytest.approx(log_det(at_threshold(whole, 0.0)), rel=1e-12, abs=0)
 
 
 @pytest.mark.bitwise
 def test_torus_kernel_logdet_is_the_kernel_split_and_log_det():
-    """torus_kernel_logdet is ([kernel_end(t) for each t], log_det(eig,
-    0.0)) of the torus eigenvalues, bit for bit, with every count read
-    before it overwrote the tail: on the torus Laplacians, a non-diagonal
+    """torus_kernel_logdet is the kernel_end() of the torus eigenvalues at
+    each threshold t and their log_det at threshold 0, bit for bit, with
+    every count read before it overwrote the tail: on the torus Laplacians, a non-diagonal
     A*A, 2 cos theta (negative half, and at m = 2 and 6 a value 6e-17 kept
     by the cut at 0 but not by the kernel threshold) and the zero matrix
     (no positive tail)."""
@@ -510,20 +510,21 @@ def test_torus_kernel_logdet_is_the_kernel_split_and_log_det():
     for (name, delta), m in itertools.product(cases.items(), ODD_AND_EVEN_GRIDS + (2,)):
         eig = torus_eigen_result(delta, m)
         thresholds = [eig.kernel_threshold, 0.0, 4 * eig.kernel_threshold]
-        want = ([eig.kernel_end(t) for t in thresholds], log_det(eig, 0.0))
+        cuts = [at_threshold(eig, t) for t in thresholds]
+        want = ([cut.kernel_end() for cut in cuts], log_det(cuts[1]))
         got = torus_kernel_logdet(delta, m, thresholds)
         assert type(got[1]) is float
         assert got == want and torus_logdet(delta, m) == want[1], (name, m)
-        splits.add(eig.kernel_end() == eig.kernel_end(0.0))
+        splits.add(want[0][0] == want[0][1])
     assert splits == {True, False}
 
 
 def test_torus_kernel_logdet_over_several_slabs_is_the_whole_grid(monkeypatch):
     """On grids of several slabs, the last one partial where the rows do
     not divide m, torus_kernel_logdet reads every row of the first axis
-    once, in order: each count is kernel_end(t) of the whole grid exactly,
-    at thresholds from the kernel cut to the top eigenvalue, and the log
-    det is log_det(eig, 0.0) to 1e-12 relative.  Cases: the torus Delta_0
+    once, in order: each count is kernel_end() of the whole grid at its
+    threshold exactly, at thresholds from the kernel cut to the top
+    eigenvalue, and the log det is log_det at threshold 0 to 1e-12 relative.  Cases: the torus Delta_0
     at m = 1024 (16 slabs of 64 rows), its Delta_1 (d = 2) at m = 1000
     (31 slabs of 32 rows and one of 8), 2 - t - 1/t at m = 3 * 2^16 + 5
     (3 slabs and one of 5 points) and a non-diagonal d = 2 A*A over Z^2 at
@@ -546,9 +547,9 @@ def test_torus_kernel_logdet_over_several_slabs_is_the_whole_grid(monkeypatch):
         slabs = record_torus_slabs(monkeypatch)
         counts, logdet = torus_kernel_logdet(delta, m, thresholds)
         monkeypatch.undo()
-        assert counts == [eig.kernel_end(t) for t in thresholds], name
+        assert counts == [at_threshold(eig, t).kernel_end() for t in thresholds], name
         assert counts[-1] == len(w)
-        assert logdet == pytest.approx(log_det(eig, 0.0), rel=1e-12, abs=0), name
+        assert logdet == pytest.approx(log_det(at_threshold(eig, 0.0)), rel=1e-12, abs=0), name
         assert [row for _, lo, hi in slabs for row in range(lo, hi)] == list(range(m)), name
         sizes = [hi - lo for _, lo, hi in slabs]
         assert len(sizes) > 1, name

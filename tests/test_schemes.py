@@ -18,7 +18,6 @@ from l2approx import (
     QuotientTower,
     RingElement,
     RingMatrix,
-    SpectralDensity,
     build_boxes_folner,
     betti,
     density_from_eigs,
@@ -61,7 +60,14 @@ from l2approx.spectral import (
 from l2approx import schemes, verdicts
 from l2approx.verdicts import Context, density_tail_integral
 
-from conftest import SEED, fixture_complex, random_element, random_self_adjoint
+from conftest import (
+    SEED,
+    at_threshold,
+    density_of_counts,
+    fixture_complex,
+    random_element,
+    random_self_adjoint,
+)
 from dense_reference import hermitian_eigenvalues, translation_matrix
 
 TOWER_LEVELS = [8, 16, 32, 64, 128, 256]
@@ -302,6 +308,21 @@ def test_run_folner_edge_cases(z_group):
         expected = np.sort(2 * np.cos(np.pi * np.arange(1, size + 1) / (size + 1)))
         assert np.allclose(_band_eigenvalues(_band(i_shift, rep.level)), expected, atol=1e-12)
         assert abs(rep.max_eigenvalue - expected[-1]) <= 1e-12
+
+
+def test_no_row_matrix_folner_matches_tower(z_group):
+    """A matrix with no rows has a (1, 0) band, which solves to no
+    eigenvalues: each Folner box reports what the tower level of as many
+    points reports, an empty spectrum of mass 0."""
+    empty = RingMatrix.zero(z_group, 0, 0)
+    assert _band(empty, 2).shape == (1, 0)
+    folner = run_folner(empty, build_boxes_folner(1, [0, 2]))
+    tower = run_tower(empty, QuotientTower.zn(1, [1, 5]))
+    for box, level in zip(folner, tower, strict=True):
+        for name in ("f0", "logdet", "matrix_size", "max_eigenvalue", "norm_bound_ok"):
+            assert getattr(box, name) == getattr(level, name), name
+        assert box.density.jumps == level.density.jumps == ()
+        assert box.matrix_size == 0 and box.density.total_mass == 0.0
 
 
 @pytest.mark.bitwise
@@ -667,7 +688,7 @@ def test_squeeze_check(zd_reports, z_laplacian):
 
 
 def test_sintapr_check(zd_reports, z_laplacian):
-    oracle = torus_logdet_report(z_laplacian, 4096)
+    oracle = torus_logdet_report(z_laplacian, 4096, torus_eigen_result(z_laplacian, 4096))
     # extend with deeper levels so the tail estimate clears the oracle bound
     deep = run_tower(z_laplacian, QuotientTower.zn(1, [512, 1024]))
     # K = max(norm_bound, 1) = 4: the norm bound of 2 - t - 1/t
@@ -694,7 +715,7 @@ def _tail_integral_loop(density, k):
 def test_density_tail_integral_matches_loop_bitwise(zd_reports, folner_reports):
     rng = np.random.default_rng(SEED + 7)
     densities = [rep.density for rep in zd_reports + folner_reports]
-    densities.append(SpectralDensity([], [], 5))
+    densities.append(density_of_counts([], [], 5))
     for _ in range(30):
         thr = float(10.0 ** rng.uniform(-9, -2))
         values = np.concatenate(
@@ -723,7 +744,7 @@ def _tail_integral_one_pass(density, k):
 
 def _random_jumps(rng, count):
     positions = np.sort(rng.uniform(-0.5, 4.5, count))
-    return SpectralDensity(positions, rng.integers(1, 9, count), int(rng.integers(1, 10 ** 6)))
+    return density_of_counts(positions, rng.integers(1, 9, count), int(rng.integers(1, 10 ** 6)))
 
 
 def test_density_tail_integral_chunks_match_one_pass_bitwise():
@@ -915,7 +936,7 @@ def _whitehead(a, b, levels, oracle_grid=2048):
     # the CLI's pipeline: one tower run and one oracle for A*A, then the verdict
     delta = positive_square(a)
     reports = run_tower(delta, QuotientTower.zn(1, levels))
-    oracle = torus_logdet_report(delta, oracle_grid)
+    oracle = torus_logdet_report(delta, oracle_grid, torus_eigen_result(delta, oracle_grid))
     return verdicts.whitehead(Context(a, delta, reports, inverse=b, oracle=oracle))
 
 
@@ -1067,8 +1088,8 @@ def test_level_report_derives_its_numbers_from_its_spectrum(z_laplacian):
     assert replace(low, eigen=eig, norm_bound=rep.norm_bound).norm_bound_ok is True
     # a wider kernel threshold moves F(0) and logdet together
     wide = replace(rep, eigen=EigenResult(eig.eigenvalues, eig.denom, 1.0))
-    assert wide.f0 == eig.kernel_end(1.0) / 16 > rep.f0
-    assert wide.logdet == log_det(eig, 1.0)
+    assert wide.f0 == at_threshold(eig, 1.0).kernel_end() / 16 > rep.f0
+    assert wide.logdet == log_det(at_threshold(eig, 1.0))
     with pytest.raises(ValueError, match="init=False"):
         replace(rep, eigen=eig, f0=0.0)
 

@@ -32,12 +32,20 @@ from l2approx import (
 )
 from l2approx import schemes, spectral, verdicts
 from l2approx.cw import laplacians
-from l2approx.errors import InfiniteGroup, NotHermitian
-from l2approx.oracles import torus_symbol_eigenvalues
-from l2approx.spectral import _cyclic_split, character_spectrum
+from l2approx.errors import InfiniteGroup, MalformedGroup, NotHermitian
+from l2approx.oracles import torus_eigen_result
+from l2approx.spectral import _cyclic_split, character_spectrum, default_kernel_threshold
 from l2approx.verdicts import Context, densities_match
 
-from conftest import SEED, fixture_complex, random_group_element, random_self_adjoint, trace_power_exact
+from conftest import (
+    SEED,
+    at_threshold,
+    density_of_counts,
+    fixture_complex,
+    random_group_element,
+    random_self_adjoint,
+    trace_power_exact,
+)
 from dense_reference import (
     DEFAULT_EIG_TOL,
     _require_hermitian,
@@ -226,7 +234,7 @@ def test_kernel_split_is_read_by_f0_density_and_log_det(e):
     assert e.kernel_end() / e.denom == betti(f)
     assert int(f.counts[f.positions <= 0.0].sum()) == end
     assert log_det(e) == float(np.sum(np.log(w[end:]))) / e.denom
-    assert log_det(e, 0.0) == float(np.sum(np.log(w[w > 0.0]))) / e.denom
+    assert log_det(at_threshold(e, 0.0)) == float(np.sum(np.log(w[w > 0.0]))) / e.denom
 
 
 @pytest.mark.bitwise
@@ -401,7 +409,7 @@ def _density_concatenated(e: EigenResult) -> SpectralDensity:
     neg, neg_counts = cluster(w[:below], thr)
     pos, pos_counts = cluster(w[end:], thr)
     at_zero = 1 if end > below else 0
-    return SpectralDensity(
+    return density_of_counts(
         np.concatenate((neg, np.zeros(at_zero), pos)),
         np.concatenate((neg_counts, np.full(at_zero, end - below), pos_counts)),
         e.denom,
@@ -519,7 +527,7 @@ def _assert_evaluate_matches_loop(f: SpectralDensity):
 
 def test_evaluate_matches_linear_scan():
     rng = np.random.default_rng(SEED + 4)
-    empty = SpectralDensity([], [], 3)
+    empty = density_of_counts([], [], 3)
     _assert_evaluate_matches_loop(empty)
     assert empty.jumps == () and empty.rows() == [] and empty.total_mass == 0.0
     for _ in range(40):
@@ -527,7 +535,7 @@ def test_evaluate_matches_linear_scan():
         if rng.integers(2):
             positions = np.unique(np.append(positions, 0.0))
         counts = rng.integers(1, 50, len(positions))
-        f = SpectralDensity(positions, counts, int(rng.integers(1, 100)))
+        f = density_of_counts(positions, counts, int(rng.integers(1, 100)))
         assert f.jumps == tuple(zip(positions.tolist(), counts.tolist()))
         _assert_evaluate_matches_loop(f)
         thr = float(10.0 ** rng.uniform(-9, -1))
@@ -630,9 +638,42 @@ def test_subgroup_invariance_examples(s3):
     assert verdicts.subgroup(Context(ident, embedding=emb))["ok"]
 
 
+def test_subgroup_push_forward_keeps_the_kernel_threshold(s3):
+    """An injective embedding keeps every coefficient of delta, in term
+    order, so the push-forward has delta's default kernel threshold, float
+    for float, and the subgroup verdict needs no threshold of its own.  The
+    coefficients are Gaussian rationals with irrational moduli, whose float
+    sum depends on its order.  A non-injective embedding is refused."""
+    rng = random.Random(SEED + 6)
+    z2, z3, z4 = CyclicGroup(2), CyclicGroup(3), CyclicGroup(4)
+    embeddings = [
+        Homomorphism(z2, z4, generator_images=[2]),
+        Homomorphism(z3, s3, generator_images=[3]),
+        Homomorphism(s3, product_group([s3, z4]), element_map={g: (g, 0) for g in s3.elements()}),
+    ]
+
+    def element(group):
+        terms = {
+            random_group_element(group, rng): GaussianRational.of(
+                Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(-3, 3)
+            )
+            for _ in range(4)
+        }
+        return RingElement(group, terms)
+
+    for emb, d in itertools.product(embeddings, (1, 2)):
+        a = RingMatrix(emb.source, [[element(emb.source) for _ in range(d)] for _ in range(d)])
+        delta = positive_square(a)
+        assert default_kernel_threshold(delta.push_forward(emb)) == default_kernel_threshold(delta)
+        assert verdicts.subgroup(Context(delta, embedding=emb))["ok"]
+    folded = Homomorphism(z4, z2, generator_images=[1])
+    with pytest.raises(MalformedGroup, match="not injective"):
+        verdicts.subgroup(Context(RingMatrix.identity(z4, 1), embedding=folded))
+
+
 def test_densities_match_detects_difference():
-    f1 = SpectralDensity([0.0, 2.0], [1, 1], 2)
-    f2 = SpectralDensity([0.0, 2.5], [1, 1], 2)
+    f1 = density_of_counts([0.0, 2.0], [1, 1], 2)
+    f2 = density_of_counts([0.0, 2.5], [1, 1], 2)
     ok, dev = densities_match(f1, f2, atol=1e-9)
     assert not ok and dev >= 0.5 - 1e-12
 
@@ -1222,7 +1263,7 @@ def test_every_backend_returns_sorted_eigenvalues():
         finite_spectrum(random_self_adjoint(CyclicGroup(7), rng, d=2)).eigenvalues,
         finite_spectrum(torus[1].push_forward(free_abelian_quotient(2, 6))).eigenvalues,
     ]
-    spectra += [torus_symbol_eigenvalues(delta, 24) for delta in torus]
+    spectra += [torus_eigen_result(delta, 24).eigenvalues for delta in torus]
     for delta in (random_self_adjoint(z, rng, d=1), random_self_adjoint(z, rng, d=2)):
         real = all(e.is_real() for row in delta.entries for e in row)
         spectra += [schemes._band_eigenvalues(schemes._box_band(delta, 1, m, real)) for m in (2, 5, 17)]
