@@ -4,7 +4,7 @@
     l2approx approx   problem.json  [--levels ... | --boxes ...] [--lambda-grid ...]
                                     [--grid G] [--tol T] [--eps-ker E]
                                     [--timings] [--densities] [--output F]
-    l2approx cw       complex.json  [--grid G | --levels ...] [--tol T] [--output F]
+    l2approx cw       complex.json  [--grid G | --levels ... [--tol T]] [--output F]
     l2approx verify   SUITE         [--seed S]
 
 Exit codes: 0 success, 1 property/verdict failure, 2 input error,
@@ -38,7 +38,7 @@ from .jsonio import (
     parse_problem,
 )
 from .matrices import RingMatrix, k_bound, positive_square
-from .oracles import check_torus_grid, torus_eigen_result, torus_logdet_report
+from .oracles import check_torus_grid, torus_eigen_result
 from .schemes import FolnerExhaustion, QuotientTower, build_boxes_folner, run_folner, run_tower
 from .spectral import density_from_eigs, finite_spectrum
 from .verdicts import VERDICTS, Context, require
@@ -220,17 +220,12 @@ def cmd_approx(args) -> int:
         report["scheme"] = {"type": kind, scheme.key: scheme.labels}
         run = run_tower if kind == "tower" else run_folner
         reports = run(delta, scheme, kernel_threshold=args.eps_ker)
-    oracle_eig = oracle = None
-    if oracle_available:
-        # one fine-grid solve serves the oracle logdet and the oracle density
-        oracle_eig = torus_eigen_result(delta, grid)
-        oracle = torus_logdet_report(delta, grid, oracle_eig)
-        if "whitehead" not in checks:
-            report["oracle"] = oracle
     ctx = Context(
         problem.matrix, delta, reports, inverse=problem.inverse, embedding=problem.embedding,
-        oracle_eig=oracle_eig, oracle=oracle, grid=grid, lambda_grid=lam_grid, tol=tol, k_bound=kb,
+        grid=grid if oracle_available else None, lambda_grid=lam_grid, tol=tol,
     )
+    if ctx.oracle is not None and "whitehead" not in checks:
+        report["oracle"] = ctx.oracle
     verdicts = {name: verdict(ctx) for name, (_, _, verdict) in VERDICTS.items() if name in checks}
     report["verdicts"] = verdicts
     if reports:
@@ -245,13 +240,16 @@ def cmd_approx(args) -> int:
 
 
 def cmd_cw(args) -> int:
+    if args.tol is not None and not args.levels:
+        raise ProblemFormatError("--tol needs --levels: only the tower route reads it")
     spec = parse_complex(load_json(args.complex))
     tower = None
     if args.levels:
         if not isinstance(spec.group, FreeAbelianGroup):
             raise ProblemFormatError("--levels needs a free abelian group")
         tower = QuotientTower.zn(spec.group.rank, args.levels)
-    rep = l2_invariants(spec, oracle_grid=args.grid, tower=tower, tol=args.tol)
+    tol = 0.02 if args.tol is None else args.tol
+    rep = l2_invariants(spec, oracle_grid=args.grid, tower=tower, tol=tol)
     _write_output(canonical_dumps(dataclasses.asdict(rep)) + "\n", args.output)
     return EXIT_OK
 
@@ -302,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     one = p.add_mutually_exclusive_group()
     one.add_argument("--grid", type=_grid, help="oracle grid per dimension")
     one.add_argument("--levels", type=_levels, help="tower moduli (uses the tower route)")
-    p.add_argument("--tol", type=_threshold, default=0.02)
+    p.add_argument("--tol", type=_threshold, help="tower route tolerance, default 0.02; needs --levels")
     p.add_argument("--output")
     p.set_defaults(func=cmd_cw)
 

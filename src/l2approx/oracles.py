@@ -113,7 +113,7 @@ def check_torus_grid(delta: RingMatrix, grid_per_dim: int) -> int:
     reads one triangle), over a free abelian group, then the caps:
     ``check_solve_size``, and MAX_BLOCK_ENTRIES on the m^n d^2 entries of
     the stack of d x d symbols, unless delta is diagonal (``_is_diagonal``:
-    no stack, one float64 symbol per distinct diagonal entry)."""
+    no stack, one float64 symbol per diagonal entry)."""
     if not delta.is_self_adjoint():
         raise NotHermitian(f"{delta} is not self-adjoint")
     if not isinstance(delta.group, FreeAbelianGroup):

@@ -315,7 +315,7 @@ def _operator_eigenvalues(
 
     At one point the blocks are d x d, and when delta is diagonal
     (``_is_diagonal``) so are they: the eigenvalues are the real parts of
-    the diagonal symbols, each distinct diagonal entry summed once in
+    the diagonal symbols, each diagonal entry summed in its own row in
     float64 from the real parts of its terms, and no LAPACK call is made.
     That is bit-identical to ``eigvalsh`` on the stack: LAPACK reads only
     the real part of a Hermitian diagonal, ``?heevd`` reduces a diagonal
@@ -325,15 +325,10 @@ def _operator_eigenvalues(
     """
     d = delta.rows
     if len(points) == 1 and _is_diagonal(delta):
-        # one array from assembly to sort: a repeated entry copies its first row
+        # one array from assembly to sort, each entry assembled in its row
         w = np.zeros((d,) + shape)
-        first = {}
         for k in range(d):
-            x = delta.entries[k][k]
-            if first.setdefault(x, k) < k:
-                w[k] = w[first[x]]
-            else:
-                _add_symbol(w, x, phase, lambda g: k)
+            _add_symbol(w, delta.entries[k][k], phase, lambda g: k)
         w = w.ravel()
     else:
         w = np.linalg.eigvalsh(

@@ -27,7 +27,8 @@ from .errors import (
     SchemeError,
 )
 from .groups import Homomorphism
-from .matrices import RingMatrix
+from .matrices import RingMatrix, k_bound
+from .oracles import torus_eigen_result, torus_logdet_report
 from .schemes import TRACE_POWERS, LevelReport, reference_traces
 from .spectral import (
     CHUNK,
@@ -43,26 +44,32 @@ from .spectral import (
 class Context:
     """What a verdict reads: the problem's A (``matrix``) with its optional
     ``inverse`` and ``embedding``; the operator ``delta`` the levels ran
-    (A*A under whitehead, else A) and their ``reports``; the fine torus
-    solve ``oracle_eig`` and its ``oracle`` report (None where no oracle
-    serves); the oracle ``grid``, the ``lambda_grid``, ``tol`` and A's
-    ``k_bound``."""
+    (A*A under whitehead, else A) and their ``reports``; the oracle
+    ``grid`` (None where no oracle serves), the ``lambda_grid`` and
+    ``tol``.  The oracle is solved here, on first read, for every verdict."""
 
     matrix: RingMatrix
     delta: Optional[RingMatrix] = None
     reports: Sequence[LevelReport] = ()
     inverse: Optional[RingMatrix] = None
     embedding: Optional[Homomorphism] = None
-    oracle_eig: Optional[EigenResult] = None
-    oracle: Optional[dict] = None
     grid: Optional[int] = None
     lambda_grid: Sequence[float] = ()
     tol: float = 0.02
-    k_bound: Optional[float] = None
+
+    @cached_property
+    def oracle_eig(self) -> EigenResult:
+        """delta on the fine torus grid: the one solve of the oracle."""
+        return torus_eigen_result(self.delta, self.grid)
+
+    @cached_property
+    def oracle(self) -> Optional[dict]:
+        """The oracle logdet report of that solve, or None with no grid."""
+        return None if self.grid is None else torus_logdet_report(self.delta, self.grid, self.oracle_eig)
 
     @cached_property
     def oracle_density(self) -> SpectralDensity:
-        """The oracle solve clustered into a density, once, on first read."""
+        """The oracle solve clustered into a density."""
         return density_from_eigs(self.oracle_eig)
 
 
@@ -283,7 +290,7 @@ def norms(ctx: Context) -> dict:
     A's ``k_bound`` and the largest eigenvalue of any level."""
     return {
         "ok": all(rep.norm_bound_ok for rep in ctx.reports),
-        "k_bound": ctx.k_bound,
+        "k_bound": k_bound(ctx.matrix),
         "max_eigenvalue": max(rep.max_eigenvalue for rep in ctx.reports),
     }
 

@@ -16,12 +16,7 @@ from ._lazy import np
 from .groupring import RingElement
 from .groups import CyclicGroup, FreeAbelianGroup, Homomorphism, symmetric_group
 from .matrices import RingMatrix, positive_square
-from .oracles import (
-    nonzero_eigenvalue_product_exact,
-    torus_eigen_result,
-    torus_logdet,
-    torus_logdet_report,
-)
+from .oracles import nonzero_eigenvalue_product_exact, torus_logdet
 from .schemes import QuotientTower, build_boxes_folner, reference_traces, run_folner, run_tower
 from .verdicts import Context, sintapr, squeeze, subgroup, whitehead
 
@@ -108,10 +103,9 @@ def suite_squeeze(seed: int) -> list:
         delta = _random_delta(rng)
         tower = QuotientTower.zn(1, [16, 32, 64, 128, 256])
         reports = run_tower(delta, tower)
-        oracle_eig = torus_eigen_result(delta, 2048)
         top = max(rep.max_eigenvalue for rep in reports) + 1.0
         grid = [top * k / 8 for k in range(9)]
-        verdict = squeeze(Context(delta, delta, reports, oracle_eig=oracle_eig, lambda_grid=grid))
+        verdict = squeeze(Context(delta, delta, reports, grid=2048, lambda_grid=grid))
         lines.append(
             CheckLine(f"squeeze[{trial}]", verdict["ok"], f"grid of {len(grid)} points")
         )
@@ -154,8 +148,7 @@ def suite_determinant(seed: int) -> list:
 def _whitehead_verdict(a: RingMatrix, b: RingMatrix, oracle_grid: int = 2048) -> dict:
     delta = positive_square(a)
     reports = run_tower(delta, QuotientTower.zn(1, [16, 64, 256]))
-    oracle = torus_logdet_report(delta, oracle_grid, torus_eigen_result(delta, oracle_grid))
-    return whitehead(Context(a, delta, reports, inverse=b, oracle=oracle))
+    return whitehead(Context(a, delta, reports, inverse=b, grid=oracle_grid))
 
 
 def suite_whitehead(seed: int) -> list:

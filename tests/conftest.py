@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from l2approx import (
     CyclicGroup,
@@ -10,6 +13,7 @@ from l2approx import (
     FiniteTableGroup,
     FreeAbelianGroup,
     FreeGroup,
+    GaussianRational,
     Group,
     Homomorphism,
     RingElement,
@@ -164,3 +168,42 @@ def matrix_to_json(m: RingMatrix):
         "cols": m.cols,
         "entries": [[ring_element_to_json(e) for e in row] for row in m.entries],
     }
+
+
+# Hypothesis strategies for ring elements and matrices over a given group,
+# built once per group: a strategy validates itself on first use
+
+# integers, a fraction and Gaussian rationals: one draw per coefficient
+_COEFFICIENTS = st.sampled_from(
+    [GaussianRational.of(c) for c in (1, -1, 2, -3, Fraction(3, 2))]
+    + [GaussianRational.of(0, 1), GaussianRational.of(Fraction(1, 2), Fraction(-1, 3))]
+)
+
+
+@lru_cache(maxsize=None)
+def group_elements(group: Group):
+    """Elements of Z^n, F_n (reduced words of up to four letters) or a
+    finite group (any element)."""
+    if isinstance(group, FreeAbelianGroup):
+        return st.tuples(*[st.integers(-3, 3)] * group.rank)
+    if isinstance(group, FreeGroup):
+        letters = [s for k in range(1, group.rank + 1) for s in (k, -k)]
+        return st.lists(st.sampled_from(letters), max_size=4).map(lambda w: group.multiply((), tuple(w)))
+    return st.sampled_from(group.elements())
+
+
+@lru_cache(maxsize=None)
+def ring_elements(group: Group):
+    """Elements of the group ring with up to four terms (zero included) and
+    integer, rational or Gaussian rational coefficients."""
+    return st.dictionaries(group_elements(group), _COEFFICIENTS, max_size=4).map(
+        lambda terms: RingElement(group, terms)
+    )
+
+
+@lru_cache(maxsize=None)
+def ring_matrices(group: Group, rows: int, cols: int):
+    """rows x cols matrices over the group ring; a matrix with no rows keeps
+    its column count."""
+    row = st.lists(ring_elements(group), min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows).map(lambda entries: RingMatrix(group, entries, cols))

@@ -35,7 +35,7 @@ from l2approx import (
 )
 from l2approx import verdicts
 from l2approx.cw import l2_invariants
-from l2approx.oracles import torus_eigen_result, torus_logdet_report
+from l2approx.oracles import torus_eigen_result
 from l2approx.verdicts import Context
 
 from conftest import fixture_complex, trace_power_exact
@@ -174,8 +174,7 @@ def test_criterion_8_whitehead_triviality(z_group):
     e_inv = RingMatrix(z_group, [[one, t - 1], [zero, one]])
     delta = positive_square(e)
     reports = run_tower(delta, QuotientTower.zn(1, TOWER_LEVELS))
-    oracle = torus_logdet_report(delta, 2048, torus_eigen_result(delta, 2048))
-    verdict = verdicts.whitehead(Context(e, delta, reports, inverse=e_inv, oracle=oracle, tol=0.02))
+    verdict = verdicts.whitehead(Context(e, delta, reports, inverse=e_inv, grid=2048, tol=0.02))
     assert verdict["ok"] and verdict["integral"]
     assert all(-0.02 <= v <= 0.02 for v in verdict["logdets"])
     assert -0.01 <= verdict["oracle"]["value"] <= 0.01
@@ -190,15 +189,13 @@ def test_criterion_9_complex_approximation(z_group):
     alpha = RingElement.scalar(z_group, complex(0.5, 0.5))
     kernel_free = positive_square(RingMatrix.from_element(1 - alpha * t))
     reports = run_tower(kernel_free, QuotientTower.zn(1, TOWER_LEVELS))
-    oracle_eig = torus_eigen_result(kernel_free, 2048)
-    verdict = verdicts.complex(Context(kernel_free, kernel_free, reports, oracle_eig=oracle_eig, grid=2048))
+    verdict = verdicts.complex(Context(kernel_free, kernel_free, reports, grid=2048))
     assert all(rep.f0 == 0.0 for rep in reports)
     assert verdict["oracle_f0"] == 0.0 and verdict["ok"]
 
     unit_root = positive_square(RingMatrix.from_element(1 - t))
     reports = run_tower(unit_root, QuotientTower.zn(1, TOWER_LEVELS))
-    oracle_eig = torus_eigen_result(unit_root, 2048)
-    verdict = verdicts.complex(Context(unit_root, unit_root, reports, oracle_eig=oracle_eig, grid=2048))
+    verdict = verdicts.complex(Context(unit_root, unit_root, reports, grid=2048))
     assert [rep.f0 for rep in reports] == [1.0 / n for n in TOWER_LEVELS]
     assert verdict["ok"]
     print("ACCEPTANCE 9 PASS: complex-coefficient F_N(0) sequences as predicted")

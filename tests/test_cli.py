@@ -380,6 +380,31 @@ def test_cw_complex_with_an_empty_degree(case, route, tmp_path, capsys):
     assert report["euler_l2"] == report["euler_cells"]
 
 
+def test_cw_tol_is_the_tower_routes(tmp_path, capsys, monkeypatch):
+    """--tol is the tolerance of the tower route's determinant verdict.
+    Without --levels no route reads it: exit 2, one input error line and
+    no report.  With --levels it reaches the verdict, 0.02 by default."""
+    out = tmp_path / "report.out"
+    for flags in (["--tol", "0.5"], ["--tol", "0", "--grid", "8"]):
+        assert main(["cw", fixture_path("circle.json"), *flags, "--output", str(out)]) == 2
+        assert not out.exists()
+        message = "--tol needs --levels: only the tower route reads it"
+        assert capsys.readouterr() == ("", f"l2approx: input error: {message}\n")
+    seen = []
+    tower_degree = cw._tower_degree
+
+    def recorded(delta, tower, tol):
+        seen.append(tol)
+        return tower_degree(delta, tower, tol)
+
+    monkeypatch.setattr(cw, "_tower_degree", recorded)
+    for flags, tol in (([], 0.02), (["--tol", "0.5"], 0.5)):
+        seen.clear()
+        assert main(["cw", fixture_path("circle.json"), "--levels", "8,16", *flags]) == 0
+        assert seen == [tol]
+        assert json.loads(capsys.readouterr().out)["det_class"] == [True, True]
+
+
 def test_cw_rejects_noncomplex(tmp_path, capsys):
     bad = {
         "group": {"type": "free_abelian", "rank": 1},

@@ -16,6 +16,7 @@ from l2approx import (
     FreeGroup,
     GaussianRational,
     RingElement,
+    RingMatrix,
     TrivialGroup,
     product_group,
     symmetric_group,
@@ -39,7 +40,15 @@ from l2approx.jsonio import (
 )
 from l2approx.schemes import FolnerExhaustion, QuotientTower
 
-from conftest import density_of_counts, element_to_json, matrix_to_json, ring_element_to_json
+from conftest import (
+    density_of_counts,
+    element_to_json,
+    f2_to_s3_products,
+    matrix_to_json,
+    ring_element_to_json,
+    ring_elements,
+    ring_matrices,
+)
 
 GROUPS = [
     TrivialGroup(),
@@ -172,6 +181,81 @@ def test_matrix_roundtrip(z_laplacian):
     assert parse_matrix(z_laplacian.group, blob) == z_laplacian
     with pytest.raises(ProblemFormatError):
         parse_matrix(z_laplacian.group, {"rows": 2, "cols": 1, "entries": blob["entries"]})
+
+
+# Z^n, F2, S3 and finite products
+ROUND_TRIP_GROUPS = [
+    FreeAbelianGroup(0),
+    FreeAbelianGroup(1),
+    FreeAbelianGroup(2),
+    FreeGroup(2),
+    symmetric_group(3),
+    product_group([CyclicGroup(2), symmetric_group(3), CyclicGroup(3)]),
+] + [q.target for q in f2_to_s3_products()]
+
+
+def _through_text(obj):
+    return json.loads(json.dumps(obj))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ring_element_and_matrix_json_roundtrip_property(data):
+    """parse_ring_element and parse_matrix invert the test writers through
+    JSON text, for every shape up to 2 x 2, those with no rows or no
+    columns included."""
+    group = data.draw(st.sampled_from(ROUND_TRIP_GROUPS), label="group")
+    x = data.draw(ring_elements(group), label="x")
+    assert parse_ring_element(group, _through_text(ring_element_to_json(x))) == x
+    rows, cols = data.draw(st.integers(0, 2), label="rows"), data.draw(st.integers(0, 2), label="cols")
+    m = data.draw(ring_matrices(group, rows, cols), label="m")
+    back = parse_matrix(group, _through_text(matrix_to_json(m)))
+    assert back == m and back.shape == (rows, cols)
+
+
+@st.composite
+def _towers(draw):
+    """(group, tower scheme JSON, its labels): a tower of moduli over Z or
+    Z^2, or of maps F2 -> S3 x Z/k with labels given or left to default."""
+    if draw(st.booleans()):
+        group = FreeAbelianGroup(draw(st.integers(1, 2)))
+        levels = draw(st.lists(st.integers(1, 16), min_size=1, max_size=3, unique=True))
+        return group, {"type": "tower", "levels": levels}, levels
+    homs = draw(st.lists(st.sampled_from(f2_to_s3_products()), min_size=1, max_size=3))
+    maps = [
+        {"target": group_to_json(q.target), "images": [element_to_json(q.target, g) for g in q.generator_images]}
+        for q in homs
+    ]
+    scheme = {"type": "tower", "maps": maps}
+    labels = list(range(len(homs)))
+    if draw(st.booleans()):
+        labels = scheme["labels"] = draw(
+            st.lists(st.integers(0, 99), min_size=len(homs), max_size=len(homs), unique=True)
+        )
+    return FreeGroup(2), scheme, labels
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_problem_json_roundtrip_property(data):
+    """A problem file of an elementary matrix [[1, x], [0, 1]], its inverse
+    and a tower scheme, written by the test writers, parses back to an
+    equal group, matrix and inverse and to the same scheme labels."""
+    group, scheme, labels = data.draw(_towers(), label="tower")
+    x = data.draw(ring_elements(group), label="x")
+    one, zero = RingElement.one(group), RingElement.zero(group)
+    a = RingMatrix(group, [[one, x], [zero, one]])
+    b = RingMatrix(group, [[one, -x], [zero, one]])
+    problem = parse_problem(_through_text({
+        "group": group_to_json(group),
+        "matrix": matrix_to_json(a),
+        "inverse": matrix_to_json(b),
+        "scheme": scheme,
+    }))
+    assert problem.group == group
+    assert problem.matrix == a and problem.inverse == b
+    assert problem.matrix @ problem.inverse == RingMatrix.identity(group, 2)
+    assert isinstance(problem.scheme, QuotientTower) and problem.scheme.labels == labels
 
 
 def test_parse_scheme_variants():

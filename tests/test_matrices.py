@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2approx import (
     CyclicGroup,
@@ -19,7 +21,15 @@ from l2approx import (
 )
 from l2approx.errors import DimensionMismatch, MismatchedGroup
 
-from conftest import SEED, f2_to_s3_products, random_element, random_self_adjoint, trace_power_exact
+from conftest import (
+    SEED,
+    f2_to_s3_products,
+    random_element,
+    random_self_adjoint,
+    ring_elements,
+    ring_matrices,
+    trace_power_exact,
+)
 from dense_reference import regular_representation
 
 
@@ -147,6 +157,57 @@ def test_adjoint_antihomomorphism_randomized():
             assert (m @ n) @ p == m @ (n @ p)
             assert m @ (n + p) == m @ n + m @ p
             assert (m + n) @ p == m @ p + n @ p
+
+
+F2_TO_S3_PRODUCTS = f2_to_s3_products()
+# F2, S3 and the finite products S3 x Z/k
+AXIOM_GROUPS = [FreeGroup(2), symmetric_group(3)] + [q.target for q in F2_TO_S3_PRODUCTS]
+
+
+def _shapes(data, count):
+    """count + 1 sizes in 0..2: the shapes of a chain of count matrices."""
+    return [data.draw(st.integers(0, 2), label="size") for _ in range(count + 1)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ring_axioms_property(data):
+    """Associativity, both distributive laws and (AB)* = B*A*, for ring
+    elements and for matrices of every shape up to 2 x 2 (empty ones
+    included), over F2, S3 and S3 x Z/k."""
+    group = data.draw(st.sampled_from(AXIOM_GROUPS), label="group")
+    x, y, z = (data.draw(ring_elements(group), label="element") for _ in range(3))
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+    assert (x * y).star() == y.star() * x.star()
+    p, q, r, s = _shapes(data, 3)
+    a = data.draw(ring_matrices(group, p, q), label="A")
+    b, b2 = (data.draw(ring_matrices(group, q, r), label="B") for _ in range(2))
+    c = data.draw(ring_matrices(group, r, s), label="C")
+    assert (a @ b) @ c == a @ (b @ c)
+    assert a @ (b + b2) == a @ b + a @ b2
+    assert (b + b2) @ c == b @ c + b2 @ c
+    assert (a @ b).adjoint() == b.adjoint() @ a.adjoint()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_push_forward_is_star_ring_hom_property(data):
+    """Push-forward along F2 -> S3 x Z/k keeps products, sums, adjoints and
+    the identity, for ring elements and matrices up to 2 x 2."""
+    hom = data.draw(st.sampled_from(F2_TO_S3_PRODUCTS), label="hom")
+    x, y = (data.draw(ring_elements(hom.source), label="element") for _ in range(2))
+    assert (x * y).push_forward(hom) == x.push_forward(hom) * y.push_forward(hom)
+    assert (x + y).push_forward(hom) == x.push_forward(hom) + y.push_forward(hom)
+    assert x.star().push_forward(hom) == x.push_forward(hom).star()
+    p, q, r = _shapes(data, 2)
+    a, a2 = (data.draw(ring_matrices(hom.source, p, q), label="A") for _ in range(2))
+    b = data.draw(ring_matrices(hom.source, q, r), label="B")
+    assert (a @ b).push_forward(hom) == a.push_forward(hom) @ b.push_forward(hom)
+    assert (a + a2).push_forward(hom) == a.push_forward(hom) + a2.push_forward(hom)
+    assert a.adjoint().push_forward(hom) == a.push_forward(hom).adjoint()
+    assert RingMatrix.identity(hom.source, p).push_forward(hom) == RingMatrix.identity(hom.target, p)
 
 
 def test_trace_real_for_self_adjoint():

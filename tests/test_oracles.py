@@ -390,8 +390,8 @@ def test_torus_diagonal_symbol_is_bitwise_eigvalsh(monkeypatch):
 def test_torus_symbol_memory_stays_near_its_output():
     """No m^n complex temporary and no second symbol array: solving the
     torus Delta_1 at m = 256 peaks within 1.25 times its 8 d m^2 bytes of
-    output (its one distinct diagonal entry is assembled into the output's
-    first row and copied to the second)."""
+    output (its diagonal entry, repeated, is assembled into each of the
+    output's two rows in place)."""
     delta = laplacians(fixture_complex("torus"))[1]
     m = 256
     torus_eigen_result(delta, m)  # warm: caches and lazy imports
@@ -469,7 +469,7 @@ def _diagonal_operators(draw):
 @given(delta=_diagonal_operators(), m=st.sampled_from(ODD_AND_EVEN_GRIDS))
 def test_diagonal_route_is_bitwise_the_gather_form(delta, m):
     """The one-point diagonal route assembles into one array, row by row,
-    and copies repeated entries: bit for bit the form that gathered one
+    a repeated entry again: bit for bit the form that gathered one
     symbol per distinct entry into diagonal order."""
     got = torus_eigen_result(delta, m).eigenvalues
     want = _gather_diagonal_eigenvalues(delta, m)

@@ -40,7 +40,7 @@ from l2approx.errors import (
 )
 from l2approx.groupring import GaussianRational
 from l2approx.groups import CyclicGroup, product_group, symmetric_group
-from l2approx.oracles import check_torus_grid, torus_eigen_result, torus_logdet_report
+from l2approx.oracles import check_torus_grid
 from l2approx.schemes import (
     MAX_BAND_ENTRIES,
     MAX_BOX_ROWS,
@@ -67,6 +67,7 @@ from conftest import (
     fixture_complex,
     random_element,
     random_self_adjoint,
+    record_torus_slabs,
 )
 from dense_reference import hermitian_eigenvalues, translation_matrix
 
@@ -115,7 +116,8 @@ def test_constant_tower_is_stationary(s3):
     tower = QuotientTower(s3, [ident] * 3)
     reports = run_tower(delta, tower)
     grid = [0.0, 1.0, 2.0, 5.0, 10.0, 40.0]
-    ctx = Context(delta, delta, reports, oracle_eig=finite_spectrum(delta), lambda_grid=grid, tol=1e-9)
+    ctx = Context(delta, delta, reports, lambda_grid=grid, tol=1e-9)
+    ctx.oracle_eig = finite_spectrum(delta)
     verdict = verdicts.squeeze(ctx)
     assert verdict["ok"]
     assert len({r.f0 for r in reports}) == 1
@@ -679,26 +681,44 @@ def test_compressed_trace_powers_match_numpy(z_group):
 
 
 def test_squeeze_check(zd_reports, z_laplacian):
-    oracle_eig = torus_eigen_result(z_laplacian, 4096)
     grid = [0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4]
-    ctx = Context(z_laplacian, z_laplacian, zd_reports, oracle_eig=oracle_eig, lambda_grid=grid)
+    ctx = Context(z_laplacian, z_laplacian, zd_reports, grid=4096, lambda_grid=grid)
     assert verdicts.squeeze(ctx)["ok"]
     with pytest.raises(InsufficientLevels):
         verdicts.squeeze(replace(ctx, reports=zd_reports[:2], lambda_grid=[0.0]))
 
 
 def test_sintapr_check(zd_reports, z_laplacian):
-    oracle = torus_logdet_report(z_laplacian, 4096, torus_eigen_result(z_laplacian, 4096))
     # extend with deeper levels so the tail estimate clears the oracle bound
     deep = run_tower(z_laplacian, QuotientTower.zn(1, [512, 1024]))
     # K = max(norm_bound, 1) = 4: the norm bound of 2 - t - 1/t
     assert {rep.norm_bound for rep in zd_reports + deep} == {4.0}
-    verdict = verdicts.sintapr(Context(z_laplacian, z_laplacian, zd_reports + deep, oracle=oracle))
+    ctx = Context(z_laplacian, z_laplacian, zd_reports + deep, grid=4096)
+    verdict = verdicts.sintapr(ctx)
     assert verdict["ok"]
     for row in verdict["rows"]:
         assert row["integral"] <= row["bound"] + 0.02
         assert row["identity_gap"] <= 1e-8
-    assert verdict["limsup_estimate"] <= oracle["value"] + 0.02
+    assert verdict["limsup_estimate"] <= ctx.oracle["value"] + 0.02
+
+
+def test_context_solves_its_oracle_once(zd_reports, z_laplacian, monkeypatch):
+    """A Context with no grid solves nothing: its oracle is None, and
+    sintapr runs without one.  With a grid, the oracle report and the
+    oracle density share one fine solve, read in either order; the report
+    adds the coarse grid of its error estimate."""
+    slabs = record_torus_slabs(monkeypatch)
+    bare = Context(z_laplacian, z_laplacian, zd_reports)
+    assert bare.oracle is None
+    assert verdicts.sintapr(bare)["oracle_logdet"] is None
+    assert slabs == []
+    for first in ("oracle", "oracle_density"):
+        slabs.clear()
+        ctx = Context(z_laplacian, z_laplacian, zd_reports, grid=64)
+        getattr(ctx, first)
+        assert ctx.oracle["grid"] == 64 and ctx.oracle_density.total_mass == 1
+        assert ctx.oracle_density.denom == 64
+        assert sorted(slabs) == [(32, 0, 32), (64, 0, 64)]
 
 
 def _tail_integral_loop(density, k):
@@ -936,8 +956,7 @@ def _whitehead(a, b, levels, oracle_grid=2048):
     # the CLI's pipeline: one tower run and one oracle for A*A, then the verdict
     delta = positive_square(a)
     reports = run_tower(delta, QuotientTower.zn(1, levels))
-    oracle = torus_logdet_report(delta, oracle_grid, torus_eigen_result(delta, oracle_grid))
-    return verdicts.whitehead(Context(a, delta, reports, inverse=b, oracle=oracle))
+    return verdicts.whitehead(Context(a, delta, reports, inverse=b, grid=oracle_grid))
 
 
 def test_whitehead_elementary(z_group):
@@ -981,8 +1000,7 @@ def test_whitehead_non_integral_flagged(z_group):
 
 def _complex(delta, levels, oracle_grid):
     reports = run_tower(delta, QuotientTower.zn(1, levels))
-    oracle_eig = torus_eigen_result(delta, oracle_grid)
-    return reports, verdicts.complex(Context(delta, delta, reports, oracle_eig=oracle_eig, grid=oracle_grid))
+    return reports, verdicts.complex(Context(delta, delta, reports, grid=oracle_grid))
 
 
 def test_complex_tower_runs(z_group):
@@ -1050,11 +1068,11 @@ def test_tower_moduli_must_be_finite(z_group):
 
 def test_norms_check_reads_every_level(z_laplacian):
     """The verdict passes when every level is below its norm bound, reports
-    the bound it is given and the largest eigenvalue of any level, and fails
-    when one level exceeds its bound."""
+    K(A) of the context's matrix and the largest eigenvalue of any level,
+    and fails when one level exceeds its bound."""
     tower = QuotientTower.zn(1, [4, 8, 16])
     reports = run_tower(z_laplacian, tower)
-    ctx = Context(z_laplacian, z_laplacian, reports, k_bound=4.0)
+    ctx = Context(z_laplacian, z_laplacian, reports)
     verdict = verdicts.norms(ctx)
     assert verdict == {
         "ok": True,
