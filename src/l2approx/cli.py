@@ -41,7 +41,7 @@ from .matrices import RingMatrix, k_bound, positive_square
 from .oracles import check_torus_grid, torus_eigen_result
 from .schemes import FolnerExhaustion, QuotientTower, build_boxes_folner, run_folner, run_tower
 from .spectral import density_from_eigs, finite_spectrum
-from .verdicts import VERDICTS, Context, require
+from .verdicts import DEFAULT_TOL, VERDICTS, Context, require
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 EXIT_OK = 0
@@ -248,7 +248,7 @@ def cmd_cw(args) -> int:
         if not isinstance(spec.group, FreeAbelianGroup):
             raise ProblemFormatError("--levels needs a free abelian group")
         tower = QuotientTower.zn(spec.group.rank, args.levels)
-    tol = 0.02 if args.tol is None else args.tol
+    tol = DEFAULT_TOL if args.tol is None else args.tol
     rep = l2_invariants(spec, oracle_grid=args.grid, tower=tower, tol=tol)
     _write_output(canonical_dumps(dataclasses.asdict(rep)) + "\n", args.output)
     return EXIT_OK
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     one.add_argument("--boxes", type=_boxes, help="comma-separated Folner box sizes override")
     p.add_argument("--lambda-grid", type=_finite_list, help="comma-separated evaluation points")
     p.add_argument("--grid", type=_grid, help="oracle grid per dimension")
-    p.add_argument("--tol", type=_threshold, default=0.02)
+    p.add_argument("--tol", type=_threshold, default=DEFAULT_TOL)
     p.add_argument("--eps-ker", type=_threshold, help="kernel threshold override, >= 0")
     p.add_argument("--timings", action="store_true", help="include wall times (non-reproducible)")
     p.add_argument("--densities", action="store_true", help="include full densities per level")
@@ -300,15 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     one = p.add_mutually_exclusive_group()
     one.add_argument("--grid", type=_grid, help="oracle grid per dimension")
     one.add_argument("--levels", type=_levels, help="tower moduli (uses the tower route)")
-    p.add_argument("--tol", type=_threshold, help="tower route tolerance, default 0.02; needs --levels")
+    p.add_argument("--tol", type=_threshold, help=f"tower route tolerance, default {DEFAULT_TOL}; needs --levels")
     p.add_argument("--output")
     p.set_defaults(func=cmd_cw)
 
     p = sub.add_parser("verify", help="run a bundled property suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    # argparse converts a string default with type: a malformed L2APPROX_SEED exits 2
-    seed = os.environ.get("L2APPROX_SEED", DEFAULT_SEED)
-    p.add_argument("--seed", type=int, default=seed, help=f"default: L2APPROX_SEED or {DEFAULT_SEED}")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"default: {DEFAULT_SEED}")
     p.set_defaults(func=cmd_verify)
     return parser
 

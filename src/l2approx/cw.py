@@ -27,7 +27,7 @@ from .spectral import (
     finite_spectrum,
     log_det,
 )
-from .verdicts import Context, sintapr
+from .verdicts import DEFAULT_TOL, Context, sintapr
 
 ACYCLICITY_TOL = 0.01
 
@@ -166,7 +166,7 @@ def l2_invariants(
     *,
     oracle_grid: Optional[int] = None,
     tower: Optional[QuotientTower] = None,
-    tol: float = 0.02,
+    tol: float = DEFAULT_TOL,
 ) -> L2Report:
     """Betti numbers, determinants and torsion of a validated complex.
 

@@ -1,8 +1,9 @@
 """Independent ground-truth computations.
 
-Two oracle families, each with a different proof route than the pipeline
-it checks: exact integer linear algebra for the trivial group, and Fourier
-symbol quadrature on the torus for free abelian groups.
+Fourier symbol quadrature on the torus for free abelian groups; and for
+the trivial group the exact product of the nonzero eigenvalues of a PSD
+integer matrix, by Berkowitz's division-free characteristic polynomial:
+the positive integer behind det' >= 1.
 """
 
 from __future__ import annotations
@@ -31,72 +32,57 @@ from .spectral import (
 # ---------------------------------------------------------------------------
 
 def _char_poly(rows: Sequence[Sequence]) -> list:
-    """Characteristic polynomial det(xI - A) by Faddeev-LeVerrier.
+    """Characteristic polynomial det(xI - A) of the square matrix ``rows``
+    by Berkowitz's recurrence (Berkowitz, Inf. Proc. Lett. 18, 1984).
 
-    Exact rational arithmetic throughout; returns [c0=1, c1, ..., cd] with
-    det(xI - A) = sum_k c_k x^(d-k).  Intended for d up to a few dozen.
+    Division-free: integer entries give integer coefficients in plain
+    ``int`` arithmetic.  Returns [c0=1, c1, ..., cd] with
+    det(xI - A) = sum_k c_k x^(d-k); the empty matrix gives [1].
     """
-    a = [[Fraction(x) for x in row] for row in rows]
-    d = len(a)
-    if any(len(row) != d for row in a):
-        raise ValueError("matrix is not square")
-    coeffs = [Fraction(1)]
-    m = [[Fraction(0)] * d for _ in range(d)]
-    for k in range(1, d + 1):
-        # M_k = A M_{k-1} + c_{k-1} I
-        am = [
-            [sum(a[i][t] * m[t][j] for t in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-        for i in range(d):
-            am[i][i] += coeffs[k - 1]
-        m = am
-        tr = sum(
-            sum(a[i][t] * m[t][i] for t in range(d)) for i in range(d)
-        )
-        coeffs.append(-tr / k)
+    coeffs = [1]
+    for r in range(len(rows)):
+        # the leading (r+1) x (r+1) block is [[A_r, S], [R, a_rr]]: its
+        # polynomial is the Toeplitz column 1, -a_rr, -R S, -R A_r S, ...,
+        # -R A_r^(r-1) S times that of A_r
+        col, v = [1, -rows[r][r]], [row[r] for row in rows[:r]]
+        for _ in range(r):
+            col.append(-sum(x * y for x, y in zip(rows[r], v)))
+            v = [sum(x * y for x, y in zip(row, v)) for row in rows[:r]]
+        coeffs = [sum(c * col[i - j] for j, c in enumerate(coeffs[:i + 1])) for i in range(r + 2)]
     return coeffs
 
 
 def _check_symmetric_integer(rows) -> list:
+    """The rows as lists of ``int``, once the matrix is checked square
+    (every row first), integer and symmetric."""
     a = [[Fraction(x) for x in row] for row in rows]
     d = len(a)
+    if any(len(row) != d for row in a):
+        raise ValueError("matrix is not square")
     for i in range(d):
-        if len(a[i]) != d:
-            raise ValueError("matrix is not square")
         for j in range(d):
             if a[i][j].denominator != 1:
                 raise ValueError(f"entry ({i},{j}) = {a[i][j]} is not an integer")
             if a[i][j] != a[j][i]:
                 raise NotPSD(f"matrix is not symmetric at ({i},{j})")
-    return a
+    return [[int(x) for x in row] for row in a]
 
 
 def nonzero_eigenvalue_product_exact(rows: Sequence[Sequence]) -> int:
     """Product of the nonzero eigenvalues of a PSD integer matrix, exactly.
 
     This is the absolute value of the lowest nonzero coefficient of the
-    characteristic polynomial, hence a positive integer.  Raises NotPSD when
+    characteristic polynomial (``_char_poly``, integers throughout), hence
+    a positive integer: 1 for a zero or empty matrix.  Raises NotPSD when
     the sign pattern of the (real-rooted) characteristic polynomial reveals
     a negative eigenvalue.
     """
-    a = _check_symmetric_integer(rows)
-    d = len(a)
-    if d == 0:
-        return 1
-    coeffs = _char_poly(a)
+    coeffs = _char_poly(_check_symmetric_integer(rows))
     for k, c in enumerate(coeffs):
         # real-rooted p has all roots >= 0 iff (-1)^k c_k >= 0 for all k
         if (c if k % 2 == 0 else -c) < 0:
             raise NotPSD(f"characteristic coefficient {k} has the wrong sign: {c}")
-    lowest = None
-    for c in reversed(coeffs):
-        if c != 0:
-            lowest = c
-            break
-    value = abs(lowest)
-    assert value.denominator == 1
-    return int(value)
+    return abs(next(c for c in reversed(coeffs) if c))
 
 
 # ---------------------------------------------------------------------------

@@ -250,52 +250,6 @@ def _add_symbol(out: np.ndarray, x, phase, slot) -> None:
         del z
 
 
-def _operator_blocks(
-    delta: RingMatrix,
-    shape: tuple,
-    phase,
-    group: Group = TrivialGroup(),
-    points: Sequence = ((),),
-    part=lambda g: (),
-    real: bool = False,
-) -> np.ndarray:
-    """Stack of count = prod(shape) blocks of left multiplication over a
-    point list, one per character of a grid of the given shape.
-
-    ``phase(g, real)``, the characters at group element g, broadcasts over
-    ``shape`` (``_phase``).  Block entry ((k, u), (l, v)) sums
-    c * phase(g) over the terms c*g of entry (k, l) with
-    ``group.multiply(part(g), points[v]) == points[u]``; the point list must
-    be closed under every slot, the distinct values of ``part(g)``.  Real
-    float64 blocks when ``real``, where every coefficient of delta must be
-    real, complex128 otherwise; shape (count, rows * |points|, cols * |points|).
-    """
-    rows, cols, n = delta.rows, delta.cols, len(points)
-    count = math.prod(shape)
-    slots = list({part(g) for g in delta.support()})
-    slot_index = {s: i for i, s in enumerate(slots)}
-    # symbol[k, l, i]: the part of entry (k, l) on terms g with part(g) = slots[i],
-    # a contiguous grid of count values
-    dtype = np.float64 if real else np.complex128
-    symbol = np.zeros((rows, cols, len(slots)) + shape, dtype=dtype)
-    for k in range(rows):
-        for l in range(cols):
-            _add_symbol(symbol[k, l], delta.entries[k][l], phase, lambda g: slot_index[part(g)])
-    # viewed as (count, rows, cols, slots)
-    symbol = symbol.reshape(rows, cols, len(slots), count).transpose(3, 0, 1, 2)
-    if n == 1 and len(slots) == 1:
-        # one point, fixed by the one slot: the symbol is the block, no copy
-        return symbol[..., 0]
-    index = {x: i for i, x in enumerate(points)}
-    blocks = np.zeros((count, rows, n, cols, n), dtype=symbol.dtype)
-    for i, s in enumerate(slots):
-        # slot s puts its coefficient at (u, v) wherever s * points[v] = points[u];
-        # no two slots share a (u, v), since s * y = x has one solution s
-        targets = [index[group.multiply(s, y)] for y in points]
-        blocks[:, :, targets, :, range(n)] = symbol[..., i]
-    return blocks.reshape(count, rows * n, cols * n)
-
-
 def _is_diagonal(delta: RingMatrix) -> bool:
     """Every off-diagonal entry of the square matrix delta is zero in the ring."""
     d = delta.rows
@@ -311,7 +265,18 @@ def _operator_eigenvalues(
     part=lambda g: (),
     real: bool = False,
 ) -> np.ndarray:
-    """Sorted eigenvalues of the ``_operator_blocks`` stack (same arguments).
+    """Sorted eigenvalues of a stack of count = prod(shape) blocks of left
+    multiplication over a point list, one per character of a grid of the
+    given shape.
+
+    ``phase(g, real)``, the characters at group element g, broadcasts over
+    ``shape`` (``_phase``).  Block entry ((k, u), (l, v)) sums
+    c * phase(g) over the terms c*g of entry (k, l) with
+    ``group.multiply(part(g), points[v]) == points[u]``; the point list must
+    be closed under every slot, the distinct values of ``part(g)``.  Real
+    float64 blocks when ``real``, where every coefficient of delta must be
+    real, complex128 otherwise; shape (count, rows * |points|, cols * |points|).
+    Every such operator is one batched ``eigvalsh``.
 
     At one point the blocks are d x d, and when delta is diagonal
     (``_is_diagonal``) so are they: the eigenvalues are the real parts of
@@ -321,19 +286,43 @@ def _operator_eigenvalues(
     the real part of a Hermitian diagonal, ``?heevd`` reduces a diagonal
     matrix with zero reflectors, and ``dsterf`` returns its 1 x 1 blocks as
     they are.  There a term with a real coefficient reads the real phase
-    (``_add_symbol``).  Every other operator is one batched ``eigvalsh``.
+    (``_add_symbol``).
     """
-    d = delta.rows
-    if len(points) == 1 and _is_diagonal(delta):
+    rows, cols, n = delta.rows, delta.cols, len(points)
+    if n == 1 and _is_diagonal(delta):
         # one array from assembly to sort, each entry assembled in its row
-        w = np.zeros((d,) + shape)
-        for k in range(d):
+        w = np.zeros((rows,) + shape)
+        for k in range(rows):
             _add_symbol(w, delta.entries[k][k], phase, lambda g: k)
         w = w.ravel()
+        w.sort()
+        return w
+    count = math.prod(shape)
+    slots = list({part(g) for g in delta.support()})
+    slot_index = {s: i for i, s in enumerate(slots)}
+    # symbol[k, l, i]: the part of entry (k, l) on terms g with part(g) = slots[i],
+    # a contiguous grid of count values
+    dtype = np.float64 if real else np.complex128
+    symbol = np.zeros((rows, cols, len(slots)) + shape, dtype=dtype)
+    for k in range(rows):
+        for l in range(cols):
+            _add_symbol(symbol[k, l], delta.entries[k][l], phase, lambda g: slot_index[part(g)])
+    # viewed as (count, rows, cols, slots)
+    symbol = symbol.reshape(rows, cols, len(slots), count).transpose(3, 0, 1, 2)
+    if n == 1 and len(slots) == 1:
+        # one point, fixed by the one slot: the symbol is the block, no copy
+        blocks = symbol[..., 0]
     else:
-        w = np.linalg.eigvalsh(
-            _operator_blocks(delta, shape, phase, group, points, part, real)
-        ).ravel()
+        index = {x: i for i, x in enumerate(points)}
+        blocks = np.zeros((count, rows, n, cols, n), dtype=symbol.dtype)
+        for i, s in enumerate(slots):
+            # slot s puts its coefficient at (u, v) wherever s * points[v] = points[u];
+            # no two slots share a (u, v), since s * y = x has one solution s
+            targets = [index[group.multiply(s, y)] for y in points]
+            blocks[:, :, targets, :, range(n)] = symbol[..., i]
+        blocks = blocks.reshape(count, rows * n, cols * n)
+        del symbol  # scattered into the blocks: freed before the solve
+    w = np.linalg.eigvalsh(blocks).ravel()
     w.sort()
     return w
 

@@ -29,7 +29,7 @@ from .errors import (
 from .groups import Homomorphism
 from .matrices import RingMatrix, k_bound
 from .oracles import torus_eigen_result, torus_logdet_report
-from .schemes import TRACE_POWERS, LevelReport, reference_traces
+from .schemes import NORM_SLACK, TRACE_POWERS, LevelReport, reference_traces
 from .spectral import (
     CHUNK,
     EigenResult,
@@ -38,6 +38,10 @@ from .spectral import (
     density_from_eigs,
     finite_spectrum,
 )
+
+# the verdict tolerance of approx --tol, cw --levels, every Context and
+# verify's torus logdet lower bound
+DEFAULT_TOL = 0.02
 
 
 @dataclass
@@ -55,7 +59,7 @@ class Context:
     embedding: Optional[Homomorphism] = None
     grid: Optional[int] = None
     lambda_grid: Sequence[float] = ()
-    tol: float = 0.02
+    tol: float = DEFAULT_TOL
 
     @cached_property
     def oracle_eig(self) -> EigenResult:
@@ -233,7 +237,7 @@ def sintapr(ctx: Context) -> dict:
             raise HypothesisViolated(
                 f"level {rep.level} has logdet {rep.logdet:.6g} < {-tol}"
             )
-        if rep.max_eigenvalue > K + 1e-9:
+        if rep.max_eigenvalue > K + NORM_SLACK:
             raise SchemeError(
                 f"level {rep.level} spectrum exceeds K={K}: {rep.max_eigenvalue}"
             )

@@ -18,7 +18,7 @@ from .groups import CyclicGroup, FreeAbelianGroup, Homomorphism, symmetric_group
 from .matrices import RingMatrix, positive_square
 from .oracles import nonzero_eigenvalue_product_exact, torus_logdet
 from .schemes import QuotientTower, build_boxes_folner, reference_traces, run_folner, run_tower
-from .verdicts import Context, sintapr, squeeze, subgroup, whitehead
+from .verdicts import DEFAULT_TOL, Context, sintapr, squeeze, subgroup, whitehead
 
 DEFAULT_SEED = 20260808
 
@@ -135,7 +135,7 @@ def suite_determinant(seed: int) -> list:
         delta = _random_delta(rng)
         val = torus_logdet(delta, 1024)
         worst = min(worst, val)
-        ok = ok and val >= -0.02
+        ok = ok and val >= -DEFAULT_TOL
     lines.append(CheckLine("torus-logdet-lower-bound", ok, f"min value {worst:.4f}"))
     # semicontinuity hypothesis holds along towers of integer matrices
     delta = _random_delta(rng)

@@ -2,10 +2,11 @@
 
 Left multiplication by a group-ring matrix, built one term and one point at
 a time, and a LAPACK eigensolve behind a float Hermitian check.  The
-library assembles the same operators as stacked character blocks
-(``spectral._operator_blocks``); tests compare the two.  One-point symbols
-(torus grids, products of cyclic groups) are also built here the long way:
-full rows of raveled outer-product phases, summed term by term.
+library assembles the same operators as stacked character blocks and
+solves them in one function (``spectral._operator_eigenvalues``); tests
+compare the two.  One-point symbols (torus grids, products of cyclic
+groups) are also built here the long way: full rows of raveled
+outer-product phases, summed term by term.
 """
 
 from __future__ import annotations

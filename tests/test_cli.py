@@ -13,7 +13,7 @@ from l2approx import cli, cw, oracles, spectral, symmetric_group
 from l2approx.cli import main
 from l2approx.errors import InjectivityUncertified
 from l2approx.schemes import QuotientTower, run_tower
-from l2approx.verify import SUITES, CheckLine
+from l2approx.verify import DEFAULT_SEED, SUITES, CheckLine
 
 from conftest import record_torus_slabs
 
@@ -459,23 +459,21 @@ def test_approx_prints_each_warning_on_one_stderr_line(tmp_path, capsys, z_lapla
 
 def test_verify_all_runs_each_suite_at_the_seed(monkeypatch, capsys):
     """verify all runs every suite in table order at one seed and passes only
-    if every line does; --seed defaults to L2APPROX_SEED, and a malformed
-    L2APPROX_SEED is a usage error like a malformed --seed."""
+    if every line does; --seed alone picks the seed, DEFAULT_SEED without
+    it, whatever the environment holds, and a malformed --seed exits 2."""
     for name in SUITES:
         monkeypatch.setitem(
             SUITES, name, lambda seed, name=name: [CheckLine(f"{name}[{seed}]", True)]
         )
     monkeypatch.setenv("L2APPROX_SEED", "7")
     assert main(["verify", "all"]) == 0
-    expected = [f"PASS {name}[7]" for name in SUITES] + ["PASS suite=all seed=7"]
-    assert capsys.readouterr().out.splitlines() == expected
+    expected = [f"PASS {name}[{DEFAULT_SEED}]" for name in SUITES]
+    assert capsys.readouterr().out.splitlines() == expected + [f"PASS suite=all seed={DEFAULT_SEED}"]
     monkeypatch.setitem(SUITES, "squeeze", lambda seed: [CheckLine("squeeze", False)])
     assert main(["verify", "all", "--seed", "3"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "FAIL suite=all seed=3"
-    monkeypatch.setenv("L2APPROX_SEED", "abc")
-    assert main(["verify", "traces", "--seed", "3"]) == 0
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "traces"])
+        main(["verify", "traces", "--seed", "abc"])
     assert exc.value.code == 2
     assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 

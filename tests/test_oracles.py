@@ -33,6 +33,7 @@ from l2approx.oracles import (
 )
 from l2approx.spectral import _add_symbol, _phase, log_det
 
+from charpoly_reference import faddeev_leverrier
 from conftest import SEED, at_threshold, fixture_complex, record_torus_slabs
 from dense_reference import hermitian_eigenvalues, outer_phase, regular_representation, symbol_stack
 
@@ -45,11 +46,67 @@ def test_char_poly_exact_matches_numpy():
         assert np.allclose(exact, np.poly(a), atol=1e-6)
 
 
+@st.composite
+def _integer_matrices(draw):
+    d = draw(st.integers(0, 10))
+    entries = st.integers(-50, 50) | st.sampled_from([-(2 ** 40), 2 ** 40])
+    return [[draw(entries) for _ in range(d)] for _ in range(d)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(a=_integer_matrices())
+def test_char_poly_is_faddeev_leverrier_in_integers(a):
+    """Berkowitz's recurrence gives Faddeev-LeVerrier's coefficients as
+    ints, c1 = -tr A, and p(A) = 0 exactly (Cayley-Hamilton, by Horner)."""
+    d = len(a)
+    coeffs = _char_poly(a)
+    assert coeffs == faddeev_leverrier(a)
+    assert all(type(c) is int for c in coeffs)
+    assert coeffs[0] == 1 and sum(coeffs[1:2]) == -sum(a[i][i] for i in range(d))
+    p_of_a = [[0] * d for _ in range(d)]
+    for c in coeffs:
+        p_of_a = [
+            [sum(p_of_a[i][t] * a[t][j] for t in range(d)) + c * (i == j) for j in range(d)]
+            for i in range(d)
+        ]
+    assert p_of_a == [[0] * d for _ in range(d)]
+
+
+def _laplacian(n, edges):
+    rows = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        rows[u][u] += 1
+        rows[v][v] += 1
+        rows[u][v] -= 1
+        rows[v][u] -= 1
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 32])
+def test_exact_product_closed_forms(n):
+    """Products of nonzero eigenvalues with closed forms: the Dirichlet path
+    tridiag(-1, 2, -1) on n vertices has det n + 1, the cycle Laplacian on
+    n vertices has det' n^2 (n >= 3), and the Laplacian of K_n has det'
+    n^(n-1) (Kirchhoff: n times its n^(n-2) spanning trees)."""
+    path = _laplacian(n, [(i, i + 1) for i in range(n - 1)])
+    for i in (0, n - 1):
+        path[i][i] += 1  # a grounded vertex beyond each end
+    assert nonzero_eigenvalue_product_exact(path) == n + 1
+    if n >= 3:
+        cycle = _laplacian(n, [(i, (i + 1) % n) for i in range(n)])
+        assert nonzero_eigenvalue_product_exact(cycle) == n * n
+    complete = _laplacian(n, list(itertools.combinations(range(n), 2)))
+    assert nonzero_eigenvalue_product_exact(complete) == n ** (n - 1)
+    assert nonzero_eigenvalue_product_exact([[0] * n for _ in range(n)]) == 1
+
+
 def test_trivial_group_logdet_examples():
     # the trivial-group logdet is the log of this product of nonzero eigenvalues
     assert nonzero_eigenvalue_product_exact([[2]]) == 2
     # char poly of [[1,1],[1,1]] is x^2 - 2x: eigenvalues {0, 2}
-    assert _char_poly([[1, 1], [1, 1]]) == [Fraction(1), Fraction(-2), Fraction(0)]
+    assert _char_poly([[1, 1], [1, 1]]) == [1, -2, 0]
+    assert _char_poly([]) == [1]
+    assert nonzero_eigenvalue_product_exact([]) == 1
     assert nonzero_eigenvalue_product_exact([[1, 1], [1, 1]]) == 2
     for d in (1, 3, 6):
         ident = [[int(i == j) for j in range(d)] for i in range(d)]
@@ -63,6 +120,9 @@ def test_trivial_group_logdet_rejects_bad_input():
         nonzero_eigenvalue_product_exact([[1, 2], [0, 1]])  # not symmetric
     with pytest.raises(ValueError):
         nonzero_eigenvalue_product_exact([["1/2"]])
+    for ragged in ([[1, 2], []], [[1], [1, 2]], [[1, 2]]):
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            nonzero_eigenvalue_product_exact(ragged)
 
 
 def test_integrality_on_random_gram_matrices():
