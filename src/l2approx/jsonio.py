@@ -319,7 +319,8 @@ def parse_problem(obj: dict) -> Problem:
     embedding = parse_homomorphism(group, obj["embedding"]) if "embedding" in obj else None
     lambda_grid = obj.get("lambda_grid")
     if lambda_grid is not None:
-        lambda_grid = _list(lambda_grid, "lambda_grid")
+        if not _list(lambda_grid, "lambda_grid"):
+            raise ProblemFormatError("lambda_grid is empty; leave it out for the default grid")
         # json reads NaN and Infinity, which are not JSON numbers
         if any(type(x) not in (int, float) or not math.isfinite(x) for x in lambda_grid):
             raise ProblemFormatError(f"lambda_grid must be a list of finite numbers, got {shown(lambda_grid)}")

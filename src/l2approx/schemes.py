@@ -189,11 +189,11 @@ def run_tower(
     takes its exact traces and certifies them, so the warnings come in
     scheme order and a trace mismatch fails before any eigensolve.  The
     second solves the levels largest first (a stable sort, so equal orders
-    keep scheme order) and makes each report straight from its spectrum,
-    which the report does not keep: each smaller level is solved next to
-    the larger levels' densities, not their spectra, and a ladder peaks at
-    its top level.  Reports come back in scheme order; a level's wall_time
-    is the sum of its two passes.
+    keep scheme order), cuts each spectrum at the tower's kernel threshold
+    and makes the report straight from it, which the report does not keep:
+    each smaller level is solved next to the larger levels' densities, not
+    their spectra, and a ladder peaks at its top level.  Reports come back
+    in scheme order; a level's wall_time is the sum of its two passes.
     """
     if delta.group != tower.source:
         raise MismatchedGroup(f"matrix over {delta.group}, tower from {tower.source}")
@@ -232,7 +232,7 @@ def run_tower(
         t0 = time.perf_counter()
         rep = LevelReport(
             tower.labels[i],
-            finite_spectrum(delta_i, kernel_threshold=thr),
+            EigenResult(finite_spectrum(delta_i).eigenvalues, delta_i.group.order, thr),
             kb,
             0.0,
             exact_traces,

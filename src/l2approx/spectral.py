@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._lazy import np
 from .errors import InfiniteGroup, NotHermitian, SolveTooLarge
@@ -261,19 +261,18 @@ def _operator_eigenvalues(
     shape: tuple,
     phase,
     group: Group = TrivialGroup(),
-    points: Sequence = ((),),
     part=lambda g: (),
     real: bool = False,
 ) -> np.ndarray:
     """Sorted eigenvalues of a stack of count = prod(shape) blocks of left
-    multiplication over a point list, one per character of a grid of the
-    given shape.
+    multiplication over the points ``group.elements()``, one per character
+    of a grid of the given shape.
 
     ``phase(g, real)``, the characters at group element g, broadcasts over
     ``shape`` (``_phase``).  Block entry ((k, u), (l, v)) sums
     c * phase(g) over the terms c*g of entry (k, l) with
-    ``group.multiply(part(g), points[v]) == points[u]``; the point list must
-    be closed under every slot, the distinct values of ``part(g)``.  Real
+    ``group.multiply(part(g), points[v]) == points[u]``, where every slot,
+    a distinct value of ``part(g)``, is an element of ``group``.  Real
     float64 blocks when ``real``, where every coefficient of delta must be
     real, complex128 otherwise; shape (count, rows * |points|, cols * |points|).
     Every such operator is one batched ``eigvalsh``.
@@ -288,6 +287,7 @@ def _operator_eigenvalues(
     they are.  There a term with a real coefficient reads the real phase
     (``_add_symbol``).
     """
+    points = group.elements()
     rows, cols, n = delta.rows, delta.cols, len(points)
     if n == 1 and _is_diagonal(delta):
         # one array from assembly to sort, each entry assembled in its row
@@ -375,8 +375,10 @@ def _cyclic_angle(e: int, n: int) -> np.ndarray:
     return y
 
 
-def character_spectrum(delta: RingMatrix) -> np.ndarray:
-    """Eigenvalues of the regular representation, block-diagonalised.
+def finite_spectrum(delta: RingMatrix) -> EigenResult:
+    """Spectrum of a self-adjoint matrix over a finite group: the
+    eigenvalues of its regular representation, block-diagonalised, at
+    delta's default kernel threshold.  Self-adjointness is checked exactly.
 
     G splits as H x C with C the product of every cyclic factor of G
     (``_cyclic_split``).  The characters of C block-diagonalise the left
@@ -388,7 +390,10 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
     """
     group = delta.group
     if not group.is_finite:
-        raise InfiniteGroup(f"character spectrum needs a finite group, got {group}")
+        raise InfiniteGroup(f"finite_spectrum needs a finite group, got {group}")
+    if not delta.is_self_adjoint():
+        raise NotHermitian(f"{delta} is not self-adjoint")
+    check_group_solve(group, delta.rows, f"group {group}")
     h_group, orders, h_part, exponents = _cyclic_split(group)
     total = group.order // h_group.order
 
@@ -402,20 +407,5 @@ def character_spectrum(delta: RingMatrix) -> np.ndarray:
         and h_group != TrivialGroup()
         and all(e.is_real() for row in delta.entries for e in row)
     )
-    return _operator_eigenvalues(
-        delta, tuple(orders), phase, h_group, h_group.elements(), h_part, real
-    )
-
-
-def finite_spectrum(delta: RingMatrix, kernel_threshold: Optional[float] = None) -> EigenResult:
-    """Spectrum of a self-adjoint matrix over a finite group, via
-    ``character_spectrum``.  Self-adjointness is checked exactly."""
-    group = delta.group
-    if not group.is_finite:
-        raise InfiniteGroup(f"finite_spectrum needs a finite group, got {group}")
-    if not delta.is_self_adjoint():
-        raise NotHermitian(f"{delta} is not self-adjoint")
-    check_group_solve(group, delta.rows, f"group {group}")
-    if kernel_threshold is None:
-        kernel_threshold = default_kernel_threshold(delta)
-    return EigenResult(character_spectrum(delta), group.order, kernel_threshold)
+    w = _operator_eigenvalues(delta, tuple(orders), phase, h_group, h_part, real)
+    return EigenResult(w, group.order, default_kernel_threshold(delta))

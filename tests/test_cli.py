@@ -675,6 +675,7 @@ HOSTILE_FILES = {
     "lambda-grid-bool": ("density", {**_cyclic_problem(), "lambda_grid": [0.5, True]}),
     "lambda-grid-nan": ("density", {**_cyclic_problem(), "lambda_grid": [0.5, float("nan")]}),
     "lambda-grid-infinity": ("density", {**_cyclic_problem(), "lambda_grid": [float("inf")]}),
+    "lambda-grid-empty": ("approx", _z_problem(lambda_grid=[])),
     "element-map-entry-not-a-pair": (
         "density",
         {

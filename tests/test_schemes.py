@@ -107,6 +107,25 @@ def test_tower_requires_self_adjoint(z_group):
         run_tower(RingMatrix.from_element(1 - t), QuotientTower.zn(1, [4]))
 
 
+def test_tower_levels_are_cut_at_the_towers_threshold(z_group):
+    """Delta = (1/1000)(2 - t - 1/t) + 10^6 (2 - t^4 - t^-4) loses its 10^6
+    part at Z/4, where the spectrum is {0, 0.002, 0.002, 0.004}.  The tower
+    cuts at 1e-9 K(Delta) = 0.004000000004, so the whole level is kernel;
+    the level operator's own default cut, 1e-9, would give F(0) = 1/4."""
+    t, t4 = RingElement.delta(z_group, (1,)), RingElement.delta(z_group, (4,))
+    delta = RingMatrix.from_element(
+        Fraction(1, 1000) * (2 - t - t.star()) + 10 ** 6 * (2 - t4 - t4.star())
+    )
+    tower = QuotientTower.zn(1, [4])
+    level = finite_spectrum(delta.push_forward(tower.levels[0]))
+    assert np.allclose(level.eigenvalues, [0, 0.002, 0.002, 0.004], rtol=0, atol=1e-15)
+    assert level.kernel_end() / level.denom == 0.25
+    assert default_kernel_threshold(delta) == 1e-9 * k_bound(delta) > 0.004
+    with pytest.warns(InjectivityUncertified):
+        (rep,) = run_tower(delta, tower)
+    assert rep.f0 == 1.0 and rep.logdet == 0.0
+
+
 def test_constant_tower_is_stationary(s3):
     rng = random.Random(SEED)
     delta = positive_square(
@@ -144,7 +163,7 @@ def _box_spectrum(delta, m):
 
 def _level_spectrum(delta, phi):
     """The spectrum run_tower solves at the level phi, solved on its own."""
-    return finite_spectrum(delta.push_forward(phi), kernel_threshold=default_kernel_threshold(delta))
+    return at_threshold(finite_spectrum(delta.push_forward(phi)), default_kernel_threshold(delta))
 
 
 def _assert_same_numbers(rep, want):
@@ -849,9 +868,9 @@ def _record_solves(monkeypatch) -> list:
     solved = []
     solve = schemes.finite_spectrum
 
-    def recording(delta, *args, **kwargs):
+    def recording(delta):
         solved.append(delta.group)
-        return solve(delta, *args, **kwargs)
+        return solve(delta)
 
     monkeypatch.setattr(schemes, "finite_spectrum", recording)
     return solved

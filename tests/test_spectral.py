@@ -34,7 +34,7 @@ from l2approx import schemes, spectral, verdicts
 from l2approx.cw import laplacians
 from l2approx.errors import InfiniteGroup, MalformedGroup, NotHermitian
 from l2approx.oracles import torus_eigen_result
-from l2approx.spectral import _cyclic_split, character_spectrum, default_kernel_threshold
+from l2approx.spectral import _cyclic_split, default_kernel_threshold
 from l2approx.verdicts import Context, densities_match
 
 from conftest import (
@@ -181,7 +181,7 @@ def test_character_path_matches_dense():
         for _ in range(5):
             delta = random_self_adjoint(group, rng, d=2)
             dense = hermitian_eigenvalues(regular_representation(delta))
-            chars = character_spectrum(delta)
+            chars = finite_spectrum(delta).eigenvalues
             assert np.allclose(dense, chars, atol=1e-9)
 
 
@@ -571,8 +571,8 @@ def test_square_comparison_density():
     group = CyclicGroup(9)
     for _ in range(10):
         delta = random_self_adjoint(group, rng, d=1)
-        eig = finite_spectrum(delta, kernel_threshold=1e-8)
-        eig_sq = finite_spectrum(delta @ delta, kernel_threshold=1e-8)
+        eig = at_threshold(finite_spectrum(delta), 1e-8)
+        eig_sq = at_threshold(finite_spectrum(delta @ delta), 1e-8)
         scale = max(1.0, eig_sq.max_eigenvalue)
         assert np.allclose(
             eig_sq.eigenvalues,
@@ -749,7 +749,7 @@ def test_block_spectrum_bare_table_keeps_real_dense_solve():
         delta = random_self_adjoint(group, rng, d=2)
         h = regular_representation(delta)
         assert h.dtype == np.float64
-        assert np.array_equal(character_spectrum(delta), np.linalg.eigvalsh(h))
+        assert np.array_equal(finite_spectrum(delta).eigenvalues, np.linalg.eigvalsh(h))
 
 
 def _subgroup_order(group, gens):
@@ -821,7 +821,7 @@ def test_cyclic_split_peels_top_level_factors(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda b: shapes.append(b.shape) or solve(b))
     rng = random.Random(SEED)
     for group in (flat, nested):
-        character_spectrum(random_self_adjoint(group, rng))
+        finite_spectrum(random_self_adjoint(group, rng))
     assert shapes == [(2, 36, 36)] * 2
 
 
@@ -841,9 +841,9 @@ def test_cyclic_split_orders_and_exponents():
 
 
 def _kmesh_character_spectrum(delta):
-    """``character_spectrum`` with every character phase built in the kmesh
-    form: the (|C| x r) matrix of character multi-indices times the
-    exponent / order vector, then one exp."""
+    """``finite_spectrum``'s eigenvalues with every character phase built in
+    the kmesh form: the (|C| x r) matrix of character multi-indices times
+    the exponent / order vector, then one exp."""
     h_group, factors, h_part, exponents = _cyclic_split(delta.group)
     total = delta.group.order // h_group.order
     kmesh = np.indices(factors).reshape(len(factors), total).T.astype(np.float64, order="C")
@@ -859,9 +859,7 @@ def _kmesh_character_spectrum(delta):
         and h_group != TrivialGroup()
         and all(e.is_real() for row in delta.entries for e in row)
     )
-    return spectral._operator_eigenvalues(
-        delta, (total,), phase, h_group, h_group.elements(), h_part, real
-    )
+    return spectral._operator_eigenvalues(delta, (total,), phase, h_group, h_part, real)
 
 
 @pytest.mark.bitwise
@@ -894,7 +892,7 @@ def test_character_phase_is_bitwise_the_kmesh_form(group, monkeypatch):
                 if d == 2:
                     assert not delta.entries[0][1].is_zero()
                 flags.clear()
-                got = character_spectrum(delta)
+                got = finite_spectrum(delta).eigenvalues
                 want = _kmesh_character_spectrum(delta)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
                 if d == 1 and isinstance(group, CyclicGroup):
@@ -1065,7 +1063,7 @@ def test_cyclic_product_phase_is_bitwise_the_outer_product(name):
         quotient = free_abelian_quotient(2, group.factors[0].n)
         cases.append(laplacians(fixture_complex("torus"))[0].push_forward(quotient))
     for delta in cases:
-        got = character_spectrum(delta)
+        got = finite_spectrum(delta).eigenvalues
         want = _outer_cyclic_spectrum(delta)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -1214,13 +1212,13 @@ def test_diagonal_operators_skip_lapack(monkeypatch):
         raise AssertionError("diagonal operator reached LAPACK")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    got = character_spectrum(diagonal)
+    got = finite_spectrum(diagonal).eigenvalues
     monkeypatch.setattr(np.linalg, "eigvalsh", solve)
     assert np.allclose(got, unsplit, rtol=0, atol=1e-12)
-    dense = RingMatrix(group, [[x, a + a.star()], [b + b.star(), y]])
+    dense = RingMatrix(group, [[x, a + b.star()], [b + a.star(), y]])
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or solve(m))
-    character_spectrum(dense)
+    finite_spectrum(dense)
     assert calls == [(12, 2, 2)]
 
 
@@ -1238,12 +1236,18 @@ def test_finite_spectrum_rejects_non_self_adjoint():
     near = RingElement.delta(s3z2, (3, 0), Fraction(1, 3)) + RingElement.delta(
         s3z2, s3z2.inverse((3, 0)), Fraction(333333333333333, 10**15)
     )
+    # a + a* above the diagonal and b + b* below it: each entry is
+    # self-adjoint, the matrix is not, and eigvalsh would read one triangle
+    z3z4 = product_group([CyclicGroup(3), CyclicGroup(4)])
+    a, b = RingElement.delta(z3z4, (1, 0)), RingElement.delta(z3z4, (0, 1))
+    one_z3z4 = RingElement.one(z3z4)
     cases = [
         RingMatrix.from_element(t),
         RingMatrix(z4, [[two, t], [RingElement.zero(z4), two]]),
         RingMatrix.from_element(g + g),
         RingMatrix(s3z2, [[one, g + g.star()], [zero, one]]),
         RingMatrix.from_element(near),
+        RingMatrix(z3z4, [[one_z3z4, a + a.star()], [b + b.star(), one_z3z4]]),
     ]
     for delta in cases:
         assert not delta.is_self_adjoint()
