@@ -1,8 +1,12 @@
 """numpy and scipy's LAPACK wrapper, each loaded on first use.
 
-Reading and validating a problem is exact Python work, so set-up, every
-input error and ``--help`` finish without numpy; a report loads it before
-its first solve.  ``np`` is numpy registered through
+``import l2approx`` loads this module and the description layer
+(``errors``, ``groups``, ``groupring``, ``matrices``, ``jsonio``) and no
+module of the numerics layer.  Reading and validating a problem is exact
+Python work in that layer, so set-up and every input error finish without
+numpy and without a numerics module; ``--help`` imports the numerics
+modules through the CLI but not numpy.  A report loads numpy before its
+first solve.  ``np`` is numpy registered through
 ``importlib.util.LazyLoader``: numpy's ``__init__`` runs on the first
 attribute access, so no library module may touch ``np`` at import time.
 Before Python 3.12 that first access is not guarded by a lock, so two

@@ -22,11 +22,12 @@ import os
 import sys
 import warnings
 
-from . import __version__
+from . import __version__, verdicts
 from .cw import l2_invariants
 from .errors import L2ApproxError, ProblemFormatError, SolveTooLarge, shown
-from .groups import FreeAbelianGroup
+from .groups import FolnerExhaustion, FreeAbelianGroup, QuotientTower, build_boxes_folner
 from .jsonio import (
+    VERDICTS,
     Problem,
     canonical_dumps,
     density_csv,
@@ -36,12 +37,13 @@ from .jsonio import (
     load_json,
     parse_complex,
     parse_problem,
+    require,
 )
 from .matrices import RingMatrix, k_bound, positive_square
 from .oracles import check_torus_grid, torus_eigen_result
-from .schemes import FolnerExhaustion, QuotientTower, build_boxes_folner, run_folner, run_tower
+from .schemes import run_folner, run_tower
 from .spectral import density_from_eigs, finite_spectrum
-from .verdicts import DEFAULT_TOL, VERDICTS, Context, require
+from .verdicts import DEFAULT_TOL, Context
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 EXIT_OK = 0
@@ -226,8 +228,8 @@ def cmd_approx(args) -> int:
     )
     if ctx.oracle is not None and "whitehead" not in checks:
         report["oracle"] = ctx.oracle
-    verdicts = {name: verdict(ctx) for name, (_, _, verdict) in VERDICTS.items() if name in checks}
-    report["verdicts"] = verdicts
+    results = {name: getattr(verdicts, name)(ctx) for name in VERDICTS if name in checks}
+    report["verdicts"] = results
     if reports:
         report["levels"] = [
             level_report_to_json(
@@ -236,7 +238,7 @@ def cmd_approx(args) -> int:
             for rep in reports
         ]
     _write_output(canonical_dumps(report) + "\n", args.output)
-    return EXIT_OK if all(v["ok"] for v in verdicts.values()) else EXIT_PROPERTY
+    return EXIT_OK if all(v["ok"] for v in results.values()) else EXIT_PROPERTY
 
 
 def cmd_cw(args) -> int:

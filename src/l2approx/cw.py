@@ -1,11 +1,11 @@
 """Cellular chain complexes over group rings and their L2 invariants.
 
-A complex is a list of cell counts per degree plus boundary matrices; the
-degree-p Laplacian combines the boundary leaving degree p and the boundary
-entering it.  Invariants per degree (kernel mass, log determinant) come from
-either the torus oracle (free abelian groups), the exact finite-group
-spectrum, or a quotient tower, and combine into torsion when the complex is
-L2-acyclic.
+A complex is a list of cell counts per degree plus boundary matrices
+(``matrices.ChainComplexSpec``); the degree-p Laplacian combines the
+boundary leaving degree p and the boundary entering it.  Invariants per
+degree (kernel mass, log determinant) come from either the torus oracle
+(free abelian groups), the exact finite-group spectrum, or a quotient
+tower, and combine into torsion when the complex is L2-acyclic.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotAComplex, ProblemFormatError, SchemeError
-from .groups import FreeAbelianGroup, Group
-from .matrices import RingMatrix, laplacian
+from .groups import FreeAbelianGroup
+from .matrices import ChainComplexSpec, RingMatrix, laplacian
 from .oracles import check_torus_grid, torus_kernel_logdet
 from .schemes import QuotientTower, run_tower
 from .spectral import (
@@ -30,36 +30,6 @@ from .spectral import (
 from .verdicts import DEFAULT_TOL, Context, sintapr
 
 ACYCLICITY_TOL = 0.01
-
-
-@dataclass(frozen=True)
-class ChainComplexSpec:
-    """Cell counts per degree and boundary maps boundaries[p]: C_{p+1} -> C_p."""
-
-    group: Group
-    dims: tuple
-    boundaries: tuple
-
-    def __post_init__(self):
-        if len(self.boundaries) != max(0, len(self.dims) - 1):
-            raise NotAComplex(
-                None,
-                f"{len(self.dims)} degrees need {max(0, len(self.dims) - 1)} boundaries, "
-                f"got {len(self.boundaries)}",
-            )
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.dims) - 1
-
-    def boundary(self, p: int) -> RingMatrix:
-        """The boundary map C_p -> C_{p-1}, 0 <= p <= top + 1; the two ends
-        are zero maps, out of C_0 and into C_top."""
-        if p == 0:
-            return RingMatrix.zero(self.group, 0, self.dims[0])
-        if p == len(self.dims):
-            return RingMatrix.zero(self.group, self.dims[-1], 0)
-        return self.boundaries[p - 1]
 
 
 def validate(spec: ChainComplexSpec) -> None:

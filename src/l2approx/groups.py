@@ -13,6 +13,10 @@ Elements are plain hashable payloads whose shape depends on the group:
 
 Two elements are equal iff their payloads are identical, so payloads can be
 used directly as dict keys.
+
+The approximation schemes are described here too, as groups and maps: a
+quotient tower is a list of surjections onto finite groups, a Folner
+exhaustion a list of boxes in Z^n.  Running them is ``schemes``' work.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from .errors import (
     InfiniteGroup,
     MalformedGroup,
     MismatchedGroup,
+    SchemeError,
     UndefinedGenerator,
+    WrongGroup,
     shown,
 )
 
@@ -565,3 +571,66 @@ def free_abelian_quotient(rank: int, moduli) -> Homomorphism:
     units = [tuple(int(j == k) % n for j, n in enumerate(moduli)) for k in range(rank)]
     images = [u[0] for u in units] if rank == 1 else units
     return Homomorphism(FreeAbelianGroup(rank), target, generator_images=images)
+
+
+# ---------------------------------------------------------------------------
+# scheme descriptions
+# ---------------------------------------------------------------------------
+
+class QuotientTower:
+    """An ordered family of surjections from one group onto finite groups."""
+
+    kind, key = "tower", "levels"  # its scheme type and the report key of its labels
+
+    def __init__(self, source: Group, levels: Sequence[Homomorphism], labels=None):
+        levels = list(levels)
+        for phi in levels:
+            if phi.source != source:
+                raise MismatchedGroup(f"level source {phi.source} != {source}")
+            if not phi.target.is_finite:
+                raise SchemeError(f"tower target {phi.target} is not finite")
+        self.source = source
+        self.levels = levels
+        self.labels = list(labels) if labels is not None else list(range(len(levels)))
+        if len(self.labels) != len(levels):
+            raise SchemeError("labels length does not match levels")
+
+    @staticmethod
+    def zn(rank: int, moduli: Sequence[int]) -> "QuotientTower":
+        """The standard tower Z^rank -> (Z/N)^rank for N in moduli."""
+        homs = [free_abelian_quotient(rank, int(n)) for n in moduli]
+        return QuotientTower(FreeAbelianGroup(rank), homs, labels=[int(n) for n in moduli])
+
+
+class FolnerExhaustion:
+    """The boxes [-m, m]^n in Z^n with the sup-norm word metric, for
+    strictly increasing m."""
+
+    kind, key = "folner", "boxes"
+
+    def __init__(self, group: Group, box_sizes):
+        if not isinstance(group, FreeAbelianGroup):
+            raise WrongGroup(f"Folner exhaustions are built in for Z^n only, got {group}")
+        sizes = [int(m) for m in box_sizes]
+        if any(m < 0 for m in sizes) or any(a >= b for a, b in zip(sizes, sizes[1:])):
+            raise SchemeError("box sizes must be strictly increasing and >= 0")
+        self.group = group
+        self.labels = sizes
+
+    def defect(self, index: int, k: int) -> float:
+        """|N_k(X)| / |X| where N_k(X) is the two-sided k-collar of the
+        boundary: points within distance k of both X and its complement."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        if k == 0:
+            return 0.0
+        n = self.group.rank
+        m = self.labels[index]
+        outer = (2 * (m + k) + 1) ** n
+        inner = (2 * (m - k) + 1) ** n if m - k >= 0 else 0
+        return (outer - inner) / (2 * m + 1) ** n
+
+
+def build_boxes_folner(rank: int, m_values: Sequence[int]) -> FolnerExhaustion:
+    """Boxes [-m, m]^rank for the given strictly increasing m values."""
+    return FolnerExhaustion(FreeAbelianGroup(rank), box_sizes=m_values)

@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-from .cw import ChainComplexSpec
 from .errors import (
     DimensionMismatch,
     MalformedGroup,
@@ -37,12 +36,12 @@ from .groups import (
     FreeGroup,
     Group,
     Homomorphism,
+    QuotientTower,
     TrivialGroup,
+    build_boxes_folner,
     product_group,
 )
-from .matrices import RingMatrix
-from .schemes import QuotientTower, build_boxes_folner
-from .verdicts import VERDICTS
+from .matrices import ChainComplexSpec, RingMatrix
 
 
 def _int(x, what: str) -> int:
@@ -287,6 +286,44 @@ def parse_scheme(group: Group, obj):
 # ---------------------------------------------------------------------------
 # problems and complexes
 # ---------------------------------------------------------------------------
+
+# the checks a problem may name: name -> (schemes that serve it, None
+# meaning no scheme; what it needs beyond them), in evaluation order.
+# ``verdicts`` has one function of each name.
+VERDICTS = {
+    "subgroup": ((None, "tower", "folner"), "embedding"),
+    "whitehead": (("tower",), "inverse"),
+    "complex": (("tower",), "oracle"),
+    "squeeze": (("tower",), "oracle"),
+    "sintapr": (("tower",), None),
+    "traces": (("folner",), None),
+    "norms": (("tower", "folner"), None),
+}
+
+# each need and the input error of a check that lacks it
+NEEDS = {
+    "embedding": "{} check needs an 'embedding'",
+    "inverse": "{} check needs an 'inverse' matrix",
+    "oracle": "{} needs a self-adjoint matrix over a free abelian group",
+}
+
+
+def require(checks, kind: Optional[str], **have: bool) -> None:
+    """Raise the input error of the first of ``checks`` that a scheme of
+    this kind (None: no scheme) does not serve, else of the first, in table
+    order, whose need ``have`` marks false."""
+    for name in checks:
+        schemes = VERDICTS[name][0]
+        if kind not in schemes:
+            raise ProblemFormatError(
+                f"{name} check needs a {schemes[0]} scheme"
+                if kind
+                else "no scheme given (problem 'scheme' or --levels/--boxes)"
+            )
+    for name, (_, need) in VERDICTS.items():
+        if name in checks and need is not None and not have[need]:
+            raise ProblemFormatError(NEEDS[need].format(name))
+
 
 @dataclass
 class Problem:

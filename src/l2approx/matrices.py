@@ -2,14 +2,17 @@
 
 Covers the operator-level plumbing: adjoints, products, the positive square
 A*A, combinatorial Laplacians assembled from boundary maps, the a-priori
-operator-norm bound, and the exact von Neumann trace.
+operator-norm bound, and the exact von Neumann trace; and the description of
+a cellular chain complex by its boundary matrices, whose invariants ``cw``
+computes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DimensionMismatch, MismatchedGroup
+from .errors import DimensionMismatch, MismatchedGroup, NotAComplex
 from .groupring import GaussianRational, RingElement
 from .groups import Group, Homomorphism
 
@@ -184,3 +187,33 @@ def trace(delta: RingMatrix) -> GaussianRational:
     for i in range(delta.rows):
         acc = acc + delta.entries[i][i].trace_coeff()
     return acc
+
+
+@dataclass(frozen=True)
+class ChainComplexSpec:
+    """Cell counts per degree and boundary maps boundaries[p]: C_{p+1} -> C_p."""
+
+    group: Group
+    dims: tuple
+    boundaries: tuple
+
+    def __post_init__(self):
+        if len(self.boundaries) != max(0, len(self.dims) - 1):
+            raise NotAComplex(
+                None,
+                f"{len(self.dims)} degrees need {max(0, len(self.dims) - 1)} boundaries, "
+                f"got {len(self.boundaries)}",
+            )
+
+    @property
+    def top_degree(self) -> int:
+        return len(self.dims) - 1
+
+    def boundary(self, p: int) -> RingMatrix:
+        """The boundary map C_p -> C_{p-1}, 0 <= p <= top + 1; the two ends
+        are zero maps, out of C_0 and into C_top."""
+        if p == 0:
+            return RingMatrix.zero(self.group, 0, self.dims[0])
+        if p == len(self.dims):
+            return RingMatrix.zero(self.group, self.dims[-1], 0)
+        return self.boundaries[p - 1]

@@ -3,8 +3,8 @@
 Two pipelines produce per-level spectral reports for a positive self-adjoint
 group-ring matrix: quotient towers (push the matrix onto finite quotients,
 take the regular representation) and box Folner exhaustions over Z^n
-(band compressions of the operator to boxes).  The verdicts on the
-reports live in ``verdicts``.
+(band compressions of the operator to boxes).  The schemes themselves are
+described in ``groups``; the verdicts on the reports live in ``verdicts``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import warnings
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Optional
 
 from ._lazy import flapack, np
 from .errors import (
@@ -23,10 +23,9 @@ from .errors import (
     InjectivityUncertified,
     MismatchedGroup,
     SchemeError,
-    WrongGroup,
 )
 from .groupring import GaussianRational
-from .groups import FreeAbelianGroup, Group, Homomorphism, free_abelian_quotient
+from .groups import FolnerExhaustion, QuotientTower
 from .matrices import RingMatrix, k_bound, trace
 from .spectral import (
     EigenResult,
@@ -41,69 +40,6 @@ from .spectral import (
 NORM_SLACK = 1e-9
 # powers m of Delta whose exact traces every tower and Folner level reports
 TRACE_POWERS = (1, 2, 3)
-
-
-# ---------------------------------------------------------------------------
-# scheme descriptions
-# ---------------------------------------------------------------------------
-
-class QuotientTower:
-    """An ordered family of surjections from one group onto finite groups."""
-
-    kind, key = "tower", "levels"  # its scheme type and the report key of its labels
-
-    def __init__(self, source: Group, levels: Sequence[Homomorphism], labels=None):
-        levels = list(levels)
-        for phi in levels:
-            if phi.source != source:
-                raise MismatchedGroup(f"level source {phi.source} != {source}")
-            if not phi.target.is_finite:
-                raise SchemeError(f"tower target {phi.target} is not finite")
-        self.source = source
-        self.levels = levels
-        self.labels = list(labels) if labels is not None else list(range(len(levels)))
-        if len(self.labels) != len(levels):
-            raise SchemeError("labels length does not match levels")
-
-    @staticmethod
-    def zn(rank: int, moduli: Sequence[int]) -> "QuotientTower":
-        """The standard tower Z^rank -> (Z/N)^rank for N in moduli."""
-        homs = [free_abelian_quotient(rank, int(n)) for n in moduli]
-        return QuotientTower(FreeAbelianGroup(rank), homs, labels=[int(n) for n in moduli])
-
-
-class FolnerExhaustion:
-    """The boxes [-m, m]^n in Z^n with the sup-norm word metric, for
-    strictly increasing m."""
-
-    kind, key = "folner", "boxes"
-
-    def __init__(self, group: Group, box_sizes):
-        if not isinstance(group, FreeAbelianGroup):
-            raise WrongGroup(f"Folner exhaustions are built in for Z^n only, got {group}")
-        sizes = [int(m) for m in box_sizes]
-        if any(m < 0 for m in sizes) or any(a >= b for a, b in zip(sizes, sizes[1:])):
-            raise SchemeError("box sizes must be strictly increasing and >= 0")
-        self.group = group
-        self.labels = sizes
-
-    def defect(self, index: int, k: int) -> float:
-        """|N_k(X)| / |X| where N_k(X) is the two-sided k-collar of the
-        boundary: points within distance k of both X and its complement."""
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if k == 0:
-            return 0.0
-        n = self.group.rank
-        m = self.labels[index]
-        outer = (2 * (m + k) + 1) ** n
-        inner = (2 * (m - k) + 1) ** n if m - k >= 0 else 0
-        return (outer - inner) / (2 * m + 1) ** n
-
-
-def build_boxes_folner(rank: int, m_values: Sequence[int]) -> FolnerExhaustion:
-    """Boxes [-m, m]^rank for the given strictly increasing m values."""
-    return FolnerExhaustion(FreeAbelianGroup(rank), box_sizes=m_values)
 
 
 # ---------------------------------------------------------------------------

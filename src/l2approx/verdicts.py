@@ -5,8 +5,9 @@ Every verdict is one function of one ``Context`` and returns a dict with
 Whitehead determinant of an invertible matrix, the kernel comparison for
 complex coefficients, the two-sided density squeeze against an oracle, the
 determinant semicontinuity estimate, the Folner trace gaps and the norm
-bounds.  ``VERDICTS`` names each one with the schemes that serve it and
-what it needs beyond them, in the order a run evaluates them.
+bounds.  Each function is named after its check: ``jsonio.VERDICTS`` lists
+the names with the schemes that serve each and what it needs beyond them,
+in the order a run evaluates them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import (
     InsufficientLevels,
     MalformedGroup,
     NotInverse,
-    ProblemFormatError,
     SchemeError,
 )
 from .groups import Homomorphism
@@ -297,40 +297,3 @@ def norms(ctx: Context) -> dict:
         "k_bound": k_bound(ctx.matrix),
         "max_eigenvalue": max(rep.max_eigenvalue for rep in ctx.reports),
     }
-
-
-# name -> (schemes that serve it, None meaning no scheme; what it needs
-# beyond them; the verdict), in evaluation order
-VERDICTS = {
-    "subgroup": ((None, "tower", "folner"), "embedding", subgroup),
-    "whitehead": (("tower",), "inverse", whitehead),
-    "complex": (("tower",), "oracle", complex),
-    "squeeze": (("tower",), "oracle", squeeze),
-    "sintapr": (("tower",), None, sintapr),
-    "traces": (("folner",), None, traces),
-    "norms": (("tower", "folner"), None, norms),
-}
-
-# each need and the input error of a verdict that lacks it
-NEEDS = {
-    "embedding": "{} check needs an 'embedding'",
-    "inverse": "{} check needs an 'inverse' matrix",
-    "oracle": "{} needs a self-adjoint matrix over a free abelian group",
-}
-
-
-def require(checks, kind: Optional[str], **have: bool) -> None:
-    """Raise the input error of the first of ``checks`` that a scheme of
-    this kind (None: no scheme) does not serve, else of the first, in table
-    order, whose need ``have`` marks false."""
-    for name in checks:
-        schemes = VERDICTS[name][0]
-        if kind not in schemes:
-            raise ProblemFormatError(
-                f"{name} check needs a {schemes[0]} scheme"
-                if kind
-                else "no scheme given (problem 'scheme' or --levels/--boxes)"
-            )
-    for name, (_, need, _) in VERDICTS.items():
-        if name in checks and need is not None and not have[need]:
-            raise ProblemFormatError(NEEDS[need].format(name))

@@ -14,10 +14,17 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .groupring import RingElement
-from .groups import CyclicGroup, FreeAbelianGroup, Homomorphism, symmetric_group
+from .groups import (
+    CyclicGroup,
+    FreeAbelianGroup,
+    Homomorphism,
+    QuotientTower,
+    build_boxes_folner,
+    symmetric_group,
+)
 from .matrices import RingMatrix, positive_square
 from .oracles import nonzero_eigenvalue_product_exact, torus_logdet
-from .schemes import QuotientTower, build_boxes_folner, reference_traces, run_folner, run_tower
+from .schemes import reference_traces, run_folner, run_tower
 from .verdicts import DEFAULT_TOL, Context, sintapr, squeeze, subgroup, whitehead
 
 DEFAULT_SEED = 20260808

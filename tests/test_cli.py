@@ -12,7 +12,8 @@ import pytest
 from l2approx import cli, cw, oracles, spectral, symmetric_group
 from l2approx.cli import main
 from l2approx.errors import InjectivityUncertified
-from l2approx.schemes import QuotientTower, run_tower
+from l2approx.groups import QuotientTower
+from l2approx.schemes import run_tower
 from l2approx.verify import DEFAULT_SEED, SUITES, CheckLine
 
 from conftest import record_torus_slabs

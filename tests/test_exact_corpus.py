@@ -28,7 +28,8 @@ import pytest
 from l2approx import FreeAbelianGroup, QuotientTower, RingElement, RingMatrix, density_from_eigs
 from l2approx.cw import l2_invariants
 from l2approx.oracles import torus_eigen_result
-from l2approx.schemes import build_boxes_folner, run_folner, run_tower
+from l2approx.groups import build_boxes_folner
+from l2approx.schemes import run_folner, run_tower
 
 from conftest import fixture_complex
 

@@ -1,11 +1,13 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
-from l2approx.verdicts import VERDICTS
+from l2approx import verdicts
+from l2approx.jsonio import VERDICTS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "l2approx"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -30,7 +32,8 @@ def test_no_unused_imports(path):
 def test_exports_have_a_library_caller():
     """Every public module-level function or class of every library module
     is named in some library module, so no public name is reached by tests
-    alone."""
+    alone.  A verdict is named by its row of ``VERDICTS``: cmd_approx runs
+    it as ``getattr(verdicts, name)``."""
     public = set()
     named = set()
     for path in MODULES:
@@ -45,6 +48,7 @@ def test_exports_have_a_library_caller():
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+    named |= set(VERDICTS)
     uncalled = public - named
     assert uncalled == set(), f"public names with no library caller: {sorted(uncalled)}"
 
@@ -52,11 +56,13 @@ def test_exports_have_a_library_caller():
 def test_cmd_approx_picks_its_verdicts_from_the_table():
     """cmd_approx names no check but whitehead, which picks the operator and
     where the oracle is reported: every check is validated and run through
-    ``VERDICTS``, so a new verdict touches only verdicts.py."""
+    ``VERDICTS``, whose every name is a function of ``verdicts``, so a new
+    verdict is one function and one table row."""
     tree = ast.parse((SRC / "cli.py").read_text())
     cmd = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "cmd_approx")
     named = {n.value for n in ast.walk(cmd) if isinstance(n, ast.Constant) and n.value in VERDICTS}
     assert named == {"whitehead"}
+    assert all(inspect.isfunction(getattr(verdicts, name, None)) for name in VERDICTS)
 
 
 def _import_time_nodes(tree):
@@ -97,3 +103,34 @@ def test_groups_never_touches_numpy():
     lazy = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == "_lazy"]
     named = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "np"]
     assert not lazy and not named, f"groups.py imports _lazy at {lazy}, names np at {named}"
+
+
+NUMERICS = {"spectral", "schemes", "oracles", "verdicts", "cw", "verify"}
+
+
+def _imported_modules(node):
+    """The dotted modules an import statement may load; a relative import
+    resolves inside l2approx, and ``from . import x`` may load l2approx.x."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not node.level:
+        return [node.module]
+    base = ".".join(filter(None, ["l2approx", node.module]))
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+@pytest.mark.parametrize("name", ["errors", "groups", "groupring", "matrices", "jsonio"])
+def test_description_layer_never_imports_the_numerics(name):
+    """Reading and validating a problem needs only groups, ring elements and
+    matrices: no description module imports a numerics module at module
+    level, so ``import l2approx`` and set-up never load one."""
+    path = SRC / f"{name}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    eager = [
+        f"{module} (line {node.lineno})"
+        for node in _import_time_nodes(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for module in _imported_modules(node)
+        if module.startswith("l2approx.") and module.split(".")[1] in NUMERICS
+    ]
+    assert not eager, f"{name}.py imports at module level: {eager}"

@@ -38,7 +38,7 @@ from l2approx.jsonio import (
     parse_scheme,
     rational_to_json,
 )
-from l2approx.schemes import FolnerExhaustion, QuotientTower
+from l2approx.groups import FolnerExhaustion, QuotientTower
 
 from conftest import (
     density_of_counts,
