@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -358,8 +359,9 @@ def parse_problem(obj: dict) -> Problem:
     if lambda_grid is not None:
         if not _list(lambda_grid, "lambda_grid"):
             raise ProblemFormatError("lambda_grid is empty; leave it out for the default grid")
-        # json reads NaN and Infinity, which are not JSON numbers
-        if any(type(x) not in (int, float) or not math.isfinite(x) for x in lambda_grid):
+        # json reads NaN and Infinity, which are not JSON numbers, and
+        # integers beyond every float, which float() cannot convert
+        if any(type(x) not in (int, float) or not abs(x) <= sys.float_info.max for x in lambda_grid):
             raise ProblemFormatError(f"lambda_grid must be a list of finite numbers, got {shown(lambda_grid)}")
         lambda_grid = [float(x) for x in lambda_grid]
     checks = obj.get("checks")

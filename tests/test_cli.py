@@ -190,6 +190,16 @@ def test_approx_zd_fixture(tmp_path):
     assert f0[:3] == [1 / 8, 1 / 16, 1 / 32]
     assert "oracle" in report and abs(report["oracle"]["value"]) < 0.01
     assert "wall_time" not in report["levels"][0]
+    # one oracle solve serves the report and every verdict: on the tower
+    # Z/256, Z/512, Z/1024 under sintapr alone, the report's oracle value is
+    # the one the verdict compared against
+    problem = json.loads((FIXTURES / "zd_laplacian.json").read_text())
+    del problem["oracle"], problem["lambda_grid"]
+    problem.update(scheme={"type": "tower", "levels": [256, 512, 1024]}, checks=["sintapr"])
+    (tmp_path / "sintapr.json").write_text(json.dumps(problem))
+    assert main(["approx", str(tmp_path / "sintapr.json"), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["oracle"]["value"] == report["verdicts"]["sintapr"]["oracle_logdet"]
 
 
 @pytest.mark.parametrize(
@@ -348,6 +358,10 @@ def test_cw_torus(tmp_path):
     report = json.loads(out.read_text())
     assert all(b <= 0.02 for b in report["betti"])
     assert abs(report["torsion"]) <= 0.02
+    # the tower route: determinant class in every degree
+    assert main(["cw", fixture_path("torus.json"), "--levels", "4,8,16", "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["det_class"] == [True, True, True]
 
 
 def test_cw_point(tmp_path):
@@ -676,6 +690,7 @@ HOSTILE_FILES = {
     "lambda-grid-bool": ("density", {**_cyclic_problem(), "lambda_grid": [0.5, True]}),
     "lambda-grid-nan": ("density", {**_cyclic_problem(), "lambda_grid": [0.5, float("nan")]}),
     "lambda-grid-infinity": ("density", {**_cyclic_problem(), "lambda_grid": [float("inf")]}),
+    "lambda-grid-int-beyond-float": ("density", {**_cyclic_problem(), "lambda_grid": [10**400]}),
     "lambda-grid-empty": ("approx", _z_problem(lambda_grid=[])),
     "element-map-entry-not-a-pair": (
         "density",
@@ -1311,6 +1326,8 @@ def test_density_json_mode(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["total_mass"] == 1
     assert math.isclose(sum(j["mass"] for j in payload["jumps"]), 1.0)
+    # the oracle's midpoint grid never hits the symbol's kernel: F(0) = 0
+    assert sum(j["mass"] for j in payload["jumps"] if j["lambda"] <= 0) == 0
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from l2approx import verdicts
 from l2approx.jsonio import VERDICTS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "l2approx"
+WORKFLOWS = sorted((SRC.parents[1] / ".github" / "workflows").glob("*.yml"))
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -134,3 +135,39 @@ def test_description_layer_never_imports_the_numerics(name):
         if module.startswith("l2approx.") and module.split(".")[1] in NUMERICS
     ]
     assert not eager, f"{name}.py imports at module level: {eager}"
+
+
+def _run_blocks(text):
+    """Each ``run:`` of a workflow as its list of command lines: the rest
+    of its line, or the non-blank lines of its block scalar (``run: |``),
+    which are indented past the key."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        key = line.lstrip(" -")
+        if not key.startswith("run:"):
+            continue
+        value = key[len("run:"):].strip()
+        if not value.startswith(("|", ">")):
+            yield [value]
+            continue
+        column = len(line) - len(key)
+        block = []
+        for body in lines[i + 1:]:
+            if body.strip() and len(body) - len(body.lstrip()) <= column:
+                break
+            if body.strip():
+                block.append(body)
+        yield block
+
+
+def test_workflow_steps_are_short_commands():
+    """A check belongs in tier-1, where every run sees it: no ``run:`` of a
+    CI workflow holds a heredoc or spans more than 15 lines."""
+    assert WORKFLOWS
+    long = [
+        f"{path.name}: {block[0].strip()}"
+        for path in WORKFLOWS
+        for block in _run_blocks(path.read_text())
+        if len(block) > 15 or any("<<" in line for line in block)
+    ]
+    assert not long, f"steps with a heredoc or over 15 lines: {long}"

@@ -82,7 +82,7 @@ def _laplacian(n, edges):
     return rows
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 32])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 32, 48])
 def test_exact_product_closed_forms(n):
     """Products of nonzero eigenvalues with closed forms: the Dirichlet path
     tridiag(-1, 2, -1) on n vertices has det n + 1, the cycle Laplacian on

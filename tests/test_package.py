@@ -134,3 +134,65 @@ def test_python_dash_m_runs_the_cli():
     result = _python("-m", "l2approx", "--help", text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: l2approx ")
+
+
+# A child's peak RSS counts its parent's resident pages at the fork, so each
+# command runs from this small interpreter, never from the test process.
+PEAK_PROBE = """
+import json, os, subprocess, sys
+for args in json.loads(sys.argv[1]):
+    child = subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, (args, status)
+    print(usage.ru_maxrss * 1024)  # kilobytes on Linux
+"""
+
+
+def test_cli_peak_memory_stays_near_the_numpy_import(tmp_path):
+    """Peak RSS of CLI runs above a bare ``import l2approx.cli,
+    numpy.linalg`` (numpy loads on first numeric use, so the CLI import
+    alone does not load it).
+
+    cw solves each distinct direct summand once, a slab of 2^16 eigenvalues
+    at a time, so its memory does not grow with the grid: cw on the torus at
+    grid 1024 and at grid 1448 peaks at most 8 MB above the import (1.2-1.7
+    MB at both grids; one whole-grid spectrum took 8.8 and 17.0 MB), and
+    grid 1448 peaks less than 1 MB above grid 1024.
+
+    A tower level adds its symbol into its spectrum a chunk at a time and
+    builds its density after its logdet and moments: approx on one Z/2^20
+    level of 2 - t - 1/t, norms only, peaks at most 2.75 times its
+    eigenvalue bytes above the import (2.26-2.29 times, plus a margin of
+    0.5; whole-array symbol updates with the density built first took 3.25,
+    a density built by concatenation 4.7).
+
+    A report keeps its density, not its spectrum, and the largest level is
+    solved first, so a ladder peaks at its top level: approx on Z/2^10 ...
+    Z/2^18, norms only, peaks less than 1 MB above the single level Z/2^18
+    (0.5-0.7 MB; 3.7-4.1 MB with every spectrum kept and the levels
+    solved in scheme order)."""
+    laplacian = [{"word": [0], "re": 2}, {"word": [1], "re": -1}, {"word": [-1], "re": -1}]
+    problems = {"level": [2 ** 20], "ladder": [2 ** k for k in range(10, 19)], "top": [2 ** 18]}
+    for name, levels in problems.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({
+            "group": {"type": "free_abelian", "rank": 1},
+            "matrix": {"entries": [[laplacian]]},
+            "scheme": {"type": "tower", "levels": levels},
+            "checks": ["norms"],
+        }))
+    torus = str(FIXTURES / "torus.json")
+    commands = [
+        ["-c", "import l2approx.cli, numpy.linalg"],
+        ["-m", "l2approx", "cw", torus, "--grid", "1024"],
+        ["-m", "l2approx", "cw", torus, "--grid", "1448"],
+        *(["-m", "l2approx", "approx", str(tmp_path / f"{name}.json")] for name in problems),
+    ]
+    result = _python("-c", PEAK_PROBE, json.dumps(commands), text=True)
+    assert result.returncode == 0, result.stderr
+    base, small, large, level, ladder, top = map(int, result.stdout.split())
+    limit = 8 * 2 ** 20
+    assert max(small, large) - base <= limit, (small, large, base, limit)
+    assert large - small < 2 ** 20, (large, small)
+    limit = 2.75 * 8 * 2 ** 20
+    assert level - base <= limit, (level, base, limit)
+    assert ladder - top < 2 ** 20, (ladder, top)

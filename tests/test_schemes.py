@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -28,6 +29,7 @@ from l2approx import (
     run_folner,
     run_tower,
 )
+from l2approx.cli import main
 from l2approx.cw import laplacians
 from l2approx.errors import (
     BoxTooLarge,
@@ -331,10 +333,11 @@ def test_run_folner_edge_cases(z_group):
         assert abs(rep.max_eigenvalue - expected[-1]) <= 1e-12
 
 
-def test_no_row_matrix_folner_matches_tower(z_group):
+def test_no_row_matrix_folner_matches_tower(z_group, tmp_path, capsys):
     """A matrix with no rows has a (1, 0) band, which solves to no
     eigenvalues: each Folner box reports what the tower level of as many
-    points reports, an empty spectrum of mass 0."""
+    points reports, an empty spectrum of mass 0, and the CLI's approx and
+    density exit 0 on it."""
     empty = RingMatrix.zero(z_group, 0, 0)
     assert _band(empty, 2).shape == (1, 0)
     folner = run_folner(empty, build_boxes_folner(1, [0, 2]))
@@ -344,6 +347,15 @@ def test_no_row_matrix_folner_matches_tower(z_group):
             assert getattr(box, name) == getattr(level, name), name
         assert box.density.jumps == level.density.jumps == ()
         assert box.matrix_size == 0 and box.density.total_mass == 0.0
+    problem = tmp_path / "no_rows.json"
+    problem.write_text(json.dumps({
+        "group": {"type": "free_abelian", "rank": 1},
+        "matrix": {"rows": 0, "cols": 0, "entries": []},
+        "scheme": {"type": "folner", "boxes": [2, 4]},
+    }))
+    assert main(["approx", str(problem)]) == 0
+    assert main(["density", str(problem), "--level", "2"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.bitwise
