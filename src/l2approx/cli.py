@@ -41,7 +41,7 @@ from .jsonio import (
 )
 from .matrices import RingMatrix, k_bound, positive_square
 from .oracles import check_torus_grid, torus_eigen_result
-from .schemes import run_folner, run_tower
+from .schemes import check_tower_caps, run_folner, run_tower
 from .spectral import density_from_eigs, finite_spectrum
 from .verdicts import DEFAULT_TOL, Context
 from .verify import DEFAULT_SEED, SUITES, run_suite
@@ -217,6 +217,9 @@ def cmd_approx(args) -> int:
             "eps_ker": args.eps_ker,
         },
     }
+    if kind == "tower":  # every cap, then the level count the checks need, before any level runs
+        check_tower_caps(delta, scheme)
+        verdicts.check_levels(checks, len(scheme.labels))
     reports = []
     if kind is not None:
         report["scheme"] = {"type": kind, scheme.key: scheme.labels}

@@ -8,7 +8,6 @@ enters only when an element is handed to the spectral layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -18,12 +17,23 @@ from .groups import Group, Homomorphism
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number re + im*i with rational parts."""
+    """Exact complex number re + im*i with rational parts.  Instances are
+    treated as immutable; assigning to a part is not prevented."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction):
+        self.re, self.im = re, im
+
+    def __eq__(self, other):
+        return self.re == other.re and self.im == other.im if other.__class__ is GaussianRational else NotImplemented
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     @staticmethod
     def of(re: Rational = 0, im: Rational = 0) -> "GaussianRational":

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -40,7 +39,23 @@ from .errors import (
 
 
 class Group:
-    """Common interface for the supported group families."""
+    """Common interface for the supported group families.  Groups are treated
+    as immutable; assigning to a field is not prevented."""
+
+    _fields: tuple = ()  # equal to a group of its class with equal fields; hash and repr read them
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown_fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown_fields})"
 
     def contains(self, g) -> bool:
         raise NotImplementedError
@@ -91,7 +106,6 @@ class Group:
         return self.multiply(g, h) == self.multiply(h, g)
 
 
-@dataclass(frozen=True)
 class TrivialGroup(Group):
     def contains(self, g):
         return g == ()
@@ -123,13 +137,13 @@ class TrivialGroup(Group):
         return "1"
 
 
-@dataclass(frozen=True)
 class CyclicGroup(Group):
-    n: int
+    _fields = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise MalformedGroup(f"cyclic order must be >= 1, got {self.n}")
+    def __init__(self, n: int):
+        if n < 1:
+            raise MalformedGroup(f"cyclic order must be >= 1, got {n}")
+        self.n = n
 
     def contains(self, g):
         return isinstance(g, int) and not isinstance(g, bool) and 0 <= g < self.n
@@ -164,13 +178,13 @@ class CyclicGroup(Group):
         return f"Z/{self.n}"
 
 
-@dataclass(frozen=True)
 class FreeAbelianGroup(Group):
-    rank: int
+    _fields = ("rank",)
 
-    def __post_init__(self):
-        if self.rank < 0:
-            raise MalformedGroup(f"rank must be >= 0, got {self.rank}")
+    def __init__(self, rank: int):
+        if rank < 0:
+            raise MalformedGroup(f"rank must be >= 0, got {rank}")
+        self.rank = rank
 
     def contains(self, g):
         return (
@@ -224,19 +238,19 @@ def reduce_word(letters: Iterable[int]) -> tuple:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
 class FreeGroup(Group):
-    rank: int
+    _fields = ("rank",)
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise MalformedGroup(f"free rank must be >= 1, got {self.rank}")
+    def __init__(self, rank: int):
+        if rank < 1:
+            raise MalformedGroup(f"free rank must be >= 1, got {rank}")
+        self.rank = rank
 
     def contains(self, g):
         if not isinstance(g, tuple):
             return False
         for i, x in enumerate(g):
-            if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
+            if not isinstance(x, int) or isinstance(x, bool) or x == 0 or abs(x) > self.rank:
                 return False
             if i and g[i - 1] == -x:
                 return False  # not reduced
@@ -266,8 +280,8 @@ def _table_rows(table) -> tuple:
     """The rows of a table as tuples of Python ints; an entry that is not
     integer-like (``operator.index``; bool and float included) is rejected,
     never truncated."""
-    rows = tuple(tuple(row) for row in table)
-    if all(type(x) is int for row in rows for x in row):
+    rows = tuple(map(tuple, table))
+    if all(set(map(type, row)) <= {int} for row in rows):  # each row's types, in C
         return rows
     return tuple(tuple(map(_table_entry, row)) for row in rows)
 
@@ -342,6 +356,8 @@ class FiniteTableGroup(Group):
     on the table (``_validate_table``).
     """
 
+    _fields = ("table",)  # the names do not count
+
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None):
         rows, self._identity, self._inverse = _validate_table(_table_rows(table))
         if names is not None and len(names) != len(rows):
@@ -373,22 +389,18 @@ class FiniteTableGroup(Group):
         e = self._identity
         return [e] + [x for x in range(len(self.table)) if x != e]
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteTableGroup) and self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
-
     def __str__(self):
         return f"table group of order {len(self.table)}"
 
 
-@dataclass(frozen=True)
 class DirectProductGroup(Group):
     """Direct product of ``factors``; an element is a tuple with one payload
     per factor."""
 
-    factors: tuple
+    _fields = ("factors",)
+
+    def __init__(self, factors: tuple):
+        self.factors = factors
 
     def contains(self, g):
         return (

@@ -14,7 +14,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Optional
@@ -71,9 +70,9 @@ def _table(table) -> list:
     for i, row in enumerate(table):
         if not isinstance(row, list):
             raise ProblemFormatError(f"{what}: row {i} is {type(row).__name__}")
-        for j, x in enumerate(row):
-            if type(x) is not int:
-                raise ProblemFormatError(f"{what}: row {i}, column {j} is {shown(x)}")
+        if not set(map(type, row)) <= {int}:  # the row's types, in C
+            j = next(j for j, x in enumerate(row) if type(x) is not int)
+            raise ProblemFormatError(f"{what}: row {i}, column {j} is {shown(row[j])}")
     return table
 
 
@@ -326,16 +325,16 @@ def require(checks, kind: Optional[str], **have: bool) -> None:
             raise ProblemFormatError(NEEDS[need].format(name))
 
 
-@dataclass
 class Problem:
-    group: Group
-    matrix: RingMatrix
-    scheme: object = None
-    oracle_grid: Optional[int] = None
-    lambda_grid: Optional[list] = None
-    checks: Optional[list] = None  # None: the defaults; [] runs no verdict
-    inverse: Optional[RingMatrix] = None
-    embedding: Optional[Homomorphism] = None
+    """A parsed problem: its group and matrix, and the optional scheme,
+    oracle grid, lambda grid, checks (None: the defaults; [] runs no
+    verdict), inverse and embedding."""
+
+    def __init__(self, group: Group, matrix: RingMatrix, scheme=None, oracle_grid=None,
+                 lambda_grid=None, checks=None, inverse=None, embedding=None):
+        self.group, self.matrix, self.scheme = group, matrix, scheme
+        self.oracle_grid, self.lambda_grid, self.checks = oracle_grid, lambda_grid, checks
+        self.inverse, self.embedding = inverse, embedding
 
 
 def parse_problem(obj: dict) -> Problem:

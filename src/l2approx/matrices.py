@@ -9,7 +9,6 @@ computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch, MismatchedGroup, NotAComplex
@@ -189,21 +188,17 @@ def trace(delta: RingMatrix) -> GaussianRational:
     return acc
 
 
-@dataclass(frozen=True)
 class ChainComplexSpec:
     """Cell counts per degree and boundary maps boundaries[p]: C_{p+1} -> C_p."""
 
-    group: Group
-    dims: tuple
-    boundaries: tuple
-
-    def __post_init__(self):
-        if len(self.boundaries) != max(0, len(self.dims) - 1):
+    def __init__(self, group: Group, dims: tuple, boundaries: tuple):
+        if len(boundaries) != max(0, len(dims) - 1):
             raise NotAComplex(
                 None,
-                f"{len(self.dims)} degrees need {max(0, len(self.dims) - 1)} boundaries, "
-                f"got {len(self.boundaries)}",
+                f"{len(dims)} degrees need {max(0, len(dims) - 1)} boundaries, "
+                f"got {len(boundaries)}",
             )
+        self.group, self.dims, self.boundaries = group, dims, boundaries
 
     @property
     def top_degree(self) -> int:

@@ -108,6 +108,12 @@ def reference_traces(delta: RingMatrix, powers) -> tuple:
 # quotient-tower pipeline
 # ---------------------------------------------------------------------------
 
+def check_tower_caps(delta: RingMatrix, tower: QuotientTower) -> None:
+    """SolveTooLarge for the first level of the tower beyond a solve cap."""
+    for phi, label in zip(tower.levels, tower.labels):
+        check_group_solve(phi.target, delta.rows, f"tower level {label}")
+
+
 def run_tower(
     delta: RingMatrix,
     tower: QuotientTower,
@@ -135,8 +141,7 @@ def run_tower(
         raise MismatchedGroup(f"matrix over {delta.group}, tower from {tower.source}")
     if not delta.is_self_adjoint():
         raise SchemeError("run_tower expects a self-adjoint (A*A) matrix")
-    for phi, label in zip(tower.levels, tower.labels):  # caps, before any level runs
-        check_group_solve(phi.target, delta.rows, f"tower level {label}")
+    check_tower_caps(delta, tower)  # before any level runs
     kb = k_bound(delta)
     thr = kernel_threshold if kernel_threshold is not None else default_kernel_threshold(delta)
     ref_traces, ref_supports = reference_traces(delta, TRACE_POWERS)

@@ -43,6 +43,9 @@ from .spectral import (
 # verify's torus logdet lower bound
 DEFAULT_TOL = 0.02
 
+# the fewest levels a squeeze reads: its tail is their last third
+SQUEEZE_LEVELS = 3
+
 
 @dataclass
 class Context:
@@ -169,6 +172,14 @@ def complex(ctx: Context) -> dict:
     }
 
 
+def check_levels(checks, count: int) -> None:
+    """InsufficientLevels when ``checks`` hold a squeeze over fewer than
+    SQUEEZE_LEVELS levels: the squeeze checks its reports, and a tower run
+    its levels before any runs."""
+    if "squeeze" in checks and count < SQUEEZE_LEVELS:
+        raise InsufficientLevels(f"squeeze needs >= {SQUEEZE_LEVELS} levels, got {count}")
+
+
 def squeeze(ctx: Context) -> dict:
     """Two-sided squeeze of the level densities against an oracle density.
 
@@ -177,8 +188,7 @@ def squeeze(ctx: Context) -> dict:
     lower envelope at the next grid point, both up to tol.
     """
     reports, tol = ctx.reports, ctx.tol
-    if len(reports) < 3:
-        raise InsufficientLevels(f"squeeze needs >= 3 levels, got {len(reports)}")
+    check_levels(("squeeze",), len(reports))
     tail = reports[-math.ceil(len(reports) / 3):]
     grid = sorted(float(x) for x in ctx.lambda_grid)
     rows = []

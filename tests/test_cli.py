@@ -229,6 +229,25 @@ def test_approx_single_level_squeeze_fails(capsys):
     assert "InsufficientLevels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels, count", [("8", 1), ("8,4194304", 2)])
+def test_squeeze_with_too_few_levels_exits_3_before_any_level_runs(levels, count, capsys, monkeypatch):
+    """A squeeze reads the last third of at least three levels: with fewer,
+    the run stops with the squeeze's own error before it runs a level or
+    solves anything, however large the levels are."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a level ran before the squeeze's level count was checked")
+
+    for module in (oracles, spectral):
+        monkeypatch.setattr(module, "_operator_eigenvalues", no_solve)
+    monkeypatch.setattr(cli, "run_tower", no_solve)
+    code = main(["approx", fixture_path("zd_laplacian.json"), "--levels", levels])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"l2approx: InsufficientLevels: squeeze needs >= 3 levels, got {count}\n"
+    )
+
+
 def test_approx_folner_fixture(tmp_path):
     out = tmp_path / "report.json"
     code = main(

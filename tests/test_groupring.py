@@ -31,6 +31,20 @@ def test_gaussian_rational_exactness():
     assert GaussianRational.of(3, 4).modulus() == 5.0
 
 
+def test_gaussian_rational_is_a_value():
+    a = GaussianRational.of(1, 2)
+    assert a == GaussianRational(Fraction(1), Fraction(2)) and hash(a) == hash((Fraction(1), Fraction(2)))
+    assert {a: "a"}[GaussianRational.of(1, 2)] == "a"
+    assert repr(a) == "GaussianRational(re=Fraction(1, 1), im=Fraction(2, 1))"
+    assert not hasattr(a, "__dict__")
+
+
+@pytest.mark.parametrize("other", [(1, 0), (Fraction(1), Fraction(0)), 1, 1.0, 1 + 0j])
+def test_gaussian_rational_never_equals_another_type(other):
+    one = GaussianRational.of(1)
+    assert one != other and other != one
+
+
 def test_mul_examples(z_group):
     t = RingElement.delta(z_group, (1,))
     product = (1 - t) * (1 - t.star())

@@ -16,6 +16,7 @@ from l2approx import (
     FreeAbelianGroup,
     FreeGroup,
     Homomorphism,
+    RingElement,
     TrivialGroup,
     free_abelian_quotient,
     product_group,
@@ -184,6 +185,51 @@ def test_mismatched_payload_raises():
         FreeAbelianGroup(2).check((1,))
     with pytest.raises(MismatchedGroup):
         FreeGroup(2).check((1, -1))  # unreduced word
+
+
+def test_free_group_rejects_bool_letters():
+    """bool is an int subclass; a free group rejects it as a letter, as the
+    cyclic and free abelian groups do as an entry."""
+    f2 = FreeGroup(2)
+    assert f2.contains((1, 2)) and not f2.contains((True, 2)) and not f2.contains((False,))
+    with pytest.raises(MismatchedGroup):
+        RingElement(f2, {(True,): 1})
+
+
+def test_groups_of_different_families_are_unequal():
+    """The families' equality compares classes, not just the field tuples,
+    which are (3,) for all three."""
+    for a, b in itertools.permutations([CyclicGroup(3), FreeAbelianGroup(3), FreeGroup(3)], 2):
+        assert a != b
+    assert TrivialGroup() != FreeAbelianGroup(0) and CyclicGroup(3) != 3 and CyclicGroup(3) != (3,)
+
+
+def test_equal_groups_hash_equal_and_are_dict_keys():
+    def build():
+        return [
+            TrivialGroup(), CyclicGroup(4), FreeAbelianGroup(2), FreeGroup(2),
+            DirectProductGroup((symmetric_group(3), CyclicGroup(2))),
+        ]
+
+    first, second = build(), build()
+    keys = {g: i for i, g in enumerate(first)}
+    for i, (a, b) in enumerate(zip(first, second)):
+        assert a is not b and a == b and hash(a) == hash(b) and keys[b] == i
+    assert hash(CyclicGroup(4)) == hash((4,)) and hash(TrivialGroup()) == hash(())
+    assert CyclicGroup(4) != CyclicGroup(5) and FreeGroup(2) != FreeGroup(3)
+    assert DirectProductGroup((symmetric_group(3), CyclicGroup(2))) != DirectProductGroup(
+        (CyclicGroup(6), CyclicGroup(2))
+    )
+
+
+def test_group_reprs_are_the_dataclass_reprs():
+    assert repr(TrivialGroup()) == "TrivialGroup()"
+    assert repr(CyclicGroup(4)) == "CyclicGroup(n=4)"
+    assert repr(FreeAbelianGroup(2)) == "FreeAbelianGroup(rank=2)"
+    assert repr(FreeGroup(1)) == "FreeGroup(rank=1)"
+    assert repr(product_group([CyclicGroup(2), FreeGroup(1)])) == (
+        "DirectProductGroup(factors=(CyclicGroup(n=2), FreeGroup(rank=1)))"
+    )
 
 
 def test_finite_table_validation():

@@ -49,6 +49,20 @@ print(*sorted(name for name in sys.modules if name.split(".")[0] == "l2approx"))
 """
 
 
+# PARSE_PROBE's work, printing every module it loads; a module loaded before
+# it started, by a site hook say, is not counted
+SETUP_PROBE = """
+import sys
+before = set(sys.modules)
+import l2approx
+from l2approx.jsonio import load_json, parse_complex, parse_problem
+for path in sys.argv[1:]:
+    obj = load_json(path)
+    (parse_complex if "cells" in obj else parse_problem)(obj)
+print(*sorted(set(sys.modules) - before))
+"""
+
+
 def _python(*args, **kwargs):
     return subprocess.run(
         [sys.executable, *args],
@@ -57,6 +71,12 @@ def _python(*args, **kwargs):
         timeout=120,
         **kwargs,
     )
+
+
+def _fixture_paths() -> list:
+    paths = sorted(str(p) for p in FIXTURES.iterdir() if p.name.endswith(".json"))
+    assert len(paths) == 8
+    return paths
 
 
 def _s5_tower_problem() -> dict:
@@ -81,13 +101,22 @@ def test_parsing_loads_only_the_description_layer(tmp_path):
     tower imports no module of the numerics layer."""
     tower = tmp_path / "s5_tower.json"
     tower.write_text(json.dumps(_s5_tower_problem()))
-    paths = sorted(str(p) for p in FIXTURES.iterdir() if p.name.endswith(".json"))
-    assert len(paths) == 8
-    result = _python("-c", PARSE_PROBE, *paths, str(tower), text=True)
+    result = _python("-c", PARSE_PROBE, *_fixture_paths(), str(tower), text=True)
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
     assert "l2approx.jsonio" in loaded
     assert loaded <= DESCRIPTION_LAYER, sorted(loaded - DESCRIPTION_LAYER)
+
+
+def test_set_up_loads_neither_dataclasses_nor_inspect():
+    """Importing l2approx and parsing every bundled fixture loads neither
+    ``dataclasses`` nor ``inspect``, which it pulls in: importing the two
+    was about a third of set-up."""
+    result = _python("-c", SETUP_PROBE, *_fixture_paths(), text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "l2approx.jsonio" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded & {"dataclasses", "inspect"})
 
 
 def test_every_export_resolves():
