@@ -61,19 +61,30 @@ def _ints(x, what: str) -> list:
     return [_int(v, what) for v in _list(x, what)]
 
 
+_TABLE = "table must be a list of integer rows"
+
+
 def _table(table) -> list:
-    """A JSON list of integer rows, as it is.  The error names the first
-    offending row, column and entry, never the whole table."""
-    what = "table must be a list of integer rows"
+    """A JSON list of list rows, as it is.  Its entry types are scanned
+    once, by ``FiniteTableGroup``; ``_table_entries`` names a bad entry
+    only after that scan fails.  The error names the first offending row,
+    never the whole table."""
     if not isinstance(table, list):
-        raise ProblemFormatError(f"{what}, got {type(table).__name__}")
+        raise ProblemFormatError(f"{_TABLE}, got {type(table).__name__}")
     for i, row in enumerate(table):
         if not isinstance(row, list):
-            raise ProblemFormatError(f"{what}: row {i} is {type(row).__name__}")
-        if not set(map(type, row)) <= {int}:  # the row's types, in C
-            j = next(j for j, x in enumerate(row) if type(x) is not int)
-            raise ProblemFormatError(f"{what}: row {i}, column {j} is {shown(row[j])}")
+            _table_entries(table[:i])  # a bad entry in an earlier row wins
+            raise ProblemFormatError(f"{_TABLE}: row {i} is {type(row).__name__}")
     return table
+
+
+def _table_entries(table: list) -> None:
+    """ProblemFormatError naming the first entry of the rows of ``table``,
+    row by row, that is not an int."""
+    for i, row in enumerate(table):
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                raise ProblemFormatError(f"{_TABLE}: row {i}, column {j} is {shown(x)}")
 
 
 # what the group and homomorphism constructors raise on content that does
@@ -101,9 +112,13 @@ def parse_group(obj) -> Group:
         if kind == "finite_table":
             table = _table(obj["table"])
             names = obj.get("names")
-            if names is not None and any(type(x) is not str for x in _list(names, "names")):
-                raise ProblemFormatError(f"names must be strings: {shown(names)}")
-            return FiniteTableGroup(table, names=names)
+            try:
+                if names is not None and any(type(x) is not str for x in _list(names, "names")):
+                    raise ProblemFormatError(f"names must be strings: {shown(names)}")
+                return FiniteTableGroup(table, names=names)
+            except (ProblemFormatError, MalformedGroup):
+                _table_entries(table)  # a bad entry wins over every other defect
+                raise
         if kind == "product":
             return product_group([parse_group(f) for f in _list(obj["factors"], "factors")])
     except KeyError as exc:

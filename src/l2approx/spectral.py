@@ -23,10 +23,13 @@ from .matrices import RingMatrix, k_bound
 KERNEL_THRESHOLD_FACTOR = 1e-9
 # eigenvalues of one solve: d |G| for a finite level, d m^n for a torus grid
 MAX_SOLVE_POINTS = 2 ** 22
-# entries of the character blocks of a finite group G = H x C: |C| (d |H|)^2
+# entries of the character blocks of a finite group G = H x C, |C| (d |H|)^2:
+# the entries assembled over a level and its solve time, not what is resident,
+# since the blocks are solved one slab at a time
 MAX_BLOCK_ENTRIES = 2 ** 24
 # elements per step of a pass over a spectrum: the sortedness check,
-# density_from_eigs and verdicts.density_tail_integral
+# density_from_eigs and verdicts.density_tail_integral; and the entries of
+# one slab of character blocks (at least one block)
 CHUNK = 8192
 
 
@@ -44,7 +47,10 @@ def check_solve_size(points: int, rows: int, what: str) -> None:
 def check_group_solve(group: Group, rows: int, what: str) -> None:
     """``check_solve_size`` at the |G| points of a finite group G, then
     SolveTooLarge when its |C| character blocks of size d |H| (G = H x C,
-    ``_cyclic_split``) would hold more than MAX_BLOCK_ENTRIES entries."""
+    ``_cyclic_split``) would hold more than MAX_BLOCK_ENTRIES entries.
+
+    The blocks are solved a slab at a time, so this bounds the entries
+    assembled and the time of the solve, not the memory held at once."""
     check_solve_size(group.order, rows, what)
     h = _cyclic_split(group)[0].order
     blocks, size = group.order // h, rows * h
@@ -264,7 +270,7 @@ def _operator_eigenvalues(
     part=lambda g: (),
     real: bool = False,
 ) -> np.ndarray:
-    """Sorted eigenvalues of a stack of count = prod(shape) blocks of left
+    """Sorted eigenvalues of count = prod(shape) blocks of left
     multiplication over the points ``group.elements()``, one per character
     of a grid of the given shape.
 
@@ -274,8 +280,7 @@ def _operator_eigenvalues(
     ``group.multiply(part(g), points[v]) == points[u]``, where every slot,
     a distinct value of ``part(g)``, is an element of ``group``.  Real
     float64 blocks when ``real``, where every coefficient of delta must be
-    real, complex128 otherwise; shape (count, rows * |points|, cols * |points|).
-    Every such operator is one batched ``eigvalsh``.
+    real, complex128 otherwise; each block is rows * |points| square.
 
     At one point the blocks are d x d, and when delta is diagonal
     (``_is_diagonal``) so are they: the eigenvalues are the real parts of
@@ -286,6 +291,18 @@ def _operator_eigenvalues(
     matrix with zero reflectors, and ``dsterf`` returns its 1 x 1 blocks as
     they are.  There a term with a real coefficient reads the real phase
     (``_add_symbol``).
+
+    Otherwise, at one point the symbol array, viewed as (count, rows,
+    cols), is the stack of blocks, solved by one batched ``eigvalsh``
+    without a copy.  At more points each slot is scattered into the blocks
+    a slab of consecutive characters at a time: max(1, CHUNK // block
+    entries) blocks per slab, built in a fresh array, solved by one
+    batched ``eigvalsh`` and freed before the next, their eigenvalues
+    written into one (count, rows * |points|) array that is raveled and
+    sorted once.  So the level holds its symbol, its eigenvalues and one
+    slab.  Each block is the same LAPACK call on the same bytes as in one
+    stack of all count blocks, so the eigenvalues are bit for bit the
+    stack's.
     """
     points = group.elements()
     rows, cols, n = delta.rows, delta.cols, len(points)
@@ -311,18 +328,23 @@ def _operator_eigenvalues(
     symbol = symbol.reshape(rows, cols, len(slots), count).transpose(3, 0, 1, 2)
     if n == 1 and len(slots) == 1:
         # one point, fixed by the one slot: the symbol is the block, no copy
-        blocks = symbol[..., 0]
+        w = np.linalg.eigvalsh(symbol[..., 0])
     else:
         index = {x: i for i, x in enumerate(points)}
-        blocks = np.zeros((count, rows, n, cols, n), dtype=symbol.dtype)
-        for i, s in enumerate(slots):
-            # slot s puts its coefficient at (u, v) wherever s * points[v] = points[u];
-            # no two slots share a (u, v), since s * y = x has one solution s
-            targets = [index[group.multiply(s, y)] for y in points]
-            blocks[:, :, targets, :, range(n)] = symbol[..., i]
-        blocks = blocks.reshape(count, rows * n, cols * n)
-        del symbol  # scattered into the blocks: freed before the solve
-    w = np.linalg.eigvalsh(blocks).ravel()
+        # slot s puts its coefficient at (u, v) wherever s * points[v] = points[u];
+        # no two slots share a (u, v), since s * y = x has one solution s
+        targets = [[index[group.multiply(s, y)] for y in points] for s in slots]
+        # CHUNK entries of blocks per slab, and at least one block
+        per = max(1, CHUNK // max(1, rows * n * cols * n))
+        w = np.empty((count, rows * n))
+        for lo in range(0, count, per):
+            hi = min(lo + per, count)
+            blocks = np.zeros((hi - lo, rows, n, cols, n), dtype=symbol.dtype)
+            for i, t in enumerate(targets):
+                blocks[:, :, t, :, range(n)] = symbol[lo:hi, ..., i]
+            w[lo:hi] = np.linalg.eigvalsh(blocks.reshape(hi - lo, rows * n, cols * n))
+            del blocks  # freed before the next slab is built
+    w = w.ravel()
     w.sort()
     return w
 

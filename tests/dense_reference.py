@@ -16,7 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
+from l2approx import spectral
 from l2approx.errors import InfiniteGroup, NotHermitian
+from l2approx.groups import TrivialGroup
 from l2approx.matrices import RingMatrix
 
 DEFAULT_EIG_TOL = 1e-12
@@ -99,3 +101,49 @@ def symbol_stack(delta: RingMatrix, count: int, phase) -> np.ndarray:
             for g, c in delta.entries[k][l].terms.items():
                 stack[:, k, l] += complex(c) * phase(g)
     return stack
+
+
+def stacked_finite_eigenvalues(delta: RingMatrix) -> np.ndarray:
+    """The sorted eigenvalues of ``spectral.finite_spectrum(delta)``, solved
+    as one stack: all |C| character blocks of size d|H| (G = H x C) in one
+    (|C|, d|H|, d|H|) array and one batched ``eigvalsh``.
+
+    The symbol is assembled as the library assembles it, one grid of |C|
+    values per slot, and each slot is scattered into every block at once.
+    The library solves the same blocks a slab of characters at a time; each
+    block is the same LAPACK call on the same bytes, so the two agree bit
+    for bit.
+    """
+    group = delta.group
+    h_group, orders, h_part, exponents = spectral._cyclic_split(group)
+    shape, count = tuple(orders), group.order // h_group.order
+
+    def phase(g, real):
+        return spectral._phase(
+            exponents(g), lambda k, e: spectral._cyclic_angle(e, orders[k]), real
+        )
+
+    real = (
+        count == 1
+        and h_group != TrivialGroup()
+        and all(e.is_real() for row in delta.entries for e in row)
+    )
+    points = h_group.elements()
+    rows, cols, n = delta.rows, delta.cols, len(points)
+    slots = list({h_part(g) for g in delta.support()})
+    slot_index = {s: i for i, s in enumerate(slots)}
+    symbol = np.zeros((rows, cols, len(slots)) + shape, dtype=np.float64 if real else np.complex128)
+    for k in range(rows):
+        for l in range(cols):
+            spectral._add_symbol(
+                symbol[k, l], delta.entries[k][l], phase, lambda g: slot_index[h_part(g)]
+            )
+    symbol = symbol.reshape(rows, cols, len(slots), count).transpose(3, 0, 1, 2)
+    index = {x: i for i, x in enumerate(points)}
+    blocks = np.zeros((count, rows, n, cols, n), dtype=symbol.dtype)
+    for i, s in enumerate(slots):
+        targets = [index[h_group.multiply(s, y)] for y in points]
+        blocks[:, :, targets, :, range(n)] = symbol[..., i]
+    w = np.linalg.eigvalsh(blocks.reshape(count, rows * n, cols * n)).ravel()
+    w.sort()
+    return w

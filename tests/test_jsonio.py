@@ -388,3 +388,42 @@ def test_mutated_fixtures_raise_only_input_errors(seed):
             pass
         except NotAComplex:
             assert "cells" in fixture
+
+
+# (group JSON fields, the error): with several defects the first bad entry,
+# row by row, wins over a later row that is not a list, over bad names and
+# over every check of the group constructor
+TABLE_DEFECTS = [
+    ({"table": [[0, 1], [1, 0.5]]}, "row 1, column 1 is 0.5"),
+    ({"table": [[0, 1.5], 5]}, "row 0, column 1 is 1.5"),
+    ({"table": [[0, 1], 5]}, "row 1 is int"),
+    ({"table": [[0, 1], [1, 0]], "names": [1, 2]}, "names must be strings"),
+    ({"table": [[0, 1.5], [1, 0]], "names": [1, 2]}, "row 0, column 1 is 1.5"),
+    ({"table": [[0, 1], [1, 0]], "names": "x"}, "names must be a list"),
+    ({"table": [[0, None], [1, 0]], "names": "x"}, "row 0, column 1 is None"),
+    ({"table": [[0, 1], [1, 0]], "names": ["a"]}, "names length does not match"),
+    ({"table": [[0, 1.5], [1, 0]], "names": ["a"]}, "row 0, column 1 is 1.5"),
+    ({"table": [[0, 1], [1]]}, "not square"),
+    ({"table": [[0, True], [1]]}, "row 0, column 1 is True"),
+    ({"table": [[0, 1], [1, [0]]]}, "row 1, column 1 is [0]"),
+]
+
+
+@pytest.mark.parametrize("fields, message", TABLE_DEFECTS)
+def test_table_defects_are_named_in_order(fields, message):
+    with pytest.raises(ProblemFormatError) as info:
+        parse_group({"type": "finite_table", **fields})
+    assert message in str(info.value)
+
+
+def test_valid_table_entry_types_are_scanned_once(monkeypatch):
+    """The group constructor scans a table's entry types; the parser names
+    a bad entry only after that scan fails, so a valid table is scanned
+    once."""
+    from l2approx import jsonio
+
+    calls = []
+    monkeypatch.setattr(jsonio, "_table_entries", calls.append)
+    table = [list(row) for row in symmetric_group(4).table]
+    assert parse_group({"type": "finite_table", "table": table}) == symmetric_group(4)
+    assert calls == []

@@ -199,7 +199,12 @@ def test_cli_peak_memory_stays_near_the_numpy_import(tmp_path):
     solved first, so a ladder peaks at its top level: approx on Z/2^10 ...
     Z/2^18, norms only, peaks less than 1 MB above the single level Z/2^18
     (0.5-0.7 MB; 3.7-4.1 MB with every spectrum kept and the levels
-    solved in scheme order)."""
+    solved in scheme order).
+
+    A finite-group level solves its character blocks one slab at a time:
+    approx on one level F2 -> S5 x Z/60, norms only, peaks at most 6 MB
+    above the import (about 3 MB; the stack of all 60 blocks of 120 x 120
+    took about 15.5 MB)."""
     laplacian = [{"word": [0], "re": 2}, {"word": [1], "re": -1}, {"word": [-1], "re": -1}]
     problems = {"level": [2 ** 20], "ladder": [2 ** k for k in range(10, 19)], "top": [2 ** 18]}
     for name, levels in problems.items():
@@ -209,19 +214,36 @@ def test_cli_peak_memory_stays_near_the_numpy_import(tmp_path):
             "scheme": {"type": "tower", "levels": levels},
             "checks": ["norms"],
         }))
+    s5 = [list(row) for row in l2approx.symmetric_group(5).table]
+    (tmp_path / "finite.json").write_text(json.dumps({
+        "group": {"type": "free", "rank": 2},
+        "matrix": {"entries": [[[
+            {"word": [], "re": 4}, *({"word": [x], "re": -1} for x in (1, -1, 2, -2)),
+        ]]]},
+        "scheme": {"type": "tower", "maps": [{
+            "target": {"type": "product", "factors": [
+                {"type": "finite_table", "table": s5}, {"type": "cyclic", "n": 60},
+            ]},
+            "images": [[17, 1], [45, 59]],
+        }]},
+        "checks": ["norms"],
+    }))
     torus = str(FIXTURES / "torus.json")
     commands = [
         ["-c", "import l2approx.cli, numpy.linalg"],
         ["-m", "l2approx", "cw", torus, "--grid", "1024"],
         ["-m", "l2approx", "cw", torus, "--grid", "1448"],
         *(["-m", "l2approx", "approx", str(tmp_path / f"{name}.json")] for name in problems),
+        ["-m", "l2approx", "approx", str(tmp_path / "finite.json")],
     ]
     result = _python("-c", PEAK_PROBE, json.dumps(commands), text=True)
     assert result.returncode == 0, result.stderr
-    base, small, large, level, ladder, top = map(int, result.stdout.split())
+    base, small, large, level, ladder, top, finite = map(int, result.stdout.split())
     limit = 8 * 2 ** 20
     assert max(small, large) - base <= limit, (small, large, base, limit)
     assert large - small < 2 ** 20, (large, small)
     limit = 2.75 * 8 * 2 ** 20
     assert level - base <= limit, (level, base, limit)
     assert ladder - top < 2 ** 20, (ladder, top)
+    limit = 6 * 2 ** 20
+    assert finite - base <= limit, (finite, base, limit)

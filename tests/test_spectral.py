@@ -52,6 +52,7 @@ from dense_reference import (
     hermitian_eigenvalues,
     outer_phase,
     regular_representation,
+    stacked_finite_eigenvalues,
     symbol_stack,
 )
 
@@ -714,27 +715,33 @@ def test_block_spectrum_matches_dense(name):
             _assert_blocks_match_dense(random_self_adjoint(TABLE_PRODUCTS[name], rng, d=d))
 
 
+def _gaussian_self_adjoint(group, rng, d):
+    """A*A for a d x d matrix A of three random terms per entry with
+    Gaussian-integer coefficients."""
+    elems = group.elements()
+    rows = [
+        [
+            RingElement(
+                group,
+                {
+                    elems[rng.randrange(len(elems))]: GaussianRational.of(
+                        rng.randint(-3, 3), rng.randint(-3, 3)
+                    )
+                    for _ in range(3)
+                },
+            )
+            for _ in range(d)
+        ]
+        for _ in range(d)
+    ]
+    return positive_square(RingMatrix(group, rows))
+
+
 def test_block_spectrum_complex_non_diagonal():
     group = TABLE_PRODUCTS["S3 x Z/4"]
-    elems = group.elements()
     rng = random.Random(SEED)
     for _ in range(3):
-        entries = [
-            [
-                RingElement(
-                    group,
-                    {
-                        elems[rng.randrange(len(elems))]: GaussianRational.of(
-                            rng.randint(-3, 3), rng.randint(1, 3)
-                        )
-                        for _ in range(3)
-                    },
-                )
-                for _ in range(2)
-            ]
-            for _ in range(2)
-        ]
-        delta = positive_square(RingMatrix(group, entries))
+        delta = _gaussian_self_adjoint(group, rng, 2)
         assert not delta.is_integral()
         assert any(not e.is_real() for row in delta.entries for e in row)
         assert not delta.entries[0][1].is_zero()
@@ -823,6 +830,69 @@ def test_cyclic_split_peels_top_level_factors(monkeypatch):
     for group in (flat, nested):
         finite_spectrum(random_self_adjoint(group, rng))
     assert shapes == [(2, 36, 36)] * 2
+
+
+SLAB_GROUPS = {
+    **{f"S3 x Z/{k}": product_group([S3, CyclicGroup(k)]) for k in (1, 2, 5, 12)},
+    "S3 x Z/2 x S3": TABLE_PRODUCTS["S3 x Z/2 x S3"],
+    "Z/2 x (S3 x Z/3)": TABLE_PRODUCTS["Z/2 x (S3 x Z/3)"],
+    "(S3 x Z/2) x S3": TABLE_PRODUCTS["(S3 x Z/2) x S3"],
+}
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("chunk", [1, spectral.CHUNK, 2 ** 40], ids=["one-block", "default", "all-blocks"])
+@pytest.mark.parametrize("name", sorted(SLAB_GROUPS))
+def test_character_slabs_are_bitwise_the_whole_stack(name, chunk, monkeypatch):
+    """Solved a slab of consecutive characters at a time, the spectrum is
+    bit for bit the one batched eigvalsh on the stack of all |C| blocks,
+    whether a slab holds one block, CHUNK entries or every block; a slab
+    holds max(1, CHUNK // (d|H|)^2) characters."""
+    group = SLAB_GROUPS[name]
+    h = _cyclic_split(group)[0].order
+    count = group.order // h
+    rng = random.Random(SEED)
+    for d in (1, 2):
+        for delta in (random_self_adjoint(group, rng, d=d), _gaussian_self_adjoint(group, rng, d)):
+            want = stacked_finite_eigenvalues(delta)
+            shapes = []
+            solve = np.linalg.eigvalsh
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda b: shapes.append(b.shape) or solve(b))
+            monkeypatch.setattr(spectral, "CHUNK", chunk)
+            got = finite_spectrum(delta).eigenvalues
+            monkeypatch.undo()
+            assert got.tobytes() == want.tobytes(), (name, d)
+            per = max(1, chunk // (d * h) ** 2)
+            sizes = [min(per, count - lo) for lo in range(0, count, per)]
+            assert shapes == [(m, d * h, d * h) for m in sizes]
+
+
+def test_empty_matrix_over_a_table_product_has_no_eigenvalues():
+    delta = RingMatrix(TABLE_PRODUCTS["S3 x Z/4"], [])
+    assert finite_spectrum(delta).eigenvalues.shape == (0,)
+
+
+@pytest.mark.parametrize("k", [12, 48])
+def test_table_level_holds_one_block_at_a_time(k):
+    """A level of S5 x Z/k solves its |C| = k character blocks of 120 x 120
+    one per slab: its traced peak stays within one complex block plus a
+    small multiple of its eigenvalue bytes, where the whole stack of k
+    blocks took 2.79 MB at k = 12 and 11.1 MB at k = 48."""
+    f2 = FreeGroup(2)
+    a, b = RingElement.delta(f2, (1,)), RingElement.delta(f2, (2,))
+    group = product_group([symmetric_group(5), CyclicGroup(k)])
+    phi = Homomorphism(f2, group, generator_images=[(17, 1), (45, k - 1)])
+    delta = RingMatrix.from_element(4 - a - a.star() - b - b.star()).push_forward(phi)
+    finite_spectrum(delta)  # warm: caches and LAPACK workspaces
+    tracemalloc.start()
+    try:
+        eig = finite_spectrum(delta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 120 * 120 * 16
+    assert eig.eigenvalues.nbytes == 8 * 120 * k
+    assert peak <= block + 3 * eig.eigenvalues.nbytes + 2 ** 15, (peak, block)
 
 
 def test_cyclic_split_orders_and_exponents():
